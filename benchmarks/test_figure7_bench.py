@@ -22,7 +22,7 @@ TECHNIQUES = ("mesti", "emesti", "lvp", "sle", "emesti+lvp")
 
 def test_figure7_bench(benchmark, tmp_path):
     runner = MatrixRunner(
-        scale=BENCH_SCALE, results_dir=tmp_path, label="f7", verbose=False,
+        scale=BENCH_SCALE, results_dir=tmp_path, verbose=False,
         workers=BENCH_WORKERS,
     )
 

@@ -13,7 +13,7 @@ TECHNIQUES = ("base", "mesti", "emesti")
 
 def test_figure8_bench(benchmark, tmp_path):
     runner = MatrixRunner(
-        scale=BENCH_SCALE, results_dir=tmp_path, label="f8", verbose=False,
+        scale=BENCH_SCALE, results_dir=tmp_path, verbose=False,
         workers=BENCH_WORKERS,
     )
 

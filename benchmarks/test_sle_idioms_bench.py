@@ -13,7 +13,7 @@ BENCHMARKS = ("raytrace", "tpc-b", "specweb")
 
 def test_sle_idiom_stats_bench(benchmark, tmp_path):
     runner = MatrixRunner(
-        scale=BENCH_SCALE, results_dir=tmp_path, label="sle", verbose=False
+        scale=BENCH_SCALE, results_dir=tmp_path, verbose=False
     )
 
     def regenerate():

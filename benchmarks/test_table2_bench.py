@@ -12,7 +12,7 @@ from benchmarks.conftest import BENCH_SCALE, BENCH_SEEDS
 
 def test_table2_bench(benchmark, tmp_path):
     runner = MatrixRunner(
-        scale=BENCH_SCALE, results_dir=tmp_path, label="t2", verbose=False
+        scale=BENCH_SCALE, results_dir=tmp_path, verbose=False
     )
 
     def regenerate():

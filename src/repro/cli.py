@@ -774,7 +774,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve_p.add_argument(
         "--root", default="service-state", metavar="DIR",
-        help="durable state: queue + result store + fingerprint index",
+        help="durable state: queue (queue/) + result store (results/)",
     )
     serve_p.add_argument(
         "--lease-ttl", type=float, default=None, metavar="SECONDS",

@@ -1,7 +1,8 @@
 """Matrix runner: execute (benchmark × technique × seed) simulations.
 
 Every run is reduced to a :class:`RunSummary` (a plain dict of the
-numbers the figures need) and cached as JSON under ``results/`` so the
+numbers the figures need) and kept in the
+:class:`~repro.experiments.store.ResultStore` under ``results/`` so the
 per-figure harnesses can share runs: Figure 7 (performance) and
 Figure 8 (address transactions) use the same matrix, Table 2 uses its
 ``mesti`` column, and the SLE statistics of §5.3.1 its ``sle`` column.
@@ -12,13 +13,12 @@ the seed), so the matrix fans out over a
 given.  The determinism contract (docs/performance.md): a cell run in
 a worker produces a summary identical — every field except the
 ``wall_seconds`` wall-clock measurement — to the same cell run
-serially, so cached, serial, and parallel results are interchangeable.
+serially, so stored, serial, and parallel results are interchangeable.
 
-The cache file carries a fingerprint of the machine configuration, so
-summaries produced under one config are never silently reused under
-another, and flushes merge with whatever is already on disk (guarded
-by a lock file) so concurrent runners sharing a cache path cannot
-clobber each other's completed cells.
+A cell is stored under :func:`cell_fingerprint` of its complete
+machine config, so summaries produced under one config are never
+served under another, and runners (or service shards) sharing a
+results directory see each other's cells without coordinating.
 """
 
 from __future__ import annotations
@@ -32,15 +32,14 @@ import json
 import logging
 import math
 import os
-import tempfile
 import time
 from concurrent.futures import BrokenExecutor, Future, ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeoutError
-from contextlib import contextmanager
 from pathlib import Path
 from typing import Callable, Iterable
 
 from repro.common.config import MachineConfig, scaled_config
+from repro.experiments.store import ResultStore
 from repro.obs.progress import CellUpdate, MatrixProgress, RunManifest
 from repro.obs.provenance import analyze_events
 from repro.obs.spans import fold_spans
@@ -57,9 +56,6 @@ DEFAULT_JITTER = 8
 #: ``max_cycles``/``max_events`` guards catch livelock deterministically;
 #: this outer limit only catches a wedged worker process.
 DEFAULT_CELL_TIMEOUT = 3600.0
-
-#: Cache file format version (bumped when the on-disk layout changes).
-CACHE_FORMAT = 2
 
 #: Target dispatch chunks per worker.  Cells are submitted to the pool
 #: in contiguous chunks rather than one task per cell: large matrices
@@ -173,13 +169,13 @@ def summaries_equal(a: RunSummary, b: RunSummary) -> bool:
     return strip(a) == strip(b)
 
 
-def config_fingerprint(config: MachineConfig, jitter: int = DEFAULT_JITTER) -> str:
-    """Stable hash of every :class:`MachineConfig` field plus the jitter.
+def config_fingerprint(config: MachineConfig) -> str:
+    """Stable hash of every :class:`MachineConfig` field.
 
-    Two runners whose fingerprints match produce interchangeable
-    summaries for the same (benchmark, technique, seed) cell; the cache
-    file records the fingerprint so summaries cached under one machine
-    are never silently reused under another.
+    Two configs whose fingerprints match produce interchangeable
+    summaries for the same (benchmark, scale, seed) cell.  The payload
+    also carries ``"jitter": DEFAULT_JITTER``, a constant kept so that
+    fingerprints recorded earlier (``BENCH_matrix.json``'s) stay valid.
     """
 
     def encode(value):
@@ -193,28 +189,37 @@ def config_fingerprint(config: MachineConfig, jitter: int = DEFAULT_JITTER) -> s
         return value
 
     payload = json.dumps(
-        {"config": encode(config), "jitter": jitter}, sort_keys=True
+        {"config": encode(config), "jitter": DEFAULT_JITTER}, sort_keys=True
     )
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
+#: ``config_fingerprint(scaled_config())``: the machine of every runner
+#: built without a config, hashed once per process rather than once per
+#: runner (a cache-served request builds a fresh runner).
+DEFAULT_FINGERPRINT = config_fingerprint(scaled_config())
+
+
+def cell_config(base: MachineConfig, technique: str) -> MachineConfig:
+    """The complete per-cell machine config for one technique on ``base``."""
+    config = configure_technique(base, technique)
+    return dataclasses.replace(config, latency_jitter=DEFAULT_JITTER)
+
+
 def cell_fingerprint(
-    config: MachineConfig,
-    benchmark: str,
-    scale: float,
-    seed: int,
-    jitter: int = DEFAULT_JITTER,
+    config: MachineConfig, benchmark: str, scale: float, seed: int,
 ) -> str:
     """Stable identity of one fully-configured simulation cell.
 
-    Hashes the complete per-cell machine config (technique already
-    applied — the technique is part of the config, not a separate
-    coordinate) together with the workload coordinates.  Two requests
-    with equal cell fingerprints are the *same simulation*: the service
-    layer keys its result store and in-flight dedupe on this, so a
-    million identical submissions cost one run.
+    Hashes the complete per-cell machine config (:func:`cell_config`:
+    the technique is part of the config, not a separate coordinate)
+    together with the workload coordinates (``scale`` as a float, so
+    ``1`` and ``1.0`` name one cell).  Two requests with equal
+    cell fingerprints are the *same simulation*: the result store and
+    the service's in-flight dedupe key on this, so a million identical
+    submissions cost one run.
     """
-    payload = f"{config_fingerprint(config, jitter)}|{benchmark}|{scale}|{seed}"
+    payload = f"{config_fingerprint(config)}|{benchmark}|{float(scale)}|{seed}"
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
@@ -573,160 +578,95 @@ def map_cells(
 
 
 class MatrixRunner:
-    """Runs and caches the benchmark × technique × seed matrix."""
+    """Runs the benchmark × technique × seed matrix through the result store."""
 
     def __init__(
         self,
         config: MachineConfig | None = None,
         scale: float = 1.0,
         results_dir: str | Path = "results",
-        label: str = "matrix",
         verbose: bool = True,
         workers: int | None = None,
         cell_timeout: float | None = DEFAULT_CELL_TIMEOUT,
         provenance: bool = False,
     ):
         self.base_config = config or scaled_config()
+        self.fingerprint = (
+            DEFAULT_FINGERPRINT if config is None
+            else config_fingerprint(config)
+        )
         self.scale = scale
         self.results_dir = Path(results_dir)
-        self.label = label
+        self.store = ResultStore(self.results_dir)
         self.verbose = verbose
         self.workers = workers
         self.cell_timeout = cell_timeout
         # Trace every executed cell and attach its miss-provenance
-        # summary (cached cells keep whatever they were cached with).
+        # summary (stored cells keep whatever they were stored with).
         self.provenance = provenance
-        self.fingerprint = config_fingerprint(self.base_config)
-        self._cache: dict[str, RunSummary] = {}
-        self._cache_path = self.results_dir / f"{label}_scale{scale}.json"
-        self.manifest_path = self._cache_path.with_suffix(".manifest.json")
+        self.manifest_path = self.results_dir / f"matrix_scale{scale}.manifest.json"
         self.manifest: RunManifest | None = None  # last run_matrix sweep
-        self._dirty = False
-        self._batch_depth = 0
-        self._cache = self._load_cache()
-
-    def __enter__(self) -> "MatrixRunner":
-        """Context-manager entry (flushes the cache on exit)."""
-        return self
-
-    def __exit__(self, *exc) -> None:
-        """Flush any unsaved results on context exit."""
-        self.close()
-
-    def close(self) -> None:
-        """Persist any unsaved results."""
-        if self._dirty:
-            self.flush()
+        #: Summaries this runner has read from or written to the store.
+        self._cells: dict[str, RunSummary] = {}
 
     @staticmethod
     def key(benchmark: str, technique: str, seed: int) -> str:
-        """Cache key for one (benchmark, technique, seed) cell."""
+        """Matrix key for one (benchmark, technique, seed) cell."""
         return f"{benchmark}|{technique}|{seed}"
 
     def cell_config(self, technique: str) -> MachineConfig:
         """The complete per-cell machine config for one technique."""
-        config = configure_technique(self.base_config, technique)
-        return dataclasses.replace(config, latency_jitter=DEFAULT_JITTER)
+        return cell_config(self.base_config, technique)
 
-    # ------------------------------------------------------------------
-    # Cache loading
-    # ------------------------------------------------------------------
+    def _fingerprint(self, benchmark: str, technique: str, seed: int) -> str:
+        """The store key of one cell of this runner's matrix."""
+        return cell_fingerprint(
+            self.cell_config(technique), benchmark, self.scale, seed,
+        )
 
-    def _load_cache(self) -> dict[str, RunSummary]:
-        """Read the cache file, surviving corruption and config drift.
-
-        * A truncated/corrupt file (interrupted mid-save by an older
-          writer, partial copy, ...) is moved aside to ``*.corrupt``
-          with a warning and the cache starts empty.
-        * A fingerprint mismatch (the file was produced under a
-          different :class:`MachineConfig`) moves the file aside to
-          ``*.stale`` so its summaries are never mixed with ours.
-        * Legacy flat-dict caches (no header) predate fingerprints;
-          they are adopted as-is with a warning and upgraded to the
-          current format on the next flush.
-        """
-        if not self._cache_path.exists():
-            return {}
-        try:
-            data = json.loads(self._cache_path.read_text())
-            cells, fingerprint = self._split_cache_doc(data)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            quarantine = self._cache_path.with_suffix(".corrupt")
-            os.replace(self._cache_path, quarantine)
-            log.warning(
-                "cache %s is corrupt (%s); moved aside to %s and starting "
-                "an empty cache", self._cache_path, exc, quarantine,
-            )
-            return {}
-        if fingerprint is None and cells:
-            log.warning(
-                "cache %s predates config fingerprints; assuming it matches "
-                "the current machine config (flush will record fingerprint "
-                "%s)", self._cache_path, self.fingerprint,
-            )
-            return cells
-        if fingerprint is not None and fingerprint != self.fingerprint:
-            quarantine = self._cache_path.with_suffix(".stale")
-            os.replace(self._cache_path, quarantine)
-            log.warning(
-                "cache %s was produced under a different machine config "
-                "(fingerprint %s != ours %s); moved aside to %s and "
-                "starting an empty cache",
-                self._cache_path, fingerprint, self.fingerprint, quarantine,
-            )
-            return {}
-        return cells
-
-    @staticmethod
-    def _split_cache_doc(data) -> tuple[dict[str, RunSummary], str | None]:
-        """Return (cells, fingerprint) for either cache file layout."""
-        if isinstance(data, dict) and "cells" in data and "fingerprint" in data:
-            return dict(data["cells"]), data["fingerprint"]
-        if isinstance(data, dict):  # legacy flat key->summary mapping
-            return dict(data), None
-        raise json.JSONDecodeError("cache root is not an object", "", 0)
-
-    # ------------------------------------------------------------------
-    # Running
-    # ------------------------------------------------------------------
+    def _lookup(
+        self, benchmark: str, technique: str, seed: int
+    ) -> RunSummary | None:
+        """The cell's summary, from this runner or the store, or None."""
+        key = self.key(benchmark, technique, seed)
+        if key not in self._cells:
+            doc = self.store.get(self._fingerprint(benchmark, technique, seed))
+            if doc is None or "summary" not in doc:
+                return None
+            self._cells[key] = doc["summary"]
+        return self._cells[key]
 
     def run_one(
         self, benchmark: str, technique: str, seed: int, force: bool = False
     ) -> RunSummary:
-        """Run (or fetch from cache) one cell of the matrix."""
-        key = self.key(benchmark, technique, seed)
-        if not force and key in self._cache:
-            return self._cache[key]
+        """Run (or fetch from the store) one cell of the matrix."""
+        if not force:
+            summary = self._lookup(benchmark, technique, seed)
+            if summary is not None:
+                return summary
         summary = run_cell(
             self.cell_config(technique), benchmark, self.scale, seed,
             self.provenance,
         )
-        self._record(benchmark, technique, seed, summary)
+        self.flush(benchmark, technique, seed, summary)
         return summary
 
-    def cached(
-        self, benchmark: str, technique: str, seed: int
-    ) -> RunSummary | None:
-        """Cache-only lookup: the cell's summary, or None (never runs).
+    def flush(
+        self, benchmark: str, technique: str, seed: int, summary: RunSummary
+    ) -> None:
+        """Write one finished cell to the store — the runner's only write.
 
-        This is the service layer's cache-hit probe — a hit means the
-        request is served without simulation.
+        The cell is written as soon as it finishes, so a sweep that
+        fails later keeps every cell it completed.
         """
-        return self._cache.get(self.key(benchmark, technique, seed))
-
-    def store(
-        self, benchmark: str, technique: str, seed: int, summary: RunSummary
-    ) -> None:
-        """Insert an externally-produced summary (e.g. from a service
-        worker's executor) into the cache and persist it."""
-        self._record(benchmark, technique, seed, summary)
-
-    def _record(
-        self, benchmark: str, technique: str, seed: int, summary: RunSummary
-    ) -> None:
-        """Insert one finished cell into the cache and log it."""
-        self._cache[self.key(benchmark, technique, seed)] = summary
-        self._save()
+        self.store.store(self._fingerprint(benchmark, technique, seed), {
+            "benchmark": benchmark,
+            "technique": technique,
+            "seed": seed,
+            "scale": self.scale,
+            "summary": summary,
+        })
+        self._cells[self.key(benchmark, technique, seed)] = summary
         log.log(
             logging.INFO if self.verbose else logging.DEBUG,
             "ran %9s / %-15s seed=%d cycles=%9.0f ipc=%.2f (%.1fs)",
@@ -744,16 +684,16 @@ class MatrixRunner:
         """Run every requested cell; returns the key->summary mapping.
 
         ``workers`` (default: the runner's ``workers`` setting) > 1
-        fans the uncached cells out over a process pool; the returned
-        mapping is in the serial iteration order either way, and every
-        summary is identical to what the serial path would produce
-        (modulo the ``NONDETERMINISTIC_FIELDS`` provenance — see
-        docs/performance.md).
+        fans the cells not yet stored out over a process pool; the
+        returned mapping is in the serial iteration order either way,
+        and every summary is identical to what the serial path would
+        produce (modulo the ``NONDETERMINISTIC_FIELDS`` provenance —
+        see docs/performance.md).
 
-        Every sweep also writes a :class:`RunManifest` next to the
-        cache file (``<cache>.manifest.json``) recording, per cell,
-        cached-vs-ran status, the producing worker pid, the retry
-        count, and the wall time.
+        Every sweep also writes a :class:`RunManifest` to
+        ``matrix_scale<scale>.manifest.json`` in the results directory,
+        recording, per cell, stored-vs-ran status (``cached``/``ran``),
+        the producing worker pid, the retry count, and the wall time.
         """
         cells = [
             (benchmark, technique, seed)
@@ -762,34 +702,35 @@ class MatrixRunner:
             for seed in seeds
         ]
         workers = self.workers if workers is None else workers
-        cached_before = set(self._cache)
-        out: dict[str, RunSummary] = {}
-        with self._batch():
-            if workers and workers > 1:
-                self._run_cells_parallel(cells, workers)
-            for benchmark, technique, seed in cells:
-                out[self.key(benchmark, technique, seed)] = self.run_one(
-                    benchmark, technique, seed
-                )
-        self.manifest = self._build_manifest(out, cached_before, workers)
+        stored = {
+            self.key(*cell) for cell in cells
+            if self._lookup(*cell) is not None
+        }
+        if workers and workers > 1:
+            self._run_cells_parallel(
+                [cell for cell in cells if self.key(*cell) not in stored],
+                workers,
+            )
+        out = {self.key(*cell): self.run_one(*cell) for cell in cells}
+        self.manifest = self._build_manifest(out, stored, workers)
         self._save_manifest(self.manifest)
         return out
 
     def _build_manifest(
         self,
         out: dict[str, RunSummary],
-        cached_before: set[str],
+        stored: set[str],
         workers: int | None,
     ) -> RunManifest:
         """Per-cell provenance for one finished sweep."""
         manifest = RunManifest(
-            label=self.label, scale=self.scale,
+            label="matrix", scale=self.scale,
             fingerprint=self.fingerprint, workers=workers,
         )
         for key, summary in out.items():
             manifest.record(
                 key,
-                status="cached" if key in cached_before else "ran",
+                status="cached" if key in stored else "ran",
                 worker=summary.get("worker"),
                 retries=int(summary.get("retries", 0)),
                 wall_seconds=summary.get("wall_seconds"),
@@ -798,7 +739,7 @@ class MatrixRunner:
         return manifest
 
     def _save_manifest(self, manifest: RunManifest) -> None:
-        """Persist the sweep manifest next to the cache file."""
+        """Persist the sweep manifest in the results directory."""
         try:
             self.results_dir.mkdir(parents=True, exist_ok=True)
             manifest.save(self.manifest_path)
@@ -806,19 +747,15 @@ class MatrixRunner:
             log.warning("could not write manifest %s: %s", self.manifest_path, exc)
 
     def _run_cells_parallel(
-        self, cells: list[tuple[str, str, int]], workers: int
+        self, pending: list[tuple[str, str, int]], workers: int
     ) -> None:
-        """Fan uncached cells out over a process pool into the cache.
+        """Fan cells out over a process pool into the store.
 
-        Harvesting happens inside the enclosing batch, so cells
-        completed before a crash/timeout-exhaustion are flushed by the
-        batch's ``finally`` — a re-run only re-executes what's missing.
+        Each cell is stored as it is harvested, so cells completed
+        before a crash/timeout-exhaustion stay stored — a re-run only
+        re-executes what's missing.
         """
-        pending = [
-            (benchmark, technique, seed)
-            for benchmark, technique, seed in dict.fromkeys(cells)
-            if self.key(benchmark, technique, seed) not in self._cache
-        ]
+        pending = list(dict.fromkeys(pending))
         if not pending:
             return
         workers = effective_workers(workers, len(pending))
@@ -842,7 +779,7 @@ class MatrixRunner:
             "fanning %d cell(s) out over %d warm workers",
             len(pending), workers,
         )
-        progress = MatrixProgress(total=len(pending), label=self.label)
+        progress = MatrixProgress(total=len(pending), label="matrix")
         try:
             summaries = _pool_map(
                 jobs, workers, self.cell_timeout,
@@ -850,131 +787,10 @@ class MatrixRunner:
                 on_event=progress.update,
             )
             for (benchmark, technique, seed), summary in zip(pending, summaries):
-                self._record(benchmark, technique, seed, summary)
+                self.flush(benchmark, technique, seed, summary)
         finally:
             progress.close()
 
     def cells(self, benchmark: str, technique: str, seeds: Iterable[int]) -> list[RunSummary]:
         """Fetch (running if needed) all seeds of one cell."""
-        with self._batch():
-            return [self.run_one(benchmark, technique, s) for s in seeds]
-
-    @contextmanager
-    def _batch(self):
-        """Defer cache writes until the enclosing sweep finishes.
-
-        ``_save()`` calls inside the ``with`` block only mark the cache
-        dirty; one atomic write happens on exit.  Re-entrant, and the
-        exit flush runs even when a run raises, so a partial sweep still
-        persists its completed cells.
-        """
-        self._batch_depth += 1
-        try:
-            yield self
-        finally:
-            self._batch_depth -= 1
-            if self._batch_depth == 0 and self._dirty:
-                self.flush()
-
-    # ------------------------------------------------------------------
-    # Persistence
-    # ------------------------------------------------------------------
-
-    def _save(self) -> None:
-        self._dirty = True
-        if self._batch_depth == 0:
-            self.flush()
-
-    @contextmanager
-    def _flush_lock(self, timeout: float = 10.0):
-        """Serialize flushes across processes with a lock file.
-
-        ``O_CREAT|O_EXCL`` is atomic on every POSIX filesystem; a
-        holder that died leaves the lock behind, so after ``timeout``
-        seconds of polling the lock is broken with a warning rather
-        than deadlocking the flush.
-        """
-        lock_path = self._cache_path.with_suffix(".lock")
-        deadline = time.perf_counter() + timeout
-        while True:
-            try:
-                fd = os.open(lock_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-                break
-            except FileExistsError:
-                if time.perf_counter() >= deadline:
-                    log.warning(
-                        "breaking stale cache lock %s after %.0fs",
-                        lock_path, timeout,
-                    )
-                    try:
-                        os.unlink(lock_path)
-                    except OSError:
-                        pass
-                else:
-                    time.sleep(0.02)
-        try:
-            os.write(fd, str(os.getpid()).encode())
-            os.close(fd)
-            yield
-        finally:
-            try:
-                os.unlink(lock_path)
-            except OSError:
-                pass
-
-    def flush(self) -> None:
-        """Atomically merge-and-write the result cache to disk.
-
-        Under the lock file, the on-disk cache is re-read and unioned
-        with the in-memory cells (ours win on conflict — same cell,
-        same config, deterministic summary), then the JSON is staged in
-        a temp file in the same directory and moved into place with
-        :func:`os.replace`.  Two runners sharing one cache path each
-        keep the other's completed cells, and an interrupted sweep can
-        never leave a truncated cache behind.
-        """
-        self.results_dir.mkdir(parents=True, exist_ok=True)
-        with self._flush_lock():
-            self._merge_from_disk()
-            payload = json.dumps(
-                {
-                    "format": CACHE_FORMAT,
-                    "fingerprint": self.fingerprint,
-                    "cells": self._cache,
-                },
-                indent=1, sort_keys=True,
-            )
-            fd, tmp_path = tempfile.mkstemp(
-                prefix=self._cache_path.name + ".", suffix=".tmp",
-                dir=self.results_dir,
-            )
-            try:
-                with os.fdopen(fd, "w") as handle:
-                    handle.write(payload)
-                os.replace(tmp_path, self._cache_path)
-            except BaseException:
-                try:
-                    os.unlink(tmp_path)
-                except OSError:
-                    pass
-                raise
-        self._dirty = False
-
-    def _merge_from_disk(self) -> None:
-        """Union cells another runner flushed since we last read."""
-        if not self._cache_path.exists():
-            return
-        try:
-            data = json.loads(self._cache_path.read_text())
-            cells, fingerprint = self._split_cache_doc(data)
-        except (json.JSONDecodeError, UnicodeDecodeError):
-            return  # corrupt on disk; our atomic write replaces it
-        if fingerprint is not None and fingerprint != self.fingerprint:
-            log.warning(
-                "cache %s changed fingerprint on disk (%s != ours %s); "
-                "not merging its cells", self._cache_path, fingerprint,
-                self.fingerprint,
-            )
-            return
-        for key, summary in cells.items():
-            self._cache.setdefault(key, summary)
+        return [self.run_one(benchmark, technique, s) for s in seeds]

@@ -4,8 +4,9 @@ The EventLog and telemetry sampler are in-memory; a killed server
 takes them with it.  The flight recorder buffers the last-N service
 events, telemetry samples, and free-form notes (e.g. the EventLog's
 ``events.dropped`` overflow marker) and periodically persists them as
-one atomic JSON document (tmp + ``os.replace``), so the file on disk
-is always a complete, parseable snapshot — never a torn write.  After
+one JSON document through
+:func:`~repro.experiments.store.atomic_write`, so the file on disk is
+always a complete, parseable snapshot — never a torn write.  After
 a crash, ``repro-sim service postmortem PATH`` renders the document:
 the last telemetry sample, the notes, each job's last known state
 reconstructed from its events, and the newest event tail.
@@ -22,12 +23,13 @@ caller may invoke it optimistically without hammering the disk.
 from __future__ import annotations
 
 import json
-import os
 import threading
 import time
 from collections import deque
 from pathlib import Path
 from typing import Any
+
+from repro.experiments.store import atomic_write
 
 #: On-disk document format version.
 FLIGHT_FORMAT = 1
@@ -114,9 +116,7 @@ class FlightRecorder:
             doc = self.snapshot()
             self._dirty = False
             self._last_flush = now
-        tmp = self.path.with_suffix(self.path.suffix + ".tmp")
-        tmp.write_text(json.dumps(doc, indent=1))
-        os.replace(tmp, self.path)
+        atomic_write(self.path, json.dumps(doc, indent=1))
         return True
 
     def close(self) -> None:

@@ -1,11 +1,11 @@
 """Simulation-as-a-service: async job API over the experiment matrix.
 
 Promotes the :class:`~repro.experiments.runner.MatrixRunner` stack
-(warm worker pools, fingerprinted cache v2, run manifests, metrics)
+(warm worker pools, the content-addressed result store, metrics)
 into a long-running service: submit an experiment spec over HTTP, the
 :mod:`~repro.service.queue` explodes it into fingerprint-identified
 cells, the :mod:`~repro.service.workers` shard leases and runs them
-(cache first — a million identical submissions cost one simulation),
+(store first — a million identical submissions cost one simulation),
 and every state transition emits a named event declared in
 :mod:`~repro.service.events`.  See ``docs/service.md``.
 """

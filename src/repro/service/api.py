@@ -28,7 +28,9 @@ Routes
     plus the remapped worker-side coherence spans) — feed it to
     ``repro-sim report [--chrome]``.  404 until the trace exists.
 ``GET /results/{fingerprint}``
-    The stored summary for one cell fingerprint; 404 if unknown.
+    The stored cell: ``{fingerprint, benchmark, technique, seed, scale,
+    summary}`` for a simulation cell, ``{fingerprint, **report}`` for a
+    fuzz cell; 404 if the store holds no whole file for it.
 ``GET /metrics``
     Prometheus text exposition of the service registry (includes
     ``repro_service_events_total{event=...}`` and the sampled
@@ -473,6 +475,10 @@ class Service:
         Queue state is read through the locked accessors — the
         ``jobs`` dict is mutated by executor threads under the queue
         lock, so a direct read here would race them (simlint SL202).
+        Each pass reads the status *before* it snapshots the records:
+        the queue sets a terminal status and emits ``job.completed``
+        under one lock hold, so a snapshot taken after a terminal
+        status holds that event, and the stream never ends without it.
         """
         loop = asyncio.get_running_loop()
         if not await loop.run_in_executor(None, self.queue.has_job, job_id):
@@ -485,6 +491,9 @@ class Service:
         )
         sent = 0
         while True:
+            status = await loop.run_in_executor(
+                None, self.queue.status, job_id,
+            )
             records = self.events.for_job(job_id)
             for record in records[sent:]:
                 writer.write(
@@ -492,9 +501,6 @@ class Service:
                 )
             sent = len(records)
             await writer.drain()
-            status = await loop.run_in_executor(
-                None, self.queue.status, job_id,
-            )
             if status in JOB_TERMINAL:
                 break
             self._wake.clear()
@@ -545,14 +551,12 @@ class Service:
     async def _get_result(
         self, fingerprint: str, writer: asyncio.StreamWriter,
     ) -> None:
-        """``GET /results/{fingerprint}``: coords + stored summary."""
+        """``GET /results/{fingerprint}``: the stored cell document."""
         loop = asyncio.get_running_loop()
-        doc = await loop.run_in_executor(
-            None, self.store.by_fingerprint, fingerprint,
-        )
+        doc = await loop.run_in_executor(None, self.store.get, fingerprint)
         if doc is None:
             await self._respond(
                 writer, 404, {"error": f"no result for {fingerprint}"},
             )
             return
-        await self._respond(writer, 200, doc)
+        await self._respond(writer, 200, {"fingerprint": fingerprint, **doc})

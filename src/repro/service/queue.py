@@ -27,9 +27,9 @@ below.  Cells, not jobs, are the unit of scheduling:
   its result still lands in the store.
 
 Durability: every mutation rewrites ``state.json`` atomically
-(temp file + ``os.replace``).  On load, cells found *leased* are
-returned to *queued* — the lease holder died with the process, and a
-re-run of a deterministic cell is always safe.
+(:func:`~repro.experiments.store.atomic_write`).  On load, cells found
+*leased* are returned to *queued* — the lease holder died with the
+process, and a re-run of a deterministic cell is always safe.
 
 Thread-safety: the service offloads queue calls to executor threads
 (the ``state.json`` rewrite must not block the event loop — simlint
@@ -48,19 +48,19 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import re
 import threading
 import time
 from pathlib import Path
 from typing import Any, Callable, Iterable
 
-from repro.common.config import MachineConfig, scaled_config
+from repro.common.config import scaled_config
 from repro.common.errors import ConfigError
-from repro.experiments.runner import DEFAULT_JITTER, cell_fingerprint
+from repro.experiments.runner import cell_config, cell_fingerprint
+from repro.experiments.store import atomic_write
 from repro.obs.jobtrace import JobTraceStore
 from repro.obs.metrics import NULL_METRICS
-from repro.system.techniques import ALL_TECHNIQUES, configure_technique
+from repro.system.techniques import ALL_TECHNIQUES
 from repro.workloads.registry import BENCHMARKS, EXTRA_BENCHMARKS
 
 from .events import EventLog
@@ -224,13 +224,16 @@ def validate_spec(spec: dict) -> dict:
 
 def cell_identity(
     benchmark: str, technique: str, seed: int, scale: float,
-    config: MachineConfig | None = None,
 ) -> str:
-    """The service-wide fingerprint of one fully-configured cell."""
-    base = config or scaled_config()
+    """The fingerprint of one cell: its result-store key.
+
+    The same :func:`~repro.experiments.runner.cell_fingerprint` of the
+    same per-cell config a default
+    :class:`~repro.experiments.runner.MatrixRunner` computes, so a
+    cell either of them stored is served to both.
+    """
     return cell_fingerprint(
-        configure_technique(base, technique), benchmark, scale, seed,
-        jitter=DEFAULT_JITTER,
+        cell_config(scaled_config(), technique), benchmark, scale, seed,
     )
 
 
@@ -266,7 +269,6 @@ class JobQueue:
         clock: Callable[[], float] = time.perf_counter,
         lease_ttl: float = DEFAULT_LEASE_TTL,
         max_retries: int = DEFAULT_MAX_RETRIES,
-        config: MachineConfig | None = None,
         traces: JobTraceStore | None = None,
         metrics=NULL_METRICS,
     ):
@@ -276,7 +278,6 @@ class JobQueue:
         self.clock = clock
         self.lease_ttl = lease_ttl
         self.max_retries = max_retries
-        self.config = config or scaled_config()
         self.traces = traces if traces is not None else JobTraceStore()
         self._lease_hist = metrics.histogram(
             "repro_service_lease_latency_seconds",
@@ -315,11 +316,9 @@ class JobQueue:
                 cell["lease"] = None
 
     def _save(self) -> None:
-        """Atomically rewrite ``state.json`` (temp + rename)."""
+        """Atomically rewrite ``state.json``."""
         doc = {"seq": self._seq, "jobs": self.jobs, "cells": self.cells}
-        tmp = self._state_path.with_suffix(".tmp")
-        tmp.write_text(json.dumps(doc, indent=1, sort_keys=True))
-        os.replace(tmp, self._state_path)
+        atomic_write(self._state_path, json.dumps(doc, indent=1, sort_keys=True))
 
     def _next_id(self, prefix: str) -> str:
         """Mint an id from the persisted sequence counter."""
@@ -358,9 +357,7 @@ class JobQueue:
             ]
         return [
             (
-                cell_identity(
-                    benchmark, technique, seed, spec["scale"], self.config,
-                ),
+                cell_identity(benchmark, technique, seed, spec["scale"]),
                 {
                     "benchmark": benchmark,
                     "technique": technique,

@@ -6,8 +6,9 @@ is paid once per service lifetime, not per job) plus a lease *reaper*.
 Each worker loops:
 
 1. lease the best queued cell (``cell.leased``);
-2. probe the :class:`ResultStore` — a hit is served without
-   simulation (``cell.cache_hit``) and completed immediately;
+2. probe the :class:`~repro.experiments.store.ResultStore` under the
+   cell's fingerprint — a hit is served without simulation
+   (``cell.cache_hit``) and completed immediately;
 3. otherwise simulate via the existing
    :func:`~repro.experiments.runner.run_cell` in the executor,
    renewing the lease by heartbeat while the future is pending
@@ -22,31 +23,29 @@ The reaper periodically calls
 recovers cells whose worker died *without* reporting (process kill):
 the heartbeat stops, the deadline passes, the cell re-enqueues.
 
-:class:`ResultStore` wraps per-scale
-:class:`~repro.experiments.runner.MatrixRunner` caches (format v2,
-fingerprint-checked, crash-safe flush) under one directory, plus a
-``service_index.json`` mapping cell fingerprint -> coordinates so
-``GET /results/{fingerprint}`` resolves without knowing the spec.
+Results go to the same :class:`~repro.experiments.store.ResultStore`
+a :class:`~repro.experiments.runner.MatrixRunner` uses: one file per
+cell fingerprint, simulation summaries and fuzz reports alike, so
+``GET /results/{fingerprint}`` is one file read and a cell either of
+them stored is served to both.
 """
 
 from __future__ import annotations
 
 import asyncio
-import json
 import logging
 import os
-import threading
 from concurrent.futures import BrokenExecutor, Executor
-from pathlib import Path
 from typing import Any
 
+from repro.common.config import scaled_config
 from repro.experiments.runner import (
-    MatrixRunner,
-    RunSummary,
+    cell_config,
     retire_pool,
     run_cell,
     warm_pool,
 )
+from repro.experiments.store import ResultStore
 from repro.fuzz.campaign import run_fuzz_cell
 from repro.obs.spans import SPAN_REMAP_STRIDE, remap_spans
 
@@ -88,120 +87,6 @@ def _close_inherited_inet_sockets() -> None:
                 os.close(fd)
         except OSError:
             continue
-
-
-class ResultStore:
-    """Fingerprint-addressable store over MatrixRunner caches.
-
-    Thread-safe: the shard offloads store calls to executor threads
-    (cache reads/writes are file I/O that must stay off the event loop
-    — simlint SL201), so every public method serializes on one
-    reentrant lock; the wrapped MatrixRunners are only ever touched
-    with it held (SL202 polices the attributes).
-    """
-
-    def __init__(self, root: str | Path):
-        self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
-        self._lock = threading.RLock()
-        self._runners: dict[float, MatrixRunner] = {}
-        self._index_path = self.root / "service_index.json"
-        self._index: dict[str, dict[str, Any]] = {}
-        if self._index_path.exists():
-            self._index = json.loads(self._index_path.read_text())
-
-    def runner(self, scale: float) -> MatrixRunner:
-        """The (cached) MatrixRunner for one scale."""
-        with self._lock:
-            runner = self._runners.get(scale)
-            if runner is None:
-                runner = MatrixRunner(
-                    scale=scale, results_dir=self.root, label="service",
-                    verbose=False,
-                )
-                self._runners[scale] = runner
-            return runner
-
-    def lookup(self, cell: dict[str, Any]) -> RunSummary | None:
-        """The cached summary for a queue cell record, or None."""
-        with self._lock:
-            return self.runner(cell["scale"]).cached(
-                cell["benchmark"], cell["technique"], cell["seed"],
-            )
-
-    def cell_config(self, cell: dict[str, Any]):
-        """The exact per-technique config a serial run would use.
-
-        A locked accessor so workers need not chain
-        ``store.runner(...).cell_config(...)`` from the event loop
-        (constructing a MatrixRunner reads its cache file).
-        """
-        with self._lock:
-            return self.runner(cell["scale"]).cell_config(cell["technique"])
-
-    def store(self, cell: dict[str, Any], summary: RunSummary) -> None:
-        """Persist a summary and index it by cell fingerprint."""
-        with self._lock:
-            self.runner(cell["scale"]).store(
-                cell["benchmark"], cell["technique"], cell["seed"], summary,
-            )
-            self._index[cell["fingerprint"]] = {
-                "benchmark": cell["benchmark"],
-                "technique": cell["technique"],
-                "seed": cell["seed"],
-                "scale": cell["scale"],
-            }
-            self._save_index()
-
-    def lookup_fuzz(self, fingerprint: str) -> dict[str, Any] | None:
-        """The stored fuzz report for a campaign cell, or None."""
-        with self._lock:
-            path = self.root / "fuzz" / f"{fingerprint}.json"
-            if not path.exists():
-                return None
-            return json.loads(path.read_text())
-
-    def store_fuzz(self, fingerprint: str, doc: dict[str, Any]) -> None:
-        """Persist a fuzz report and index it by cell fingerprint."""
-        with self._lock:
-            fuzz_dir = self.root / "fuzz"
-            fuzz_dir.mkdir(parents=True, exist_ok=True)
-            path = fuzz_dir / f"{fingerprint}.json"
-            tmp = path.with_suffix(".tmp")
-            tmp.write_text(json.dumps(doc, indent=1, sort_keys=True))
-            os.replace(tmp, path)
-            self._index[fingerprint] = {"kind": "fuzz"}
-            self._save_index()
-
-    def by_fingerprint(self, fingerprint: str) -> dict[str, Any] | None:
-        """Resolve ``GET /results/{fingerprint}``: coords + summary."""
-        with self._lock:
-            coords = self._index.get(fingerprint)
-            if coords is None:
-                return None
-            if coords.get("kind") == "fuzz":
-                doc = self.lookup_fuzz(fingerprint)
-                if doc is None:
-                    return None
-                return {"fingerprint": fingerprint, **doc}
-            summary = self.runner(coords["scale"]).cached(
-                coords["benchmark"], coords["technique"], coords["seed"],
-            )
-            if summary is None:
-                return None
-            return {"fingerprint": fingerprint, **coords, "summary": summary}
-
-    def _save_index(self) -> None:
-        """Atomically rewrite the fingerprint index."""
-        tmp = self._index_path.with_suffix(".tmp")
-        tmp.write_text(json.dumps(self._index, indent=1, sort_keys=True))
-        os.replace(tmp, self._index_path)
-
-    def close(self) -> None:
-        """Flush every scale's cache."""
-        with self._lock:
-            for runner in self._runners.values():
-                runner.close()
 
 
 class WorkerShard:
@@ -260,20 +145,12 @@ class WorkerShard:
         self._tasks.append(asyncio.create_task(self._reaper()))
 
     async def stop(self) -> None:
-        """Cancel every task and flush the store.
-
-        The store flush rewrites every scale's cache under its merge
-        lock (file I/O plus lock-file polling), so it runs in a
-        thread — a wedged flush must not freeze streams that are
-        draining their final events.
-        """
+        """Cancel every task (every stored cell is already on disk)."""
         self._stopping = True
         for task in self._tasks:
             task.cancel()
         await asyncio.gather(*self._tasks, return_exceptions=True)
         self._tasks.clear()
-        loop = asyncio.get_running_loop()
-        await loop.run_in_executor(None, self.store.close)
 
     async def _reaper(self) -> None:
         """Periodically expire dead leases (crashed/silent workers)."""
@@ -354,40 +231,38 @@ class WorkerShard:
         )
 
     async def _process(self, worker_id: str, cell: dict[str, Any]) -> None:
-        """Serve one leased cell (cache first, execution second)."""
-        if cell.get("kind") == "fuzz":
-            await self._process_fuzz(worker_id, cell)
-            return
+        """Serve one leased cell: from the store when it holds the
+        cell's fingerprint, otherwise by running it."""
         fingerprint = cell["fingerprint"]
         trace = cell.get("trace")
         loop = asyncio.get_running_loop()
-        cached = await loop.run_in_executor(None, self.store.lookup, cell)
-        if cached is not None:
-            hit_span = (
-                self.traces.span_begin(
-                    trace, "cell.cache_hit", parent=cell.get("lease_span"),
-                    fingerprint=fingerprint,
-                )
-                if trace is not None else None
-            )
-            self.events.emit(
-                "cell.cache_hit", fingerprint=fingerprint, trace=trace,
-            )
-            # Ensure the fingerprint index covers cache entries that
-            # predate this service instance.
-            await loop.run_in_executor(None, self.store.store, cell, cached)
-            if trace is not None:
-                self.traces.span_end(trace, hit_span)
-            await loop.run_in_executor(None, self.queue.complete, fingerprint)
+        stored = await loop.run_in_executor(None, self.store.get, fingerprint)
+        if stored is None:
+            run = self._fuzz if cell.get("kind") == "fuzz" else self._simulate
+            await run(worker_id, cell)
             return
+        hit_span = (
+            self.traces.span_begin(
+                trace, "cell.cache_hit", parent=cell.get("lease_span"),
+                fingerprint=fingerprint,
+            )
+            if trace is not None else None
+        )
+        self.events.emit(
+            "cell.cache_hit", fingerprint=fingerprint, trace=trace,
+        )
+        if trace is not None:
+            self.traces.span_end(trace, hit_span)
+        await loop.run_in_executor(None, self.queue.complete, fingerprint)
+
+    async def _simulate(self, worker_id: str, cell: dict[str, Any]) -> None:
+        """Run one simulation cell in the executor and store its summary."""
+        fingerprint = cell["fingerprint"]
+        trace = cell.get("trace")
+        loop = asyncio.get_running_loop()
         self.events.emit(
             "cell.started", fingerprint=fingerprint, worker=worker_id,
             trace=trace,
-        )
-        # The *exact* config a serial MatrixRunner would use for this
-        # cell — byte-identical summaries are the service's contract.
-        cell_config = await loop.run_in_executor(
-            None, self.store.cell_config, cell,
         )
         run_span = (
             self.traces.span_begin(
@@ -401,10 +276,12 @@ class WorkerShard:
         # coherence spans under this trace id and ships them back
         # inside the summary.
         trace_ctx = {"trace": trace} if trace is not None else None
+        # The *exact* config a serial MatrixRunner would use for this
+        # cell — byte-identical summaries are the service's contract.
         future = loop.run_in_executor(
             self.executor(), run_cell,
-            cell_config, cell["benchmark"], cell["scale"], cell["seed"],
-            False, trace_ctx,
+            cell_config(scaled_config(), cell["technique"]),
+            cell["benchmark"], cell["scale"], cell["seed"], False, trace_ctx,
         )
         try:
             summary = await self._await_leased(
@@ -443,15 +320,20 @@ class WorkerShard:
                     ),
                     truncated=trace_doc.get("truncated", 0),
                 )
-        await loop.run_in_executor(None, self.store.store, cell, summary)
+        await loop.run_in_executor(None, self.store.store, fingerprint, {
+            "benchmark": cell["benchmark"],
+            "technique": cell["technique"],
+            "seed": cell["seed"],
+            "scale": cell["scale"],
+            "summary": summary,
+        })
         await loop.run_in_executor(None, self.queue.complete, fingerprint)
 
-    async def _process_fuzz(self, worker_id: str,
-                            cell: dict[str, Any]) -> None:
-        """Serve one leased fuzz-campaign cell.
+    async def _fuzz(self, worker_id: str, cell: dict[str, Any]) -> None:
+        """Run one fuzz-campaign cell and store its report.
 
-        Mirrors the simulation path — cache probe, heartbeat-renewed
-        executor run, retry on death — but executes
+        Mirrors the simulation path — heartbeat-renewed executor run,
+        retry on death — but executes
         :func:`repro.fuzz.campaign.run_fuzz_cell` (which runs its
         campaign serially: this cell already occupies a pool worker)
         and stores the JSON report.  Every finding in the report is
@@ -460,24 +342,6 @@ class WorkerShard:
         fingerprint = cell["fingerprint"]
         trace = cell.get("trace")
         loop = asyncio.get_running_loop()
-        cached = await loop.run_in_executor(
-            None, self.store.lookup_fuzz, fingerprint,
-        )
-        if cached is not None:
-            hit_span = (
-                self.traces.span_begin(
-                    trace, "cell.cache_hit", parent=cell.get("lease_span"),
-                    fingerprint=fingerprint,
-                )
-                if trace is not None else None
-            )
-            self.events.emit(
-                "cell.cache_hit", fingerprint=fingerprint, trace=trace,
-            )
-            if trace is not None:
-                self.traces.span_end(trace, hit_span)
-            await loop.run_in_executor(None, self.queue.complete, fingerprint)
-            return
         self.events.emit(
             "cell.started", fingerprint=fingerprint, worker=worker_id,
             trace=trace,
@@ -514,9 +378,7 @@ class WorkerShard:
         self.fuzzed += 1
         if trace is not None:
             self.traces.span_end(trace, run_span, outcome="done")
-        await loop.run_in_executor(
-            None, self.store.store_fuzz, fingerprint, doc,
-        )
+        await loop.run_in_executor(None, self.store.store, fingerprint, doc)
         for finding in doc["findings"]:
             self.events.emit(
                 "cell.fuzz_finding", fingerprint=fingerprint,

@@ -1,9 +1,6 @@
 """The executable paper-shape claims."""
 
-import json
 import pathlib
-
-import pytest
 
 from repro.analysis.claims import (
     PAPER_CLAIMS,
@@ -69,24 +66,38 @@ def test_custom_claim():
 
 
 def test_measured_matrix_satisfies_the_claims():
-    """The shipped full-scale results satisfy the paper's shape."""
-    path = pathlib.Path(__file__).resolve().parents[2] / "results" / "matrix_scale1.0.json"
-    if not path.exists():
-        pytest.skip("full-scale results not generated")
-    cells = json.loads(path.read_text())
-    matrix: dict = {}
-    for key, summary in cells.items():
-        bench, tech, seed = key.split("|")
-        matrix.setdefault(bench, {}).setdefault(tech, []).append(summary["cycles"])
-    means = {
-        bench: {
-            tech: sum(vals) / len(vals) for tech, vals in per.items()
-        }
-        for bench, per in matrix.items()
-    }
+    """The committed full-scale results satisfy the paper's shape.
+
+    The cells are read from the result store in ``results/`` under the
+    fingerprints of the current machine config: a config change that
+    moves them fails here until the matrix is regenerated.
+    """
+    from repro.common.config import scaled_config
+    from repro.experiments.figure7 import DEFAULT_SEEDS, FIGURE7_TECHNIQUES
+    from repro.experiments.runner import cell_config, cell_fingerprint
+    from repro.experiments.store import ResultStore
+
+    store = ResultStore(pathlib.Path(__file__).resolve().parents[2] / "results")
+    means: dict = {}
+    missing = []
+    for bench in BENCHES:
+        for tech in ("base", *FIGURE7_TECHNIQUES):
+            config = cell_config(scaled_config(), tech)
+            cycles = []
+            for seed in DEFAULT_SEEDS:
+                doc = store.get(cell_fingerprint(config, bench, 1.0, seed))
+                if doc is None:
+                    missing.append(f"{bench}|{tech}|{seed}")
+                else:
+                    cycles.append(doc["summary"]["cycles"])
+            means.setdefault(bench, {})[tech] = sum(cycles) / max(len(cycles), 1)
+    assert not missing, (
+        f"{len(missing)} scale-1.0 cells are not in results/ (regenerate "
+        f"with python -m repro.experiments.figure7): {missing[:5]}"
+    )
     speedups = {
         bench: {
-            tech: means[bench]["base"] / cycles
+            tech: per["base"] / cycles
             for tech, cycles in per.items()
             if tech != "base"
         }

@@ -1,11 +1,12 @@
-"""Parallel matrix execution: determinism contract + cache robustness.
+"""Parallel matrix execution: determinism contract + store robustness.
 
 Covers the non-negotiables of the ``workers=N`` mode:
 
 * a cell run in a worker process produces a summary identical to the
   same cell run serially (modulo the ``wall_seconds`` measurement);
-* the cache file is fingerprinted by machine config, survives
-  corruption, and merges concurrent flushes instead of clobbering.
+* cells are stored under a fingerprint of their machine config, a
+  damaged cell file is re-run rather than served, and runners sharing
+  a results directory see each other's cells.
 """
 
 from __future__ import annotations
@@ -21,6 +22,8 @@ from repro.common.config import BusConfig, scaled_config
 from repro.experiments.runner import (
     NONDETERMINISTIC_FIELDS,
     MatrixRunner,
+    cell_config,
+    cell_fingerprint,
     config_fingerprint,
     map_cells,
     run_cell,
@@ -28,6 +31,22 @@ from repro.experiments.runner import (
 )
 
 SCALE = 0.02
+CELL = dict(benchmarks=["radiosity"], techniques=("base",), seeds=(1,))
+
+
+def cell_path(root, seed=1):
+    """Where a default runner stores ``radiosity|base|seed``."""
+    config = cell_config(scaled_config(), "base")
+    return root / f"{cell_fingerprint(config, 'radiosity', SCALE, seed)}.json"
+
+
+def status(root, config=None):
+    """The manifest status of ``radiosity|base|1`` for a fresh runner."""
+    runner = MatrixRunner(
+        config=config, scale=SCALE, results_dir=root, verbose=False,
+    )
+    out = runner.run_matrix(**CELL)
+    return runner.manifest.cells["radiosity|base|1"]["status"], out
 
 
 class TestDeterminism:
@@ -66,10 +85,9 @@ class TestDeterminism:
 
     def test_workers_results_are_cached(self, tmp_path):
         runner = MatrixRunner(scale=SCALE, results_dir=tmp_path, verbose=False)
-        runner.run_matrix(benchmarks=["radiosity"], techniques=("base",),
-                          seeds=(1,), workers=2)
-        cells = json.loads(runner._cache_path.read_text())["cells"]
-        assert "radiosity|base|1" in cells
+        runner.run_matrix(**CELL, workers=2)
+        assert json.loads(cell_path(tmp_path).read_text())["summary"]
+        assert status(tmp_path)[0] == "cached"
 
     def test_map_cells_serial_parallel_parity(self):
         config = scaled_config()
@@ -157,110 +175,70 @@ class TestConfigFingerprint:
         assert config_fingerprint(base) != config_fingerprint(custom)
         assert config_fingerprint(base) == config_fingerprint(scaled_config())
 
-    def test_custom_config_does_not_reuse_default_cache(self, tmp_path, caplog):
+    def test_custom_config_does_not_reuse_default_cache(self, tmp_path):
         default = MatrixRunner(scale=SCALE, results_dir=tmp_path, verbose=False)
         cached = default.run_one("radiosity", "base", 1)
         custom_config = dataclasses.replace(
             scaled_config(), bus=BusConfig(addr_latency=99, data_latency=200)
         )
-        with caplog.at_level(logging.WARNING, logger="repro.runner"):
-            custom = MatrixRunner(
-                config=custom_config, scale=SCALE, results_dir=tmp_path,
-                verbose=False,
-            )
-        assert "different machine config" in caplog.text
-        assert custom._cache == {}  # must not adopt the mismatched cells
-        fresh = custom.run_one("radiosity", "base", 1)
-        assert not summaries_equal(cached, fresh)  # different bus timing
-        # The mismatched file was moved aside, not destroyed.
-        stale = default._cache_path.with_suffix(".stale")
-        assert stale.exists()
-        assert "radiosity|base|1" in json.loads(stale.read_text())["cells"]
+        state, out = status(tmp_path, custom_config)
+        assert state == "ran"  # another config's cell is never served
+        assert not summaries_equal(cached, out["radiosity|base|1"])
+        # Each config's cell stays stored under its own key.
+        assert status(tmp_path) == ("cached", {"radiosity|base|1": cached})
+        assert status(tmp_path, custom_config)[0] == "cached"
 
-    def test_legacy_flat_cache_adopted_with_warning(self, tmp_path, caplog):
-        path = tmp_path / f"matrix_scale{SCALE}.json"
+    def test_old_per_scale_cache_is_not_read(self, tmp_path):
         legacy = {"radiosity|base|1": {"cycles": 123, "ipc": 1.0}}
-        path.write_text(json.dumps(legacy))
-        with caplog.at_level(logging.WARNING, logger="repro.runner"):
-            runner = MatrixRunner(scale=SCALE, results_dir=tmp_path, verbose=False)
-        assert "predates config fingerprints" in caplog.text
-        assert runner.run_one("radiosity", "base", 1) == {"cycles": 123, "ipc": 1.0}
-        # Flushing upgrades the file to the fingerprinted format.
-        runner._dirty = True
-        runner.flush()
-        doc = json.loads(path.read_text())
-        assert doc["fingerprint"] == runner.fingerprint
-        assert "radiosity|base|1" in doc["cells"]
+        (tmp_path / f"matrix_scale{SCALE}.json").write_text(json.dumps(legacy))
+        state, out = status(tmp_path)
+        assert state == "ran"
+        assert out["radiosity|base|1"]["cycles"] != 123
 
 
 class TestCorruptCache:
     def test_truncated_cache_recovers(self, tmp_path, caplog):
-        path = tmp_path / f"matrix_scale{SCALE}.json"
-        path.write_text('{"cells": {"radiosity|base|1": {"cyc')  # interrupted
-        with caplog.at_level(logging.WARNING, logger="repro.runner"):
-            runner = MatrixRunner(scale=SCALE, results_dir=tmp_path, verbose=False)
-        assert runner._cache == {}
-        assert "corrupt" in caplog.text
-        quarantine = path.with_suffix(".corrupt")
-        assert quarantine.exists() and not path.exists()
+        # A torn cell file is a miss: re-run, rewritten whole, never served.
+        expected = MatrixRunner(
+            scale=SCALE, results_dir=tmp_path, verbose=False,
+        ).run_one("radiosity", "base", 1)
+        path = cell_path(tmp_path)
+        path.write_text(path.read_text()[:200])
+        with caplog.at_level(logging.WARNING, logger="repro.store"):
+            state, out = status(tmp_path)
+        assert state == "ran"
+        assert "damaged" in caplog.text
+        assert summaries_equal(out["radiosity|base|1"], expected)
+        assert json.loads(path.read_text())["summary"] == out["radiosity|base|1"]
 
     def test_non_object_root_recovers(self, tmp_path):
-        path = tmp_path / f"matrix_scale{SCALE}.json"
-        path.write_text("[1, 2, 3]")
-        runner = MatrixRunner(scale=SCALE, results_dir=tmp_path, verbose=False)
-        assert runner._cache == {}
+        cell_path(tmp_path).write_text("[1, 2, 3]")
+        assert status(tmp_path)[0] == "ran"
 
     def test_runner_still_usable_after_recovery(self, tmp_path):
-        path = tmp_path / f"matrix_scale{SCALE}.json"
-        path.write_text("not json at all")
+        cell_path(tmp_path).write_text("not json at all")
         runner = MatrixRunner(scale=SCALE, results_dir=tmp_path, verbose=False)
         summary = runner.run_one("radiosity", "base", 1)
         assert summary["cycles"] > 0
-        assert "radiosity|base|1" in json.loads(path.read_text())["cells"]
+        assert json.loads(cell_path(tmp_path).read_text())["summary"] == summary
 
 
 class TestConcurrentFlush:
     def test_two_runners_sharing_a_cache_merge(self, tmp_path):
-        # Both constructed before either flushes: the classic
-        # last-writer-wins hazard.
+        # Both constructed before either stores a cell.
         a = MatrixRunner(scale=SCALE, results_dir=tmp_path, verbose=False)
         b = MatrixRunner(scale=SCALE, results_dir=tmp_path, verbose=False)
-        a.run_one("radiosity", "base", 1)  # a flushes {cell1}
-        b.run_one("radiosity", "base", 2)  # b flushes {cell2} + merges cell1
-        cells = json.loads(a._cache_path.read_text())["cells"]
-        assert "radiosity|base|1" in cells
-        assert "radiosity|base|2" in cells
-
-    def test_flush_does_not_resurrect_mismatched_cells(self, tmp_path):
-        a = MatrixRunner(scale=SCALE, results_dir=tmp_path, verbose=False)
         a.run_one("radiosity", "base", 1)
-        # Another process rewrites the file under a different config.
-        doc = json.loads(a._cache_path.read_text())
-        doc["fingerprint"] = "deadbeefdeadbeef"
-        doc["cells"]["other|config|9"] = {"cycles": 1}
-        a._cache_path.write_text(json.dumps(doc))
-        a._cache["radiosity|base|3"] = {"cycles": 2}
-        a._dirty = True
-        a.flush()
-        out = json.loads(a._cache_path.read_text())
-        assert out["fingerprint"] == a.fingerprint
-        assert "other|config|9" not in out["cells"]
+        b.run_one("radiosity", "base", 2)
+        a.run_matrix(benchmarks=["radiosity"], techniques=("base",), seeds=(2,))
+        b.run_matrix(**CELL)
+        assert a.manifest.cached == 1 and b.manifest.cached == 1
+        assert cell_path(tmp_path, 1).exists() and cell_path(tmp_path, 2).exists()
 
     def test_no_lock_file_left_behind(self, tmp_path):
         runner = MatrixRunner(scale=SCALE, results_dir=tmp_path, verbose=False)
-        runner.run_one("radiosity", "base", 1)
-        assert not runner._cache_path.with_suffix(".lock").exists()
-
-    def test_stale_lock_is_broken(self, tmp_path, caplog):
-        runner = MatrixRunner(scale=SCALE, results_dir=tmp_path, verbose=False)
-        runner._cache["fake|cell|1"] = {"cycles": 1}
-        runner._dirty = True
-        lock = runner._cache_path.with_suffix(".lock")
-        tmp_path.mkdir(exist_ok=True)
-        lock.write_text("12345")  # a holder that died
-        with caplog.at_level(logging.WARNING, logger="repro.runner"):
-            with runner._flush_lock(timeout=0.1):
-                pass
-        assert "breaking stale cache lock" in caplog.text
-        runner.flush()
-        assert "fake|cell|1" in json.loads(runner._cache_path.read_text())["cells"]
+        runner.run_matrix(**CELL)
+        names = sorted(p.name for p in tmp_path.iterdir())
+        assert names == sorted(
+            [cell_path(tmp_path).name, runner.manifest_path.name]
+        )

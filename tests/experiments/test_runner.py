@@ -61,6 +61,13 @@ class TestMatrixRunner:
         b = runner.run_one("radiosity", "base", 1, force=True)
         assert a["cycles"] == b["cycles"]  # deterministic per seed
 
+    def test_construction_touches_no_file(self, tmp_path):
+        runner = MatrixRunner(
+            scale=0.02, results_dir=tmp_path / "results", verbose=False,
+        )
+        runner.cell_config("emesti")
+        assert list(tmp_path.iterdir()) == []
+
     def test_key_format(self):
         assert MatrixRunner.key("tpc-b", "emesti+lvp", 3) == "tpc-b|emesti+lvp|3"
 
@@ -133,34 +140,40 @@ class TestHistogramSummaryFields:
 
 
 class TestBatchedAtomicSave:
-    def test_run_matrix_writes_once(self, tmp_path, monkeypatch):
-        runner = MatrixRunner(scale=0.02, results_dir=tmp_path, verbose=False)
-        flushes = []
-        real_flush = runner.flush
-        monkeypatch.setattr(
-            runner, "flush", lambda: (flushes.append(1), real_flush())
-        )
-        runner.run_matrix(
-            benchmarks=["radiosity"], techniques=("base",), seeds=(1, 2, 3)
-        )
-        assert len(flushes) == 1  # one write for three cells
-        cache = json.loads(runner._cache_path.read_text())
-        assert len(cache["cells"]) == 3
-        assert cache["fingerprint"] == runner.fingerprint
-
     def test_run_one_outside_batch_saves_immediately(self, tmp_path):
         runner = MatrixRunner(scale=0.02, results_dir=tmp_path, verbose=False)
-        runner.run_one("radiosity", "base", 1)
-        assert runner._cache_path.exists()
-        assert not runner._dirty
+        summary = runner.run_one("radiosity", "base", 1)
+        (path,) = tmp_path.iterdir()
+        assert json.loads(path.read_text()) == {
+            "benchmark": "radiosity", "technique": "base", "seed": 1,
+            "scale": 0.02, "summary": summary,
+        }
 
-    def test_interrupted_batch_still_persists_completed_cells(self, tmp_path):
+    def test_interrupted_batch_still_persists_completed_cells(
+        self, tmp_path, monkeypatch,
+    ):
+        from repro.experiments import runner as runner_module
+
+        real_run_cell = runner_module.run_cell
+
+        def crash_on_seed_2(config, benchmark, scale, seed, *args):
+            if seed == 2:
+                raise RuntimeError("simulated crash mid-sweep")
+            return real_run_cell(config, benchmark, scale, seed, *args)
+
+        monkeypatch.setattr(runner_module, "run_cell", crash_on_seed_2)
         runner = MatrixRunner(scale=0.02, results_dir=tmp_path, verbose=False)
         with pytest.raises(RuntimeError):
-            with runner._batch():
-                runner.run_one("radiosity", "base", 1)
-                raise RuntimeError("simulated crash mid-sweep")
-        assert json.loads(runner._cache_path.read_text())["cells"]
+            runner.run_matrix(
+                benchmarks=["radiosity"], techniques=("base",), seeds=(1, 2)
+            )
+        monkeypatch.undo()
+        fresh = MatrixRunner(scale=0.02, results_dir=tmp_path, verbose=False)
+        fresh.run_matrix(
+            benchmarks=["radiosity"], techniques=("base",), seeds=(1, 2)
+        )
+        assert fresh.manifest.cells["radiosity|base|1"]["status"] == "cached"
+        assert fresh.manifest.cells["radiosity|base|2"]["status"] == "ran"
 
     def test_flush_leaves_no_temp_files(self, tmp_path):
         runner = MatrixRunner(scale=0.02, results_dir=tmp_path, verbose=False)
@@ -169,18 +182,6 @@ class TestBatchedAtomicSave:
         )
         leftovers = [p for p in tmp_path.iterdir() if p.suffix == ".tmp"]
         assert leftovers == []
-
-    def test_context_manager_flushes(self, tmp_path):
-        with MatrixRunner(
-            scale=0.02, results_dir=tmp_path, verbose=False
-        ) as runner:
-            with runner._batch():
-                runner.run_one("radiosity", "base", 1)
-                # inner batch exits -> flush; dirty again after:
-                runner._cache["fake|cell|0"] = {"cycles": 1}
-                runner._dirty = True
-        cache = json.loads(runner._cache_path.read_text())
-        assert "fake|cell|0" in cache["cells"]
 
     def test_logging_progress(self, tmp_path, caplog):
         import logging

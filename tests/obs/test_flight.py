@@ -48,7 +48,7 @@ class TestFlush:
         doc = load_flight(tmp_path / "flight.json")
         assert doc["format"] == FLIGHT_FORMAT
         assert doc["events"][0]["job"] == "j1"
-        assert not (tmp_path / "flight.json.tmp").exists()
+        assert [p.name for p in tmp_path.iterdir()] == ["flight.json"]
 
     def test_flush_skips_when_clean(self, tmp_path):
         rec = _recorder(tmp_path)

@@ -181,7 +181,6 @@ class TestRunnerProvenance:
         runner.run_matrix(
             benchmarks=["locks"], techniques=["emesti"], seeds=(1,)
         )
-        runner.close()
         cell = runner.manifest.cells["locks|emesti|1"]
         assert "provenance" in cell
         assert cell["provenance"]["attribution_rate"] >= 0.95
@@ -196,5 +195,4 @@ class TestRunnerProvenance:
         runner.run_matrix(
             benchmarks=["locks"], techniques=["emesti"], seeds=(1,)
         )
-        runner.close()
         assert "provenance" not in runner.manifest.cells["locks|emesti|1"]

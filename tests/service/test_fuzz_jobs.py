@@ -3,8 +3,9 @@
 A ``{"kind": "fuzz"}`` spec explodes into one campaign cell per seed.
 The cells ride the exact same lease / retry / dedupe machinery as
 simulation cells; what differs is the payload (seed + budget +
-protocols), the executor entry point (:func:`run_fuzz_cell`), and the
-result home (``results/fuzz/``).  These tests drive a real shard on a
+protocols), the executor entry point (:func:`run_fuzz_cell`), and the stored
+document (the campaign report, in the same result store under the
+cell's ``fuzz-`` fingerprint).  These tests drive a real shard on a
 thread executor — fast, deterministic, no subprocesses.
 """
 
@@ -144,10 +145,10 @@ class TestFuzzJobEndToEnd:
             fingerprint = fuzz_cell_identity(
                 1, 8, spec["protocols"], spec["interconnect"],
             )
-            doc = store.by_fingerprint(fingerprint)
+            doc = store.get(fingerprint)
             assert doc is not None
             assert doc["ok"] is True and doc["fuzz"] is True
-            assert doc["fingerprint"] == fingerprint
+            assert (tmp_path / "results" / f"{fingerprint}.json").exists()
 
             # Identical resubmission is served from the store.
             job2 = await run_job(queue, shard, spec)

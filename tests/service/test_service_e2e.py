@@ -240,6 +240,20 @@ class TestApiErrors:
         with pytest.raises(ServiceError, match="lookup failed"):
             client.result("00000000deadbeef")
 
+    def test_torn_result_is_404(self, client, service):
+        path = service.root / "results" / "0123456789abcdef.json"
+        path.write_text('{"benchmark": "radiosity", "summary": {"cyc')
+        try:
+            with pytest.raises(ServiceError, match="404"):
+                client.result("0123456789abcdef")
+            path.write_text('{"benchmark": "radiosity", "summary": {}}')
+            assert client.result("0123456789abcdef") == {
+                "fingerprint": "0123456789abcdef",
+                "benchmark": "radiosity", "summary": {},
+            }
+        finally:
+            path.unlink()
+
     def test_unknown_route_is_404(self, client):
         status, _doc = client._request("GET", "/nope")
         assert status == 404

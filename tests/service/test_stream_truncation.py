@@ -11,10 +11,13 @@ still terminates cleanly).
 
 from __future__ import annotations
 
+import asyncio
+import json
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from repro.service.api import Service
 from repro.service.client import ServiceClient
 
 from .harness import ServiceHarness
@@ -104,3 +107,47 @@ class TestRingTruncationOverHttp:
         kept = followers[-2]
         names = [e["event"] for e in client.follow(kept["id"])]
         assert names[-1] == "job.completed" and len(names) == 6
+
+
+class _Writer:
+    """Collects what a handler writes (a StreamWriter stand-in)."""
+
+    def __init__(self):
+        self.data = b""
+
+    def write(self, data: bytes) -> None:
+        self.data += data
+
+    async def drain(self) -> None:
+        pass
+
+
+class TestStreamEndsWithCompletion:
+    def test_completion_between_snapshot_and_status_read_is_streamed(
+        self, tmp_path,
+    ):
+        # Force the race: the job completes right after the stream
+        # snapshots its records.  The stream must still end with
+        # job.completed rather than stop on the terminal status.
+        service = Service(tmp_path, telemetry_interval=0)
+        job = service.queue.submit(_spec(1))
+        snapshot = service.events.for_job
+        calls = []
+
+        def for_job(job_id):
+            records = snapshot(job_id)
+            if not calls:
+                calls.append(job_id)
+                service.queue.cancel(job_id)
+            return records
+
+        service.events.for_job = for_job
+        writer = _Writer()
+        asyncio.run(asyncio.wait_for(
+            service._stream_events(job["id"], writer), timeout=30,
+        ))
+        body = writer.data.split(b"\r\n\r\n", 1)[1]
+        events = [json.loads(line) for line in body.splitlines()]
+        assert calls == [job["id"]]
+        assert events[-1]["event"] == "job.completed"
+        assert events[-1]["reason"] == "cancelled"

@@ -1,8 +1,10 @@
 """Thread-safety regressions for the service (simlint SL201/SL202).
 
 The whole-program lint pass moved every blocking queue/store call onto
-executor threads, which makes JobQueue/EventLog/ResultStore genuinely
-concurrent objects.  These tests pin the behaviours that protect:
+executor threads, which makes JobQueue/EventLog genuinely concurrent
+objects (the stateless ResultStore's concurrent writes are covered in
+tests/experiments/test_store.py).  These tests pin the behaviours that
+protect:
 
 * queue state survives concurrent submit/lease/complete hammering;
 * the locked accessors the API layer uses instead of reading

@@ -1,4 +1,4 @@
-"""Worker shard failure paths: crash recovery, cache serving, store.
+"""Worker shard failure paths: crash recovery, store serving.
 
 The shard runs on a real asyncio loop (driven by ``asyncio.run``
 inside each test) with a thread executor — no worker subprocesses, so
@@ -8,6 +8,7 @@ the failure injections are deterministic and fast.
 from __future__ import annotations
 
 import asyncio
+import json
 from concurrent.futures import Future, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 
@@ -192,15 +193,58 @@ class TestCacheServing:
             _events, queue, store, shard = build(
                 tmp_path, ThreadPoolExecutor(max_workers=1),
             )
-            await run_job(queue, shard, SPEC)
+            job = await run_job(queue, shard, SPEC)
             serial = MatrixRunner(
                 scale=SPEC["scale"], results_dir=tmp_path / "serial",
                 verbose=False,
             )
             expected = serial.run_one("radiosity", "base", 1)
-            got = store.runner(SPEC["scale"]).cached("radiosity", "base", 1)
+            got = store.get(job["cells"][0])
             assert got is not None
-            assert summaries_equal(expected, got)
+            assert summaries_equal(expected, got["summary"])
+
+        asyncio.run(scenario())
+
+    def test_cell_a_matrix_runner_stored_is_a_cache_hit(self, tmp_path):
+        # One store, one key: the runner and the service share cells.
+        MatrixRunner(
+            scale=SPEC["scale"], results_dir=tmp_path / "results",
+            verbose=False,
+        ).run_matrix(
+            benchmarks=SPEC["benchmarks"], techniques=SPEC["techniques"],
+            seeds=SPEC["seeds"],
+        )
+
+        async def scenario():
+            events, queue, _store, shard = build(
+                tmp_path, ThreadPoolExecutor(max_workers=1),
+            )
+            job = await run_job(queue, shard, SPEC)
+            assert job["status"] == "done"
+            names = [r["event"] for r in events.records]
+            assert names.count("cell.cache_hit") == 1
+            assert "cell.started" not in names
+            assert shard.simulated == 0
+
+        asyncio.run(scenario())
+
+    def test_torn_result_is_simulated_not_served(self, tmp_path):
+        async def scenario():
+            events, queue, store, shard = build(
+                tmp_path, ThreadPoolExecutor(max_workers=1),
+            )
+            job = await run_job(queue, shard, SPEC)
+            path = tmp_path / "results" / f"{job['cells'][0]}.json"
+            whole = json.loads(path.read_text())
+            path.write_text(path.read_text()[:100])
+            job2 = await run_job(queue, shard, SPEC)
+            assert job2["status"] == "done"
+            names = [r["event"] for r in events.records]
+            assert names.count("cell.started") == 2
+            assert "cell.cache_hit" not in names
+            assert summaries_equal(
+                store.get(job["cells"][0])["summary"], whole["summary"],
+            )
 
         asyncio.run(scenario())
 
@@ -212,7 +256,7 @@ class TestResultStore:
                 tmp_path, ThreadPoolExecutor(max_workers=1),
             )
             job = await run_job(queue, shard, SPEC)
-            doc = store.by_fingerprint(job["cells"][0])
+            doc = store.get(job["cells"][0])
             assert doc is not None
             assert doc["benchmark"] == "radiosity"
             assert doc["summary"]["cycles"] > 0
@@ -221,7 +265,7 @@ class TestResultStore:
 
     def test_unknown_fingerprint_is_none(self, tmp_path):
         store = ResultStore(tmp_path / "results")
-        assert store.by_fingerprint("doesnotexist0000") is None
+        assert store.get("0123456789abcdef") is None
 
     def test_index_survives_reload(self, tmp_path):
         async def scenario():
@@ -229,8 +273,7 @@ class TestResultStore:
                 tmp_path, ThreadPoolExecutor(max_workers=1),
             )
             job = await run_job(queue, shard, SPEC)
-            store.close()
             reloaded = ResultStore(tmp_path / "results")
-            assert reloaded.by_fingerprint(job["cells"][0]) is not None
+            assert reloaded.get(job["cells"][0]) == store.get(job["cells"][0])
 
         asyncio.run(scenario())
