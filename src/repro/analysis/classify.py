@@ -24,7 +24,6 @@ import enum
 from dataclasses import dataclass
 
 from repro.common.stats import ScopedStats
-from repro.obs.metrics import NULL_METRICS
 
 
 class _Residency(enum.Enum):
@@ -44,25 +43,15 @@ class _LineHistory:
 class MissClassifier:
     """Tracks per-(node, line) history and classifies every miss."""
 
-    def __init__(self, stats: ScopedStats, n_procs: int, metrics=NULL_METRICS):
+    def __init__(self, stats: ScopedStats, n_procs: int):
         self._stats = stats
         self._history: list[dict[int, _LineHistory]] = [dict() for _ in range(n_procs)]
         self._m_miss = {
-            cls: metrics.bound_counter(
-                stats, f"miss.{cls}",
-                "repro_misses_total", "L2 misses by class", cls=cls,
-            )
-            for cls in ("cold", "capacity", "comm")
+            cls: stats.counter(f"miss.{cls}") for cls in ("cold", "capacity", "comm")
         }
         self._m_total = stats.counter("miss.total")
         self._m_comm = {
-            cause: metrics.bound_counter(
-                stats, f"miss.comm.{cause}",
-                "repro_comm_misses_total",
-                "Communication misses by cause (tss/false/true sharing)",
-                cause=cause,
-            )
-            for cause in ("tss", "false", "true")
+            cause: stats.counter(f"miss.comm.{cause}") for cause in ("tss", "false", "true")
         }
 
     def _entry(self, node: int, base: int) -> _LineHistory:

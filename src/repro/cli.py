@@ -67,17 +67,13 @@ def cmd_run(args) -> int:
     config = configure_technique(scaled_config(n_procs=args.procs), args.technique)
     workload = get_benchmark(args.benchmark, scale=args.scale)
     tracer = _make_tracer(args)
-    metrics = None
     if args.metrics:
-        from repro.obs.metrics import MetricsRegistry
-
         # Fail on an unwritable path now, not after a long simulation.
         with open(args.metrics, "w"):
             pass
-        metrics = MetricsRegistry()
     system = System(
         config, workload, seed=args.seed, tracer=tracer,
-        check_invariants=args.check_invariants, metrics=metrics,
+        check_invariants=args.check_invariants,
     )
     profiler = SimProfiler() if args.profile else None
     if profiler is not None:
@@ -95,9 +91,10 @@ def cmd_run(args) -> int:
     if tracer is not None:
         print(f"trace: {len(tracer.events)} events -> {args.trace} "
               f"({args.trace_format}, {tracer.dropped} filtered)")
-    if metrics is not None:
+    if args.metrics:
         from pathlib import Path
 
+        metrics = result.metrics
         if args.metrics_format == "prom":
             text = metrics.to_prometheus()
         else:
@@ -137,7 +134,6 @@ def cmd_explain(args) -> int:
     (``--trace``) analyzes a saved trace; with no metrics registry to
     check against, it reports without gating.
     """
-    from repro.obs.metrics import MetricsRegistry
     from repro.obs.provenance import (
         analyze_events,
         line_chain,
@@ -167,12 +163,10 @@ def cmd_explain(args) -> int:
             with open(args.save_trace, "w"):
                 pass
             tracer.attach_sink(args.save_trace, "jsonl")
-        metrics = MetricsRegistry()
-        system = System(
-            config, workload, seed=args.seed, tracer=tracer, metrics=metrics
-        )
+        system = System(config, workload, seed=args.seed, tracer=tracer)
         with tracer:
-            system.run()
+            result = system.run()
+        metrics = result.metrics
         events = tracer.events
     report = analyze_events(events)
     rows = reconcile(report, metrics) if metrics is not None else None

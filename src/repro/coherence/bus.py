@@ -25,7 +25,6 @@ from repro.common.rng import SplitRng
 from repro.common.stats import ScopedStats
 from repro.coherence.messages import BusTransaction, TxnKind
 from repro.memory.mainmem import MainMemory
-from repro.obs.metrics import NULL_METRICS
 from repro.obs.tracer import NULL_TRACER
 
 
@@ -65,7 +64,6 @@ class SnoopBus:
         jitter: int = 0,
         rng: SplitRng | None = None,
         tracer=NULL_TRACER,
-        metrics=NULL_METRICS,
     ):
         self.scheduler = scheduler
         self.config = config
@@ -77,38 +75,17 @@ class SnoopBus:
         self._clients: list[SnoopClient] = []
         self._addr_free_at = 0
         self._data_free_at = 0
-        self._queue_hist = metrics.bind_histogram(
-            stats.histogram("queue_depth"),
-            "repro_bus_queue_depth", "Address-network queue depth at request",
-            network="bus",
-        )
+        self._queue_hist = stats.histogram("queue_depth")
         # Per-kind transaction counters, resolved once: the bus grants
         # millions of transactions, so the hot path must not rebuild
-        # counter names (or label lookups) per grant.
+        # counter names per grant.
         self._txn_counters = {
-            kind: metrics.bound_counter(
-                stats, f"txn.{kind.value.lower()}",
-                "repro_bus_txn_total", "Address transactions by kind",
-                kind=kind.value.lower(),
-            )
-            for kind in TxnKind
+            kind: stats.counter(f"txn.{kind.value.lower()}") for kind in TxnKind
         }
-        self._txn_cancelled = metrics.bound_counter(
-            stats, "txn.cancelled",
-            "repro_bus_txn_total", "Address transactions by kind",
-            kind="cancelled",
-        )
+        self._txn_cancelled = stats.counter("txn.cancelled")
         self._txn_total = stats.counter("txn.total")
-        self._data_from_cache = metrics.bound_counter(
-            stats, "txn.cache_to_cache",
-            "repro_bus_data_source_total", "Data responses by source",
-            source="cache",
-        )
-        self._data_from_memory = metrics.bound_counter(
-            stats, "txn.from_memory",
-            "repro_bus_data_source_total", "Data responses by source",
-            source="memory",
-        )
+        self._data_from_cache = stats.counter("txn.cache_to_cache")
+        self._data_from_memory = stats.counter("txn.from_memory")
 
     def attach(self, client: SnoopClient) -> None:
         """Register a coherence controller on the bus."""

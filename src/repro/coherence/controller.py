@@ -38,7 +38,6 @@ from repro.coherence.states import LineState
 from repro.memory.cache import CacheLine, SetAssocCache
 from repro.memory.mainmem import MainMemory
 from repro.memory.stale import ExplicitStaleDetector
-from repro.obs.metrics import NULL_METRICS
 from repro.obs.tracer import NULL_TRACER
 
 
@@ -53,7 +52,6 @@ class CoherenceController:
         memory: MainMemory,
         stats: ScopedStats,
         tracer=NULL_TRACER,
-        metrics=NULL_METRICS,
     ):
         self.node_id = node_id
         self.config = config
@@ -69,7 +67,6 @@ class CoherenceController:
             stats.scoped("predictor"),
             tracer=tracer,
             node_id=node_id,
-            metrics=metrics,
         )
         # Validate-to-reuse distance: cycle of the last revalidation of
         # each line, consumed at the node's next local touch of it.
@@ -77,39 +74,14 @@ class CoherenceController:
         # Intermediate-value distance per diverged line (traced runs
         # only; stays empty — and free — under NULL_TRACER).
         self._ivd: dict[int, int] = {}
-        self._reuse_hist = metrics.bind_histogram(
-            stats.histogram("validate_reuse_distance"),
-            "repro_validate_reuse_distance",
-            "Cycles from revalidation to next local touch", node=node_id,
-        )
-        # Paper-level counters as first-class metric series (Table 2 /
-        # Figure 8 inputs): temporally silent stores, validate fate.
-        self._m_ts_stores = metrics.bound_counter(
-            stats, "ts_stores",
-            "repro_ts_stores_total", "Temporally silent stores detected",
-            node=node_id,
-        )
-        self._m_validates_broadcast = metrics.bound_counter(
-            stats, "validates_broadcast",
-            "repro_validates_total", "Validate broadcasts by outcome",
-            node=node_id, outcome="broadcast",
-        )
-        self._m_validates_suppressed = metrics.bound_counter(
-            stats, "validates_suppressed",
-            "repro_validates_total", "Validate broadcasts by outcome",
-            node=node_id, outcome="suppressed",
-        )
-        self._m_validates_cancelled = metrics.bound_counter(
-            stats, "validates_cancelled",
-            "repro_validates_total", "Validate broadcasts by outcome",
-            node=node_id, outcome="cancelled",
-        )
-        self._m_revalidations = metrics.bound_counter(
-            stats, "revalidations",
-            "repro_revalidations_total",
-            "T-state copies re-installed by a remote validate",
-            node=node_id,
-        )
+        self._reuse_hist = stats.histogram("validate_reuse_distance")
+        # Paper-level counters (Table 2 / Figure 8 inputs): temporally
+        # silent stores, validate fate.
+        self._m_ts_stores = stats.counter("ts_stores")
+        self._m_validates_broadcast = stats.counter("validates_broadcast")
+        self._m_validates_suppressed = stats.counter("validates_suppressed")
+        self._m_validates_cancelled = stats.counter("validates_cancelled")
+        self._m_revalidations = stats.counter("revalidations")
         self.stale_detector: ExplicitStaleDetector | None = None
         if config.protocol.stale_detection is StaleDetectionMode.EXPLICIT:
             self.stale_detector = ExplicitStaleDetector(

@@ -44,7 +44,6 @@ from repro.common.stats import ScopedStats
 from repro.coherence.bus import CompletionCallback, SnoopClient
 from repro.coherence.messages import BusTransaction, TxnKind
 from repro.memory.mainmem import MainMemory
-from repro.obs.metrics import NULL_METRICS
 from repro.obs.tracer import NULL_TRACER
 
 
@@ -70,7 +69,6 @@ class DirectoryNetwork:
         rng: SplitRng | None = None,
         hop_latency: int | None = None,
         tracer=NULL_TRACER,
-        metrics=NULL_METRICS,
     ):
         self.scheduler = scheduler
         self.config = config
@@ -87,35 +85,14 @@ class DirectoryNetwork:
         self._home_free_at = 0
         self._data_free_at = 0
         self._entries: dict[int, DirectoryEntry] = {}
-        self._queue_hist = metrics.bind_histogram(
-            stats.histogram("queue_depth"),
-            "repro_bus_queue_depth", "Address-network queue depth at request",
-            network="directory",
-        )
+        self._queue_hist = stats.histogram("queue_depth")
         self._txn_counters = {
-            kind: metrics.bound_counter(
-                stats, f"txn.{kind.value.lower()}",
-                "repro_bus_txn_total", "Address transactions by kind",
-                kind=kind.value.lower(),
-            )
-            for kind in TxnKind
+            kind: stats.counter(f"txn.{kind.value.lower()}") for kind in TxnKind
         }
-        self._txn_cancelled = metrics.bound_counter(
-            stats, "txn.cancelled",
-            "repro_bus_txn_total", "Address transactions by kind",
-            kind="cancelled",
-        )
+        self._txn_cancelled = stats.counter("txn.cancelled")
         self._txn_total = stats.counter("txn.total")
-        self._data_from_cache = metrics.bound_counter(
-            stats, "txn.cache_to_cache",
-            "repro_bus_data_source_total", "Data responses by source",
-            source="cache",
-        )
-        self._data_from_memory = metrics.bound_counter(
-            stats, "txn.from_memory",
-            "repro_bus_data_source_total", "Data responses by source",
-            source="memory",
-        )
+        self._data_from_cache = stats.counter("txn.cache_to_cache")
+        self._data_from_memory = stats.counter("txn.from_memory")
 
     # -- SnoopBus-compatible surface -------------------------------------
 

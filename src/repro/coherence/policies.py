@@ -15,7 +15,6 @@ from repro.common.stats import ScopedStats
 from repro.coherence.messages import SnoopResult, TxnKind
 from repro.coherence.predictor import UsefulValidatePredictor
 from repro.memory.cache import CacheLine
-from repro.obs.metrics import NULL_METRICS
 from repro.obs.tracer import NULL_TRACER
 
 
@@ -83,10 +82,9 @@ class PredictorValidate(ValidatePolicyBase):
         stats: ScopedStats,
         tracer=NULL_TRACER,
         node_id: int = 0,
-        metrics=NULL_METRICS,
     ):
         self.predictor = UsefulValidatePredictor(
-            config, stats, tracer=tracer, node_id=node_id, metrics=metrics
+            config, stats, tracer=tracer, node_id=node_id
         )
 
     def should_validate(self, line: CacheLine, span: int | None = None) -> bool:
@@ -119,7 +117,6 @@ def make_validate_policy(
     stats: ScopedStats,
     tracer=NULL_TRACER,
     node_id: int = 0,
-    metrics=NULL_METRICS,
 ) -> ValidatePolicyBase:
     """Build the policy object selected by the configuration."""
     if policy is ValidatePolicy.ALWAYS:
@@ -127,5 +124,5 @@ def make_validate_policy(
     if policy is ValidatePolicy.SNOOP_AWARE:
         return SnoopAwareValidate()
     if policy is ValidatePolicy.PREDICTOR:
-        return PredictorValidate(predictor_config, stats, tracer, node_id, metrics)
+        return PredictorValidate(predictor_config, stats, tracer, node_id)
     raise ConfigError(f"unknown validate policy {policy}")

@@ -31,7 +31,6 @@ from repro.memory.cache import (
     PRED_UPGRADE_WAIT,
     CacheLine,
 )
-from repro.obs.metrics import NULL_METRICS
 from repro.obs.tracer import NULL_TRACER
 
 
@@ -44,49 +43,18 @@ class UsefulValidatePredictor:
         stats: ScopedStats,
         tracer=NULL_TRACER,
         node_id: int = 0,
-        metrics=NULL_METRICS,
     ):
         config.validate()
         self.config = config
         self._stats = stats
         self._tracer = tracer
         self._node_id = node_id
-        self._m_ts_detects = metrics.bound_counter(
-            stats, "ts_detects",
-            "repro_predictor_ts_detects_total",
-            "Temporal-silence detections observed by the predictor",
-            node=node_id,
-        )
-        self._m_send = metrics.bound_counter(
-            stats, "validates_sent",
-            "repro_predictor_decisions_total",
-            "Predictor validate decisions at TS detect",
-            node=node_id, decision="send",
-        )
-        self._m_suppress = metrics.bound_counter(
-            stats, "validates_suppressed",
-            "repro_predictor_decisions_total",
-            "Predictor validate decisions at TS detect",
-            node=node_id, decision="suppress",
-        )
-        self._m_useful_external = metrics.bound_counter(
-            stats, "useful_by_external_req",
-            "repro_predictor_transitions_total",
-            "Predictor confidence transitions by cause",
-            node=node_id, cause="external_request",
-        )
-        self._m_useful_snoop = metrics.bound_counter(
-            stats, "useful_by_snoop_response",
-            "repro_predictor_transitions_total",
-            "Predictor confidence transitions by cause",
-            node=node_id, cause="useful_snoop",
-        )
-        self._m_useless_snoop = metrics.bound_counter(
-            stats, "useless_by_snoop_response",
-            "repro_predictor_transitions_total",
-            "Predictor confidence transitions by cause",
-            node=node_id, cause="useless_snoop",
-        )
+        self._m_ts_detects = stats.counter("ts_detects")
+        self._m_send = stats.counter("validates_sent")
+        self._m_suppress = stats.counter("validates_suppressed")
+        self._m_useful_external = stats.counter("useful_by_external_req")
+        self._m_useful_snoop = stats.counter("useful_by_snoop_response")
+        self._m_useless_snoop = stats.counter("useless_by_snoop_response")
 
     def init_line(self, line: CacheLine) -> None:
         """Cold-allocate predictor storage for a newly filled line."""

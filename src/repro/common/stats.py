@@ -2,23 +2,21 @@
 
 Every component increments named counters in a shared
 :class:`StatsRegistry`; names are dotted paths
-(``bus.txn.read``, ``core0.commit.loads``).  Registries can be merged
-and diffed, which the experiment harness uses to subtract warmup
-intervals and to aggregate across processors.
+(``bus.txn.read``, ``core0.commit.loads``).  The registry is the run's
+only counter store: ``summarize()`` and the figures read the dotted
+keys, and :func:`repro.obs.metrics.run_metrics` exports the paper
+counters as labelled series read from the same keys after the run.
 
 Beyond scalar counters the registry also hosts named
 :class:`Histogram` distributions (bucketed, with p50/p95/p99 readouts
-— miss latencies, bus queue depths, validate-to-reuse distances) and
-:class:`Timer` wall-clock accumulators, created on first use via
-:meth:`StatsRegistry.histogram` / :meth:`StatsRegistry.timer`.
+— miss latencies, bus queue depths, validate-to-reuse distances),
+created on first use via :meth:`StatsRegistry.histogram`.
 """
 
 from __future__ import annotations
 
-import time
 from bisect import bisect_left
 from collections import defaultdict
-from contextlib import contextmanager
 from typing import Iterable, Iterator
 
 
@@ -143,49 +141,14 @@ class Histogram:
         return f"Histogram(count={self.count} mean={self.mean:.1f})"
 
 
-class Timer:
-    """Accumulates wall-clock durations into a microsecond histogram."""
-
-    __slots__ = ("hist",)
-
-    def __init__(self):
-        self.hist = Histogram()
-
-    @contextmanager
-    def time(self):
-        """Context manager timing one span."""
-        start = time.perf_counter()
-        try:
-            yield self
-        finally:
-            self.record_seconds(time.perf_counter() - start)
-
-    def record_seconds(self, seconds: float) -> None:
-        """Record one duration given in seconds."""
-        self.hist.record(seconds * 1e6)
-
-    @property
-    def count(self) -> int:
-        """Number of timed spans."""
-        return self.hist.count
-
-    @property
-    def total_seconds(self) -> float:
-        """Total accumulated wall time."""
-        return self.hist.total / 1e6
-
-    def summary(self) -> dict[str, float]:
-        """Headline numbers (microseconds) as a plain dict."""
-        return self.hist.summary()
-
-
 class StatsRegistry:
     """A mapping of dotted counter names to integer/float values."""
 
     def __init__(self):
         self._counters: dict[str, float] = defaultdict(float)
         self._histograms: dict[str, Histogram] = {}
-        self._timers: dict[str, Timer] = {}
+        # Counters a component holds a handle on; see :meth:`counter`.
+        self._declared: set[str] = set()
 
     def add(self, name: str, amount: float = 1) -> None:
         """Increment counter ``name`` by ``amount``."""
@@ -212,17 +175,23 @@ class StatsRegistry:
         """Iterate over ``(name, value)`` pairs in sorted name order."""
         return sorted(self._counters.items())
 
-    def with_prefix(self, prefix: str) -> dict[str, float]:
-        """Return all counters whose name starts with ``prefix``."""
-        return {k: v for k, v in self._counters.items() if k.startswith(prefix)}
-
-    def sum_prefix(self, prefix: str) -> float:
-        """Sum all counters whose name starts with ``prefix``."""
-        return sum(v for k, v in self._counters.items() if k.startswith(prefix))
-
     def scoped(self, prefix: str) -> "ScopedStats":
         """Return a view that prepends ``prefix.`` to every counter name."""
         return ScopedStats(self, prefix)
+
+    def counter(self, name: str) -> "CounterHandle":
+        """Pre-resolved :class:`CounterHandle` for counter ``name``.
+
+        The name is recorded as :meth:`declared`, but the counter is
+        not created: an untouched counter still reads as ``0`` and
+        stays out of :meth:`items` and :meth:`snapshot`.
+        """
+        self._declared.add(name)
+        return CounterHandle(self._counters, name)
+
+    def declared(self, name: str) -> bool:
+        """True once a component resolved a :meth:`counter` handle for ``name``."""
+        return name in self._declared
 
     def histogram(self, name: str, bounds: Iterable[float] | None = None) -> Histogram:
         """Get (creating on first use) the named :class:`Histogram`.
@@ -255,36 +224,9 @@ class StatsRegistry:
                 out.merge(hist)
         return out
 
-    def timer(self, name: str) -> Timer:
-        """Get (creating on first use) the named :class:`Timer`."""
-        timer = self._timers.get(name)
-        if timer is None:
-            timer = self._timers[name] = Timer()
-        return timer
-
-    def timer_items(self) -> Iterable[tuple[str, Timer]]:
-        """Iterate over ``(name, timer)`` pairs in name order."""
-        return sorted(self._timers.items())
-
-    def merge(self, other: "StatsRegistry") -> None:
-        """Add every counter (and histogram) of ``other`` into this."""
-        for name, value in other._counters.items():
-            self._counters[name] += value
-        for name, hist in other._histograms.items():
-            self.histogram(name, hist.bounds).merge(hist)
-
     def snapshot(self) -> dict[str, float]:
         """Return a plain-dict copy of all counters."""
         return dict(self._counters)
-
-    def diff(self, earlier: dict[str, float]) -> dict[str, float]:
-        """Return counters minus an earlier :meth:`snapshot`."""
-        out = {}
-        for name, value in self._counters.items():
-            delta = value - earlier.get(name, 0)
-            if delta:
-                out[name] = delta
-        return out
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return f"StatsRegistry({len(self._counters)} counters)"
@@ -354,15 +296,11 @@ class ScopedStats:
 
     def counter(self, name: str) -> CounterHandle:
         """Pre-resolved :class:`CounterHandle` for ``prefix.name``."""
-        return CounterHandle(self._counters, self._prefix + name)
+        return self._registry.counter(self._prefix + name)
 
     def histogram(self, name: str, bounds: Iterable[float] | None = None) -> Histogram:
         """Get-or-create ``prefix.name`` histogram in the registry."""
         return self._registry.histogram(self._prefix + name, bounds)
-
-    def timer(self, name: str) -> Timer:
-        """Get-or-create ``prefix.name`` timer in the registry."""
-        return self._registry.timer(self._prefix + name)
 
     def scoped(self, prefix: str) -> "ScopedStats":
         """Nest a further prefix under this one."""

@@ -3,7 +3,7 @@
 Two layers:
 
 * an AST pass over the ``repro`` sources with pluggable rules
-  (SL001–SL007) that reject simulation-visible nondeterminism hazards
+  (SL001–SL006) that reject simulation-visible nondeterminism hazards
   — bare ``random`` / wall-clock calls, unordered ``set`` iteration
   feeding scheduling/arbitration/stats, ``id()``-based ordering, float
   equality in protocol logic, scheduler-callback misuse, and untraced

@@ -15,7 +15,8 @@
   field the spec declares neither required nor optional (the EventLog
   rejects those at emit time), and every metric name read back via
   ``metrics.get(...)`` / ``metrics.total(...)`` must be a family some
-  module actually declares.
+  module actually declares or the run export table
+  (:data:`~repro.obs.metrics.RUN_METRICS`) lists.
 """
 
 from __future__ import annotations
@@ -59,9 +60,6 @@ METRIC_RECEIVERS = frozenset({"metrics", "_metrics", "registry", "_registry"})
 #: MetricsRegistry family-declaring methods -> index of the name arg.
 METRIC_DECLARERS = {"counter": 0, "gauge": 0, "histogram": 0}
 
-#: Helper functions declaring families -> index of the name arg.
-METRIC_DECLARING_HELPERS = {"bound_counter": 2, "bind_histogram": 1}
-
 
 def _nondet_fields() -> tuple[str, ...]:
     try:
@@ -77,6 +75,15 @@ def _event_specs() -> dict | None:
     except Exception:  # pragma: no cover - registry always importable
         return None
     return EVENT_SPECS
+
+
+def _run_metric_families() -> set[str]:
+    """Family names the run export table declares."""
+    try:
+        from repro.obs.metrics import RUN_METRICS
+    except Exception:  # pragma: no cover - table always importable
+        return set()
+    return {spec.name for spec in RUN_METRICS}
 
 
 def _literal_str(node: ast.expr | None) -> str | None:
@@ -374,28 +381,12 @@ class ContractCrossCheckRule(Rule):
     # -- metric families -------------------------------------------------
 
     def _declared_metric_families(self, ctx: LintContext) -> set[str]:
-        declared: set[str] = set()
+        declared = _run_metric_families()
         for module in ctx.modules:
-            aliases = import_aliases(module.tree)
             for node in ast.walk(module.tree):
-                if not isinstance(node, ast.Call):
+                if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
                     continue
-                func = node.func
-                if isinstance(func, ast.Attribute):
-                    idx = METRIC_DECLARERS.get(func.attr)
-                    if idx is not None:
-                        name = self._name_arg(node, idx, "name")
-                        if name is not None:
-                            declared.add(name)
-                        continue
-                helper = None
-                if isinstance(func, ast.Name):
-                    helper = func.id
-                    origin = aliases.get(func.id, "")
-                    helper = origin.rsplit(".", 1)[-1] if origin else helper
-                elif isinstance(func, ast.Attribute):
-                    helper = func.attr
-                idx = METRIC_DECLARING_HELPERS.get(helper or "")
+                idx = METRIC_DECLARERS.get(node.func.attr)
                 if idx is not None:
                     name = self._name_arg(node, idx, "name")
                     if name is not None:
@@ -434,8 +425,9 @@ class ContractCrossCheckRule(Rule):
             yield _finding(
                 self, module, node,
                 f"metric family {name!r} is read but no scanned module "
-                f"declares it via counter()/gauge()/histogram(); the "
-                f"read returns nothing in production",
+                f"declares it via counter()/gauge()/histogram() and "
+                f"RUN_METRICS does not list it; the read returns nothing "
+                f"in production",
             )
 
     @staticmethod

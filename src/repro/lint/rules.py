@@ -1,4 +1,4 @@
-"""simlint AST rules SL001–SL009.
+"""simlint AST rules SL001–SL006, SL008 and SL009.
 
 Each rule is a small, self-contained AST analysis.  They are
 deliberately *heuristic* — a lint pass earns its keep by being cheap
@@ -577,87 +577,6 @@ class TracerGuardRule(Rule):
 
 
 # ---------------------------------------------------------------------------
-# SL007 — paper counters go through the metrics registry
-# ---------------------------------------------------------------------------
-
-#: Stat names whose increments are mirrored into metric series by a
-#: ``metrics.bound_counter`` handle.  A raw ``stats.add`` on one of
-#: these bumps the stats counter but silently skips the series, so the
-#: ``--metrics`` export and ``summarize()`` drift apart.
-PAPER_COUNTERS = frozenset({
-    # coherence/controller.py + predictor.py
-    "ts_stores", "validates_broadcast", "validates_suppressed",
-    "validates_cancelled", "revalidations",
-    "ts_detects", "validates_sent",
-    "useful_by_external_req", "useful_by_snoop_response",
-    "useless_by_snoop_response",
-    # sle/engine.py
-    "candidates", "filtered_by_confidence", "attempts", "successes",
-    "restarts", "fallback_acquisitions",
-})
-
-#: Dotted stat-name prefixes with per-family bound handles.
-PAPER_COUNTER_PREFIXES = ("txn.", "failure.", "lvp.", "miss.")
-
-#: Directories the rule applies to (where the bound handles live).
-METRICS_SCOPE = ("coherence/", "lvp/", "sle/")
-
-
-class MetricsRegistryRule(Rule):
-    """SL007: paper counters mutated directly instead of via handles."""
-
-    id = "SL007"
-    title = "paper counter bypasses the metrics registry"
-    rationale = (
-        "Paper-level counters in the coherence/LVP/SLE layers are "
-        "instrumented with metrics.bound_counter handles that bump the "
-        "stats counter and the labeled metric series together.  A raw "
-        "stats.add on one of those names updates only the stats side, "
-        "so `repro-sim run --metrics` and summarize() disagree — "
-        "increment the pre-bound handle (self._m_*) instead."
-    )
-
-    def check_module(self, module: ModuleSource, ctx: LintContext) -> Iterator[Finding]:
-        """Flag ``stats.add(<paper counter>, ...)`` in scoped modules."""
-        if not module.rel.startswith(METRICS_SCOPE):
-            return
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Call) or not node.args:
-                continue
-            func = node.func
-            if not (isinstance(func, ast.Attribute) and func.attr == "add"):
-                continue
-            owner = dotted_name(func.value)
-            if owner is None or owner.rsplit(".", 1)[-1].lstrip("_") != "stats":
-                continue
-            name = self._static_prefix(node.args[0])
-            if name is None:
-                continue
-            if name in PAPER_COUNTERS or name.startswith(PAPER_COUNTER_PREFIXES):
-                yield _finding(
-                    self, module, node,
-                    f"direct stats.add({name!r}): this counter has a "
-                    f"metrics.bound_counter handle; increment the handle "
-                    f"so the metric series stays in step",
-                )
-
-    @staticmethod
-    def _static_prefix(arg: ast.expr) -> str | None:
-        """The statically-known leading text of a counter-name arg."""
-        if isinstance(arg, ast.Constant) and isinstance(arg.value, str):
-            return arg.value
-        if isinstance(arg, ast.JoinedStr) and arg.values:
-            head = arg.values[0]
-            if isinstance(head, ast.Constant) and isinstance(head.value, str):
-                return head.value
-        return None
-
-    def check_tree(self) -> Iterator[Finding]:
-        """No whole-tree component."""
-        return iter(())
-
-
-# ---------------------------------------------------------------------------
 # SL008 — span discipline
 # ---------------------------------------------------------------------------
 
@@ -819,7 +738,6 @@ AST_RULES = (
     FloatEqualityRule,
     HandlerDisciplineRule,
     TracerGuardRule,
-    MetricsRegistryRule,
     SpanDisciplineRule,
     ServiceEventRegistryRule,
 )

@@ -19,7 +19,6 @@ from repro.common.stats import ScopedStats
 from repro.coherence.states import LineState
 from repro.memory.cache import CacheLine
 from repro.memory.mshr import MSHREntry
-from repro.obs.metrics import NULL_METRICS
 from repro.obs.tracer import NULL_TRACER
 
 
@@ -32,24 +31,13 @@ class LVPUnit:
         stats: ScopedStats,
         tracer=NULL_TRACER,
         node_id: int = 0,
-        metrics=NULL_METRICS,
     ):
         self.config = config
         self._stats = stats
         self._tracer = tracer
         self._node_id = node_id
-        self._m_verified = metrics.bound_counter(
-            stats, "lvp.correct",
-            "repro_lvp_resolutions_total",
-            "LVP speculative deliveries by resolution outcome",
-            node=node_id, outcome="verified",
-        )
-        self._m_squashed = metrics.bound_counter(
-            stats, "lvp.mispredictions",
-            "repro_lvp_resolutions_total",
-            "LVP speculative deliveries by resolution outcome",
-            node=node_id, outcome="squashed",
-        )
+        self._m_verified = stats.counter("lvp.correct")
+        self._m_squashed = stats.counter("lvp.mispredictions")
 
     def candidate(self, line: CacheLine | None, word_index: int) -> int | None:
         """A usable stale value for a missing load, or None."""

@@ -25,7 +25,6 @@ from repro.coherence.states import LineState
 from repro.lvp.unit import LVPUnit
 from repro.memory.cache import CacheLine, SetAssocCache
 from repro.memory.mshr import MSHRFile
-from repro.obs.metrics import NULL_METRICS
 from repro.obs.tracer import NULL_TRACER
 
 StoreCallback = Callable[[], None]
@@ -44,7 +43,6 @@ class NodeMemory:
         stats: ScopedStats,
         classifier=None,
         tracer=NULL_TRACER,
-        metrics=NULL_METRICS,
     ):
         self.node_id = node_id
         self.config = config
@@ -55,20 +53,9 @@ class NodeMemory:
         self.tracer = tracer
         self.l1 = SetAssocCache(config.l1, f"P{node_id}.L1")
         self.mshrs = MSHRFile(config.core.mshrs)
-        self.lvp = LVPUnit(
-            config.lvp, stats, tracer=tracer, node_id=node_id, metrics=metrics
-        )
-        self._miss_hist = metrics.bind_histogram(
-            stats.histogram("miss_latency"),
-            "repro_miss_latency_cycles", "L2 miss latency in cycles",
-            node=node_id,
-        )
-        self._m_lvp_predictions = metrics.bound_counter(
-            stats, "lvp.predictions",
-            "repro_lvp_predictions_total",
-            "Speculative value deliveries from stale lines",
-            node=node_id,
-        )
+        self.lvp = LVPUnit(config.lvp, stats, tracer=tracer, node_id=node_id)
+        self._miss_hist = stats.histogram("miss_latency")
+        self._m_lvp_predictions = stats.counter("lvp.predictions")
         self._deferred: list[Callable[[], None]] = []
         self.core = None  # set by the system builder; narrow interface
         self.sle_engine = None  # optional, set by the system builder

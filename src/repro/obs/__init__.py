@@ -5,9 +5,10 @@
   bounded ring-buffer mode).  :data:`~repro.obs.tracer.NULL_TRACER` is
   the zero-overhead default every component holds when tracing is off.
 * :class:`~repro.obs.metrics.MetricsRegistry` — named, labeled metric
-  series (counters, gauges, histograms) threaded through the coherence
-  / LVP / SLE layers; exports JSON and Prometheus text.
-  :data:`~repro.obs.metrics.NULL_METRICS` is the no-op default.
+  series (counters, gauges, histograms); exports JSON and Prometheus
+  text.  :func:`~repro.obs.metrics.run_metrics` builds one from a
+  finished run's statistics through the declared
+  :data:`~repro.obs.metrics.RUN_METRICS` table (``RunResult.metrics``).
 * :class:`~repro.obs.progress.MatrixProgress` /
   :class:`~repro.obs.progress.RunManifest` — parallel-run telemetry:
   live per-cell progress and the persisted per-cell provenance record.
@@ -24,15 +25,16 @@
   :class:`~repro.obs.spans.SpanRecord` chains.
 * :func:`~repro.obs.provenance.analyze_events` — attribute every
   communication miss to a temporal-silence provenance class and
-  reconcile the totals against the metrics registry (the
+  reconcile the totals against the run's metrics (the
   ``repro-sim explain`` command).
 """
 
 from repro.obs.metrics import (
-    NULL_METRICS,
+    RUN_METRICS,
     MetricFamily,
+    MetricSpec,
     MetricsRegistry,
-    MirroredCounter,
+    run_metrics,
 )
 from repro.obs.profiler import Heartbeat, SimProfiler
 from repro.obs.progress import CellUpdate, MatrixProgress, RunManifest
@@ -68,13 +70,14 @@ from repro.obs.tracer import (
 __all__ = [
     "EVENT_KINDS",
     "NULL_TRACER",
-    "NULL_METRICS",
+    "RUN_METRICS",
     "TraceEvent",
     "TraceFilter",
     "Tracer",
     "MetricFamily",
+    "MetricSpec",
     "MetricsRegistry",
-    "MirroredCounter",
+    "run_metrics",
     "CellUpdate",
     "MatrixProgress",
     "RunManifest",

@@ -1,28 +1,25 @@
 """Labeled metrics registry with JSON / Prometheus export.
 
-The :class:`StatsRegistry` counters are flat dotted strings — good for
-summing, bad for analysis: ``ctrl3.validates_suppressed`` encodes the
-node id in the name and nothing records which counters form one
-logical series.  :class:`MetricsRegistry` layers first-class *named
-series* on top: a metric family has a name, a help string, a kind
-(counter / gauge / histogram), and label names; each label-value
-combination is one series.  The paper-level event counts —
-communication misses by cause, validates issued/useful/useless,
-predictor confidence transitions, LVP verify/squash — become queryable
-families instead of string-prefix conventions.
+The :class:`~repro.common.stats.StatsRegistry` counters are flat
+dotted strings — good for summing, bad for analysis:
+``ctrl3.validates_suppressed`` encodes the node id in the name and
+nothing records which counters form one logical series.
+:class:`MetricsRegistry` holds first-class *named series*: a metric
+family has a name, a help string, a kind (counter / gauge / histogram),
+and label names; each label-value combination is one series.
 
-Two design rules keep the simulator's hot path intact:
+The simulator keeps one counter store, the stats registry.  The
+paper-level families — communication misses by cause, validates
+issued/useful/useless, predictor confidence transitions, LVP
+verify/squash, SLE outcomes — are a view of it: :data:`RUN_METRICS`
+declares, per series, the dotted stats key it reads, and
+:func:`run_metrics` builds a registry from a finished run's stats.
+A series exists when its component resolved the counter handle
+(:meth:`~repro.common.stats.StatsRegistry.declared`) or created the
+histogram, so counters that stayed at zero are exported too.
 
-* **Stats stay authoritative.**  Components instrument a site with
-  :meth:`MetricsRegistry.bound_counter`, which mirrors every increment
-  into both the stats counter (which ``summarize()`` and the figures
-  read) and the metric series.  Parity is by construction, not by
-  bookkeeping.
-* **Off by default, at zero cost.**  ``NULL_METRICS`` (the default
-  everywhere, mirroring ``NULL_TRACER``) returns a plain
-  :class:`~repro.common.stats.CounterHandle` from ``bound_counter`` —
-  the stats counter is still bumped, through a *faster* path than the
-  old ``stats.add`` string concatenation, and no series exists.
+The simulation service records its own families into a registry it
+owns (``repro_service_*``).
 
 Exports: :meth:`MetricsRegistry.to_json` for programmatic diffing and
 :meth:`MetricsRegistry.to_prometheus` for the Prometheus text
@@ -32,12 +29,12 @@ exposition format (``repro-sim run --metrics``).
 from __future__ import annotations
 
 import re
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, NamedTuple
 
-from repro.common.stats import CounterHandle, Histogram
+from repro.common.stats import Histogram, StatsRegistry
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for hints
-    from repro.common.stats import ScopedStats
+    from repro.common.config import MachineConfig
 
 _NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
 _LABEL_RE = re.compile(r"^[a-zA-Z_][a-zA-Z0-9_]*$")
@@ -84,9 +81,9 @@ class HistogramSeries:
     """One labeled child of a histogram family.
 
     Wraps a :class:`~repro.common.stats.Histogram` — either a private
-    one, or (via :meth:`MetricsRegistry.bind_histogram`) an *existing*
-    stats histogram, so the distribution a component already records
-    is exported without double bookkeeping.
+    one, or (via :meth:`MetricFamily.attach`) an *existing* stats
+    histogram, so the distribution a component already records is
+    exported without a copy.
     """
 
     __slots__ = ("labels", "hist")
@@ -98,37 +95,6 @@ class HistogramSeries:
     def record(self, value: float, n: int = 1) -> None:
         """Record ``n`` observations of ``value``."""
         self.hist.record(value, n)
-
-
-class MirroredCounter:
-    """Counter handle incrementing a stats counter AND a metric series.
-
-    Drop-in replacement for :class:`~repro.common.stats.CounterHandle`
-    at instrumented sites: one ``inc`` keeps the legacy dotted counter
-    (read by ``summarize()``) and the labeled series in lockstep.
-    """
-
-    __slots__ = ("_counters", "_key", "_series")
-
-    def __init__(self, counters: dict, key: str, series: MetricSeries):
-        self._counters = counters
-        self._key = key
-        self._series = series
-
-    @property
-    def name(self) -> str:
-        """The full dotted stats-counter name this handle mirrors."""
-        return self._key
-
-    def inc(self, amount: float = 1) -> None:
-        """Increment both the stats counter and the metric series."""
-        self._counters[self._key] += amount
-        self._series.value += amount
-
-    @property
-    def value(self) -> float:
-        """Current stats-counter value (equals the series by design)."""
-        return self._counters.get(self._key, 0)
 
 
 class MetricFamily:
@@ -176,8 +142,8 @@ class MetricFamily:
     def attach(self, hist: Histogram, **labels) -> Histogram:
         """Register an *existing* histogram as this family's series.
 
-        Used by :meth:`MetricsRegistry.bind_histogram` so a component's
-        stats histogram doubles as the exported series.
+        Used by :func:`run_metrics` so a component's stats histogram
+        doubles as the exported series.
         """
         if self.kind != HISTOGRAM:
             raise ValueError(f"metric {self.name!r} is not a histogram")
@@ -200,8 +166,8 @@ class MetricsRegistry:
 
     Families are created idempotently: re-registering the same name
     with the same kind and label names returns the existing family
-    (components each register their own sites); a conflicting
-    re-registration raises.
+    (each series site may register it); a conflicting re-registration
+    raises.
     """
 
     def __init__(self):
@@ -257,48 +223,6 @@ class MetricsRegistry:
                   bounds: Iterable[float] | None = None) -> MetricFamily:
         """Get-or-create a histogram family."""
         return self._register(name, help, HISTOGRAM, labels, bounds)
-
-    # ------------------------------------------------------------------
-    # Component instrumentation
-    # ------------------------------------------------------------------
-
-    def bound_counter(
-        self,
-        stats: "ScopedStats",
-        stat_name: str,
-        name: str,
-        help: str = "",  # noqa: A002
-        **labels,
-    ) -> MirroredCounter:
-        """Instrument one stats-counter site as a labeled metric series.
-
-        Returns a handle whose ``inc`` bumps the legacy dotted stats
-        counter (``stats``'s prefix + ``stat_name``) and the series of
-        family ``name`` with the given labels, keeping the two in
-        parity by construction.
-        """
-        family = self.counter(name, help, labels=tuple(labels))
-        series = family.labels(**labels)
-        handle = stats.counter(stat_name)
-        return MirroredCounter(handle._counters, handle._key, series)
-
-    def bind_histogram(
-        self,
-        hist: Histogram,
-        name: str,
-        help: str = "",  # noqa: A002
-        **labels,
-    ) -> Histogram:
-        """Export an existing stats histogram as a labeled series.
-
-        The component keeps recording into the same
-        :class:`~repro.common.stats.Histogram` object; the registry
-        merely exports it.  Returns ``hist`` so call sites stay
-        one-liners.
-        """
-        family = self.histogram(name, help, labels=tuple(labels))
-        family.attach(hist, **labels)
-        return hist
 
     # ------------------------------------------------------------------
     # Reading and export
@@ -379,72 +303,186 @@ class MetricsRegistry:
         return lines
 
 
-class _NullSeries:
-    """Series stand-in that accepts and discards everything."""
-
-    __slots__ = ()
-
-    def inc(self, amount: float = 1) -> None:
-        """Discard the increment."""
-
-    def set(self, value: float) -> None:
-        """Discard the value."""
-
-    def record(self, value: float, n: int = 1) -> None:
-        """Discard the observation."""
+# ----------------------------------------------------------------------
+# The run export table
+# ----------------------------------------------------------------------
 
 
-class _NullFamily:
-    """Family stand-in whose every series is the shared null series."""
+class MetricSpec(NamedTuple):
+    """One exported family and the stats entry each of its series reads."""
 
-    __slots__ = ()
+    name: str
+    kind: str
+    help: str
+    #: ``(labels, stats key)`` per series.  ``{node}`` in a key and its
+    #: label values expands over the run's processors; ``{network}`` is
+    #: the interconnect kind.
+    series: tuple[tuple[dict[str, str], str], ...]
 
-    def labels(self, **labels) -> _NullSeries:
-        """Return the shared no-op series."""
-        return _NULL_SERIES
+
+def _per_node(key: str, **labels: str) -> tuple[dict[str, str], str]:
+    """A series with one ``node`` label per processor, reading ``key``."""
+    return {"node": "{node}", **labels}, key
 
 
-class _NullMetrics:
-    """Zero-overhead stand-in used when metrics collection is off.
+#: Every labelled series a finished run exports, with the stats key it
+#: reads.  The series set is exactly what the simulator's components
+#: declare: a counter series exists when its handle was resolved, a
+#: histogram series when the histogram was created.
+RUN_METRICS: tuple[MetricSpec, ...] = (
+    MetricSpec("repro_bus_txn_total", COUNTER, "Address transactions by kind", (
+        ({"kind": "read"}, "bus.txn.read"),
+        ({"kind": "readx"}, "bus.txn.readx"),
+        ({"kind": "upgrade"}, "bus.txn.upgrade"),
+        ({"kind": "validate"}, "bus.txn.validate"),
+        ({"kind": "writeback"}, "bus.txn.writeback"),
+        ({"kind": "cancelled"}, "bus.txn.cancelled"),
+    )),
+    MetricSpec("repro_bus_data_source_total", COUNTER, "Data responses by source", (
+        ({"source": "cache"}, "bus.txn.cache_to_cache"),
+        ({"source": "memory"}, "bus.txn.from_memory"),
+    )),
+    MetricSpec(
+        "repro_bus_queue_depth", HISTOGRAM, "Address-network queue depth at request",
+        (({"network": "{network}"}, "bus.queue_depth"),),
+    ),
+    MetricSpec("repro_misses_total", COUNTER, "L2 misses by class", (
+        ({"cls": "cold"}, "misses.miss.cold"),
+        ({"cls": "capacity"}, "misses.miss.capacity"),
+        ({"cls": "comm"}, "misses.miss.comm"),
+    )),
+    MetricSpec(
+        "repro_comm_misses_total", COUNTER,
+        "Communication misses by cause (tss/false/true sharing)", (
+            ({"cause": "tss"}, "misses.miss.comm.tss"),
+            ({"cause": "false"}, "misses.miss.comm.false"),
+            ({"cause": "true"}, "misses.miss.comm.true"),
+        ),
+    ),
+    MetricSpec(
+        "repro_miss_latency_cycles", HISTOGRAM, "L2 miss latency in cycles",
+        (_per_node("node{node}.miss_latency"),),
+    ),
+    MetricSpec(
+        "repro_ts_stores_total", COUNTER, "Temporally silent stores detected",
+        (_per_node("ctrl{node}.ts_stores"),),
+    ),
+    MetricSpec("repro_validates_total", COUNTER, "Validate broadcasts by outcome", (
+        _per_node("ctrl{node}.validates_broadcast", outcome="broadcast"),
+        _per_node("ctrl{node}.validates_suppressed", outcome="suppressed"),
+        _per_node("ctrl{node}.validates_cancelled", outcome="cancelled"),
+    )),
+    MetricSpec(
+        "repro_revalidations_total", COUNTER,
+        "T-state copies re-installed by a remote validate",
+        (_per_node("ctrl{node}.revalidations"),),
+    ),
+    MetricSpec(
+        "repro_validate_reuse_distance", HISTOGRAM,
+        "Cycles from revalidation to next local touch",
+        (_per_node("ctrl{node}.validate_reuse_distance"),),
+    ),
+    MetricSpec(
+        "repro_predictor_ts_detects_total", COUNTER,
+        "Temporal-silence detections observed by the predictor",
+        (_per_node("ctrl{node}.predictor.ts_detects"),),
+    ),
+    MetricSpec(
+        "repro_predictor_decisions_total", COUNTER,
+        "Predictor validate decisions at TS detect", (
+            _per_node("ctrl{node}.predictor.validates_sent", decision="send"),
+            _per_node("ctrl{node}.predictor.validates_suppressed", decision="suppress"),
+        ),
+    ),
+    MetricSpec(
+        "repro_predictor_transitions_total", COUNTER,
+        "Predictor confidence transitions by cause", (
+            _per_node("ctrl{node}.predictor.useful_by_external_req",
+                      cause="external_request"),
+            _per_node("ctrl{node}.predictor.useful_by_snoop_response",
+                      cause="useful_snoop"),
+            _per_node("ctrl{node}.predictor.useless_by_snoop_response",
+                      cause="useless_snoop"),
+        ),
+    ),
+    MetricSpec(
+        "repro_lvp_predictions_total", COUNTER,
+        "Speculative value deliveries from stale lines",
+        (_per_node("node{node}.lvp.predictions"),),
+    ),
+    MetricSpec(
+        "repro_lvp_resolutions_total", COUNTER,
+        "LVP speculative deliveries by resolution outcome", (
+            _per_node("node{node}.lvp.correct", outcome="verified"),
+            _per_node("node{node}.lvp.mispredictions", outcome="squashed"),
+        ),
+    ),
+    MetricSpec(
+        "repro_sle_candidates_total", COUNTER, "Elidable lock-acquire candidates",
+        (_per_node("sle{node}.candidates"),),
+    ),
+    MetricSpec(
+        "repro_sle_confidence_filtered_total", COUNTER,
+        "Candidates skipped by the elision confidence filter",
+        (_per_node("sle{node}.filtered_by_confidence"),),
+    ),
+    MetricSpec(
+        "repro_sle_attempts_total", COUNTER, "Elision attempts started",
+        (_per_node("sle{node}.attempts"),),
+    ),
+    MetricSpec(
+        "repro_sle_commits_total", COUNTER, "Elided regions committed atomically",
+        (_per_node("sle{node}.successes"),),
+    ),
+    MetricSpec("repro_sle_aborts_total", COUNTER, "Elision aborts by reason", (
+        _per_node("sle{node}.failure.no_release", reason="no_release"),
+        _per_node("sle{node}.failure.conflict", reason="conflict"),
+        _per_node("sle{node}.failure.serialize", reason="serialize"),
+        _per_node("sle{node}.failure.nested", reason="nested"),
+    )),
+    MetricSpec(
+        "repro_sle_restarts_total", COUNTER, "Conflict-aborted regions re-elided",
+        (_per_node("sle{node}.restarts"),),
+    ),
+    MetricSpec(
+        "repro_sle_fallbacks_total", COUNTER,
+        "Elisions abandoned for a real lock acquisition",
+        (_per_node("sle{node}.fallback_acquisitions"),),
+    ),
+    MetricSpec("repro_run_cycles", GAUGE, "Simulated cycles", (({}, "run.cycles"),)),
+    MetricSpec("repro_run_committed", GAUGE, "Committed micro-ops", (({}, "run.committed"),)),
+    MetricSpec("repro_run_ipc", GAUGE, "Committed micro-ops per cycle", (({}, "run.ipc"),)),
+    MetricSpec("repro_run_events", GAUGE, "Scheduler events fired", (({}, "run.events"),)),
+)
 
-    Deliberately *not* a :class:`MetricsRegistry` subclass (same
-    pattern as ``NULL_TRACER``): components hold whichever object they
-    were given and never branch.  Crucially, :meth:`bound_counter`
-    still returns a live stats :class:`CounterHandle` — figures depend
-    on the stats counters, which must be counted with metrics off.
+
+def run_metrics(stats: StatsRegistry, config: "MachineConfig") -> MetricsRegistry:
+    """The :data:`RUN_METRICS` view of one finished run's ``stats``.
+
+    Counter series carry the stats value (``0.0`` for a declared
+    counter nothing incremented); histogram series share the stats
+    :class:`~repro.common.stats.Histogram` objects; the ``repro_run_*``
+    gauges read the ``run.*`` summary the system records at the end.
     """
-
-    __slots__ = ()
-
-    def counter(self, name: str, help: str = "",  # noqa: A002
-                labels: Iterable[str] = ()) -> _NullFamily:
-        """Return the shared no-op family."""
-        return _NULL_FAMILY
-
-    def gauge(self, name: str, help: str = "",  # noqa: A002
-              labels: Iterable[str] = ()) -> _NullFamily:
-        """Return the shared no-op family."""
-        return _NULL_FAMILY
-
-    def histogram(self, name: str, help: str = "",  # noqa: A002
-                  labels: Iterable[str] = (),
-                  bounds: Iterable[float] | None = None) -> _NullFamily:
-        """Return the shared no-op family."""
-        return _NULL_FAMILY
-
-    def bound_counter(self, stats: "ScopedStats", stat_name: str, name: str,
-                      help: str = "", **labels) -> CounterHandle:  # noqa: A002
-        """Return a stats-only handle — the counter is still counted."""
-        return stats.counter(stat_name)
-
-    def bind_histogram(self, hist: Histogram, name: str, help: str = "",  # noqa: A002
-                       **labels) -> Histogram:
-        """Return ``hist`` unchanged — nothing is exported."""
-        return hist
-
-
-_NULL_SERIES = _NullSeries()
-_NULL_FAMILY = _NullFamily()
-
-#: Shared no-op registry; the default for every component.
-NULL_METRICS = _NullMetrics()
+    registry = MetricsRegistry()
+    network = config.interconnect.value
+    for spec in RUN_METRICS:
+        for labels, key in spec.series:
+            nodes = range(config.n_procs) if "{node}" in key else (None,)
+            for node in nodes:
+                stat = key.format(node=node)
+                values = {
+                    k: v.format(node=node, network=network) for k, v in labels.items()
+                }
+                if spec.kind == HISTOGRAM:
+                    hist = stats.get_histogram(stat)
+                    if hist is not None:
+                        family = registry.histogram(spec.name, spec.help, tuple(values))
+                        family.attach(hist, **values)
+                elif spec.kind == GAUGE:
+                    family = registry.gauge(spec.name, spec.help, tuple(values))
+                    family.labels(**values).set(stats.get(stat, 0.0))
+                elif stats.declared(stat):
+                    family = registry.counter(spec.name, spec.help, tuple(values))
+                    family.labels(**values).inc(stats.get(stat, 0.0))
+    return registry

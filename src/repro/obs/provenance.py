@@ -34,9 +34,10 @@ Miss provenance classes (:data:`MISS_CLASSES`):
 Validate accounting distinguishes *reinstalling* broadcasts (at least
 one remote T copy was re-installed — the paper's useful validates)
 from *inert* ones, and reconciles the trace-side totals exactly
-against the :class:`~repro.obs.metrics.MetricsRegistry` counters: both
-sides are incremented by the same code paths, so any mismatch is an
-instrumentation bug, not noise.
+against the run's exported counters (``RunResult.metrics``, a
+:class:`~repro.obs.metrics.MetricsRegistry`): both sides come from
+the same code paths, so any mismatch is an instrumentation bug, not
+noise.
 """
 
 from __future__ import annotations
@@ -367,11 +368,12 @@ def _metric_sum(metrics, name: str, **match) -> float:
 
 
 def reconcile(report: ProvenanceReport, metrics) -> list[dict]:
-    """Check the trace-derived totals against the metrics registry.
+    """Check the trace-derived totals against a run's ``metrics``.
 
     Both sides are produced by the same increments (the tracer emit
-    and the mirrored counter sit on the same code path), so every row
-    must match *exactly*; a mismatch is an instrumentation bug.
+    and the stats counter the export reads sit on the same code path),
+    so every row must match *exactly*; a mismatch is an
+    instrumentation bug.
     Returns one row per checked quantity:
     ``{"name", "trace", "counter", "ok"}``.
     """

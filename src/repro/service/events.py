@@ -27,7 +27,7 @@ from collections import defaultdict, deque
 from dataclasses import dataclass
 from typing import Any, Callable
 
-from repro.obs.metrics import NULL_METRICS
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import NULL_TRACER
 
 #: Ring cap on the in-memory global log: only the newest this-many
@@ -111,8 +111,9 @@ EVENT_NAMES = frozenset(EVENT_SPECS)
 class EventLog:
     """Ordered, validated, observable log of service events.
 
-    ``metrics`` and ``tracer`` default to the no-op singletons, so the
-    log costs nothing extra unless observability is attached.
+    ``metrics`` defaults to a private :class:`MetricsRegistry` and
+    ``tracer`` to the no-op singleton, so a log built without
+    observability attached still counts its events.
     Subscribers (see :meth:`subscribe`) are called synchronously after
     each append — the API layer uses this to wake NDJSON streams.
 
@@ -138,13 +139,14 @@ class EventLog:
 
     def __init__(
         self,
-        metrics=NULL_METRICS,
+        metrics: MetricsRegistry | None = None,
         tracer=NULL_TRACER,
         max_records: int | None = DEFAULT_MAX_RECORDS,
         retain_terminal: int | None = DEFAULT_RETAIN_TERMINAL,
         on_drop: Callable[[int], None] | None = None,
     ):
-        self._metrics = metrics
+        if metrics is None:
+            metrics = MetricsRegistry()
         self._tracer = tracer
         self._counter = metrics.counter(
             "repro_service_events_total",

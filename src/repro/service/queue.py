@@ -59,7 +59,7 @@ from repro.common.errors import ConfigError
 from repro.experiments.runner import cell_config, cell_fingerprint
 from repro.experiments.store import atomic_write
 from repro.obs.jobtrace import JobTraceStore
-from repro.obs.metrics import NULL_METRICS
+from repro.obs.metrics import MetricsRegistry
 from repro.system.techniques import ALL_TECHNIQUES
 from repro.workloads.registry import BENCHMARKS, EXTRA_BENCHMARKS
 
@@ -270,7 +270,7 @@ class JobQueue:
         lease_ttl: float = DEFAULT_LEASE_TTL,
         max_retries: int = DEFAULT_MAX_RETRIES,
         traces: JobTraceStore | None = None,
-        metrics=NULL_METRICS,
+        metrics: MetricsRegistry | None = None,
     ):
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
@@ -279,7 +279,7 @@ class JobQueue:
         self.lease_ttl = lease_ttl
         self.max_retries = max_retries
         self.traces = traces if traces is not None else JobTraceStore()
-        self._lease_hist = metrics.histogram(
+        self._lease_hist = (metrics or MetricsRegistry()).histogram(
             "repro_service_lease_latency_seconds",
             "queued -> leased wait per cell",
             bounds=LEASE_LATENCY_BOUNDS,

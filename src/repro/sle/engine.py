@@ -42,7 +42,6 @@ from repro.coherence.messages import BusTransaction, TxnKind
 from repro.cpu.core import Core, Phase, WinOp
 from repro.cpu.isa import OpKind
 from repro.memory.hierarchy import NodeMemory
-from repro.obs.metrics import NULL_METRICS
 from repro.obs.tracer import NULL_TRACER
 from repro.sle.confidence import ElisionConfidence
 from repro.sle.idiom import IdiomTracker
@@ -72,7 +71,6 @@ class SLEEngine:
         scheduler: Scheduler,
         stats: ScopedStats,
         tracer=NULL_TRACER,
-        metrics=NULL_METRICS,
     ):
         self.config = config
         self.core = core
@@ -80,47 +78,15 @@ class SLEEngine:
         self.scheduler = scheduler
         self.stats = stats
         self.tracer = tracer
-        node_id = core.core_id
-        self._m_candidates = metrics.bound_counter(
-            stats, "candidates",
-            "repro_sle_candidates_total", "Elidable lock-acquire candidates",
-            node=node_id,
-        )
-        self._m_filtered = metrics.bound_counter(
-            stats, "filtered_by_confidence",
-            "repro_sle_confidence_filtered_total",
-            "Candidates skipped by the elision confidence filter",
-            node=node_id,
-        )
-        self._m_attempts = metrics.bound_counter(
-            stats, "attempts",
-            "repro_sle_attempts_total", "Elision attempts started",
-            node=node_id,
-        )
-        self._m_commits = metrics.bound_counter(
-            stats, "successes",
-            "repro_sle_commits_total", "Elided regions committed atomically",
-            node=node_id,
-        )
+        self._m_candidates = stats.counter("candidates")
+        self._m_filtered = stats.counter("filtered_by_confidence")
+        self._m_attempts = stats.counter("attempts")
+        self._m_commits = stats.counter("successes")
         self._m_aborts = {
-            reason: metrics.bound_counter(
-                stats, f"failure.{reason}",
-                "repro_sle_aborts_total", "Elision aborts by reason",
-                node=node_id, reason=reason,
-            )
-            for reason in ABORT_REASONS
+            reason: stats.counter(f"failure.{reason}") for reason in ABORT_REASONS
         }
-        self._m_restarts = metrics.bound_counter(
-            stats, "restarts",
-            "repro_sle_restarts_total", "Conflict-aborted regions re-elided",
-            node=node_id,
-        )
-        self._m_fallbacks = metrics.bound_counter(
-            stats, "fallback_acquisitions",
-            "repro_sle_fallbacks_total",
-            "Elisions abandoned for a real lock acquisition",
-            node=node_id,
-        )
+        self._m_restarts = stats.counter("restarts")
+        self._m_fallbacks = stats.counter("fallback_acquisitions")
         self.confidence = ElisionConfidence(config.sle, stats)
         self.idiom = IdiomTracker()
         self.max_region = max(4, int(config.sle.rob_threshold * config.core.rob_size))

@@ -4,7 +4,8 @@
 :class:`~repro.common.config.MachineConfig` and a workload (anything
 providing ``build_programs``), runs it to completion, and returns a
 :class:`RunResult` with the runtime, the merged statistics registry,
-and derived metrics (IPC, transaction counts, miss classes).
+and derived metrics (IPC, transaction counts, miss classes, and the
+labelled export of the statistics, :attr:`RunResult.metrics`).
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from repro.coherence.validation import CoherenceChecker
 from repro.cpu.core import Core
 from repro.memory.hierarchy import NodeMemory
 from repro.memory.mainmem import MainMemory
-from repro.obs.metrics import NULL_METRICS, MetricsRegistry
+from repro.obs.metrics import MetricsRegistry, run_metrics
 from repro.obs.profiler import Heartbeat
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.sle.engine import SLEEngine
@@ -38,7 +39,11 @@ class RunResult:
     committed: int
     stats: StatsRegistry
     config: MachineConfig = field(repr=False, default=None)
-    metrics: MetricsRegistry | None = field(repr=False, default=None)
+
+    @property
+    def metrics(self) -> MetricsRegistry:
+        """The labelled paper metrics, read from :attr:`stats` (a new view per call)."""
+        return run_metrics(self.stats, self.config)
 
     @property
     def ipc(self) -> float:
@@ -83,7 +88,6 @@ class System:
         seed: int | str = 0,
         tracer: Tracer | None = None,
         check_invariants: bool = False,
-        metrics: MetricsRegistry | None = None,
     ):
         config.validate()
         self.config = config
@@ -91,9 +95,6 @@ class System:
         self.rng = SplitRng(seed)
         self.scheduler = Scheduler()
         self.stats = StatsRegistry()
-        # Metrics default to the process-wide no-op object, which still
-        # routes bound counters into the stats registry.
-        self.metrics = metrics if metrics is not None else NULL_METRICS
         # Tracing defaults to the process-wide no-op object; a real
         # Tracer is bound to this system's cycle clock.
         if tracer is None:
@@ -111,7 +112,6 @@ class System:
                 jitter=config.latency_jitter,
                 rng=self.rng.split("bus"),
                 tracer=self.tracer,
-                metrics=self.metrics,
             )
         else:
             self.bus = SnoopBus(
@@ -122,11 +122,8 @@ class System:
                 jitter=config.latency_jitter,
                 rng=self.rng.split("bus"),
                 tracer=self.tracer,
-                metrics=self.metrics,
             )
-        self.classifier = MissClassifier(
-            self.stats.scoped("misses"), config.n_procs, metrics=self.metrics
-        )
+        self.classifier = MissClassifier(self.stats.scoped("misses"), config.n_procs)
         programs = workload.build_programs(config, self.rng.split("workload"))
         if len(programs) != config.n_procs:
             raise DeadlockError(
@@ -142,12 +139,11 @@ class System:
             ctrl = CoherenceController(
                 i, config, self.bus, self.memory,
                 self.stats.scoped(f"ctrl{i}"), tracer=self.tracer,
-                metrics=self.metrics,
             )
             node = NodeMemory(
                 i, config, self.scheduler, ctrl,
                 self.stats.scoped(f"node{i}"), classifier=self.classifier,
-                tracer=self.tracer, metrics=self.metrics,
+                tracer=self.tracer,
             )
             core = Core(
                 i, config, self.scheduler, node, programs[i],
@@ -157,7 +153,6 @@ class System:
                 engine = SLEEngine(
                     config, core, node, self.scheduler,
                     self.stats.scoped(f"sle{i}"), tracer=self.tracer,
-                    metrics=self.metrics,
                 )
                 self.engines.append(engine)
             self.controllers.append(ctrl)
@@ -229,7 +224,6 @@ class System:
         return RunResult(
             cycles=cycles, committed=committed, stats=self.stats,
             config=self.config,
-            metrics=self.metrics if self.metrics is not NULL_METRICS else None,
         )
 
     def _progress(self) -> dict:
@@ -249,17 +243,6 @@ class System:
             self.stats.set("run.ipc", committed / cycles)
         if self.checker is not None:
             self.stats.set("run.invariant_checks", self.checker.checks)
-        metrics = self.metrics
-        metrics.gauge("repro_run_cycles", "Simulated cycles").labels().set(cycles)
-        metrics.gauge(
-            "repro_run_committed", "Committed micro-ops"
-        ).labels().set(committed)
-        metrics.gauge("repro_run_ipc", "Committed micro-ops per cycle").labels().set(
-            committed / cycles if cycles else 0.0
-        )
-        metrics.gauge("repro_run_events", "Scheduler events fired").labels().set(
-            self.scheduler.events_fired
-        )
 
 
 def run_workload(

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from repro.common.stats import Histogram, StatsRegistry, Timer
+from repro.common.stats import Histogram, StatsRegistry
 
 
 def test_add_and_get():
@@ -24,15 +24,6 @@ def test_set_overrides():
     assert s["x"] == 1
 
 
-def test_prefix_queries():
-    s = StatsRegistry()
-    s.add("bus.txn.read", 3)
-    s.add("bus.txn.readx", 2)
-    s.add("core.commits", 7)
-    assert s.sum_prefix("bus.txn.") == 5
-    assert set(s.with_prefix("bus.")) == {"bus.txn.read", "bus.txn.readx"}
-
-
 def test_scoped_view_prepends_prefix():
     s = StatsRegistry()
     scope = s.scoped("node3")
@@ -48,24 +39,26 @@ def test_nested_scopes():
     assert s["a.b.c"] == 1
 
 
-def test_merge_adds_counters():
-    a, b = StatsRegistry(), StatsRegistry()
-    a.add("x", 1)
-    b.add("x", 2)
-    b.add("y", 3)
-    a.merge(b)
-    assert a["x"] == 3
-    assert a["y"] == 3
-
-
-def test_snapshot_and_diff():
+def test_snapshot_is_a_copy():
     s = StatsRegistry()
     s.add("x", 5)
     snap = s.snapshot()
     s.add("x", 2)
-    s.add("y", 1)
-    delta = s.diff(snap)
-    assert delta == {"x": 2, "y": 1}
+    assert snap == {"x": 5}
+    assert s["x"] == 7
+
+
+def test_counter_handle_declares_without_creating():
+    s = StatsRegistry()
+    handle = s.scoped("ctrl0").counter("ts_stores")
+    assert s.declared("ctrl0.ts_stores")
+    assert not s.declared("ctrl1.ts_stores")
+    # Declared but untouched: absent from the counters, reads int 0.
+    assert "ctrl0.ts_stores" not in s
+    assert repr(s.get("ctrl0.ts_stores")) == "0"
+    handle.inc(3)
+    assert s["ctrl0.ts_stores"] == 3
+    assert handle.name == "ctrl0.ts_stores" and handle.value == 3
 
 
 def test_items_sorted():
@@ -82,7 +75,7 @@ def test_contains_and_iter():
     assert "other" not in s
     assert list(iter(s)) == ["k"]
 
-# -- histograms and timers ------------------------------------------------
+# -- histograms -----------------------------------------------------------
 
 
 def test_histogram_basic_moments():
@@ -162,16 +155,6 @@ def test_histogram_summary_json_safe():
     assert summary["count"] == 1 and summary["p50"] == 3
 
 
-def test_timer_records_spans():
-    t = Timer()
-    with t.time():
-        pass
-    t.record_seconds(0.002)
-    assert t.count == 2
-    assert t.total_seconds >= 0.002
-    assert t.summary()["count"] == 2
-
-
 def test_registry_histogram_get_or_create():
     s = StatsRegistry()
     h1 = s.histogram("miss_latency")
@@ -193,31 +176,10 @@ def test_registry_merged_histogram_by_suffix():
     assert merged.total == 60
 
 
-def test_registry_merge_includes_histograms():
-    a, b = StatsRegistry(), StatsRegistry()
-    a.histogram("h").record(1)
-    b.histogram("h").record(2)
-    b.histogram("only_b").record(3)
-    a.merge(b)
-    assert a.get_histogram("h").count == 2
-    assert a.get_histogram("only_b").count == 1
-
-
-def test_registry_timer_get_or_create():
+def test_scoped_histogram_prefixed():
     s = StatsRegistry()
-    t = s.timer("save")
-    assert s.timer("save") is t
-    t.record_seconds(0.001)
-    assert [name for name, _ in s.timer_items()] == ["save"]
-
-
-def test_scoped_histogram_and_timer_prefixed():
-    s = StatsRegistry()
-    scope = s.scoped("node2")
-    scope.histogram("miss_latency").record(5)
-    scope.timer("fill").record_seconds(0.001)
+    s.scoped("node2").histogram("miss_latency").record(5)
     assert s.get_histogram("node2.miss_latency").count == 1
-    assert [name for name, _ in s.timer_items()] == ["node2.fill"]
 
 
 def test_nested_scoped_histogram_prefixing():

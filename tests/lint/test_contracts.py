@@ -183,3 +183,14 @@ def test_sl205_passes_read_of_declared_metric_family(tmp_path):
                 return self.metrics.get("repro_cells_total")
     """)
     assert _lint(tmp_path, "SL205").clean
+
+
+def test_sl205_passes_read_of_run_export_family(tmp_path):
+    # Families of the run export table are declared by the table
+    # itself, not by a counter()/gauge()/histogram() call.
+    _write(tmp_path, "analysis/mod.py", """
+        def silent_stores(result):
+            metrics = result.metrics
+            return metrics.total("repro_ts_stores_total")
+    """)
+    assert _lint(tmp_path, "SL205").clean

@@ -111,7 +111,7 @@ def test_unknown_rule_id_raises():
 def test_rule_registry_is_stable():
     """The documented rule set: AST + whole-program + audit rules."""
     assert sorted(ALL_RULES) == [
-        "SL001", "SL002", "SL003", "SL004", "SL005", "SL006", "SL007",
+        "SL001", "SL002", "SL003", "SL004", "SL005", "SL006",
         "SL008", "SL009",
         "SL101", "SL102", "SL103", "SL104",
         "SL201", "SL202", "SL203", "SL204", "SL205",
@@ -144,12 +144,11 @@ def test_json_schema(tmp_path):
         assert len(finding["fingerprint"]) == 16
 
 
-def test_json_schema_with_audit():
+def test_json_schema_with_audit(shipped_tree_lint):
     """With the audit layer on, the document grows an 'audit' section."""
     from repro.lint.report import render_json
 
-    result = run_lint(audit=True)
-    doc = json.loads(render_json(result, audit=True))
+    doc = json.loads(render_json(shipped_tree_lint, audit=True))
     audit = doc["audit"]
     assert {a["protocol"] for a in audit["protocols"]} == {
         "MESI", "MOESI", "MESTI", "E-MOESTI",

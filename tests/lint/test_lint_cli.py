@@ -9,11 +9,27 @@ from repro.cli import main
 BAD_SOURCE = '"""Fixture."""\nimport random\n\n\ndef roll():\n    return random.random()\n'
 
 
-def test_lint_clean_tree_exits_zero(capsys):
+def test_lint_clean_tree_exits_zero(capsys, monkeypatch, shipped_tree_lint):
     """The shipped tree lints clean with the committed baseline."""
+    import repro.lint
+    from repro.lint import Baseline
+
+    # The session's shared whole-tree lint stands in for the CLI's own
+    # run; the CLI must have asked for exactly that lint.
+    calls = []
+
+    def shared_lint(**kwargs):
+        calls.append(kwargs)
+        return shipped_tree_lint
+
+    monkeypatch.setattr(repro.lint, "run_lint", shared_lint)
     assert main(["lint"]) == 0
     out = capsys.readouterr().out
     assert "simlint: clean" in out
+    (kwargs,) = calls
+    assert kwargs["paths"] is None and kwargs["rules"] is None
+    assert kwargs["audit"] is True
+    assert kwargs["baseline"].entries == Baseline.load(Baseline.default_path()).entries
 
 
 def test_lint_violation_exits_one(tmp_path, capsys):

@@ -1,29 +1,33 @@
-"""The metrics registry: families, labels, exports, and parity.
+"""The metrics registry: families, labels, exports, and the run view.
 
 The load-bearing contracts:
 
-* ``bound_counter`` keeps the legacy stats counter and the metric
-  series in lockstep (parity by construction), and ``NULL_METRICS``
-  still counts the stats side;
-* a metrics-enabled run exports the paper-level counters as named
-  series whose totals equal the ``summarize()`` fields the figures
-  read;
-* enabling metrics does not perturb the simulation (identical stats
-  snapshot with metrics on and off).
+* :func:`run_metrics` reads every series from the stats key
+  :data:`RUN_METRICS` names, so a run's export and the ``summarize()``
+  fields the figures read come from one store;
+* the view exports exactly the series the components declared: a
+  counter handle nothing incremented is exported at zero without
+  creating its stats key, and a component that was never built
+  (SLE off) exports no family;
+* every stats key in the table is one a full run declares, so a
+  renamed counter cannot silently drop out of the export.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
 
-from repro.common.stats import CounterHandle, Histogram, StatsRegistry
+from repro.common.config import InterconnectKind, scaled_config
+from repro.common.stats import StatsRegistry
 from repro.obs.metrics import (
-    NULL_METRICS,
+    COUNTER,
+    HISTOGRAM,
+    RUN_METRICS,
     MetricsRegistry,
-    MirroredCounter,
-    _NullMetrics,
+    run_metrics,
 )
 
 
@@ -83,46 +87,81 @@ class TestRegistry:
         assert m.get("repro_x_total", node=9) == 0.0
 
 
-class TestMirroredCounter:
-    def test_parity_with_stats(self):
-        registry = StatsRegistry()
-        stats = registry.scoped("ctrl0")
-        m = MetricsRegistry()
-        handle = m.bound_counter(
-            stats, "ts_stores", "repro_ts_stores_total", "TS stores", node=0
-        )
-        assert isinstance(handle, MirroredCounter)
+class TestRunView:
+    """run_metrics on hand-built stats: which series exist, what they read."""
+
+    def view(self, stats, **config):
+        return run_metrics(stats, dataclasses.replace(scaled_config(n_procs=2), **config))
+
+    def test_counter_series_reads_stats_value(self):
+        stats = StatsRegistry()
+        handle = stats.scoped("ctrl0").counter("ts_stores")
         handle.inc()
         handle.inc(4)
-        assert stats.get("ts_stores") == 5
-        assert m.get("repro_ts_stores_total", node=0) == 5
-        assert handle.value == 5
-        assert handle.name == "ctrl0.ts_stores"
+        view = self.view(stats)
+        assert stats.get("ctrl0.ts_stores") == 5
+        assert view.get("repro_ts_stores_total", node=0) == 5
+        assert view.total("repro_ts_stores_total") == 5
 
-    def test_null_metrics_still_counts_stats(self):
-        registry = StatsRegistry()
-        stats = registry.scoped("ctrl0")
-        handle = NULL_METRICS.bound_counter(
-            stats, "ts_stores", "repro_ts_stores_total", node=0
-        )
-        assert isinstance(handle, CounterHandle)
-        handle.inc(3)
-        assert stats.get("ts_stores") == 3
+    def test_declared_counter_is_exported_at_zero(self):
+        stats = StatsRegistry()
+        stats.scoped("ctrl1").counter("ts_stores")
+        series = [
+            e for e in self.view(stats).to_json()["series"]
+            if e["name"] == "repro_ts_stores_total"
+        ]
+        assert series == [{
+            "name": "repro_ts_stores_total", "kind": "counter",
+            "help": "Temporally silent stores detected",
+            "labels": {"node": "1"}, "value": 0.0,
+        }]
+        # The key is not created: an untouched counter still reads int 0.
+        assert "ctrl1.ts_stores" not in stats
+        assert repr(stats.get("ctrl1.ts_stores")) == "0"
 
+    def test_undeclared_components_export_no_family(self):
+        names = {f.name for f in self.view(StatsRegistry()).families()}
+        assert names == {
+            "repro_run_cycles", "repro_run_committed", "repro_run_ipc",
+            "repro_run_events",
+        }
 
-class TestHistogramBinding:
-    def test_bind_exports_existing_histogram(self):
-        m = MetricsRegistry()
-        hist = Histogram()
-        bound = m.bind_histogram(hist, "repro_lat_cycles", "Latency", node=0)
-        assert bound is hist  # same object: no double recording
+    def test_histograms_are_the_stats_objects(self):
+        stats = StatsRegistry()
+        hist = stats.scoped("node0").histogram("miss_latency")
         hist.record(8)
         hist.record(100)
-        doc = m.to_json()
-        (entry,) = doc["series"]
-        assert entry["name"] == "repro_lat_cycles"
+        view = self.view(stats)
+        (entry,) = [
+            e for e in view.to_json()["series"]
+            if e["name"] == "repro_miss_latency_cycles"
+        ]
         assert entry["labels"] == {"node": "0"}
         assert entry["histogram"]["count"] == 2
+        hist.record(5)  # shared, not copied
+        (entry,) = [
+            e for e in view.to_json()["series"]
+            if e["name"] == "repro_miss_latency_cycles"
+        ]
+        assert entry["histogram"]["count"] == 3
+
+    def test_network_label_is_the_interconnect(self):
+        stats = StatsRegistry()
+        stats.scoped("bus").histogram("queue_depth").record(1)
+        view = self.view(stats, interconnect=InterconnectKind.DIRECTORY)
+        text = view.to_prometheus()
+        assert 'repro_bus_queue_depth_count{network="directory"} 1' in text
+
+    def test_run_gauges_read_the_run_summary(self):
+        stats = StatsRegistry()
+        stats.set("run.cycles", 200)
+        stats.set("run.committed", 150)
+        stats.set("run.events", 999)
+        view = self.view(stats)
+        assert view.get("repro_run_cycles") == 200
+        assert view.get("repro_run_committed") == 150
+        assert view.get("repro_run_events") == 999
+        assert view.get("repro_run_ipc") == 0.0  # no run.ipc without cycles
 
 
 class TestExports:
@@ -132,8 +171,7 @@ class TestExports:
         fam.labels(kind="b").inc(2)
         fam.labels(kind="a").inc()
         m.gauge("repro_level").labels().set(7)
-        hist = m.bind_histogram(Histogram(), "repro_lat", "Lat", node=0)
-        hist.record(3, 2)
+        m.histogram("repro_lat", "Lat", labels=("node",)).labels(node=0).record(3, 2)
         return m
 
     def test_to_json_is_sorted_and_diffable(self):
@@ -159,7 +197,7 @@ class TestExports:
 
     def test_prometheus_histogram_buckets_are_cumulative(self):
         m = MetricsRegistry()
-        hist = m.bind_histogram(Histogram(), "repro_lat", node=0)
+        hist = m.histogram("repro_lat", labels=("node",)).labels(node=0)
         for value in (1, 2, 4, 1000):
             hist.record(value)
         text = m.to_prometheus()
@@ -180,40 +218,22 @@ class TestExports:
         assert '{name="he said \\"hi\\"\\\\\\n"}' in text
 
 
-class TestNullMetrics:
-    def test_not_a_registry_subclass(self):
-        assert not isinstance(NULL_METRICS, MetricsRegistry)
-        assert isinstance(NULL_METRICS, _NullMetrics)
-
-    def test_families_are_shared_noops(self):
-        fam = NULL_METRICS.counter("repro_anything_total", labels=("x",))
-        assert fam is NULL_METRICS.gauge("repro_other")
-        series = fam.labels(x=1)
-        series.inc()
-        series.set(9)
-        series.record(3)  # all discarded, nothing raises
-
-    def test_bind_histogram_returns_hist_unchanged(self):
-        hist = Histogram()
-        assert NULL_METRICS.bind_histogram(hist, "repro_lat", node=0) is hist
-
-
-@pytest.fixture(scope="module")
-def instrumented_run():
-    """One small metrics-enabled run plus its summarize() view."""
-    from repro.common.config import scaled_config
-    from repro.experiments.runner import summarize
+def _run(benchmark, technique, scale):
     from repro.system.system import System
     from repro.system.techniques import configure_technique
     from repro.workloads.registry import get_benchmark
 
-    config = configure_technique(scaled_config(), "emesti+lvp")
-    metrics = MetricsRegistry()
-    system = System(
-        config, get_benchmark("radiosity", scale=0.05), seed=1, metrics=metrics
-    )
-    result = system.run()
-    return metrics, summarize(result), result
+    config = configure_technique(scaled_config(), technique)
+    return System(config, get_benchmark(benchmark, scale=scale), seed=1).run()
+
+
+@pytest.fixture(scope="module")
+def instrumented_run():
+    """One small run: its metrics view plus its summarize() view."""
+    from repro.experiments.runner import summarize
+
+    result = _run("radiosity", "emesti+lvp", 0.05)
+    return result.metrics, summarize(result), result
 
 
 class TestRunParity:
@@ -289,21 +309,28 @@ class TestRunParity:
 
     def test_result_carries_registry(self, instrumented_run):
         metrics, _, result = instrumented_run
-        assert result.metrics is metrics
+        again = result.metrics
+        assert isinstance(again, MetricsRegistry)
+        assert again is not metrics  # a fresh view of the same stats
+        assert again.to_json() == metrics.to_json()
 
-    def test_metrics_do_not_perturb_the_simulation(self):
-        from repro.common.config import scaled_config
-        from repro.system.system import System
-        from repro.system.techniques import configure_technique
-        from repro.workloads.registry import get_benchmark
 
-        def snapshot(metrics):
-            config = configure_technique(scaled_config(), "emesti+lvp")
-            system = System(
-                config, get_benchmark("radiosity", scale=0.02), seed=1,
-                metrics=metrics,
-            )
-            system.run()
-            return system.stats.snapshot()
-
-        assert snapshot(None) == snapshot(MetricsRegistry())
+def test_every_table_key_is_declared_by_a_full_run():
+    """Each RUN_METRICS key names a counter handle or histogram that a
+    run with every component built (predictor, LVP, SLE) declares."""
+    result = _run("raytrace", "emesti+lvp+sle", 0.02)
+    stats, n = result.stats, result.config.n_procs
+    missing = []
+    for spec in RUN_METRICS:
+        for _labels, key in spec.series:
+            for node in range(n) if "{node}" in key else (None,):
+                stat = key.format(node=node)
+                if spec.kind == COUNTER:
+                    found = stats.declared(stat)
+                elif spec.kind == HISTOGRAM:
+                    found = stats.get_histogram(stat) is not None
+                else:
+                    found = stat in stats
+                if not found:
+                    missing.append(stat)
+    assert missing == []

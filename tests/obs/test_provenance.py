@@ -23,13 +23,10 @@ from repro.workloads.registry import get_benchmark
 def _traced_run(technique="emesti+lvp", scale=0.2, seed=1, procs=4):
     config = configure_technique(scaled_config(n_procs=procs), technique)
     tracer = Tracer()
-    metrics = MetricsRegistry()
     system = System(
-        config, get_benchmark("locks", scale=scale), seed=seed,
-        tracer=tracer, metrics=metrics,
+        config, get_benchmark("locks", scale=scale), seed=seed, tracer=tracer,
     )
-    system.run()
-    return tracer, metrics
+    return tracer, system.run().metrics
 
 
 @pytest.fixture(scope="module")
