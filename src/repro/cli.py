@@ -90,7 +90,8 @@ def cmd_run(args) -> int:
         print(f"{key.ljust(width)} : {value}")
     if tracer is not None:
         print(f"trace: {len(tracer.events)} events -> {args.trace} "
-              f"({args.trace_format}, {tracer.dropped} filtered)")
+              f"({args.trace_format}, {tracer.filtered} filtered, "
+              f"{tracer.overwritten} overwritten)")
     if args.metrics:
         from pathlib import Path
 

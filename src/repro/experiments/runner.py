@@ -42,7 +42,7 @@ from repro.common.config import MachineConfig, scaled_config
 from repro.experiments.store import ResultStore
 from repro.obs.progress import CellUpdate, MatrixProgress, RunManifest
 from repro.obs.provenance import analyze_events
-from repro.obs.spans import fold_spans
+from repro.obs.spans import CELL_TRACE_ROWS
 from repro.obs.tracer import TraceFilter, Tracer
 from repro.system.system import RunResult, System
 from repro.system.techniques import configure_technique
@@ -244,13 +244,14 @@ def run_cell(
     run — cached and traced results stay comparable.
 
     ``trace`` is the service's distributed-trace context — a plain
-    ``{"trace": id}`` dict (plain data only: it crosses the process-
-    pool boundary).  When set, the run is traced spans-only and the
-    coherence spans come back folded under ``summary["trace"]`` as
-    ``{"trace", "spans", "count", "truncated"}`` (see
-    :func:`repro.obs.spans.fold_spans`); the worker shard pops that
-    key before storing, so stored summaries stay byte-identical to
-    serial runs.
+    ``{"trace": id, "span": cell_run_span}`` dict (plain data only: it
+    crosses the process-pool boundary).  When set, the run is traced
+    spans-only under that context (see :class:`~repro.obs.tracer.Tracer`)
+    and the tracer's span-event rows come back under
+    ``summary["trace"]`` as ``{"rows", "dropped"}``: the newest
+    :data:`~repro.obs.spans.CELL_TRACE_ROWS` rows, and how many rows the
+    tracer's ring overwrote.  The worker shard pops that key before
+    storing, so stored summaries stay byte-identical to serial runs.
     """
     workload = get_benchmark(benchmark, scale=scale)
     start = time.perf_counter()
@@ -259,7 +260,10 @@ def run_cell(
     elif trace is not None:
         # Spans only: the full point-event firehose is provenance's
         # business; trace propagation needs just the causal tree.
-        tracer = Tracer(filter=TraceFilter(kinds=("span",)))
+        tracer = Tracer(
+            filter=TraceFilter(kinds=("span",)), ring=CELL_TRACE_ROWS,
+            context=trace,
+        )
     else:
         tracer = None
     # The simulator allocates heavily but creates almost no cyclic
@@ -280,13 +284,10 @@ def run_cell(
         if gc_was_enabled:
             gc.enable()
     summary = summarize(result, time.perf_counter() - start)
-    if provenance and tracer is not None:
+    if provenance:
         summary["provenance"] = analyze_events(tracer.events).cell_summary()
-    if trace is not None and tracer is not None:
-        summary["trace"] = {
-            "trace": trace.get("trace"),
-            **fold_spans(tracer.events),
-        }
+    elif trace is not None:
+        summary["trace"] = {"rows": tracer.rows(), "dropped": tracer.overwritten}
     # Provenance over the result pipe: which process produced this
     # summary.  Host-dependent, hence in NONDETERMINISTIC_FIELDS.
     summary["worker"] = os.getpid()

@@ -4,6 +4,9 @@
   (JSONL / Chrome trace-event output, per-kind/node/address filtering,
   bounded ring-buffer mode).  :data:`~repro.obs.tracer.NULL_TRACER` is
   the zero-overhead default every component holds when tracing is off.
+* :class:`~repro.obs.ring.Ring` — the one bounded buffer behind every
+  observability ring (tracer, service event log, job traces,
+  telemetry, flight recorder); it counts every row it overwrites.
 * :class:`~repro.obs.metrics.MetricsRegistry` — named, labeled metric
   series (counters, gauges, histograms); exports JSON and Prometheus
   text.  :func:`~repro.obs.metrics.run_metrics` builds one from a
@@ -58,6 +61,7 @@ from repro.obs.report import (
     render_report,
     summarize_trace,
 )
+from repro.obs.ring import Ring
 from repro.obs.spans import SpanRecord, SpanStream, collect_spans
 from repro.obs.tracer import (
     EVENT_KINDS,
@@ -74,6 +78,7 @@ __all__ = [
     "TraceEvent",
     "TraceFilter",
     "Tracer",
+    "Ring",
     "MetricFamily",
     "MetricSpec",
     "MetricsRegistry",

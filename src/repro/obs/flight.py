@@ -1,15 +1,16 @@
 """Service flight recorder: a persisted ring for crash postmortems.
 
 The EventLog and telemetry sampler are in-memory; a killed server
-takes them with it.  The flight recorder buffers the last-N service
-events, telemetry samples, and free-form notes (e.g. the EventLog's
-``events.dropped`` overflow marker) and periodically persists them as
-one JSON document through
+takes them with it.  The flight recorder keeps the last-N service
+events and telemetry samples in two :class:`~repro.obs.ring.Ring`
+buffers and periodically persists them, with each ring's overwrite
+count, as one JSON document through
 :func:`~repro.experiments.store.atomic_write`, so the file on disk is
 always a complete, parseable snapshot — never a torn write.  After
 a crash, ``repro-sim service postmortem PATH`` renders the document:
-the last telemetry sample, the notes, each job's last known state
-reconstructed from its events, and the newest event tail.
+the last telemetry sample, the rings' overwrite counts, each job's
+last known state reconstructed from its events, and the newest event
+tail.
 
 Buffering is deliberately split from flushing: ``record_event`` runs
 inside EventLog subscriber callbacks (sometimes on the event loop),
@@ -25,18 +26,17 @@ from __future__ import annotations
 import json
 import threading
 import time
-from collections import deque
 from pathlib import Path
 from typing import Any
 
 from repro.experiments.store import atomic_write
+from repro.obs.ring import Ring
 
 #: On-disk document format version.
 FLIGHT_FORMAT = 1
 
 DEFAULT_EVENTS = 2048
 DEFAULT_SAMPLES = 256
-DEFAULT_NOTES = 64
 
 #: Terminal job reasons (mirrors the job.completed event contract).
 _TERMINAL = ("done", "failed", "cancelled")
@@ -50,7 +50,6 @@ class FlightRecorder:
         path,
         events: int = DEFAULT_EVENTS,
         samples: int = DEFAULT_SAMPLES,
-        notes: int = DEFAULT_NOTES,
         min_interval: float = 0.25,
         clock=time.perf_counter,
     ):
@@ -58,10 +57,8 @@ class FlightRecorder:
         self.clock = clock
         self.min_interval = min_interval
         self._lock = threading.RLock()
-        self._events: deque[dict[str, Any]] = deque(maxlen=events)
-        self._samples: deque[dict[str, Any]] = deque(maxlen=samples)
-        self._notes: deque[dict[str, Any]] = deque(maxlen=notes)
-        self._recorded = 0
+        self._events: Ring[dict[str, Any]] = Ring(events)
+        self._samples: Ring[dict[str, Any]] = Ring(samples)
         self._dirty = False
         self._last_flush = None
 
@@ -71,7 +68,6 @@ class FlightRecorder:
         """Buffer one EventLog record (an EventLog subscriber)."""
         with self._lock:
             self._events.append(dict(record))
-            self._recorded += 1
             self._dirty = True
 
     def record_sample(self, sample: dict[str, Any]) -> None:
@@ -80,25 +76,26 @@ class FlightRecorder:
             self._samples.append(dict(sample))
             self._dirty = True
 
-    def note(self, message: str, **fields: Any) -> None:
-        """Buffer a free-form annotation (overflow markers, shutdown)."""
-        entry = {"ts": self.clock(), "note": message}
-        entry.update(fields)
+    def dropped(self) -> dict[str, int]:
+        """Rows each ring overwrote: ``{"events", "samples"}``."""
         with self._lock:
-            self._notes.append(entry)
-            self._dirty = True
+            return {
+                "events": self._events.dropped,
+                "samples": self._samples.dropped,
+            }
 
     # -- persistence (file I/O; call from executor threads only) ---------
 
     def snapshot(self) -> dict[str, Any]:
         """The current document (what :meth:`flush` writes)."""
         with self._lock:
+            events = [dict(r) for r in self._events]
             return {
                 "format": FLIGHT_FORMAT,
-                "recorded": self._recorded,
-                "events": [dict(r) for r in self._events],
+                "recorded": len(events) + self._events.dropped,
+                "events": events,
                 "samples": [dict(r) for r in self._samples],
-                "notes": [dict(r) for r in self._notes],
+                "dropped": self.dropped(),
             }
 
     def flush(self, force: bool = False) -> bool:
@@ -150,7 +147,6 @@ def render_postmortem(doc: dict[str, Any], tail: int = 15) -> str:
     """Render a flight-recorder document for the terminal."""
     events = doc.get("events", [])
     samples = doc.get("samples", [])
-    notes = doc.get("notes", [])
     lines = [
         "flight recorder postmortem (format"
         f" {doc.get('format')}, {doc.get('recorded', len(events))} events"
@@ -169,14 +165,12 @@ def render_postmortem(doc: dict[str, Any], tail: int = 15) -> str:
         lines.append(f"last sample : {vitals}")
     else:
         lines.append("last sample : (none recorded)")
-    if notes:
-        lines.append("")
-        lines.append("notes:")
-        for entry in notes:
-            extra = " ".join(
-                f"{k}={v}" for k, v in entry.items() if k not in ("ts", "note")
-            )
-            lines.append(f"  {entry.get('note')}" + (f" ({extra})" if extra else ""))
+    dropped = doc.get("dropped")
+    if dropped is not None:
+        lines.append(
+            "overwrites  : "
+            + " ".join(f"{ring}={n}" for ring, n in dropped.items())
+        )
     jobs = _job_states(events)
     if jobs:
         lines.append("")

@@ -1,22 +1,24 @@
 """Per-job distributed trace store for the simulation service.
 
 The service keeps one bounded span buffer *per job trace* rather than
-one global ring: a large cell folding thousands of coherence spans
-into its job must not evict another job's causal tree.  Spans are
-minted here (service side: ``job``, ``cell.lease``, ``cell.run``,
-``cell.cache_hit`` — see :data:`repro.obs.spans.SERVICE_SPAN_NAMES`)
-or ingested as folded worker payloads (:func:`repro.obs.spans.
-fold_spans` / :func:`~repro.obs.spans.remap_spans`), and exported as
-the same span-event JSONL the tracer writes, so ``repro-sim report``
-(and its ``--chrome`` export) consume a job trace unchanged.
+one global ring: a large cell's thousands of coherence spans must not
+evict another job's causal tree.  Each trace is a
+:class:`~repro.obs.ring.Ring` of span-event rows — the tracer's JSONL
+wire format, so ``repro-sim report`` (and its ``--chrome`` export)
+consume a job trace unchanged.  Service spans are minted here
+(``job``, ``cell.lease``, ``cell.run``, ``cell.cache_hit`` — see
+:data:`repro.obs.spans.SERVICE_SPAN_NAMES`); a worker's spans arrive
+as the rows its tracer wrote under the job's trace context
+(:meth:`JobTraceStore.ingest`), already numbered inside their
+``cell.run`` span's id block and parented under it.
 
 Thread-safety: span ids come from one ``itertools.count`` and every
 buffer mutation happens under one reentrant lock, because the queue
 mints spans from executor threads while the worker shard mints them
 on the event loop.  Two clock domains share a trace: service spans
-are stamped in perf-counter microseconds, ingested worker spans keep
-their simulated-cycle timestamps and carry ``clock: "cycles"`` so
-viewers and reports can tell them apart.
+are stamped in perf-counter microseconds, worker spans keep their
+simulated-cycle timestamps and carry ``clock: "cycles"`` so viewers
+and reports can tell them apart.
 """
 
 from __future__ import annotations
@@ -28,26 +30,19 @@ from collections import OrderedDict
 from itertools import count
 from typing import Any, Iterable
 
+from repro.obs.ring import Ring
+
 #: Traces retained (whole oldest traces are evicted beyond this).
 DEFAULT_MAX_TRACES = 64
 
-#: Span events retained per trace; the excess is counted, not kept.
+#: Span-event rows retained per trace; the ring overwrites the oldest
+#: beyond this and counts them.
 DEFAULT_MAX_EVENTS = 50_000
 
 
 def _microseconds() -> int:
     """Default timestamp: monotonic perf-counter microseconds."""
     return int(time.perf_counter() * 1e6)
-
-
-class _TraceBuf:
-    """One trace's event rows plus overflow accounting."""
-
-    __slots__ = ("rows", "dropped")
-
-    def __init__(self):
-        self.rows: list[dict[str, Any]] = []
-        self.dropped = 0
 
 
 class JobTraceStore:
@@ -63,8 +58,12 @@ class JobTraceStore:
         self.max_events = max_events
         self.clock = clock
         self._lock = threading.RLock()
-        self._traces: OrderedDict[str, _TraceBuf] = OrderedDict()
+        self._traces: OrderedDict[str, Ring[dict[str, Any]]] = OrderedDict()
         self._span_ids = count(1)
+        # Whole traces evicted, and the rows those traces had dropped,
+        # so the store's drop total only ever rises.
+        self._evicted = 0
+        self._evicted_dropped = 0
 
     # -- span minting (service side) -------------------------------------
 
@@ -88,7 +87,8 @@ class JobTraceStore:
         if parent is not None:
             row["parent"] = parent
         row.update(fields)
-        self._append(trace, [row])
+        with self._lock:
+            self._ring(trace).append(row)
         return sid
 
     def span_end(
@@ -107,45 +107,19 @@ class JobTraceStore:
             "span": span,
         }
         row.update(fields)
-        self._append(trace, [row])
-
-    def ingest(self, trace: str, spans: Iterable[dict], truncated: int = 0) -> None:
-        """Add remapped worker spans (see :func:`~repro.obs.spans.remap_spans`).
-
-        Each folded span becomes a begin row (and an end row when the
-        span closed worker-side) stamped ``clock: "cycles"`` — worker
-        timestamps are simulated cycles, not service microseconds.
-        """
-        rows: list[dict[str, Any]] = []
-        for rec in spans:
-            begin: dict[str, Any] = {
-                "ts": rec.get("begin", 0),
-                "kind": "span.begin",
-                "span": rec.get("span"),
-                "name": rec.get("name", "span"),
-                "trace": trace,
-                "clock": "cycles",
-            }
-            if rec.get("node") is not None:
-                begin["node"] = rec["node"]
-            if rec.get("base") is not None:
-                begin["base"] = rec["base"]
-            if rec.get("parent") is not None:
-                begin["parent"] = rec["parent"]
-            begin.update(rec.get("fields") or {})
-            rows.append(begin)
-            if rec.get("end") is not None:
-                rows.append(
-                    {
-                        "ts": rec["end"],
-                        "kind": "span.end",
-                        "span": rec.get("span"),
-                    }
-                )
         with self._lock:
-            self._append(trace, rows)
-            if truncated:
-                self._buf(trace).dropped += truncated
+            self._ring(trace).append(row)
+
+    def ingest(
+        self, trace: str, rows: Iterable[dict[str, Any]], dropped: int = 0,
+    ) -> None:
+        """Append a worker's span-event rows to ``trace`` as they are.
+
+        ``dropped`` is the number of rows the worker's own trace ring
+        overwrote; it counts in the trace's :meth:`dropped`.
+        """
+        with self._lock:
+            self._ring(trace).extend(rows, dropped)
 
     # -- read side -------------------------------------------------------
 
@@ -162,14 +136,14 @@ class JobTraceStore:
     def events(self, trace: str) -> list[dict[str, Any]]:
         """The trace's span-event rows in emission order (copies)."""
         with self._lock:
-            buf = self._traces.get(trace)
-            return [dict(row) for row in buf.rows] if buf else []
+            ring = self._traces.get(trace)
+            return [dict(row) for row in ring] if ring is not None else []
 
     def dropped(self, trace: str) -> int:
-        """Rows lost to the per-trace cap plus worker-side truncation."""
+        """Rows lost to the per-trace cap plus worker-side overwrites."""
         with self._lock:
-            buf = self._traces.get(trace)
-            return buf.dropped if buf else 0
+            ring = self._traces.get(trace)
+            return ring.dropped if ring is not None else 0
 
     def to_jsonl(self, trace: str) -> str:
         """Span-event JSONL (the tracer's wire format) for one trace.
@@ -179,9 +153,9 @@ class JobTraceStore:
         report loader counts the trailer as one skipped line.
         """
         with self._lock:
-            buf = self._traces.get(trace)
-            rows = list(buf.rows) if buf else []
-            dropped = buf.dropped if buf else 0
+            ring = self._traces.get(trace)
+            rows = list(ring) if ring is not None else []
+            dropped = ring.dropped if ring is not None else 0
         lines = [json.dumps(row) for row in rows]
         lines.append(
             json.dumps(
@@ -192,29 +166,31 @@ class JobTraceStore:
         return "\n".join(lines) + "\n"
 
     def stats(self) -> dict[str, Any]:
-        """Occupancy summary for telemetry sampling."""
+        """Occupancy summary for telemetry sampling.
+
+        ``dropped`` counts every row lost since the store was made,
+        evicted traces' included; ``evicted`` counts whole traces
+        evicted beyond ``max_traces``.
+        """
         with self._lock:
+            rings = list(self._traces.values())
             return {
-                "traces": len(self._traces),
-                "events": sum(len(b.rows) for b in self._traces.values()),
-                "dropped": sum(b.dropped for b in self._traces.values()),
+                "traces": len(rings),
+                "events": sum(len(r) for r in rings),
+                "dropped": self._evicted_dropped + sum(r.dropped for r in rings),
+                "evicted": self._evicted,
             }
 
     # -- internals -------------------------------------------------------
 
-    def _buf(self, trace: str) -> _TraceBuf:
-        buf = self._traces.get(trace)
-        if buf is None:
-            buf = self._traces[trace] = _TraceBuf()
+    def _ring(self, trace: str) -> Ring[dict[str, Any]]:
+        """``trace``'s ring, made (evicting the oldest trace) if new;
+        callers hold the lock."""
+        ring = self._traces.get(trace)
+        if ring is None:
+            ring = self._traces[trace] = Ring(self.max_events)
             while len(self._traces) > self.max_traces:
-                self._traces.popitem(last=False)
-        return buf
-
-    def _append(self, trace: str, rows: list[dict[str, Any]]) -> None:
-        with self._lock:
-            buf = self._buf(trace)
-            room = self.max_events - len(buf.rows)
-            if room < len(rows):
-                buf.dropped += len(rows) - max(room, 0)
-                rows = rows[: max(room, 0)]
-            buf.rows.extend(rows)
+                _, old = self._traces.popitem(last=False)
+                self._evicted += 1
+                self._evicted_dropped += old.dropped
+        return ring

@@ -29,7 +29,7 @@ exposition format (``repro-sim run --metrics``).
 from __future__ import annotations
 
 import re
-from typing import TYPE_CHECKING, Iterable, NamedTuple
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple
 
 from repro.common.stats import Histogram, StatsRegistry
 
@@ -77,6 +77,22 @@ class MetricSeries:
         self.value = value
 
 
+class ViewSeries(MetricSeries):
+    """A read-only scalar series whose value is read from its source at
+    export (see :meth:`MetricFamily.view`)."""
+
+    __slots__ = ("read",)
+
+    def __init__(self, labels: dict[str, str], read: Callable[[], float]):
+        self.labels = labels
+        self.read = read
+
+    @property
+    def value(self) -> float:
+        """The source's current value."""
+        return self.read()
+
+
 class HistogramSeries:
     """One labeled child of a histogram family.
 
@@ -117,18 +133,23 @@ class MetricFamily:
         self.bounds = bounds
         self._series: dict[tuple[str, ...], MetricSeries | HistogramSeries] = {}
 
+    def _key(self, labels: dict) -> tuple[str, ...]:
+        """The series key for ``labels``, which must name exactly the
+        family's ``label_names``; values are stringified."""
+        if tuple(sorted(labels)) != tuple(sorted(self.label_names)):
+            raise ValueError(
+                f"metric {self.name!r} takes labels {sorted(self.label_names)}, "
+                f"got {sorted(labels)}"
+            )
+        return tuple(str(labels[name]) for name in self.label_names)
+
     def labels(self, **labels) -> MetricSeries | HistogramSeries:
         """The series for one label-value combination (created on first use).
 
         Label values are stringified; the keyword names must match the
         family's ``label_names`` exactly.
         """
-        if tuple(sorted(labels)) != tuple(sorted(self.label_names)):
-            raise ValueError(
-                f"metric {self.name!r} takes labels {sorted(self.label_names)}, "
-                f"got {sorted(labels)}"
-            )
-        key = tuple(str(labels[name]) for name in self.label_names)
+        key = self._key(labels)
         series = self._series.get(key)
         if series is None:
             label_map = dict(zip(self.label_names, key))
@@ -147,14 +168,20 @@ class MetricFamily:
         """
         if self.kind != HISTOGRAM:
             raise ValueError(f"metric {self.name!r} is not a histogram")
-        if tuple(sorted(labels)) != tuple(sorted(self.label_names)):
-            raise ValueError(
-                f"metric {self.name!r} takes labels {sorted(self.label_names)}, "
-                f"got {sorted(labels)}"
-            )
-        key = tuple(str(labels[name]) for name in self.label_names)
+        key = self._key(labels)
         self._series[key] = HistogramSeries(dict(zip(self.label_names, key)), hist)
         return hist
+
+    def view(self, read: Callable[[], float], **labels) -> None:
+        """Register a scalar series whose value is ``read()`` at export.
+
+        The count stays where it is kept (a ring's overwrite count) and
+        the export reads it, so there is no second copy to keep in step.
+        """
+        if self.kind == HISTOGRAM:
+            raise ValueError(f"metric {self.name!r} is a histogram")
+        key = self._key(labels)
+        self._series[key] = ViewSeries(dict(zip(self.label_names, key)), read)
 
     def series(self) -> Iterable[MetricSeries | HistogramSeries]:
         """All series in deterministic (label-value) order."""

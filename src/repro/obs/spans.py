@@ -52,15 +52,10 @@ SERVICE_SPAN_NAMES = (
     "cell.cache_hit",  # result-store probe satisfied the cell
 )
 
-#: Cap on worker-side spans folded into one cell's trace payload; the
-#: excess is reported in the fold's ``truncated`` count, never silently.
-CELL_SPAN_LIMIT = 20_000
-
-#: Remapped worker span ids start at ``run_span * SPAN_REMAP_STRIDE``;
-#: worker tracers mint small monotonic ids, so a stride of 2**32 keeps
-#: every cell's remapped ids disjoint from each other and from the
-#: service-side id space.
-SPAN_REMAP_STRIDE = 1 << 32
+#: Cap on the span-event rows one cell ships into its job's trace
+#: (20 000 closed spans): the worker's trace ring keeps the newest and
+#: counts the overwritten ones in the trace's ``dropped``.
+CELL_TRACE_ROWS = 40_000
 
 
 @dataclass
@@ -175,65 +170,6 @@ def spans_to_jsonl(events: Iterable) -> str:
         )
     )
     return "\n".join(lines) + "\n"
-
-
-def fold_spans(events: Iterable, limit: int = CELL_SPAN_LIMIT) -> dict:
-    """Fold an event stream into a plain-data span payload.
-
-    The worker side of trace propagation: ``run_cell`` folds its
-    tracer's span events into JSON/pickle-safe dicts that ride back
-    across the process-pool boundary inside the summary.  Ids are the
-    worker tracer's raw ids (remapped service-side by
-    :func:`remap_spans`).  Returns ``{"spans", "count", "truncated"}``
-    where ``count`` is the pre-cap span count and ``truncated`` counts
-    both orphaned ends and spans dropped by ``limit``.
-    """
-    stream = collect_spans(events)
-    kept = stream.spans[:limit]
-    spans = [
-        {
-            "span": rec.span,
-            "name": rec.name,
-            "node": rec.node,
-            "base": rec.base,
-            "begin": rec.begin,
-            "end": rec.end,
-            "parent": rec.parent,
-            "fields": dict(rec.fields),
-        }
-        for rec in kept
-    ]
-    return {
-        "spans": spans,
-        "count": len(stream.spans),
-        "truncated": stream.truncated + (len(stream.spans) - len(kept)),
-    }
-
-
-def remap_spans(
-    spans: Iterable[dict], base: int, parent: int | None, trace: str | None
-) -> list[dict]:
-    """Rebase folded worker spans into the service id space.
-
-    Every id is shifted by ``base`` (``run_span * SPAN_REMAP_STRIDE``);
-    roots — spans with no worker-side parent — are parented under
-    ``parent`` (the service's ``cell.run`` span) and every span is
-    stamped with the job ``trace``, so the worker's coherence spans
-    hang off the submitting job's causal tree with the same trace id
-    on both sides of the pool boundary.
-    """
-    out = []
-    for rec in spans:
-        rec = dict(rec)
-        if rec.get("span") is not None:
-            rec["span"] = base + rec["span"]
-        if rec.get("parent") is not None:
-            rec["parent"] = base + rec["parent"]
-        else:
-            rec["parent"] = parent
-        rec["trace"] = trace
-        out.append(rec)
-    return out
 
 
 def chrome_span_records(event, begun: dict) -> list[dict]:

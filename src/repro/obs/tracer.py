@@ -25,23 +25,31 @@ transaction, a validate episode, an SLE region).  Span ids are minted
 by :meth:`Tracer.span_begin` from a monotonic counter, so they are
 deterministic across runs; :mod:`repro.obs.spans` reconstructs them
 and :mod:`repro.obs.provenance` builds miss/validate attributions on
-top.  A tracer is also a context manager with an ``atexit`` safety
-net: attach a sink path and a crashed or interrupted run still writes
-the partial buffer instead of losing it.
+top.  A tracer opened under the service's trace context numbers its
+spans inside the context span's id block instead, so a worker
+process's span rows join the job's trace as they are (see
+:class:`Tracer`).  A tracer is also a context manager with an
+``atexit`` safety net: attach a sink path and a crashed or
+interrupted run still writes the partial buffer instead of losing it.
 """
 
 from __future__ import annotations
 
 import atexit
 import json
-from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import count
 from typing import Any, Callable, Iterable, Iterator
 
 from repro.common.errors import ConfigError
+from repro.obs.ring import Ring
 from repro.obs.spans import chrome_span_records, collect_spans, spans_to_jsonl
+
+#: Low bits of a span id: span ``s`` owns the id block
+#: ``(s << SPAN_ID_BITS) + 1 ...``, where a tracer opened under ``s``
+#: numbers its spans.  A cell mints far fewer than 2**32 spans.
+SPAN_ID_BITS = 32
 
 #: The closed event taxonomy.  Dotted prefixes group families.
 EVENT_KINDS = frozenset(
@@ -219,7 +227,15 @@ class Tracer:
     ``clock`` supplies the current cycle (bound to the scheduler by
     :meth:`bind_clock` — :class:`repro.system.system.System` does this
     automatically).  ``ring`` bounds the buffer to the most recent N
-    events (long-run flight-recorder mode); unbounded otherwise.
+    events (long-run flight-recorder mode), counting the overwritten
+    ones in :attr:`overwritten`; unbounded otherwise.
+
+    ``context`` is the service's trace context, ``{"trace", "span"}``
+    (the job's trace id and its ``cell.run`` span id).  Under it, span
+    ids number up from ``span``'s id block (``SPAN_ID_BITS``), root
+    spans parent under ``span``, and every ``span.begin`` carries the
+    ``trace`` id and ``clock: "cycles"``, so :meth:`rows` are the
+    job-trace rows the service appends unchanged.
 
     ``path``/``format`` attach a *sink*: the trace is written there by
     :meth:`close` (or the context-manager exit), and — crash safety —
@@ -234,19 +250,22 @@ class Tracer:
         ring: int | None = None,
         path=None,
         format: str = "jsonl",
+        context: dict | None = None,
     ):
         if ring is not None and ring <= 0:
             raise ConfigError(f"trace ring size must be positive, got {ring}")
         self._clock = clock or (lambda: 0)
         self.filter = filter
-        self.ring = ring
-        self._events: deque[TraceEvent] | list[TraceEvent]
-        self._events = deque(maxlen=ring) if ring else []
-        self.dropped = 0  # events rejected by the filter
-        # itertools.count: next() is atomic under the GIL, so span ids
-        # stay unique when the service mints spans from both the event
-        # loop and executor threads.
-        self._span_ids = count(1)
+        self._events: Ring[TraceEvent] = Ring(ring)
+        self.filtered = 0  # events rejected by the filter
+        self._root = None if context is None else context["span"]
+        self._stamp = (
+            {} if context is None
+            else {"trace": context["trace"], "clock": "cycles"}
+        )
+        self._span_ids = count(
+            1 if self._root is None else (self._root << SPAN_ID_BITS) + 1
+        )
         self._sink_path = None
         self._sink_format = "jsonl"
         self._atexit_registered = False
@@ -268,7 +287,7 @@ class Tracer:
         """Record one event (``ts`` overrides the clock, e.g. for
         duration events stamped at their start time)."""
         if self.filter is not None and not self.filter.matches(kind, node, base):
-            self.dropped += 1
+            self.filtered += 1
             return
         self._events.append(
             TraceEvent(
@@ -295,13 +314,16 @@ class Tracer:
 
         Ids come from a per-tracer monotonic counter, so they are
         deterministic and double as creation order.  ``parent`` links
-        this span under another, forming the causal tree.
+        this span under another, forming the causal tree; without one
+        the span is a root (under the trace context's span, if any).
         """
         sid = next(self._span_ids)
+        if parent is None:
+            parent = self._root
         if parent is not None:
             fields["parent"] = parent
         self.emit("span.begin", node=node, base=base, ts=ts, span=sid,
-                  name=name, **fields)
+                  name=name, **fields, **self._stamp)
         return sid
 
     def span_end(
@@ -334,6 +356,11 @@ class Tracer:
             yield sid
         finally:
             self.span_end(sid, node=node, base=base)
+
+    @property
+    def overwritten(self) -> int:
+        """Events the ring buffer overwrote (always 0 without ``ring``)."""
+        return self._events.dropped
 
     @property
     def spans_truncated(self) -> int:
@@ -399,9 +426,13 @@ class Tracer:
 
     # -- serialization ---------------------------------------------------
 
+    def rows(self) -> list[dict[str, Any]]:
+        """The buffered events in their JSONL wire form, oldest first."""
+        return [e.to_dict() for e in self._events]
+
     def to_jsonl(self) -> str:
         """One JSON object per line, in emission order."""
-        return "\n".join(json.dumps(e.to_dict()) for e in self._events)
+        return "\n".join(json.dumps(row) for row in self.rows())
 
     def to_chrome(self) -> dict[str, Any]:
         """The Chrome trace-event format (see :func:`chrome_document`)."""

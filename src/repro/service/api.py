@@ -25,20 +25,22 @@ Routes
     follow a job from the beginning.
 ``GET /jobs/{id}/trace``
     The job's distributed trace as span-event JSONL (service spans
-    plus the remapped worker-side coherence spans) — feed it to
-    ``repro-sim report [--chrome]``.  404 until the trace exists.
+    plus the worker-side coherence spans, in one row format and one
+    id scheme) — feed it to ``repro-sim report [--chrome]``.  404
+    until the trace exists.
 ``GET /results/{fingerprint}``
     The stored cell: ``{fingerprint, benchmark, technique, seed, scale,
     summary}`` for a simulation cell, ``{fingerprint, **report}`` for a
     fuzz cell; 404 if the store holds no whole file for it.
 ``GET /metrics``
     Prometheus text exposition of the service registry (includes
-    ``repro_service_events_total{event=...}`` and the sampled
-    ``repro_service_queue_depth{state=...}`` gauges).
+    ``repro_service_events_total{event=...}``, the sampled
+    ``repro_service_queue_depth{state=...}`` gauges and every ring's
+    ``repro_ring_dropped_total{ring=...}``).
 ``GET /telemetry``
-    The time-series vitals ring (see
-    :mod:`repro.obs.timeseries`) plus an event tail and trace-store
-    occupancy — what ``repro-sim service top`` renders.
+    The time-series vitals ring (:data:`SAMPLE_COLUMNS`) plus an
+    event tail and trace-store occupancy — what ``repro-sim service
+    top`` renders.
 ``GET /healthz``
     Liveness: ``{"ok": true}``.
 """
@@ -54,7 +56,7 @@ from typing import Any
 from repro.obs.flight import FlightRecorder
 from repro.obs.jobtrace import JobTraceStore
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.timeseries import TelemetryStore
+from repro.obs.ring import Ring
 
 from .events import EventLog
 from .queue import JOB_TERMINAL, JobQueue, SpecError
@@ -68,6 +70,30 @@ MAX_BODY = 1 << 20
 #: How many newest EventLog records ``GET /telemetry`` tails.
 TELEMETRY_EVENT_TAIL = 50
 
+#: Telemetry samples retained; at the default 1 s cadence this is
+#: ~12 minutes.
+TELEMETRY_SAMPLES = 720
+
+#: The numeric columns every telemetry sample carries (the
+#: time-series schema; see :meth:`Service._sample_once`).
+SAMPLE_COLUMNS = (
+    "queued",            # cells waiting in the queue
+    "leased",            # cells currently under a worker lease
+    "jobs_active",       # jobs not yet terminal
+    "jobs_done",         # jobs completed with reason=done
+    "jobs_failed",       # jobs completed with reason=failed
+    "jobs_cancelled",    # jobs completed with reason=cancelled
+    "workers",           # worker slots in the shard
+    "busy",              # workers currently simulating
+    "utilization",       # busy / workers
+    "leases",            # cumulative leases granted
+    "lease_wait_avg",    # mean queued->leased latency, seconds
+    "lease_wait_max",    # worst queued->leased latency, seconds
+    "cache_hit_ratio",   # cache_hits / (cache_hits + started)
+    "event_records",     # EventLog ring occupancy
+    "event_dropped",     # cumulative records the ring overwrote
+)
+
 #: Sentinel for "caller did not override the EventLog default".
 _UNSET = object()
 
@@ -79,15 +105,18 @@ class Service:
 
     * one shared :class:`JobTraceStore` — the queue mints ``job`` /
       ``cell.lease`` spans into it from executor threads, the shard
-      mints ``cell.run`` / ``cell.cache_hit`` spans and ingests the
-      worker-side folded coherence spans; ``GET /jobs/{id}/trace``
+      mints ``cell.run`` / ``cell.cache_hit`` spans and appends the
+      worker-side coherence span rows; ``GET /jobs/{id}/trace``
       serves it;
-    * a :class:`TelemetryStore` fed by a background sampler task
-      (:meth:`_telemetry_loop`) that also updates the sampled
-      Prometheus gauges; ``GET /telemetry`` serves it;
+    * a :class:`~repro.obs.ring.Ring` of telemetry samples fed by a
+      background sampler task (:meth:`_telemetry_loop`) that also
+      updates the sampled Prometheus gauges; ``GET /telemetry``
+      serves it;
     * optionally (``flight_path``) a :class:`FlightRecorder`
       subscribed to the event log and flushed every sampler tick, so
-      a killed server leaves a parseable postmortem on disk.
+      a killed server leaves a parseable postmortem on disk;
+    * ``repro_ring_dropped_total{ring=...}`` on ``/metrics``: every
+      ring's overwrite count, read from the rings at export.
 
     ``max_event_records`` / ``retain_terminal`` pass through to the
     :class:`EventLog` ring (tests shrink them to exercise truncation).
@@ -108,7 +137,7 @@ class Service:
         self.root = Path(root)
         self.metrics = metrics or MetricsRegistry()
         self.traces = JobTraceStore()
-        self.telemetry = TelemetryStore()
+        self.telemetry: Ring[dict] = Ring(TELEMETRY_SAMPLES)
         self.telemetry_interval = telemetry_interval
         self.flight = (
             FlightRecorder(flight_path) if flight_path is not None else None
@@ -118,11 +147,7 @@ class Service:
             log_kwargs["max_records"] = max_event_records
         if retain_terminal is not _UNSET:
             log_kwargs["retain_terminal"] = retain_terminal
-        self.events = EventLog(
-            metrics=self.metrics,
-            on_drop=self._note_drop if self.flight is not None else None,
-            **log_kwargs,
-        )
+        self.events = EventLog(metrics=self.metrics, **log_kwargs)
         queue_kwargs = {} if lease_ttl is None else {"lease_ttl": lease_ttl}
         self.queue = JobQueue(
             self.root / "queue", events=self.events,
@@ -157,6 +182,20 @@ class Service:
             "repro_service_cache_hit_ratio",
             "cache hits / (cache hits + started)",
         )
+        rings = self.metrics.counter(
+            "repro_ring_dropped_total",
+            "rows each bounded observability ring overwrote",
+            labels=("ring",),
+        )
+        rings.view(lambda: self.events.dropped, ring="events")
+        rings.view(lambda: self.traces.stats()["dropped"], ring="traces")
+        rings.view(lambda: self.telemetry.dropped, ring="telemetry")
+        if self.flight is not None:
+            for name in ("events", "samples"):
+                rings.view(
+                    lambda name=name: self.flight.dropped()[name],
+                    ring=f"flight.{name}",
+                )
         self._server: asyncio.AbstractServer | None = None
         self._wake = asyncio.Event()
         self._loop: asyncio.AbstractEventLoop | None = None
@@ -164,11 +203,6 @@ class Service:
         self.events.subscribe(lambda _record: self._wake_streams())
         if self.flight is not None:
             self.events.subscribe(self.flight.record_event)
-
-    def _note_drop(self, dropped: int) -> None:
-        """EventLog overflow hook: leave a flight-recorder marker."""
-        if self.flight is not None:
-            self.flight.note("events.dropped", dropped=dropped)
 
     def _wake_streams(self) -> None:
         """Wake every pending event stream after an emit.
@@ -280,7 +314,7 @@ class Service:
         self._busy_gauge.labels().set(busy)
         self._ring_gauge.labels().set(ring["records"])
         self._cache_gauge.labels().set(sample["cache_hit_ratio"])
-        self.telemetry.record(sample)
+        self.telemetry.append(sample)
         if self.flight is not None:
             self.flight.record_sample(sample)
             self.flight.flush()
@@ -537,16 +571,24 @@ class Service:
         )
 
     async def _get_telemetry(self, writer: asyncio.StreamWriter) -> None:
-        """``GET /telemetry``: vitals ring + event tail + trace stats.
+        """``GET /telemetry``: vitals ring + event tail + trace stats
+        (the schema-1 document).
 
         Everything here is lock-serialized in-memory state — no file
         I/O — so, like the event-stream reads, it stays on the loop.
         """
-        doc = self.telemetry.to_json()
-        doc["events"] = self.events.tail(TELEMETRY_EVENT_TAIL)
-        doc["event_ring"] = self.events.occupancy()
-        doc["traces"] = self.traces.stats()
-        await self._respond(writer, 200, doc)
+        samples = list(self.telemetry)
+        await self._respond(writer, 200, {
+            "schema": 1,
+            "capacity": self.telemetry.capacity,
+            "recorded": len(samples) + self.telemetry.dropped,
+            "columns": list(SAMPLE_COLUMNS),
+            "latest": samples[-1] if samples else None,
+            "samples": samples,
+            "events": self.events.tail(TELEMETRY_EVENT_TAIL),
+            "event_ring": self.events.occupancy(),
+            "traces": self.traces.stats(),
+        })
 
     async def _get_result(
         self, fingerprint: str, writer: asyncio.StreamWriter,

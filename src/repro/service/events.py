@@ -11,10 +11,7 @@ carry.  Emission goes through :class:`EventLog`, which
   (``GET /jobs/{id}/events`` streams the latter as NDJSON);
 * increments a ``repro_service_events_total{event=...}`` counter on
   the attached :class:`~repro.obs.metrics.MetricsRegistry` so the
-  Prometheus export shows event rates with zero extra wiring;
-* mirrors the event into an attached
-  :class:`~repro.obs.tracer.Tracer`, so ``repro-sim report`` works on
-  a service event log like on any simulation trace.
+  Prometheus export shows event rates with zero extra wiring.
 
 simlint rule SL009 closes the loop statically: service modules may
 only ``.emit()`` string-literal names declared here.
@@ -28,7 +25,7 @@ from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.tracer import NULL_TRACER
+from repro.obs.ring import Ring
 
 #: Ring cap on the in-memory global log: only the newest this-many
 #: records are retained (the NDJSON dump covers at most this window).
@@ -111,18 +108,20 @@ EVENT_NAMES = frozenset(EVENT_SPECS)
 class EventLog:
     """Ordered, validated, observable log of service events.
 
-    ``metrics`` defaults to a private :class:`MetricsRegistry` and
-    ``tracer`` to the no-op singleton, so a log built without
-    observability attached still counts its events.
+    ``metrics`` defaults to a private :class:`MetricsRegistry`, so a
+    log built without observability attached still counts its events.
     Subscribers (see :meth:`subscribe`) are called synchronously after
     each append — the API layer uses this to wake NDJSON streams.
 
     Memory is bounded for long-running services: the global log keeps
-    only the newest ``max_records`` records (a ring buffer), and the
-    per-job views of jobs long past their ``job.completed`` event are
-    pruned once more than ``retain_terminal`` jobs have finished
-    after them.  Pass ``None`` for either to keep everything (the
-    pure state-machine tests do).
+    only the newest ``max_records`` records (a
+    :class:`~repro.obs.ring.Ring`, whose overwrites are
+    :attr:`dropped` and exported as
+    ``repro_service_events_dropped_total``), and the per-job views of
+    jobs long past their ``job.completed`` event are pruned once more
+    than ``retain_terminal`` jobs have finished after them.  Pass
+    ``None`` for either to keep everything (the pure state-machine
+    tests do).
 
     Thread-safety: the service emits from executor threads (queue and
     store calls are offloaded so their file I/O stays off the event
@@ -132,42 +131,38 @@ class EventLog:
     against a concurrent emitter.
     """
 
-    #: The drop hook fires on the first overwritten record, then every
-    #: this-many drops — one flight-recorder note per episode, not one
-    #: per event at saturation.
-    DROP_NOTE_EVERY = 10_000
-
     def __init__(
         self,
         metrics: MetricsRegistry | None = None,
-        tracer=NULL_TRACER,
         max_records: int | None = DEFAULT_MAX_RECORDS,
         retain_terminal: int | None = DEFAULT_RETAIN_TERMINAL,
-        on_drop: Callable[[int], None] | None = None,
     ):
         if metrics is None:
             metrics = MetricsRegistry()
-        self._tracer = tracer
         self._counter = metrics.counter(
             "repro_service_events_total",
             "service events by declared name", labels=("event",),
         )
-        # .labels() materializes the (unlabeled) series now, so the
-        # Prometheus export shows an explicit 0 before any overwrite.
-        self._dropped_series = metrics.counter(
+        # Read from the ring at export, so the Prometheus text shows
+        # an explicit 0 before any overwrite.
+        metrics.counter(
             "repro_service_events_dropped_total",
             "global event-ring records overwritten before any dump/replay",
-        ).labels()
+        ).view(lambda: self.dropped)
         self._seq = 0
-        self.dropped = 0
-        self._on_drop = on_drop
         self.retain_terminal = retain_terminal
         self._lock = threading.RLock()
-        self.records: deque[dict[str, Any]] = deque(maxlen=max_records)
+        self.records: Ring[dict[str, Any]] = Ring(max_records)
         self._by_job: dict[str, list[dict[str, Any]]] = defaultdict(list)
         self._cell_jobs: dict[str, set[str]] = defaultdict(set)
         self._terminal_jobs: deque[str] = deque()
         self._subscribers: list[Callable[[dict[str, Any]], None]] = []
+
+    @property
+    def dropped(self) -> int:
+        """Records the global ring overwrote."""
+        with self._lock:
+            return self.records.dropped
 
     def emit(self, name: str, **fields: Any) -> dict[str, Any]:
         """Record one event; raises on undeclared names/missing or
@@ -188,23 +183,7 @@ class EventLog:
             raise ValueError(
                 f"event {name!r} carries undeclared fields {undeclared}"
             )
-        drop_hook = None
         with self._lock:
-            # The ring is full: the append below overwrites the oldest
-            # record before anything could dump or replay it.  Account
-            # for it loudly (counter + throttled note) instead of
-            # letting the deque drop it silently.
-            if (
-                self.records.maxlen is not None
-                and len(self.records) == self.records.maxlen
-            ):
-                self.dropped += 1
-                self._dropped_series.inc()
-                if self._on_drop is not None and (
-                    self.dropped == 1
-                    or self.dropped % self.DROP_NOTE_EVERY == 0
-                ):
-                    drop_hook = self._on_drop
             self._seq += 1
             record = {"seq": self._seq, "event": name, **fields}
             self.records.append(record)
@@ -225,14 +204,7 @@ class EventLog:
             if name == "job.completed":
                 self._retire_job_view(fields.get("job"))
             self._counter.labels(event=name).inc()
-            self._tracer.emit(name, **fields)
             subscribers = list(self._subscribers)
-            drop_count = self.dropped
-        if drop_hook is not None:
-            # Outside the lock, like subscribers: the hook writes a
-            # flight-recorder note and must not be able to deadlock
-            # against a concurrent emitter.
-            drop_hook(drop_count)
         for subscriber in subscribers:
             subscriber(record)
         return record
@@ -299,8 +271,8 @@ class EventLog:
         with self._lock:
             return {
                 "records": len(self.records),
-                "capacity": self.records.maxlen,
-                "dropped": self.dropped,
+                "capacity": self.records.capacity,
+                "dropped": self.records.dropped,
                 "views": len(self._by_job),
             }
 

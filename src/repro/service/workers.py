@@ -47,7 +47,6 @@ from repro.experiments.runner import (
 )
 from repro.experiments.store import ResultStore
 from repro.fuzz.campaign import run_fuzz_cell
-from repro.obs.spans import SPAN_REMAP_STRIDE, remap_spans
 
 from .events import EventLog
 from .queue import JobQueue
@@ -272,10 +271,12 @@ class WorkerShard:
             if trace is not None else None
         )
         # The trace context crosses the process-pool boundary, so it
-        # is plain data only (simlint SL203) — run_cell folds its
-        # coherence spans under this trace id and ships them back
-        # inside the summary.
-        trace_ctx = {"trace": trace} if trace is not None else None
+        # is plain data only (simlint SL203) — run_cell traces its
+        # coherence spans under this trace id and run span, and ships
+        # the rows back inside the summary.
+        trace_ctx = (
+            {"trace": trace, "span": run_span} if trace is not None else None
+        )
         # The *exact* config a serial MatrixRunner would use for this
         # cell — byte-identical summaries are the service's contract.
         future = loop.run_in_executor(
@@ -303,23 +304,14 @@ class WorkerShard:
             )
             return
         self.simulated += 1
-        # The folded worker spans ride back under summary["trace"];
-        # pop them before storing so the stored summary stays
+        # The worker's span rows ride back under summary["trace"]; pop
+        # them before storing so the stored summary stays
         # byte-identical to a serial run's.
         trace_doc = summary.pop("trace", None)
         if trace is not None:
             self.traces.span_end(trace, run_span, outcome="done")
             if trace_doc:
-                self.traces.ingest(
-                    trace,
-                    remap_spans(
-                        trace_doc.get("spans") or (),
-                        base=run_span * SPAN_REMAP_STRIDE,
-                        parent=run_span,
-                        trace=trace,
-                    ),
-                    truncated=trace_doc.get("truncated", 0),
-                )
+                self.traces.ingest(trace, trace_doc["rows"], trace_doc["dropped"])
         await loop.run_in_executor(None, self.store.store, fingerprint, {
             "benchmark": cell["benchmark"],
             "technique": cell["technique"],

@@ -22,16 +22,18 @@ def _recorder(tmp_path, **kwargs):
 
 
 class TestBuffering:
-    def test_event_sample_note_rings_are_bounded(self, tmp_path):
-        rec = _recorder(tmp_path, events=2, samples=2, notes=2)
+    def test_event_and_sample_rings_are_bounded(self, tmp_path):
+        rec = _recorder(tmp_path, events=2, samples=3)
         for i in range(4):
             rec.record_event({"seq": i, "event": "cell.finished"})
             rec.record_sample({"ts": i})
-            rec.note("n", i=i)
         doc = rec.snapshot()
         assert [e["seq"] for e in doc["events"]] == [2, 3]
-        assert len(doc["samples"]) == 2 and len(doc["notes"]) == 2
+        assert len(doc["samples"]) == 3
         assert doc["recorded"] == 4
+        # Every overwrite is counted, per ring.
+        assert doc["dropped"] == {"events": 2, "samples": 1}
+        assert rec.dropped() == doc["dropped"]
 
     def test_snapshot_copies_records(self, tmp_path):
         rec = _recorder(tmp_path)
@@ -98,7 +100,7 @@ class TestPostmortem:
                 {"ts": 5.0, "queued": 3, "leased": 1, "busy": 1,
                  "workers": 2, "utilization": 0.5},
             ],
-            "notes": [{"ts": 4.0, "note": "events.dropped", "dropped": 1}],
+            "dropped": {"events": 2, "samples": 0},
         }
 
     def test_interrupted_job_is_flagged(self):
@@ -108,12 +110,22 @@ class TestPostmortem:
         job2_line = next(x for x in text.splitlines() if "job-2" in x)
         assert "interrupted" not in job2_line
 
-    def test_vitals_notes_and_tail_rendered(self):
+    def test_vitals_overwrites_and_tail_rendered(self):
         text = render_postmortem(self._doc(), tail=2)
         assert "queued=3" in text and "utilization=0.5" in text
-        assert "events.dropped (dropped=1)" in text
+        assert "overwrites  : events=2 samples=0" in text
         assert "newest 2 events:" in text
         assert "job.completed" in text
+
+    def test_file_written_before_the_rings_still_renders(self):
+        # Format 1 as first written: a notes list, no overwrite counts.
+        doc = self._doc()
+        del doc["dropped"]
+        doc["notes"] = [{"ts": 4.0, "note": "events.dropped", "dropped": 1}]
+        text = render_postmortem(doc)
+        assert "job-1" in text and "<- interrupted" in text
+        assert "queued=3" in text
+        assert "overwrites" not in text
 
     def test_empty_document_renders(self):
         text = render_postmortem({"format": FLIGHT_FORMAT})

@@ -6,6 +6,7 @@ import json
 import threading
 
 from repro.obs.jobtrace import JobTraceStore
+from repro.obs.tracer import SPAN_ID_BITS, Tracer
 
 
 def _store(**kwargs):
@@ -55,35 +56,41 @@ class TestIngest:
     def test_worker_spans_get_cycle_clock_rows(self):
         store = _store()
         run = store.span_begin("t-1", "cell.run")
-        store.ingest("t-1", [
-            {"span": 5000, "name": "miss", "node": 2, "base": 0x100,
-             "begin": 10, "end": 20, "parent": run,
-             "fields": {"cause": "comm"}},
-            {"span": 5001, "name": "stall", "begin": 15, "end": None,
-             "parent": 5000, "fields": {}},
-        ])
+        worker = Tracer(clock=lambda: 0, context={"trace": "t-1", "span": run})
+        miss = worker.span_begin("miss", node=2, base=0x100, ts=10, cause="comm")
+        worker.span_begin("stall", parent=miss, ts=15)
+        worker.span_end(miss, ts=20)
+        store.ingest("t-1", worker.rows())
         rows = store.events("t-1")
-        begins = [r for r in rows if r["kind"] == "span.begin"]
-        ends = [r for r in rows if r["kind"] == "span.end"]
-        worker = [r for r in begins if r.get("clock") == "cycles"]
-        assert len(worker) == 2
-        assert worker[0]["cause"] == "comm" and worker[0]["node"] == 2
-        # Only the closed worker span gets an end row.
-        assert [r["span"] for r in ends] == [5000]
+        # The worker's rows are appended as its tracer wrote them.
+        assert rows[1:] == worker.rows()
+        begins = [r for r in rows if r.get("clock") == "cycles"]
+        assert [r["name"] for r in begins] == ["miss", "stall"]
+        assert all(r["trace"] == "t-1" for r in begins)
+        assert begins[0]["cause"] == "comm" and begins[0]["node"] == 2
+        # Ids sit in the run span's block; the root parents under it.
+        assert begins[0]["span"] == (run << SPAN_ID_BITS) + 1
+        assert begins[0]["parent"] == run
+        assert begins[1]["parent"] == begins[0]["span"]
+        # Only the closed worker span has an end row.
+        ends = [r["span"] for r in rows if r["kind"] == "span.end"]
+        assert ends == [begins[0]["span"]]
 
     def test_ingest_truncation_is_accounted(self):
         store = _store()
-        store.ingest("t-1", [], truncated=7)
+        store.ingest("t-1", [], dropped=7)
         assert store.dropped("t-1") == 7
+        assert store.stats()["dropped"] == 7
 
 
 class TestBounds:
     def test_per_trace_event_cap_drops_and_counts(self):
         store = _store(max_events=3)
-        for _ in range(5):
-            store.span_begin("t-1", "cell.lease")
+        sids = [store.span_begin("t-1", "cell.lease") for _ in range(5)]
         assert len(store.events("t-1")) == 3
         assert store.dropped("t-1") == 2
+        # Like every ring, the trace keeps its newest rows.
+        assert [r["span"] for r in store.events("t-1")] == sids[2:]
 
     def test_oldest_trace_evicted_whole(self):
         store = _store(max_traces=2)
@@ -98,7 +105,20 @@ class TestBounds:
         store.span_begin("t-1", "job")
         for _ in range(4):
             store.span_begin("t-2", "cell.lease")
-        assert store.stats() == {"traces": 2, "events": 3, "dropped": 2}
+        assert store.stats() == {
+            "traces": 2, "events": 3, "dropped": 2, "evicted": 0,
+        }
+
+    def test_eviction_keeps_the_drop_total_and_counts_the_trace(self):
+        store = _store(max_traces=1, max_events=2)
+        for _ in range(3):
+            store.span_begin("t-0", "cell.lease")
+        assert store.stats()["dropped"] == 1
+        store.span_begin("t-1", "job")  # evicts t-0, drops and all
+        assert not store.has("t-0")
+        stats = store.stats()
+        assert stats["dropped"] == 1
+        assert stats["evicted"] == 1
 
 
 class TestExport:

@@ -87,6 +87,20 @@ class TestRegistry:
         assert m.get("repro_x_total", node=9) == 0.0
 
 
+    def test_view_series_reads_its_source_at_export(self):
+        registry = MetricsRegistry()
+        source = {"events": 0}
+        family = registry.counter("ring_dropped_total", "h", labels=("ring",))
+        family.view(lambda: source["events"], ring="events")
+        assert "ring_dropped_total{ring=\"events\"} 0" in registry.to_prometheus()
+        source["events"] = 3  # no inc: the export reads the source
+        assert registry.get("ring_dropped_total", ring="events") == 3
+        assert registry.total("ring_dropped_total") == 3
+        assert registry.to_json()["series"][0]["value"] == 3
+        with pytest.raises(ValueError, match="histogram"):
+            registry.histogram("lat", "h").view(lambda: 0)
+
+
 class TestRunView:
     """run_metrics on hand-built stats: which series exist, what they read."""
 

@@ -6,7 +6,7 @@ import json
 import pytest
 
 from repro.obs.spans import collect_spans, spans_to_jsonl
-from repro.obs.tracer import NULL_TRACER, Tracer
+from repro.obs.tracer import NULL_TRACER, SPAN_ID_BITS, Tracer
 
 
 class TestSpanAPI:
@@ -151,50 +151,47 @@ class TestChromeRoundTrip:
         assert "by kind:" in out and "txn" in out and "miss" in out
 
 
-class TestFoldRemap:
-    """fold_spans / remap_spans — the pool-boundary span payload."""
+class TestTraceContext:
+    """A tracer opened under the service's trace context writes
+    job-trace rows: ids in the run span's block, roots under it."""
 
-    def _events(self):
-        from repro.obs.spans import fold_spans
+    def test_spans_number_in_the_run_block_and_roots_parent_under_it(self):
+        tracer = Tracer(clock=lambda: 0, context={"trace": "t-1", "span": 7})
+        miss = tracer.span_begin("miss", node=1, base=0x100, ts=10)
+        txn = tracer.span_begin("txn", parent=miss, ts=11, txn="Read")
+        tracer.span_end(txn, ts=12, shared=True)
+        tracer.span_end(miss, ts=14)
+        assert miss == (7 << SPAN_ID_BITS) + 1 and txn == miss + 1
+        begins = [r for r in tracer.rows() if r["kind"] == "span.begin"]
+        assert [r["parent"] for r in begins] == [7, miss]
+        assert all(r["trace"] == "t-1" and r["clock"] == "cycles"
+                   for r in begins)
+        # End rows keep their own fields; folding merges them as ever.
+        stream = collect_spans(tracer.events)
+        assert stream.by_id[txn].fields["shared"] is True
+        assert stream.by_id[miss].dur == 4
 
-        tracer = Tracer(clock=lambda: 0)
-        parent = tracer.span_begin("miss", node=1, base=0x100, ts=10)
-        child = tracer.span_begin("txn", parent=parent, ts=11, txn="Read")
-        tracer.span_end(child, ts=12)
-        tracer.span_end(parent, ts=14)
-        open_span = tracer.span_begin("stall", ts=15)  # noqa: F841 - open
-        return fold_spans(tracer.events)
+    def test_run_cell_ships_its_rows_through_a_counting_ring(
+        self, monkeypatch,
+    ):
+        from repro.common.config import scaled_config
+        from repro.experiments import runner
 
-    def test_fold_produces_plain_dicts(self):
-        doc = self._events()
-        assert doc["count"] == 3 and doc["truncated"] == 0
-        assert all(isinstance(s, dict) for s in doc["spans"])
-        by_name = {s["name"]: s for s in doc["spans"]}
-        assert by_name["txn"]["parent"] is not None
-        assert by_name["txn"]["begin"] == 11 and by_name["txn"]["end"] == 12
-        assert by_name["stall"]["end"] is None  # still open: kept, no end
-        assert by_name["miss"]["node"] == 1
-
-    def test_fold_limit_counts_overflow(self):
-        from repro.obs.spans import fold_spans
-
-        tracer = Tracer(clock=lambda: 0)
-        for i in range(5):
-            tracer.span_end(tracer.span_begin("txn", ts=i), ts=i)
-        doc = fold_spans(tracer.events, limit=3)
-        assert doc["count"] == 5 and doc["truncated"] == 2
-        assert len(doc["spans"]) == 3
-
-    def test_remap_shifts_ids_and_parents_roots(self):
-        from repro.obs.spans import remap_spans
-
-        doc = self._events()
-        spans = remap_spans(doc["spans"], base=1000, parent=7, trace="t-1")
-        by_name = {s["name"]: s for s in spans}
-        # Roots re-parent under the service-side span.
-        assert by_name["miss"]["parent"] == 7
-        assert by_name["stall"]["parent"] == 7
-        # Children keep their (shifted) worker-side parent.
-        assert by_name["txn"]["parent"] == by_name["miss"]["span"]
-        assert all(s["span"] > 1000 for s in spans)
-        assert all(s["trace"] == "t-1" for s in spans)
+        config = runner.cell_config(scaled_config(), "emesti")
+        context = {"trace": "t-1", "span": 3}
+        full = runner.run_cell(config, "locks", 0.02, 1, trace=context)["trace"]
+        assert full["dropped"] == 0
+        rows = full["rows"]
+        assert {r["kind"] for r in rows} == {"span.begin", "span.end"}
+        begins = [r for r in rows if r["kind"] == "span.begin"]
+        ids = {r["span"] for r in begins}
+        assert all(sid >> SPAN_ID_BITS == 3 for sid in ids)
+        assert all(r["parent"] == 3 or r["parent"] in ids for r in begins)
+        assert any(r["parent"] == 3 for r in begins)
+        assert all(r["trace"] == "t-1" and r["clock"] == "cycles"
+                   for r in begins)
+        # A capped cell keeps its newest rows and counts the rest.
+        monkeypatch.setattr(runner, "CELL_TRACE_ROWS", 10)
+        capped = runner.run_cell(config, "locks", 0.02, 1, trace=context)["trace"]
+        assert capped["rows"] == rows[-10:]
+        assert capped["dropped"] == len(rows) - 10

@@ -57,6 +57,8 @@ class TestRingBuffer:
             tracer.emit("bus.grant", ts=i)
         assert len(tracer) == 3
         assert [e.ts for e in tracer.events] == [7, 8, 9]
+        assert tracer.overwritten == 7
+        assert Tracer(clock=lambda: 0).overwritten == 0
 
 
 class TestTraceFilter:
@@ -89,7 +91,7 @@ class TestTraceFilter:
         tracer.emit("bus.grant")
         tracer.emit("lvp.predict")
         assert len(tracer) == 1
-        assert tracer.dropped == 1
+        assert tracer.filtered == 1
 
     def test_parse_full_grammar(self):
         filt = TraceFilter.parse("kind=validate|bus.grant,node=0-2,addr=0x1440")

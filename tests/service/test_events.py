@@ -156,15 +156,6 @@ class TestDropAccounting:
             log.emit("cell.finished", fingerprint=f"f{i}")
         assert log.dropped == 0
 
-    def test_on_drop_hook_fires_on_first_drop_only(self):
-        calls: list[int] = []
-        log = EventLog(max_records=2, on_drop=calls.append)
-        for i in range(6):
-            log.emit("cell.finished", fingerprint=f"f{i}")
-        # First overwrite notes once; the next note waits for
-        # DROP_NOTE_EVERY more drops.
-        assert calls == [1]
-
     def test_tail_returns_newest_records(self):
         log = EventLog()
         for i in range(5):

@@ -1,6 +1,7 @@
 """Command-line interface."""
 
 import json
+import re
 
 import pytest
 
@@ -64,6 +65,10 @@ def test_run_with_trace_filter_and_ring(tmp_path, capsys):
     lines = [json.loads(l) for l in trace.read_text().splitlines() if l]
     assert 0 < len(lines) <= 5
     assert all(e["kind"] == "bus.grant" for e in lines)
+    # The ring's overwrites are reported beside the filtered count.
+    summary = capsys.readouterr().out.splitlines()[-1]
+    match = re.search(r"(\d+) filtered, (\d+) overwritten\)$", summary)
+    assert match and int(match.group(1)) > 0 and int(match.group(2)) > 0
 
 
 def test_run_with_profile(capsys):
