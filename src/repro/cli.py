@@ -143,6 +143,7 @@ def cmd_explain(args) -> int:
         render_provenance,
     )
 
+    overwritten = None  # the ring's overwrites, with --trace-ring
     if args.trace:
         load = load_trace(args.trace)
         if load.skipped:
@@ -169,6 +170,8 @@ def cmd_explain(args) -> int:
             result = system.run()
         metrics = result.metrics
         events = tracer.events
+        if args.trace_ring is not None:
+            overwritten = tracer.overwritten
     report = analyze_events(events)
     rows = reconcile(report, metrics) if metrics is not None else None
     gated = metrics is not None
@@ -189,14 +192,17 @@ def cmd_explain(args) -> int:
         doc = report.to_json()
         doc["reconciliation"] = rows
         doc["ok"] = ok
+        if overwritten is not None:
+            doc["overwritten"] = overwritten
         print(json.dumps(doc, indent=1, sort_keys=True))
     else:
         print(render_provenance(report, rows, top=args.top))
         if gated:
+            ring = "" if overwritten is None else f", {overwritten} overwritten"
             print(f"\nresult: {'ok' if ok else 'FAIL'} "
                   f"(attribution {report.attribution_rate:.1%}, "
                   f"reconciliation "
-                  f"{'exact' if reconciliation_ok(rows) else 'MISMATCH'})")
+                  f"{'exact' if reconciliation_ok(rows) else 'MISMATCH'}{ring})")
     return 0 if ok else 1
 
 

@@ -50,6 +50,16 @@ class Phase(enum.Enum):
     DONE = "done"  # completion time known
 
 
+# The per-op path tests phases and kinds by identity against these
+# module globals: on CPython a lookup through the enum class costs
+# several times a global read, and it would run several times per op.
+_WAITING, _ISSUED, _DONE = Phase.WAITING, Phase.ISSUED, Phase.DONE
+_ALU, _LOAD, _STORE, _LARX, _STCX, _ISYNC, _END = (
+    OpKind.ALU, OpKind.LOAD, OpKind.STORE, OpKind.LARX, OpKind.STCX,
+    OpKind.ISYNC, OpKind.END,
+)
+
+
 class WinOp:
     """One in-flight micro-op in the window."""
 
@@ -74,7 +84,7 @@ class WinOp:
     def __init__(self, op: MicroOp, seq: int):
         self.op = op
         self.seq = seq
-        self.phase = Phase.WAITING
+        self.phase = _WAITING
         self.ready_time = 0
         self.complete_time = 0
         self.commit_time = 0
@@ -138,6 +148,10 @@ class Core:
         self.sle_engine = None  # installed by the system builder
 
         self.window: deque[WinOp] = deque()
+        # In-window STORE/STCX ops by address, oldest first: forwarding
+        # reads the youngest older entry instead of scanning the window.
+        # Updated wherever the window changes (admit, commit, squash).
+        self._stores: dict[int, list[WinOp]] = {}
         self.reg_map: dict[int, "WinOp | int"] = {}
         self._retired_regs: dict[int, int] = {}
         self._replay: deque[MicroOp] = deque()
@@ -157,6 +171,11 @@ class Core:
         self.program_done = False
         self.finished = False
         self.committed = 0
+        # Keyed by ``OpKind._value_``, a plain attribute: ``.value`` and
+        # hashing the member are both Python-level calls.
+        self._commit_counters = {
+            kind._value_: stats.counter(f"commit.{kind.value}") for kind in OpKind
+        }
         node.core = self
 
     # ------------------------------------------------------------------
@@ -225,6 +244,13 @@ class Core:
         w = WinOp(op, self._seq)
         self._seq += 1
         self.window.append(w)
+        kind = op.kind
+        if kind is _STORE or kind is _STCX:
+            stores = self._stores.get(op.addr)
+            if stores is None:
+                self._stores[op.addr] = [w]
+            else:
+                stores.append(w)
         if self.sle_engine is not None:
             # The engine may mark the op (region membership, safe-isync
             # nop) or abort the active elision region, squashing through
@@ -239,7 +265,7 @@ class Core:
         for sreg in op.sregs:
             producer = self.reg_map.get(sreg)
             if isinstance(producer, WinOp):
-                if producer.phase is Phase.DONE:
+                if producer.phase is _DONE:
                     w.ready_time = max(w.ready_time, producer.complete_time)
                 else:
                     producer.dependents.append(w)
@@ -250,7 +276,7 @@ class Core:
             self.reg_map[op.dreg] = w
         if op.control:
             self._await_control = w
-        if op.kind is OpKind.ISYNC and not w.sle_buffered:
+        if kind is _ISYNC and not w.sle_buffered:
             # Context serialization: fetch stalls until commit.
             # (Inside an elided region the engine marks the op
             # sle_buffered and speculation continues past it, §4.2.2.)
@@ -268,15 +294,15 @@ class Core:
 
     def _dispatch(self, w: WinOp) -> None:
         kind = w.op.kind
-        if kind is OpKind.ALU:
+        if kind is _ALU:
             self._complete_op(w, w.ready_time + w.op.latency)
-        elif kind is OpKind.STORE:
+        elif kind is _STORE:
             # A store completes when address+data are ready; memory is
             # touched at drain (or at SLE region commit).
             self._complete_op(w, w.ready_time)
-        elif kind in (OpKind.LOAD, OpKind.LARX):
+        elif kind is _LOAD or kind is _LARX:
             self._at_ready(w, self._issue_load)
-        elif kind is OpKind.STCX:
+        elif kind is _STCX:
             self._at_ready(w, self._issue_stcx)
         else:  # ISYNC / SYNC / END
             self._complete_op(w, w.ready_time)
@@ -301,7 +327,8 @@ class Core:
     def _issue_load(self, w: WinOp) -> None:
         now = self.scheduler.now
         addr = w.op.addr
-        if w.op.kind is OpKind.LOAD:
+        is_load = w.op.kind is _LOAD
+        if is_load:
             forwarded = self._forward(addr, w)
             if forwarded is not None:
                 w.value = forwarded
@@ -317,10 +344,8 @@ class Core:
             self.stats.add("larx.drain_waits")
             self.scheduler.after(2, lambda: None if w.dead else self._issue_load(w))
             return
-        reserve = w.op.kind is OpKind.LARX
-        allow_spec = w.op.kind is OpKind.LOAD and not w.op.control
         status, latency, value = self.node.load(
-            addr, w, reserve=reserve, allow_spec=allow_spec
+            addr, w, reserve=not is_load, allow_spec=is_load and not w.op.control
         )
         if status == "hit":
             w.value = value
@@ -333,18 +358,17 @@ class Core:
             self._complete_op(w, now + latency)
             self._try_commit()
         else:
-            w.phase = Phase.ISSUED
+            w.phase = _ISSUED
 
     def _forward(self, addr: int, w: WinOp) -> int | None:
         """Store-to-load forwarding from window stores and the SB."""
-        for other in reversed(self.window):
-            if other.seq >= w.seq:
-                continue
-            if other.op.kind is OpKind.STORE and other.op.addr == addr:
-                return other.op.value
-            if other.op.kind is OpKind.STCX and other.op.addr == addr:
-                # Conditional: outcome unknown at forward time; decline.
-                return None
+        stores = self._stores.get(addr)
+        if stores is not None:
+            for other in reversed(stores):
+                if other.seq < w.seq:
+                    # The youngest older same-address store forwards;
+                    # a conditional's outcome is unknown yet, so decline.
+                    return other.op.value if other.op.kind is _STORE else None
         return self.sb.forward(addr)
 
     def _issue_stcx(self, w: WinOp) -> None:
@@ -358,7 +382,7 @@ class Core:
                 return
             if verdict == "pending":
                 # The engine completes this op via stcx_resolved().
-                w.phase = Phase.ISSUED
+                w.phase = _ISSUED
                 return
         issued = [False]
 
@@ -382,7 +406,7 @@ class Core:
         if w.dead:
             return
         w.complete_time = time
-        w.phase = Phase.DONE
+        w.phase = _DONE
         if w.op.dreg is not None and self.reg_map.get(w.op.dreg) is w:
             self.reg_map[w.op.dreg] = time
         dependents, w.dependents = w.dependents, []
@@ -439,8 +463,11 @@ class Core:
         removed = [self.window[i] for i in range(idx, len(self.window))]
         for _ in removed:
             self.window.pop()
-        for r in removed:
+        for r in reversed(removed):
             r.dead = True
+            kind = r.op.kind
+            if kind is _STORE or kind is _STCX:
+                self._unindex_store(r, -1)
         self._replay.extendleft(r.op for r in reversed(removed))
         self._rebuild_reg_map()
         if self._await_control is not None and self._await_control.dead:
@@ -457,38 +484,54 @@ class Core:
         new_map: dict[int, "WinOp | int"] = dict(self._retired_regs)
         for u in self.window:
             if u.op.dreg is not None:
-                new_map[u.op.dreg] = u.complete_time if u.phase is Phase.DONE else u
+                new_map[u.op.dreg] = u.complete_time if u.phase is _DONE else u
         self.reg_map = new_map
+
+    def _unindex_store(self, w: WinOp, position: int) -> None:
+        """Drop ``w`` from the store index.
+
+        ``w`` is the oldest entry for its address at commit
+        (``position`` 0) and the youngest at squash (-1).
+        """
+        addr = w.op.addr
+        stores = self._stores[addr]
+        stores.pop(position)
+        if not stores:
+            del self._stores[addr]
 
     # ------------------------------------------------------------------
     # Commit
     # ------------------------------------------------------------------
 
     def _try_commit(self) -> None:
-        while self.window:
-            w = self.window[0]
-            if w.phase is not Phase.DONE or w.spec_pending or w.sle_blocked:
+        window = self.window
+        while window:
+            w = window[0]
+            if w.phase is not _DONE or w.spec_pending or w.sle_blocked:
                 return
             kind = w.op.kind
-            if kind is OpKind.STORE and not w.sle_buffered and self.sb.full:
+            if kind is _STORE and not w.sle_buffered and self.sb.full:
                 return  # resumes when the SB drains
             ct = self._commit_slots.next_at(w.complete_time)
             w.commit_time = ct
             if ct > self._last_commit_time:
                 self._last_commit_time = ct
-            self.window.popleft()
+            window.popleft()
+            if kind is _STORE or kind is _STCX:
+                self._unindex_store(w, 0)
             self._retire(w, ct)
 
     def _retire(self, w: WinOp, ct: int) -> None:
         op = w.op
+        kind = op.kind
         w.retired = True
         self.committed += 1
-        self.stats.add(f"commit.{op.kind.value}")
+        self._commit_counters[kind._value_].inc()
         if op.dreg is not None:
             self._retired_regs[op.dreg] = w.complete_time
             if self.reg_map.get(op.dreg) is w:
                 self.reg_map[op.dreg] = w.complete_time
-        if op.kind is OpKind.STORE and not w.sle_buffered:
+        if kind is _STORE and not w.sle_buffered:
             self.sb.push(StoreEntry(addr=op.addr, value=op.value, seq=w.seq, pc=op.pc))
             self._sb_ready.append(ct)
             self._schedule_drain()
@@ -499,7 +542,7 @@ class Core:
             self._fetch_floor = max(
                 self._fetch_floor, ct + self.cc.fetch_redirect_penalty
             )
-        if op.kind is OpKind.END:
+        if kind is _END:
             self.program_done = True
 
     # ------------------------------------------------------------------

@@ -48,9 +48,12 @@ class OpKind(enum.Enum):
         return self in (OpKind.STORE, OpKind.STCX)
 
 
-@dataclass
+@dataclass(slots=True)
 class MicroOp:
-    """One micro-operation as emitted by a thread program."""
+    """One micro-operation as emitted by a thread program.
+
+    Slotted: the core reads these fields several times per op.
+    """
 
     kind: OpKind
     addr: int | None = None

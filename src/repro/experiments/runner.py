@@ -691,10 +691,12 @@ class MatrixRunner:
         produce (modulo the ``NONDETERMINISTIC_FIELDS`` provenance —
         see docs/performance.md).
 
-        Every sweep also writes a :class:`RunManifest` to
-        ``matrix_scale<scale>.manifest.json`` in the results directory,
-        recording, per cell, stored-vs-ran status (``cached``/``ran``),
-        the producing worker pid, the retry count, and the wall time.
+        Every sweep records a :class:`RunManifest` in ``self.manifest``:
+        per cell, stored-vs-ran status (``cached``/``ran``), the
+        producing worker pid, the retry count, and the wall time.  A
+        sweep that ran at least one cell also writes it to
+        ``matrix_scale<scale>.manifest.json`` in the results directory;
+        a sweep served wholly from the store leaves that file alone.
         """
         cells = [
             (benchmark, technique, seed)
@@ -714,7 +716,8 @@ class MatrixRunner:
             )
         out = {self.key(*cell): self.run_one(*cell) for cell in cells}
         self.manifest = self._build_manifest(out, stored, workers)
-        self._save_manifest(self.manifest)
+        if self.manifest.ran:
+            self._save_manifest(self.manifest)
         return out
 
     def _build_manifest(

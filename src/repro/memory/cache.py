@@ -13,7 +13,7 @@ as ``pred_state``/``pred_conf`` fields and travel with the line.
 
 from __future__ import annotations
 
-from typing import Callable, Iterator
+from typing import Iterator
 
 from repro.common.addressing import words_per_line
 from repro.common.config import CacheConfig
@@ -68,11 +68,6 @@ class CacheLine:
         """True if the tag matches a real line (valid or stale residue)."""
         return self.base is not None
 
-    @property
-    def empty(self) -> bool:
-        """True when unoccupied."""
-        return self.base is None
-
     def reset(self) -> None:
         """Return the way to the truly-empty condition."""
         self.base = None
@@ -94,19 +89,25 @@ class CacheLine:
 
 
 class SetAssocCache:
-    """A set-associative cache of :class:`CacheLine` with LRU replacement."""
+    """A set-associative cache of :class:`CacheLine` with LRU replacement.
+
+    Ways are built on first use: a set's list appears on its first
+    :meth:`allocate`, and a way is appended only when none of the
+    set's ways is empty.  An eager array hands out empty ways in index
+    order and this one in creation order, which is the same order, so
+    victim choice is unchanged — but a system whose run touches a
+    handful of lines never builds the other thousands.
+    """
 
     def __init__(self, config: CacheConfig, name: str = "cache"):
         config.validate(name)
         self.config = config
         self.name = name
         self._n_words = words_per_line(config.line_size)
+        self._n_ways = config.ways
         self._set_mask = config.num_sets - 1
         self._line_shift = config.line_size.bit_length() - 1
-        self._sets: list[list[CacheLine]] = [
-            [CacheLine(self._n_words) for _ in range(config.ways)]
-            for _ in range(config.num_sets)
-        ]
+        self._sets: list[list[CacheLine] | None] = [None] * config.num_sets
         self._by_base: dict[int, CacheLine] = {}
         self._tick = 0
 
@@ -128,23 +129,22 @@ class SetAssocCache:
         self._tick += 1
         line.lru = self._tick
 
-    def allocate(
-        self, base: int, victim_filter: Callable[[CacheLine], bool] | None = None
-    ) -> tuple[CacheLine, CacheLine | None]:
+    def allocate(self, base: int) -> tuple[CacheLine, CacheLine | None]:
         """Claim a way for ``base``; return ``(line, evicted)``.
 
         ``evicted`` is a detached copy-like view of the victim (the same
         object, observed *before* it is reset) when a line with data was
         displaced, else None.  The caller must process any writeback
-        before the next allocation to the same set.  ``victim_filter``
-        can veto victims (used by SLE to pin speculatively-read lines);
-        if every way is vetoed a :class:`SimulationError` is raised.
+        before the next allocation to the same set.
         """
         existing = self._by_base.get(base)
         if existing is not None:
             raise SimulationError(f"{self.name}: allocate of resident line {base:#x}")
-        ways = self._sets[self.set_index(base)]
-        victim = self._choose_victim(ways, victim_filter)
+        index = self.set_index(base)
+        ways = self._sets[index]
+        if ways is None:
+            ways = self._sets[index] = []
+        victim = self._choose_victim(ways)
         evicted: CacheLine | None = None
         if victim.has_data:
             del self._by_base[victim.base]
@@ -158,18 +158,16 @@ class SetAssocCache:
         self.touch(victim)
         return victim, evicted
 
-    def _choose_victim(
-        self, ways: list[CacheLine], victim_filter: Callable[[CacheLine], bool] | None
-    ) -> CacheLine:
-        candidates = ways if victim_filter is None else [w for w in ways if victim_filter(w)]
-        if not candidates:
-            raise SimulationError(f"{self.name}: all ways pinned, cannot allocate")
-        for way in candidates:
-            if way.empty:
+    def _choose_victim(self, ways: list[CacheLine]) -> CacheLine:
+        for way in ways:
+            if way.base is None:
                 return way
-        stale = [w for w in candidates if not w.state.valid]
-        pool = stale or candidates
-        return min(pool, key=lambda w: w.lru)
+        if len(ways) < self._n_ways:
+            way = CacheLine(self._n_words)
+            ways.append(way)
+            return way
+        stale = [w for w in ways if not w.state.valid]
+        return min(stale or ways, key=lambda w: w.lru)
 
     def evict(self, base: int) -> CacheLine | None:
         """Forcibly remove ``base``; return its pre-reset view or None."""

@@ -197,9 +197,16 @@ class RunManifest:
         }
 
     def save(self, path: str | Path) -> Path:
-        """Write the manifest to ``path`` and return it."""
+        """Replace the manifest at ``path`` in one step and return it.
+
+        Two sweeps sharing a results directory each write whole files,
+        so a reader sees one of them, never a mix.
+        """
+        # Imported here: the experiments package imports this module.
+        from repro.experiments.store import atomic_write
+
         path = Path(path)
-        path.write_text(json.dumps(self.to_json(), indent=1, sort_keys=True) + "\n")
+        atomic_write(path, json.dumps(self.to_json(), indent=1, sort_keys=True) + "\n")
         return path
 
     @classmethod

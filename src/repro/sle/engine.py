@@ -60,6 +60,12 @@ class Mode(enum.Enum):
     ACQUIRING = "acquiring"  # fallback acquisition after a failed elision
 
 
+# ``active`` and ``on_fetch`` run for every op the core admits and
+# completes, so they test these module globals: a lookup through the
+# enum class costs several times a global read (see cpu/core.py).
+_IDLE, _SPECULATING, _LARX = Mode.IDLE, Mode.SPECULATING, OpKind.LARX
+
+
 class SLEEngine:
     """Drives elision for one core."""
 
@@ -117,7 +123,7 @@ class SLEEngine:
     @property
     def active(self) -> bool:
         """True while the engine is speculating or acquiring a fallback."""
-        return self.mode is not Mode.IDLE
+        return self.mode is not _IDLE
 
     # ------------------------------------------------------------------
     # Core fetch hook
@@ -126,11 +132,11 @@ class SLEEngine:
     def on_fetch(self, w: WinOp) -> None:
         """Observe a fetched op (region tracking, idiom notes, aborts)."""
         op = w.op
-        if self.mode is Mode.SPECULATING and self.release_w is None:
+        if self.mode is _SPECULATING and self.release_w is None:
             self._on_region_fetch(w)
-            if w.dead or self.mode is not Mode.SPECULATING:
+            if w.dead or self.mode is not _SPECULATING:
                 return
-        if self.mode is Mode.IDLE and op.kind is OpKind.LARX:
+        if self.mode is _IDLE and op.kind is _LARX:
             self.idiom.note_larx(w)
 
     def _on_region_fetch(self, w: WinOp) -> None:

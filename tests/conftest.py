@@ -16,6 +16,8 @@ from repro.common.config import (
     ValidatePolicy,
     scaled_config,
 )
+from repro.cpu.core import Core
+from repro.cpu.isa import OpKind
 
 
 @pytest.fixture
@@ -62,3 +64,30 @@ def emesti_config(tiny_config) -> MachineConfig:
 def experiment_config() -> MachineConfig:
     """The default experiment machine (scaled Table 1 ratios)."""
     return scaled_config()
+
+
+def store_index_from_window(core: Core) -> dict:
+    """The core's in-window store index, recomputed from ``core.window``."""
+    index: dict = {}
+    for w in core.window:
+        if w.op.kind in (OpKind.STORE, OpKind.STCX):
+            index.setdefault(w.op.addr, []).append(w)
+    return index
+
+
+@pytest.fixture
+def checked_store_index(monkeypatch):
+    """Check after every ``Core.pump`` that the store index matches the window.
+
+    A commit or squash that forgets to drop an entry leaves a store in
+    the index that is no longer in the window, and the next pump fails.
+    """
+    pump = Core.pump
+
+    def checked_pump(self):
+        pump(self)
+        assert self._stores == store_index_from_window(self), (
+            f"core {self.core_id}: store index out of step with the window"
+        )
+
+    monkeypatch.setattr(Core, "pump", checked_pump)

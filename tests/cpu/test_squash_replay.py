@@ -9,6 +9,9 @@ from repro.cpu.program import BlockBuilder
 from repro.system.system import System
 from tests.harness import ScriptWorkload
 
+# Squashes must drop their stores from the core's forwarding index.
+pytestmark = pytest.mark.usefixtures("checked_store_index")
+
 LINE = 0x5000
 FLAG = 0x5800
 

@@ -129,9 +129,14 @@ class TestManifest:
         kwargs = dict(benchmarks=["radiosity"], techniques=("base",), seeds=(1,))
         runner = MatrixRunner(scale=SCALE, results_dir=tmp_path, verbose=False)
         runner.run_matrix(**kwargs)
+        written = runner.manifest_path.read_bytes()
+        mtime = runner.manifest_path.stat().st_mtime_ns
         runner.run_matrix(**kwargs)  # every cell now served from cache
-        manifest = RunManifest.load(runner.manifest_path)
-        assert manifest.ran == 0 and manifest.cached == 1
+        assert runner.manifest.ran == 0 and runner.manifest.cached == 1
+        # A sweep served wholly from the store leaves the file alone.
+        assert runner.manifest_path.read_bytes() == written
+        assert runner.manifest_path.stat().st_mtime_ns == mtime
+        assert RunManifest.load(runner.manifest_path).ran == 1
 
 
 class TestRetry:

@@ -102,6 +102,20 @@ def test_explain_json_reconciles(capsys):
     assert doc["ok"] is True
     assert doc["misses"]["attribution_rate"] >= 0.95
     assert all(row["ok"] for row in doc["reconciliation"])
+    assert "overwritten" not in doc  # no --trace-ring, no ring to report
+
+
+def test_explain_reports_ring_overwrites(capsys):
+    args = ["explain", "locks", "--technique", "emesti",
+            "--scale", "0.1", "--trace-ring", "50"]
+    # The ring keeps too few events to reconcile, and says why.
+    assert main(args) == 1
+    result = capsys.readouterr().out.splitlines()[-1]
+    match = re.search(r"reconciliation MISMATCH, (\d+) overwritten\)$", result)
+    assert match and int(match.group(1)) > 0
+    assert main([*args, "--format", "json"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["ok"] is False and doc["overwritten"] == int(match.group(1))
 
 
 def test_explain_offline_trace(tmp_path, capsys):
