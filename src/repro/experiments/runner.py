@@ -26,6 +26,7 @@ from __future__ import annotations
 import atexit
 import dataclasses
 import enum
+import functools
 import gc
 import hashlib
 import json
@@ -33,13 +34,14 @@ import logging
 import math
 import os
 import time
-from concurrent.futures import BrokenExecutor, Future, ProcessPoolExecutor
+from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from pathlib import Path
 from typing import Callable, Iterable
 
 from repro.common.config import MachineConfig, scaled_config
 from repro.experiments.store import ResultStore
+from repro.obs.metrics import run_series
 from repro.obs.progress import CellUpdate, MatrixProgress, RunManifest
 from repro.obs.provenance import analyze_events
 from repro.obs.spans import CELL_TRACE_ROWS
@@ -74,81 +76,34 @@ RunSummary = dict
 log = logging.getLogger("repro.runner")
 
 
+@functools.lru_cache(maxsize=None)
+def _summary_rows(n_procs: int) -> tuple[tuple[str, str], ...]:
+    """``(summary field, stats key)`` per table series that feeds the
+    summary on an ``n_procs``-node machine, in table order."""
+    return tuple(
+        (field, key)
+        for _spec, _labels, key, field in run_series(n_procs)
+        if field is not None
+    )
+
+
 def summarize(result: RunResult, wall_seconds: float = 0.0) -> RunSummary:
-    """Reduce a :class:`RunResult` to the numbers the figures report."""
+    """Reduce a :class:`RunResult` to the numbers the figures report.
+
+    Every count is the sum of the stats keys that the
+    :data:`~repro.obs.metrics.RUN_METRICS` rows naming its field read,
+    in table order; a counter nothing touched reads as int ``0``.
+    """
     stats = result.stats
-    n = result.config.n_procs if result.config else 4
     summary: RunSummary = {
         "cycles": result.cycles,
         "committed": result.committed,
         "ipc": result.ipc,
         "wall_seconds": round(wall_seconds, 3),
-        "txn_total": stats.get("bus.txn.total"),
-        "txn_read": stats.get("bus.txn.read"),
-        "txn_readx": stats.get("bus.txn.readx"),
-        "txn_upgrade": stats.get("bus.txn.upgrade"),
-        "txn_validate": stats.get("bus.txn.validate"),
-        "txn_writeback": stats.get("bus.txn.writeback"),
-        "txn_cache_to_cache": stats.get("bus.txn.cache_to_cache"),
-        "miss_total": stats.get("misses.miss.total"),
-        "miss_cold": stats.get("misses.miss.cold"),
-        "miss_capacity": stats.get("misses.miss.capacity"),
-        "miss_comm": stats.get("misses.miss.comm"),
-        "miss_comm_tss": stats.get("misses.miss.comm.tss"),
-        "miss_comm_false": stats.get("misses.miss.comm.false"),
-        "miss_comm_true": stats.get("misses.miss.comm.true"),
-        "invariant_checks": stats.get("run.invariant_checks"),
     }
-    for name, key in [
-        ("commit.load", "loads"),
-        ("commit.store", "stores"),
-        ("commit.larx", "larx"),
-        ("commit.stcx", "stcx"),
-        ("commit.alu", "alu"),
-    ]:
-        summary[key] = sum(stats.get(f"core{i}.{name}") for i in range(n))
-    for name, key in [
-        ("stores.update_silent", "us_stores"),
-        ("lvp.predictions", "lvp_predictions"),
-        ("lvp.correct", "lvp_correct"),
-        ("lvp.mispredictions", "lvp_mispredictions"),
-    ]:
-        summary[key] = sum(stats.get(f"node{i}.{name}") for i in range(n))
-    for name, key in [
-        ("ts_stores", "ts_stores"),
-        ("validates_broadcast", "validates_broadcast"),
-        ("validates_suppressed", "validates_suppressed"),
-        ("revalidations", "revalidations"),
-    ]:
-        summary[key] = sum(stats.get(f"ctrl{i}.{name}") for i in range(n))
-    # Validate usefulness, from the predictor's training events: a
-    # validate was useful when a remote request consumed the silent
-    # value (or the upgrade's snoop response asserted sharing), useless
-    # when the snoop response denied it.
-    summary["validates_useful"] = sum(
-        stats.get(f"ctrl{i}.predictor.useful_by_external_req")
-        + stats.get(f"ctrl{i}.predictor.useful_by_snoop_response")
-        for i in range(n)
-    )
-    summary["validates_useless"] = sum(
-        stats.get(f"ctrl{i}.predictor.useless_by_snoop_response") for i in range(n)
-    )
-    for name in (
-        "candidates",
-        "attempts",
-        "successes",
-        "filtered_by_confidence",
-        "restarts",
-        "fallback_acquisitions",
-        "failure.no_release",
-        "failure.conflict",
-        "failure.serialize",
-        "failure.nested",
-    ):
-        key = "sle_" + name.replace("failure.", "fail_")
-        summary[key] = sum(stats.get(f"sle{i}.{name}") for i in range(n))
-    # Histogram-derived distribution fields (additive: every key above
-    # is untouched, so cached result files stay comparable).
+    for field, key in _summary_rows(result.config.n_procs):
+        summary[field] = summary.get(field, 0) + stats.get(key)
+    # Histogram-derived distribution fields.
     miss_lat = stats.merged_histogram("miss_latency")
     summary["miss_latency_p50"] = miss_lat.p50
     summary["miss_latency_p95"] = miss_lat.p95
@@ -375,40 +330,6 @@ def effective_workers(workers: int | None, n_jobs: int) -> int:
     if not workers or workers <= 1:
         return 1
     return max(1, min(workers, n_jobs, os.cpu_count() or 1))
-
-
-def _harvest(
-    future: Future,
-    retry: Callable[[], RunSummary],
-    timeout: float | None,
-    label: str,
-    on_event: Callable[[CellUpdate], None] | None = None,
-) -> RunSummary:
-    """Wait for one cell's future; on any failure, retry exactly once.
-
-    The retried summary's ``retries`` field is bumped so the extra
-    attempt (and its inflated wall clock) is visible in the cache.
-    """
-    try:
-        return future.result(timeout=timeout)
-    except Exception as exc:  # noqa: BLE001 - every failure gets one retry
-        # On 3.10 the futures TimeoutError is not the builtin one yet.
-        kind = (
-            "timeout"
-            if isinstance(exc, (TimeoutError, FuturesTimeoutError))
-            else "retry"
-        )
-        if on_event is not None:
-            on_event(CellUpdate(
-                kind, label, error=f"{type(exc).__name__}: {exc}",
-            ))
-        log.warning(
-            "cell %s failed (%s: %s); retrying once",
-            label, type(exc).__name__, exc,
-        )
-        summary = retry()
-        summary["retries"] = summary.get("retries", 0) + 1
-        return summary
 
 
 def _pool_map(

@@ -56,6 +56,7 @@ class NodeMemory:
         self.lvp = LVPUnit(config.lvp, stats, tracer=tracer, node_id=node_id)
         self._miss_hist = stats.histogram("miss_latency")
         self._m_lvp_predictions = stats.counter("lvp.predictions")
+        self._m_update_silent = stats.counter("stores.update_silent")
         self._deferred: list[Callable[[], None]] = []
         self.core = None  # set by the system builder; narrow interface
         self.sle_engine = None  # optional, set by the system builder
@@ -191,7 +192,7 @@ class NodeMemory:
         silent = valid and line.data[widx] == value
 
         if silent:
-            self.stats.add("stores.update_silent")
+            self._m_update_silent.inc()
             if self.config.protocol.squash_silent_stores:
                 # Verified silent: commits without ownership or
                 # invalidation (update silent sharing, [21]).
@@ -358,7 +359,7 @@ class NodeMemory:
         line = self.ctrl.lookup(base)
         valid = line is not None and line.state.valid
         if valid and line.data[widx] == value:
-            self.stats.add("stores.update_silent")
+            self._m_update_silent.inc()
         if line is None or not line.state.writable:
             raise SimulationError(
                 f"SLE atomic commit without ownership of {base:#x}"

@@ -12,8 +12,9 @@ The simulator keeps one counter store, the stats registry.  The
 paper-level families — communication misses by cause, validates
 issued/useful/useless, predictor confidence transitions, LVP
 verify/squash, SLE outcomes — are a view of it: :data:`RUN_METRICS`
-declares, per series, the dotted stats key it reads, and
-:func:`run_metrics` builds a registry from a finished run's stats.
+declares, per series, the dotted stats key it reads and the
+``summarize()`` field it feeds, and :func:`run_metrics` builds a
+registry from a finished run's stats.
 A series exists when its component resolved the counter handle
 (:meth:`~repro.common.stats.StatsRegistry.declared`) or created the
 histogram, so counters that stayed at zero are exported too.
@@ -29,7 +30,7 @@ exposition format (``repro-sim run --metrics``).
 from __future__ import annotations
 
 import re
-from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple
 
 from repro.common.stats import Histogram, StatsRegistry
 
@@ -270,13 +271,17 @@ class MetricsRegistry:
             return 0.0
         return series.value
 
-    def total(self, name: str) -> float:
-        """Sum of every series of one counter/gauge family."""
+    def total(self, name: str, **labels) -> float:
+        """Sum of the series of one counter/gauge family whose labels
+        include ``labels`` (every series when none are given)."""
         family = self._families.get(name)
         if family is None:
             return 0.0
+        match = {k: str(v) for k, v in labels.items()}
         return sum(
-            s.value for s in family.series() if isinstance(s, MetricSeries)
+            s.value for s in family.series()
+            if isinstance(s, MetricSeries)
+            and all(s.labels.get(k) == v for k, v in match.items())
         )
 
     def to_json(self) -> dict:
@@ -341,49 +346,62 @@ class MetricSpec(NamedTuple):
     name: str
     kind: str
     help: str
-    #: ``(labels, stats key)`` per series.  ``{node}`` in a key and its
-    #: label values expands over the run's processors; ``{network}`` is
-    #: the interconnect kind.
-    series: tuple[tuple[dict[str, str], str], ...]
+    #: ``(labels, stats key, summary field)`` per series.  ``{node}`` in
+    #: a key and its label values expands over the run's processors;
+    #: ``{network}`` is the interconnect kind.  The field is the
+    #: ``summarize()`` entry the series adds into (``None``: export only).
+    series: tuple[tuple[dict[str, str], str, str | None], ...]
 
 
-def _per_node(key: str, **labels: str) -> tuple[dict[str, str], str]:
+def _per_node(
+    key: str, field: str | None = None, **labels: str,
+) -> tuple[dict[str, str], str, str | None]:
     """A series with one ``node`` label per processor, reading ``key``."""
-    return {"node": "{node}", **labels}, key
+    return {"node": "{node}", **labels}, key, field
 
 
 #: Every labelled series a finished run exports, with the stats key it
-#: reads.  The series set is exactly what the simulator's components
-#: declare: a counter series exists when its handle was resolved, a
-#: histogram series when the histogram was created.
+#: reads and the summary field it feeds.  The series set is exactly
+#: what the simulator's components declare: a counter series exists
+#: when its handle was resolved, a histogram series when the histogram
+#: was created.  The rows run in ``summarize()`` order: a field's
+#: first row fixes its place in the summary.
 RUN_METRICS: tuple[MetricSpec, ...] = (
+    MetricSpec(
+        "repro_bus_grants_total", COUNTER, "Address transactions granted, all kinds",
+        (({}, "bus.txn.total", "txn_total"),),
+    ),
     MetricSpec("repro_bus_txn_total", COUNTER, "Address transactions by kind", (
-        ({"kind": "read"}, "bus.txn.read"),
-        ({"kind": "readx"}, "bus.txn.readx"),
-        ({"kind": "upgrade"}, "bus.txn.upgrade"),
-        ({"kind": "validate"}, "bus.txn.validate"),
-        ({"kind": "writeback"}, "bus.txn.writeback"),
-        ({"kind": "cancelled"}, "bus.txn.cancelled"),
+        ({"kind": "read"}, "bus.txn.read", "txn_read"),
+        ({"kind": "readx"}, "bus.txn.readx", "txn_readx"),
+        ({"kind": "upgrade"}, "bus.txn.upgrade", "txn_upgrade"),
+        ({"kind": "validate"}, "bus.txn.validate", "txn_validate"),
+        ({"kind": "writeback"}, "bus.txn.writeback", "txn_writeback"),
+        ({"kind": "cancelled"}, "bus.txn.cancelled", None),
     )),
     MetricSpec("repro_bus_data_source_total", COUNTER, "Data responses by source", (
-        ({"source": "cache"}, "bus.txn.cache_to_cache"),
-        ({"source": "memory"}, "bus.txn.from_memory"),
+        ({"source": "cache"}, "bus.txn.cache_to_cache", "txn_cache_to_cache"),
+        ({"source": "memory"}, "bus.txn.from_memory", None),
     )),
     MetricSpec(
         "repro_bus_queue_depth", HISTOGRAM, "Address-network queue depth at request",
-        (({"network": "{network}"}, "bus.queue_depth"),),
+        (({"network": "{network}"}, "bus.queue_depth", None),),
+    ),
+    MetricSpec(
+        "repro_misses_classified_total", COUNTER, "L2 misses classified, all classes",
+        (({}, "misses.miss.total", "miss_total"),),
     ),
     MetricSpec("repro_misses_total", COUNTER, "L2 misses by class", (
-        ({"cls": "cold"}, "misses.miss.cold"),
-        ({"cls": "capacity"}, "misses.miss.capacity"),
-        ({"cls": "comm"}, "misses.miss.comm"),
+        ({"cls": "cold"}, "misses.miss.cold", "miss_cold"),
+        ({"cls": "capacity"}, "misses.miss.capacity", "miss_capacity"),
+        ({"cls": "comm"}, "misses.miss.comm", "miss_comm"),
     )),
     MetricSpec(
         "repro_comm_misses_total", COUNTER,
         "Communication misses by cause (tss/false/true sharing)", (
-            ({"cause": "tss"}, "misses.miss.comm.tss"),
-            ({"cause": "false"}, "misses.miss.comm.false"),
-            ({"cause": "true"}, "misses.miss.comm.true"),
+            ({"cause": "tss"}, "misses.miss.comm.tss", "miss_comm_tss"),
+            ({"cause": "false"}, "misses.miss.comm.false", "miss_comm_false"),
+            ({"cause": "true"}, "misses.miss.comm.true", "miss_comm_true"),
         ),
     ),
     MetricSpec(
@@ -391,18 +409,52 @@ RUN_METRICS: tuple[MetricSpec, ...] = (
         (_per_node("node{node}.miss_latency"),),
     ),
     MetricSpec(
+        "repro_run_invariant_checks", GAUGE, "Coherence invariant checks run",
+        (({}, "run.invariant_checks", "invariant_checks"),),
+    ),
+    MetricSpec("repro_commits_total", COUNTER, "Committed micro-ops by kind", (
+        _per_node("core{node}.commit.load", "loads", kind="load"),
+        _per_node("core{node}.commit.store", "stores", kind="store"),
+        _per_node("core{node}.commit.larx", "larx", kind="larx"),
+        _per_node("core{node}.commit.stcx", "stcx", kind="stcx"),
+        _per_node("core{node}.commit.alu", "alu", kind="alu"),
+        _per_node("core{node}.commit.sync", kind="sync"),
+        _per_node("core{node}.commit.isync", kind="isync"),
+        _per_node("core{node}.commit.end", kind="end"),
+    )),
+    MetricSpec(
+        "repro_update_silent_stores_total", COUNTER,
+        "Stores that wrote the value already in a valid line",
+        (_per_node("node{node}.stores.update_silent", "us_stores"),),
+    ),
+    MetricSpec(
+        "repro_lvp_predictions_total", COUNTER,
+        "Speculative value deliveries from stale lines",
+        (_per_node("node{node}.lvp.predictions", "lvp_predictions"),),
+    ),
+    MetricSpec(
+        "repro_lvp_resolutions_total", COUNTER,
+        "LVP speculative deliveries by resolution outcome", (
+            _per_node("node{node}.lvp.correct", "lvp_correct", outcome="verified"),
+            _per_node("node{node}.lvp.mispredictions", "lvp_mispredictions",
+                      outcome="squashed"),
+        ),
+    ),
+    MetricSpec(
         "repro_ts_stores_total", COUNTER, "Temporally silent stores detected",
-        (_per_node("ctrl{node}.ts_stores"),),
+        (_per_node("ctrl{node}.ts_stores", "ts_stores"),),
     ),
     MetricSpec("repro_validates_total", COUNTER, "Validate broadcasts by outcome", (
-        _per_node("ctrl{node}.validates_broadcast", outcome="broadcast"),
-        _per_node("ctrl{node}.validates_suppressed", outcome="suppressed"),
+        _per_node("ctrl{node}.validates_broadcast", "validates_broadcast",
+                  outcome="broadcast"),
+        _per_node("ctrl{node}.validates_suppressed", "validates_suppressed",
+                  outcome="suppressed"),
         _per_node("ctrl{node}.validates_cancelled", outcome="cancelled"),
     )),
     MetricSpec(
         "repro_revalidations_total", COUNTER,
         "T-state copies re-installed by a remote validate",
-        (_per_node("ctrl{node}.revalidations"),),
+        (_per_node("ctrl{node}.revalidations", "revalidations"),),
     ),
     MetricSpec(
         "repro_validate_reuse_distance", HISTOGRAM,
@@ -421,66 +473,74 @@ RUN_METRICS: tuple[MetricSpec, ...] = (
             _per_node("ctrl{node}.predictor.validates_suppressed", decision="suppress"),
         ),
     ),
+    # A validate was useful when a remote request consumed the silent
+    # value or the upgrade's snoop response asserted sharing, useless
+    # when the snoop response denied it.
     MetricSpec(
         "repro_predictor_transitions_total", COUNTER,
         "Predictor confidence transitions by cause", (
             _per_node("ctrl{node}.predictor.useful_by_external_req",
-                      cause="external_request"),
+                      "validates_useful", cause="external_request"),
             _per_node("ctrl{node}.predictor.useful_by_snoop_response",
-                      cause="useful_snoop"),
+                      "validates_useful", cause="useful_snoop"),
             _per_node("ctrl{node}.predictor.useless_by_snoop_response",
-                      cause="useless_snoop"),
-        ),
-    ),
-    MetricSpec(
-        "repro_lvp_predictions_total", COUNTER,
-        "Speculative value deliveries from stale lines",
-        (_per_node("node{node}.lvp.predictions"),),
-    ),
-    MetricSpec(
-        "repro_lvp_resolutions_total", COUNTER,
-        "LVP speculative deliveries by resolution outcome", (
-            _per_node("node{node}.lvp.correct", outcome="verified"),
-            _per_node("node{node}.lvp.mispredictions", outcome="squashed"),
+                      "validates_useless", cause="useless_snoop"),
         ),
     ),
     MetricSpec(
         "repro_sle_candidates_total", COUNTER, "Elidable lock-acquire candidates",
-        (_per_node("sle{node}.candidates"),),
+        (_per_node("sle{node}.candidates", "sle_candidates"),),
+    ),
+    MetricSpec(
+        "repro_sle_attempts_total", COUNTER, "Elision attempts started",
+        (_per_node("sle{node}.attempts", "sle_attempts"),),
+    ),
+    MetricSpec(
+        "repro_sle_commits_total", COUNTER, "Elided regions committed atomically",
+        (_per_node("sle{node}.successes", "sle_successes"),),
     ),
     MetricSpec(
         "repro_sle_confidence_filtered_total", COUNTER,
         "Candidates skipped by the elision confidence filter",
-        (_per_node("sle{node}.filtered_by_confidence"),),
+        (_per_node("sle{node}.filtered_by_confidence", "sle_filtered_by_confidence"),),
     ),
-    MetricSpec(
-        "repro_sle_attempts_total", COUNTER, "Elision attempts started",
-        (_per_node("sle{node}.attempts"),),
-    ),
-    MetricSpec(
-        "repro_sle_commits_total", COUNTER, "Elided regions committed atomically",
-        (_per_node("sle{node}.successes"),),
-    ),
-    MetricSpec("repro_sle_aborts_total", COUNTER, "Elision aborts by reason", (
-        _per_node("sle{node}.failure.no_release", reason="no_release"),
-        _per_node("sle{node}.failure.conflict", reason="conflict"),
-        _per_node("sle{node}.failure.serialize", reason="serialize"),
-        _per_node("sle{node}.failure.nested", reason="nested"),
-    )),
     MetricSpec(
         "repro_sle_restarts_total", COUNTER, "Conflict-aborted regions re-elided",
-        (_per_node("sle{node}.restarts"),),
+        (_per_node("sle{node}.restarts", "sle_restarts"),),
     ),
     MetricSpec(
         "repro_sle_fallbacks_total", COUNTER,
         "Elisions abandoned for a real lock acquisition",
-        (_per_node("sle{node}.fallback_acquisitions"),),
+        (_per_node("sle{node}.fallback_acquisitions", "sle_fallback_acquisitions"),),
     ),
-    MetricSpec("repro_run_cycles", GAUGE, "Simulated cycles", (({}, "run.cycles"),)),
-    MetricSpec("repro_run_committed", GAUGE, "Committed micro-ops", (({}, "run.committed"),)),
-    MetricSpec("repro_run_ipc", GAUGE, "Committed micro-ops per cycle", (({}, "run.ipc"),)),
-    MetricSpec("repro_run_events", GAUGE, "Scheduler events fired", (({}, "run.events"),)),
+    MetricSpec("repro_sle_aborts_total", COUNTER, "Elision aborts by reason", (
+        _per_node("sle{node}.failure.no_release", "sle_fail_no_release",
+                  reason="no_release"),
+        _per_node("sle{node}.failure.conflict", "sle_fail_conflict", reason="conflict"),
+        _per_node("sle{node}.failure.serialize", "sle_fail_serialize",
+                  reason="serialize"),
+        _per_node("sle{node}.failure.nested", "sle_fail_nested", reason="nested"),
+    )),
+    MetricSpec("repro_run_cycles", GAUGE, "Simulated cycles", (({}, "run.cycles", None),)),
+    MetricSpec("repro_run_committed", GAUGE, "Committed micro-ops", (({}, "run.committed", None),)),
+    MetricSpec("repro_run_ipc", GAUGE, "Committed micro-ops per cycle", (({}, "run.ipc", None),)),
+    MetricSpec("repro_run_events", GAUGE, "Scheduler events fired", (({}, "run.events", None),)),
 )
+
+
+def run_series(
+    n_procs: int, network: str = "",
+) -> Iterator[tuple[MetricSpec, dict[str, str], str, str | None]]:
+    """Every :data:`RUN_METRICS` series of an ``n_procs``-node run, in
+    table order: ``(spec, labels, stats key, summary field)`` with
+    ``{node}`` and ``{network}`` filled in."""
+    for spec in RUN_METRICS:
+        for labels, key, field in spec.series:
+            for node in range(n_procs) if "{node}" in key else (None,):
+                values = {
+                    k: v.format(node=node, network=network) for k, v in labels.items()
+                }
+                yield spec, values, key.format(node=node), field
 
 
 def run_metrics(stats: StatsRegistry, config: "MachineConfig") -> MetricsRegistry:
@@ -492,24 +552,19 @@ def run_metrics(stats: StatsRegistry, config: "MachineConfig") -> MetricsRegistr
     gauges read the ``run.*`` summary the system records at the end.
     """
     registry = MetricsRegistry()
-    network = config.interconnect.value
-    for spec in RUN_METRICS:
-        for labels, key in spec.series:
-            nodes = range(config.n_procs) if "{node}" in key else (None,)
-            for node in nodes:
-                stat = key.format(node=node)
-                values = {
-                    k: v.format(node=node, network=network) for k, v in labels.items()
-                }
-                if spec.kind == HISTOGRAM:
-                    hist = stats.get_histogram(stat)
-                    if hist is not None:
-                        family = registry.histogram(spec.name, spec.help, tuple(values))
-                        family.attach(hist, **values)
-                elif spec.kind == GAUGE:
-                    family = registry.gauge(spec.name, spec.help, tuple(values))
-                    family.labels(**values).set(stats.get(stat, 0.0))
-                elif stats.declared(stat):
-                    family = registry.counter(spec.name, spec.help, tuple(values))
-                    family.labels(**values).inc(stats.get(stat, 0.0))
+    for spec, labels, stat, _field in run_series(
+        config.n_procs, config.interconnect.value,
+    ):
+        if spec.kind == HISTOGRAM:
+            hist = stats.get_histogram(stat)
+            if hist is not None:
+                registry.histogram(spec.name, spec.help, tuple(labels)).attach(
+                    hist, **labels,
+                )
+        elif spec.kind == GAUGE:
+            family = registry.gauge(spec.name, spec.help, tuple(labels))
+            family.labels(**labels).set(stats.get(stat, 0.0))
+        elif stats.declared(stat):
+            family = registry.counter(spec.name, spec.help, tuple(labels))
+            family.labels(**labels).inc(stats.get(stat, 0.0))
     return registry

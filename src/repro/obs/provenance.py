@@ -352,21 +352,6 @@ def line_chain(events: Iterable, base: int, limit: int | None = None) -> list[di
 # ---------------------------------------------------------------------------
 
 
-def _metric_sum(metrics, name: str, **match) -> float:
-    """Sum a family's series values over all series matching ``match``."""
-    total = 0.0
-    for family in metrics.families():
-        if family.name != name:
-            continue
-        for series in family.series():
-            values = getattr(series, "value", None)
-            if values is None:
-                continue
-            if all(series.labels.get(k) == str(v) for k, v in match.items()):
-                total += series.value
-    return total
-
-
 def reconcile(report: ProvenanceReport, metrics) -> list[dict]:
     """Check the trace-derived totals against a run's ``metrics``.
 
@@ -380,33 +365,30 @@ def reconcile(report: ProvenanceReport, metrics) -> list[dict]:
     validates = report.validates
     rows = [
         ("validates.broadcast", validates["broadcast"],
-         _metric_sum(metrics, "repro_validates_total", outcome="broadcast")),
+         metrics.total("repro_validates_total", outcome="broadcast")),
         ("validates.suppressed", validates["suppressed"],
-         _metric_sum(metrics, "repro_validates_total", outcome="suppressed")),
+         metrics.total("repro_validates_total", outcome="suppressed")),
         ("validates.cancelled", validates["cancelled"],
-         _metric_sum(metrics, "repro_validates_total", outcome="cancelled")),
+         metrics.total("repro_validates_total", outcome="cancelled")),
         ("validates.useful", validates["useful"],
-         _metric_sum(metrics, "repro_predictor_transitions_total",
-                     cause="external_request")
-         + _metric_sum(metrics, "repro_predictor_transitions_total",
-                       cause="useful_snoop")),
+         metrics.total("repro_predictor_transitions_total", cause="external_request")
+         + metrics.total("repro_predictor_transitions_total", cause="useful_snoop")),
         ("validates.useless", validates["useless"],
-         _metric_sum(metrics, "repro_predictor_transitions_total",
-                     cause="useless_snoop")),
+         metrics.total("repro_predictor_transitions_total", cause="useless_snoop")),
         ("revalidations", validates["revalidations"],
-         _metric_sum(metrics, "repro_revalidations_total")),
+         metrics.total("repro_revalidations_total")),
         ("misses.comm", report.comm_misses,
-         _metric_sum(metrics, "repro_misses_total", cls="comm")),
+         metrics.total("repro_misses_total", cls="comm")),
         # Cause buckets (not provenance classes): LVP-verified misses
         # are attributed "lvp" first, so classes understate the raw
         # causes the classifier counted; comm_causes keeps the raw
         # tallies precisely for this comparison.
         ("misses.comm.tss", report.comm_causes.get("tss", 0),
-         _metric_sum(metrics, "repro_comm_misses_total", cause="tss")),
+         metrics.total("repro_comm_misses_total", cause="tss")),
         ("misses.comm.false", report.comm_causes.get("false", 0),
-         _metric_sum(metrics, "repro_comm_misses_total", cause="false")),
+         metrics.total("repro_comm_misses_total", cause="false")),
         ("misses.comm.true", report.comm_causes.get("true", 0),
-         _metric_sum(metrics, "repro_comm_misses_total", cause="true")),
+         metrics.total("repro_comm_misses_total", cause="true")),
     ]
     out = []
     for name, trace_val, counter_val in rows:

@@ -202,21 +202,34 @@ class EventLog:
             for job in sorted(jobs):
                 self._by_job[job].append(record)
             if name == "job.completed":
-                self._retire_job_view(fields.get("job"))
+                self._close_job_view(fields.get("job"))
             self._counter.labels(event=name).inc()
             subscribers = list(self._subscribers)
         for subscriber in subscribers:
             subscriber(record)
         return record
 
-    def _retire_job_view(self, job: str | None) -> None:
-        """Queue a now-terminal job for retention-based view pruning.
+    def _close_job_view(self, job: str | None) -> None:
+        """End a now-terminal job's view at its ``job.completed``.
 
-        The view survives the next ``retain_terminal`` job
-        completions, so recently finished jobs still replay their
-        full history to late-attaching event streams.
+        The job stops receiving its cells' events (a cell a worker
+        still holds after a cancel or a sibling's failure runs on, and
+        its ``cell.started``/``cell.finished`` must not land after the
+        terminal record a stream ends on), and the view is queued for
+        retention-based pruning: it survives the next
+        ``retain_terminal`` job completions, so recently finished jobs
+        still replay their full history to late-attaching streams.
         """
-        if job is None or self.retain_terminal is None:
+        if job is None:
+            return
+        for fingerprint in [
+            f for f, jobs in self._cell_jobs.items() if job in jobs
+        ]:
+            jobs = self._cell_jobs[fingerprint]
+            jobs.discard(job)
+            if not jobs:
+                del self._cell_jobs[fingerprint]
+        if self.retain_terminal is None:
             return
         self._terminal_jobs.append(job)
         while len(self._terminal_jobs) > self.retain_terminal:

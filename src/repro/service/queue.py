@@ -657,14 +657,25 @@ class JobQueue:
             return dict(job)
 
     def job_status(self, job_id: str) -> dict[str, Any]:
-        """The job record plus per-cell states (raises KeyError)."""
+        """The job record plus per-cell states (raises KeyError).
+
+        A cancelled job waits on none of its cells, so each one not
+        done reads ``dropped``: drained, still queued for another job,
+        or running on a worker that held it when the cancel landed.
+        """
         with self._lock:
             job = self.jobs[job_id]
-            gone = "dropped" if job["status"] == "cancelled" else "done"
+            cancelled = job["status"] == "cancelled"
             cells = {}
             for fingerprint in job["cells"]:
                 cell = self.cells.get(fingerprint)
-                cells[fingerprint] = cell["state"] if cell else gone
+                if cell is None:
+                    state = "dropped" if cancelled else "done"
+                elif cancelled and cell["state"] != "done":
+                    state = "dropped"
+                else:
+                    state = cell["state"]
+                cells[fingerprint] = state
             return {**job, "cell_states": cells}
 
     def has_job(self, job_id: str) -> bool:

@@ -38,7 +38,7 @@ class RunResult:
     cycles: int
     committed: int
     stats: StatsRegistry
-    config: MachineConfig = field(repr=False, default=None)
+    config: MachineConfig = field(repr=False)
 
     @property
     def metrics(self) -> MetricsRegistry:
@@ -69,13 +69,15 @@ class RunResult:
 
     def node_sum(self, name: str) -> float:
         """Sum a per-node counter over all processors."""
-        n = self.config.n_procs if self.config else 64
-        return sum(self.stats.get(f"node{i}.{name}") for i in range(n))
+        return sum(
+            self.stats.get(f"node{i}.{name}") for i in range(self.config.n_procs)
+        )
 
     def ctrl_sum(self, name: str) -> float:
         """Sum a per-controller counter over all processors."""
-        n = self.config.n_procs if self.config else 64
-        return sum(self.stats.get(f"ctrl{i}.{name}") for i in range(n))
+        return sum(
+            self.stats.get(f"ctrl{i}.{name}") for i in range(self.config.n_procs)
+        )
 
 
 class System:

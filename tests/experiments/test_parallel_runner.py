@@ -14,7 +14,8 @@ from __future__ import annotations
 import dataclasses
 import json
 import logging
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -139,38 +140,78 @@ class TestManifest:
         assert RunManifest.load(runner.manifest_path).ran == 1
 
 
+class FakePool:
+    """Executor stand-in: each submit answers with the next outcome
+    (a summary, or an exception to raise from ``result``)."""
+
+    def __init__(self, *outcomes):
+        self.outcomes = list(outcomes)
+        self.submitted = []
+        self.shut_down = False
+
+    def submit(self, fn, *args):
+        self.submitted.append(args)
+        future = Future()
+        outcome = self.outcomes.pop(0)
+        if isinstance(outcome, BaseException):
+            future.set_exception(outcome)
+        else:
+            future.set_result(dict(outcome))
+        return future
+
+    def shutdown(self, wait=True, cancel_futures=False):
+        self.shut_down = True
+
+
+JOBS = [("config", "x", SCALE, 1), ("config", "y", SCALE, 2)]
+KEYS = ["x|scale0.02|seed1", "y|scale0.02|seed2"]
+
+
 class TestRetry:
-    def test_harvest_retries_once_on_failure(self, caplog):
-        from repro.experiments.runner import _harvest
+    """``_retry_chunk``: the cells of a failed dispatch chunk."""
 
-        class FailingFuture:
-            def result(self, timeout=None):
-                raise RuntimeError("worker died")
+    def test_failed_chunk_retries_each_cell_once(self, caplog):
+        from repro.experiments.runner import _retry_chunk
 
-        retried = []
+        pool = FakePool({"cycles": 7, "retries": 0}, {"cycles": 8, "retries": 0})
+        events = []
         with caplog.at_level(logging.WARNING, logger="repro.runner"):
-            out = _harvest(
-                FailingFuture(), lambda: retried.append(1) or {"cycles": 7},
-                timeout=1.0, label="x|y|1",
+            out = _retry_chunk(
+                pool, 2, JOBS, KEYS, RuntimeError("worker died"), 1.0, events.append,
             )
-        # The retried summary is marked so the extra attempt is visible
-        # in the cache.
-        assert out == {"cycles": 7, "retries": 1}
-        assert retried == [1]
-        assert "retrying once" in caplog.text
+        assert pool.submitted == JOBS  # one retry per cell, in the same pool
+        # Each retried summary is marked so the extra attempt is visible
+        # in the store.
+        assert out == [{"cycles": 7, "retries": 1}, {"cycles": 8, "retries": 1}]
+        assert [(e.kind, e.key) for e in events] == [("retry", k) for k in KEYS]
+        assert "RuntimeError: worker died" in events[0].error
+        assert caplog.text.count("retrying the cell") == 2
 
-    def test_harvest_second_failure_propagates(self):
-        from repro.experiments.runner import _harvest
+    def test_failed_chunk_second_failure_propagates(self):
+        from repro.experiments.runner import _retry_chunk
 
-        class FailingFuture:
-            def result(self, timeout=None):
-                raise RuntimeError("worker died")
-
-        def retry():
-            raise RuntimeError("still dead")
-
+        pool = FakePool(RuntimeError("still dead"))
         with pytest.raises(RuntimeError, match="still dead"):
-            _harvest(FailingFuture(), retry, timeout=1.0, label="x|y|1")
+            _retry_chunk(pool, 2, JOBS, KEYS, RuntimeError("worker died"), 1.0, None)
+        assert pool.submitted == JOBS[:1]
+
+    def test_broken_executor_retries_in_process(self, monkeypatch):
+        from repro.experiments import runner
+
+        pool = FakePool(BrokenProcessPool("pool died"), BrokenProcessPool("pool died"))
+        monkeypatch.setitem(runner._WARM_POOLS, (97, None), pool)
+        ran = []
+        monkeypatch.setattr(
+            runner, "run_cell", lambda *job: ran.append(job) or {"cycles": 7},
+        )
+        out = runner._retry_chunk(
+            pool, 97, JOBS, KEYS, RuntimeError("worker died"), 1.0, None,
+        )
+        assert ran == JOBS  # every cell ran in-process
+        assert out == [{"cycles": 7, "retries": 1}] * 2
+        # The broken warm pool is retired so the next sweep gets a fresh one.
+        assert (97, None) not in runner._WARM_POOLS
+        assert pool.shut_down
 
 
 class TestConfigFingerprint:

@@ -1,10 +1,18 @@
 """Matrix runner: summaries, caching, and the experiment harnesses."""
 
 import json
+import pathlib
 
 import pytest
 
-from repro.experiments.runner import MatrixRunner, summarize
+from repro.experiments.runner import (
+    NONDETERMINISTIC_FIELDS,
+    MatrixRunner,
+    cell_config,
+    cell_fingerprint,
+    run_cell,
+    summarize,
+)
 from repro.system.system import System
 from repro.system.techniques import configure_technique
 from repro.workloads.registry import get_benchmark
@@ -44,6 +52,29 @@ class TestSummarize:
 
     def test_json_serializable(self, small_result):
         json.dumps(summarize(small_result))
+
+    @pytest.mark.parametrize("technique", ["base", "emesti+lvp+sle"])
+    def test_rerun_reproduces_stored_cell_bytes(self, technique):
+        """A stored scale-1.0 cell re-runs to the same JSON, byte for byte.
+
+        ``==`` cannot tell an untouched counter's int ``0`` from ``0.0``;
+        the dump can (``ocean|base|1`` stores 21 of its counts as int ``0``).
+        """
+        from repro.common.config import scaled_config
+        from repro.experiments.store import ResultStore
+
+        config = cell_config(scaled_config(), technique)
+        store = ResultStore(pathlib.Path(__file__).resolve().parents[2] / "results")
+        stored = store.get(cell_fingerprint(config, "ocean", 1.0, 1))["summary"]
+        fresh = run_cell(config, "ocean", 1.0, 1)
+
+        def dump(summary):
+            return json.dumps(
+                {k: v for k, v in summary.items() if k not in NONDETERMINISTIC_FIELDS},
+                sort_keys=True,
+            )
+
+        assert dump(fresh) == dump(stored)
 
 
 class TestMatrixRunner:

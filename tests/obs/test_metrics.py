@@ -9,8 +9,12 @@ The load-bearing contracts:
   counter handle nothing incremented is exported at zero without
   creating its stats key, and a component that was never built
   (SLE off) exports no family;
-* every stats key in the table is one a full run declares, so a
-  renamed counter cannot silently drop out of the export.
+* each summary field is the sum of the export series whose table row
+  names it;
+* the table and a full run's declarations match both ways: every
+  stats key in the table is one the run declares, so a renamed
+  counter cannot silently drop out of the export, and every key the
+  run declares has a row, so a new counter cannot either.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from repro.obs.metrics import (
     RUN_METRICS,
     MetricsRegistry,
     run_metrics,
+    run_series,
 )
 
 
@@ -41,6 +46,18 @@ class TestRegistry:
         assert m.get("repro_widgets_total", kind="a") == 3
         assert m.get("repro_widgets_total", kind="b") == 1
         assert m.total("repro_widgets_total") == 4
+
+    def test_total_sums_the_series_matching_labels(self):
+        m = MetricsRegistry()
+        fam = m.counter("repro_widgets_total", labels=("node", "kind"))
+        fam.labels(node=0, kind="a").inc(1)
+        fam.labels(node=1, kind="a").inc(2)
+        fam.labels(node=1, kind="b").inc(4)
+        assert m.total("repro_widgets_total", kind="a") == 3
+        assert m.total("repro_widgets_total", node=1) == 6
+        assert m.total("repro_widgets_total", node=1, kind="b") == 4
+        assert m.total("repro_widgets_total", kind="c") == 0
+        assert m.total("repro_widgets_total", color="red") == 0
 
     def test_reregistration_is_idempotent(self):
         m = MetricsRegistry()
@@ -137,7 +154,7 @@ class TestRunView:
         names = {f.name for f in self.view(StatsRegistry()).families()}
         assert names == {
             "repro_run_cycles", "repro_run_committed", "repro_run_ipc",
-            "repro_run_events",
+            "repro_run_events", "repro_run_invariant_checks",
         }
 
     def test_histograms_are_the_stats_objects(self):
@@ -232,13 +249,13 @@ class TestExports:
         assert '{name="he said \\"hi\\"\\\\\\n"}' in text
 
 
-def _run(benchmark, technique, scale):
+def _run(benchmark, technique, scale, **kwargs):
     from repro.system.system import System
     from repro.system.techniques import configure_technique
     from repro.workloads.registry import get_benchmark
 
     config = configure_technique(scaled_config(), technique)
-    return System(config, get_benchmark(benchmark, scale=scale), seed=1).run()
+    return System(config, get_benchmark(benchmark, scale=scale), seed=1, **kwargs).run()
 
 
 @pytest.fixture(scope="module")
@@ -254,17 +271,24 @@ class TestRunParity:
     """Metric series vs the summarize() counters the figures read."""
 
     def test_paper_counters_match_summary(self, instrumented_run):
+        """Each summary count is the sum of the export series whose
+        table row names its field, and every other summary field comes
+        from the result or a merged histogram."""
         metrics, summary, _ = instrumented_run
-        assert metrics.total("repro_ts_stores_total") == summary["ts_stores"]
-        assert metrics.total("repro_misses_total") == summary["miss_total"]
-        for cause, key in (
-            ("tss", "miss_comm_tss"),
-            ("false", "miss_comm_false"),
-            ("true", "miss_comm_true"),
-        ):
-            assert metrics.get(
-                "repro_comm_misses_total", cause=cause
-            ) == summary[key], cause
+        sums: dict[str, float] = {}
+        for spec in RUN_METRICS:
+            for labels, _key, field in spec.series:
+                if field is not None:
+                    fixed = {k: v for k, v in labels.items() if k != "node"}
+                    sums[field] = sums.get(field, 0) + metrics.total(spec.name, **fixed)
+        assert {field: summary[field] for field in sums} == sums
+        assert set(summary) - set(sums) == {
+            "cycles", "committed", "ipc", "wall_seconds",
+            "miss_latency_p50", "miss_latency_p95", "miss_latency_p99",
+            "miss_latency_mean", "bus_queue_depth_p50", "bus_queue_depth_p95",
+            "validate_reuse_p50", "validate_reuse_count",
+        }
+        assert summary["validates_useful"] > 0  # the run exercises the sums
 
     def test_validates_by_outcome_match_summary(self, instrumented_run):
         metrics, summary, result = instrumented_run
@@ -329,22 +353,39 @@ class TestRunParity:
         assert again.to_json() == metrics.to_json()
 
 
-def test_every_table_key_is_declared_by_a_full_run():
-    """Each RUN_METRICS key names a counter handle or histogram that a
-    run with every component built (predictor, LVP, SLE) declares."""
-    result = _run("raytrace", "emesti+lvp+sle", 0.02)
-    stats, n = result.stats, result.config.n_procs
+@pytest.fixture(scope="module")
+def full_run():
+    """A run with every component built (predictor, LVP, SLE) and the
+    invariant checker on."""
+    return _run("raytrace", "emesti+lvp+sle", 0.02, check_invariants=True)
+
+
+def test_every_table_key_is_declared_by_a_full_run(full_run):
+    """Each RUN_METRICS key names a counter handle the run declares, a
+    histogram it creates or a ``run.*`` entry it sets."""
+    stats = full_run.stats
     missing = []
-    for spec in RUN_METRICS:
-        for _labels, key in spec.series:
-            for node in range(n) if "{node}" in key else (None,):
-                stat = key.format(node=node)
-                if spec.kind == COUNTER:
-                    found = stats.declared(stat)
-                elif spec.kind == HISTOGRAM:
-                    found = stats.get_histogram(stat) is not None
-                else:
-                    found = stat in stats
-                if not found:
-                    missing.append(stat)
+    for spec, _labels, stat, _field in run_series(full_run.config.n_procs):
+        if spec.kind == COUNTER:
+            found = stats.declared(stat)
+        elif spec.kind == HISTOGRAM:
+            found = stats.get_histogram(stat) is not None
+        else:
+            found = stat in stats
+        if not found:
+            missing.append(stat)
     assert missing == []
+
+
+def test_every_key_a_full_run_declares_has_a_row(full_run):
+    """The converse: no counter handle, histogram or ``run.*`` entry of
+    a full run is left out of the export."""
+    stats = full_run.stats
+    rows = {stat for _spec, _labels, stat, _field in run_series(full_run.config.n_procs)}
+    declared = (
+        set(stats._declared)
+        | {name for name, _hist in stats.histogram_items()}
+        | {key for key in stats if key.startswith("run.")}
+    )
+    assert "run.invariant_checks" in declared
+    assert sorted(declared - rows) == []

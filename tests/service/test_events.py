@@ -80,6 +80,22 @@ class TestRouting:
         log.emit("cell.finished", fingerprint="f00d")
         assert log.for_job("job-1") == []
 
+    def test_job_view_ends_at_job_completed(self):
+        # A cell a worker still holds when one of its jobs is
+        # cancelled runs on; its later events reach only the live job.
+        log = EventLog()
+        log.attach("f00d", "job-1")
+        log.attach("f00d", "job-2")
+        log.emit("cell.leased", fingerprint="f00d", worker="w0")
+        log.emit("job.completed", job="job-1", reason="cancelled")
+        log.emit("cell.started", fingerprint="f00d", worker="w0")
+        assert [r["event"] for r in log.for_job("job-1")] == [
+            "cell.leased", "job.completed",
+        ]
+        assert [r["event"] for r in log.for_job("job-2")] == [
+            "cell.leased", "cell.started",
+        ]
+
     def test_subscribers_see_every_record(self):
         log = EventLog()
         seen = []

@@ -277,6 +277,27 @@ class TestCancellation:
         queue.complete(cell["fingerprint"])
         assert queue.jobs[job["id"]]["status"] == "cancelled"
 
+    def test_cancelled_job_reports_every_unfinished_cell_dropped(
+        self, tmp_path,
+    ):
+        queue, _events, _clock = make_queue(tmp_path)
+        job = queue.submit(SPEC)
+        held = queue.lease("w0")
+        live = queue.submit(SPEC)
+        queue.cancel(job["id"])
+        # One cell runs on the worker that held it, the other stays
+        # queued for the live job: the cancelled job waits on neither.
+        assert set(queue.job_status(job["id"])["cell_states"].values()) == {
+            "dropped",
+        }
+        assert sorted(queue.job_status(live["id"])["cell_states"].values()) == [
+            "leased", "queued",
+        ]
+        queue.complete(held["fingerprint"])
+        assert sorted(queue.job_status(job["id"])["cell_states"].values()) == [
+            "done", "dropped",
+        ]
+
     def test_cancel_unknown_job_raises(self, tmp_path):
         queue, _events, _clock = make_queue(tmp_path)
         with pytest.raises(KeyError):
