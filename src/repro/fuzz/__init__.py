@@ -29,8 +29,8 @@ Surface: ``repro-sim fuzz`` (see :mod:`repro.cli`) and the service's
 
 from repro.fuzz.campaign import FuzzOptions, run_campaign, run_fuzz_cell
 from repro.fuzz.generator import generate_test, make_schedule
-from repro.fuzz.oracle import enumerate_outcomes
 from repro.fuzz.report import mutation_record, render_fuzz, render_mutation
+from repro.verify.litmus import enumerate_outcomes
 
 __all__ = [
     "FuzzOptions",

@@ -51,13 +51,13 @@ from repro.fuzz.mutator import (
     seeded_plan,
 )
 from repro.fuzz.oracle import (
+    DEFAULT_MAX_STATES,
     REFERENCE_PROTOCOL,
     derive_allowed,
-    enumerate_outcomes,
 )
 from repro.verify.checker import ModelChecker
+from repro.verify.litmus import enumerate_outcomes
 from repro.verify.model import AbstractMachine, ProtocolSpec
-from repro.verify.mutations import MUTATIONS
 from repro.verify.replay import ConcreteReplayer
 
 #: Every ``MUTATION_STRIDE``-th iteration checks a protocol mutant.
@@ -81,7 +81,7 @@ class FuzzOptions:
     protocols: tuple[str, ...] = DEFAULT_PROTOCOLS
     interconnect: str = "bus"
     workers: int = 0
-    oracle_max_states: int = 20_000
+    oracle_max_states: int = DEFAULT_MAX_STATES
     mutation_max_states: int = MUTATION_MAX_STATES
     replay_witnesses: bool = True
     minimize: bool = True
@@ -124,7 +124,7 @@ def _mutation_iteration(options: FuzzOptions, index: int,
                         rng: SplitRng) -> dict:
     """Check one protocol mutant with the bounded model checker."""
     interconnect = _interconnect(options)
-    plan = seeded_plan()
+    plan = seeded_plan(interconnect)
     plan_index = index // MUTATION_STRIDE
     if plan_index < len(plan):
         proto_name, descriptor = plan[plan_index]
@@ -425,7 +425,9 @@ class FuzzReport:
                 "detected": sum(
                     1 for m in self.mutations if m["detected"]
                 ),
-                "seeded_total": len(MUTATIONS),
+                "seeded_total": len(seeded_plan(
+                    _interconnect(self.options)
+                )),
                 "seeded_detected": sorted(
                     m["descriptor"][1] for m in seeded if m["detected"]
                 ),

@@ -24,9 +24,9 @@ never leak between iterations.  Random sampling avoids the obvious
 equivalent mutants (it probes the pristine table and picks a *different*
 post state), but a random mutant the bounded checker does not flag is
 still only evidence, not a finding — equivalent mutants exist.  The
-hand-seeded bugs, by contrast, are known-detectable: the campaign
-treats any undetected seeded mutation as a ``mutation-escape``
-finding.
+hand-seeded bugs, by contrast, are known-detectable on the
+interconnects :func:`seeded_plan` pairs them with: the campaign treats
+any undetected seeded mutation as a ``mutation-escape`` finding.
 """
 
 from __future__ import annotations
@@ -34,25 +34,35 @@ from __future__ import annotations
 from repro.coherence.messages import SnoopResult, TxnKind
 from repro.coherence.protocol import ProtocolLogic
 from repro.coherence.states import LineState
+from repro.common.config import InterconnectKind
 from repro.common.rng import SplitRng
 from repro.verify.model import ProtocolSpec
-from repro.verify.mutations import MUTATIONS, TEMPORAL_ONLY, apply_mutation
+from repro.verify.mutations import (
+    BUS_ONLY,
+    MUTATIONS,
+    TEMPORAL_ONLY,
+    apply_mutation,
+)
 
 #: Descriptor tuple — see the module docstring for the grammar.
 Descriptor = tuple
 
 
-def seeded_plan() -> tuple[tuple[str, Descriptor], ...]:
-    """Every hand-seeded bug, paired with a protocol that exposes it.
+def seeded_plan(
+    interconnect: InterconnectKind = InterconnectKind.BUS,
+) -> tuple[tuple[str, Descriptor], ...]:
+    """Every hand-seeded bug ``interconnect`` can expose, with a protocol.
 
     Temporal-only mutations run on MESTI (the simplest protocol with a
-    T state); the rest run on plain MESI.  The campaign walks this
-    plan before sampling randomly, so any budget >= its length
-    rediscovers all of :data:`~repro.verify.mutations.MUTATIONS`.
+    T state); the rest run on plain MESI.  Bus-only mutations are left
+    out of a directory plan: the directory never reaches the row they
+    patch.  The campaign walks this plan before sampling randomly, so
+    any budget >= its length rediscovers every planned bug.
     """
     return tuple(
         ("mesti" if name in TEMPORAL_ONLY else "mesi", ("seeded", name))
         for name in sorted(MUTATIONS)
+        if interconnect is InterconnectKind.BUS or name not in BUS_ONLY
     )
 
 

@@ -2,21 +2,16 @@
 
 Hand-written allowed sets do not scale to generated workloads, and a
 wrong one would silently bless a broken protocol.  Instead the oracle
-*is* the model: :func:`enumerate_outcomes` explores every interleaving
-of a test's programs (forking both validate decisions wherever a store
-detects temporal silence) on the :class:`~repro.verify.model.
-AbstractMachine`, exactly like :class:`~repro.verify.litmus.
-LitmusRunner` — but it additionally
-
-* records transition-table coverage (the campaign's feedback signal)
-  through the :class:`~repro.verify.table.TransitionCoverage` hook,
-* catches :class:`~repro.verify.model.ModelViolation` mid-exploration
-  and reports it with its reproducing trace (a generated test may
-  legitimately drive the machine into an invariant breach — on the
-  real tables that is a finding, on a mutated table the catch),
-* keeps the *shortest* witness trace per outcome and bounds the
-  exploration by visited-state count so a pathological test cannot
-  hang an iteration.
+*is* the model: :func:`~repro.verify.litmus.enumerate_outcomes`
+explores every interleaving of a test's programs on the
+:class:`~repro.verify.model.AbstractMachine` (the same explorer
+:class:`~repro.verify.litmus.LitmusRunner` uses), recording
+transition-table coverage (the campaign's feedback signal), catching a
+:class:`~repro.verify.model.ModelViolation` with its reproducing trace
+(on the real tables that is a finding, on a mutated table the catch)
+and keeping the shortest witness per outcome.  The campaign bounds it
+by visited-state count so a pathological test cannot hang an
+iteration.
 
 The allowed set for a test is the outcome set enumerated on the
 reference protocol (plain MESI): every protocol variant under test
@@ -26,17 +21,9 @@ performance feature and must be architecturally invisible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from repro.common.config import InterconnectKind
-from repro.verify.litmus import LitmusTest
-from repro.verify.model import (
-    AbstractMachine,
-    Event,
-    ModelViolation,
-    ProtocolSpec,
-)
-from repro.verify.table import TransitionCoverage
+from repro.verify.litmus import LitmusTest, OracleResult, enumerate_outcomes
+from repro.verify.model import ProtocolSpec
 
 #: Default visited-state bound per enumeration (a generated test has
 #: at most ~9 ops over <=3 nodes; real explorations stay well under).
@@ -44,117 +31,6 @@ DEFAULT_MAX_STATES = 20_000
 
 #: The protocol whose enumeration defines the allowed-outcome set.
 REFERENCE_PROTOCOL = "mesi"
-
-
-@dataclass
-class OracleResult:
-    """One exhaustive enumeration of a test on one protocol."""
-
-    protocol: str
-    interconnect: str
-    outcomes: dict = field(default_factory=dict)  # outcome -> witness trace
-    complete: bool = True
-    states: int = 0
-    violation: dict | None = None  # {"kind", "detail", "trace"}
-    coverage: TransitionCoverage = field(default_factory=TransitionCoverage)
-
-    @property
-    def ok(self) -> bool:
-        """True when no invariant broke during enumeration."""
-        return self.violation is None
-
-
-def enumerate_outcomes(
-    spec: ProtocolSpec,
-    test: LitmusTest,
-    interconnect: InterconnectKind = InterconnectKind.BUS,
-    max_states: int = DEFAULT_MAX_STATES,
-) -> OracleResult:
-    """Enumerate every interleaving of ``test`` on ``spec``'s machine."""
-    machine = AbstractMachine(
-        spec.make_logic(),
-        n_nodes=test.n_nodes,
-        n_lines=test.n_lines,
-        n_words=test.n_words,
-        interconnect=interconnect,
-    )
-    result = OracleResult(
-        protocol=machine.protocol.name,
-        interconnect=(
-            "directory"
-            if interconnect is InterconnectKind.DIRECTORY
-            else "bus"
-        ),
-    )
-    machine.protocol.observer = result.coverage.record
-    init = machine.initial()
-    stack = [(init, (0,) * test.n_nodes, (), ())]
-    seen = set()
-    while stack:
-        state, pcs, loads, trace = stack.pop()
-        key = (state, pcs, loads)
-        if key in seen:
-            continue
-        seen.add(key)
-        if len(seen) >= max_states:
-            result.complete = False
-            break
-        if all(pc >= len(p) for pc, p in zip(pcs, test.programs)):
-            outcome = _outcome(test, loads)
-            best = result.outcomes.get(outcome)
-            if best is None or len(trace) < len(best):
-                result.outcomes[outcome] = trace
-            continue
-        for node, program in enumerate(test.programs):
-            pc = pcs[node]
-            if pc >= len(program):
-                continue
-            op = program[pc]
-            next_pcs = pcs[:node] + (pc + 1,) + pcs[node + 1:]
-            if op[0] == "load":
-                event: Event = ("load", node, op[1], op[2])
-                try:
-                    nxt, value = machine.apply(state, event)
-                except ModelViolation as exc:
-                    result.violation = _violation(exc, trace + (event,))
-                    result.states = len(seen)
-                    return result
-                stack.append(
-                    (nxt, next_pcs, loads + (((node, pc), value),),
-                     trace + (event,))
-                )
-                continue
-            _, line, word, value = op
-            if machine.store_detects_reversion(state, node, line, word, value):
-                decisions = ("validate", "quiet")
-            else:
-                decisions = (None,)
-            for decision in decisions:
-                event = (
-                    ("store", node, line, word, value)
-                    if decision is None
-                    else ("store", node, line, word, value, decision)
-                )
-                try:
-                    nxt, _ = machine.apply(state, event)
-                except ModelViolation as exc:
-                    result.violation = _violation(exc, trace + (event,))
-                    result.states = len(seen)
-                    return result
-                stack.append((nxt, next_pcs, loads, trace + (event,)))
-    result.states = len(seen)
-    return result
-
-
-def _violation(exc: ModelViolation, trace: tuple[Event, ...]) -> dict:
-    """Package a mid-exploration invariant breach with its trace."""
-    return {"kind": exc.kind, "detail": exc.detail, "trace": trace}
-
-
-def _outcome(test: LitmusTest, loads) -> tuple:
-    """The observed-load tuple of one completed interleaving."""
-    values = dict(loads)
-    return tuple(values[key] for key in test.observed)
 
 
 def derive_allowed(

@@ -4,7 +4,7 @@ An explicit-state (Murphi-style) model checker over the *actual*
 protocol implementation: the abstract machine in :mod:`.model` drives
 the real :class:`~repro.coherence.protocol.ProtocolLogic` transition
 tables (and the real directory bookkeeping) over a tiny system —
-2–4 nodes, one or two lines, two data values — while
+a handful of nodes, one or two lines, two data values — while
 :mod:`.checker` exhaustively enumerates every reachable global state
 with symmetry reduction and checks the invariants in
 :mod:`.invariants`.  :mod:`.litmus` runs named multi-node programs

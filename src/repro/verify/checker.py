@@ -5,6 +5,8 @@ A Murphi-style breadth-first search over the
 identities are symmetric (every node runs the same protocol over the
 same lines), so states are stored under a *canonical key*: the minimum
 over all node permutations of an orderable encoding of the state.
+One sort of the nodes by their rows and directory roles reaches that
+minimum without enumerating permutations, so no node count is refused.
 This typically cuts the stored state count by close to ``n_nodes!``.
 
 For each canonical key the checker keeps one concrete *witness* state
@@ -27,7 +29,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import permutations
 
 from repro.coherence.protocol import ProtocolLogic
 from repro.common.config import InterconnectKind
@@ -119,12 +120,6 @@ def _encode_nl(nl) -> tuple:
     return (st.index, data, vis if vis is not None else (-1,), int(div))
 
 
-# Directory-state canonicalization sweeps all n! node permutations per
-# stored state.  Past this many nodes the sweep costs more than the
-# reduction saves; refuse loudly instead of silently thrashing.
-MAX_SYMMETRY_NODES = 6
-
-
 class ModelChecker:
     """BFS over the abstract machine with node-permutation reduction."""
 
@@ -136,70 +131,34 @@ class ModelChecker:
         self.max_states = max_states
         self.max_depth = max_depth
         self.symmetry = symmetry
-        if (symmetry
-                and machine.interconnect is InterconnectKind.DIRECTORY
-                and machine.n_nodes > MAX_SYMMETRY_NODES):
-            raise ValueError(
-                f"symmetry reduction on a directory machine sweeps "
-                f"n_nodes! permutations per state; {machine.n_nodes} nodes "
-                f"exceeds the cap of {MAX_SYMMETRY_NODES} — pass "
-                f"symmetry=False (bus machines canonicalize by sorting "
-                f"and have no such cap)"
-            )
 
     # -- canonicalization ------------------------------------------------
 
     def _canonical(self, state) -> tuple:
+        # The key compares the node rows, then each directory entry's
+        # owner, sharer tuple and T-sharer tuple in turn.  Each of those
+        # is smallest when the nodes holding that role come first among
+        # the nodes still tied, so one sort by (row, roles) lands on the
+        # minimum over all node permutations.  A bus state has no
+        # entries: its order is the plain row sort.
         nodes, mem, arch, gvis, dirs = state
-        if not self.symmetry:
-            enc_nodes = tuple(
-                tuple(_encode_nl(nl) for nl in row) for row in nodes
+        rows = [tuple(_encode_nl(nl) for nl in row) for row in nodes]
+        dirs = dirs or ()
+        order = range(len(rows))
+        if self.symmetry:
+            order = sorted(order, key=lambda i: (rows[i], [
+                (i != d[0], i not in d[1], i not in d[2]) for d in dirs
+            ]))
+        label = {old: new for new, old in enumerate(order)}
+        enc_dirs = tuple(
+            (
+                -1 if d[0] is None else label[d[0]],
+                tuple(sorted(label[s] for s in d[1])),
+                tuple(sorted(label[s] for s in d[2])),
             )
-            if dirs is None:
-                enc_dirs = ()
-            else:
-                enc_dirs = tuple(
-                    (
-                        -1 if d[0] is None else d[0],
-                        tuple(sorted(d[1])),
-                        tuple(sorted(d[2])),
-                    )
-                    for d in dirs
-                )
-            return ((enc_nodes, enc_dirs), mem, arch, gvis)
-        if dirs is None:
-            # Bus states carry no node-index cross references, so the
-            # minimum over all node permutations of the node-row tuple
-            # is exactly the sorted tuple: same canonical classes, same
-            # key values, O(n log n) instead of O(n!) — this is what
-            # makes 8/16-node bus configs checkable at all.
-            enc_nodes = tuple(sorted(
-                tuple(_encode_nl(nl) for nl in row) for row in nodes
-            ))
-            return ((enc_nodes, ()), mem, arch, gvis)
-        # Directory: sharer/owner fields reference node indices, so the
-        # full permutation sweep is required — but iterate it lazily
-        # (nothing materialized) and rely on the constructor cap.
-        best = None
-        for perm in permutations(range(self.machine.n_nodes)):
-            inv = [0] * len(perm)
-            for new, old in enumerate(perm):
-                inv[old] = new
-            enc_nodes = tuple(
-                tuple(_encode_nl(nl) for nl in nodes[old]) for old in perm
-            )
-            enc_dirs = tuple(
-                (
-                    -1 if d[0] is None else inv[d[0]],
-                    tuple(sorted(inv[s] for s in d[1])),
-                    tuple(sorted(inv[s] for s in d[2])),
-                )
-                for d in dirs
-            )
-            key = (enc_nodes, enc_dirs)
-            if best is None or key < best:
-                best = key
-        return (best, mem, arch, gvis)
+            for d in dirs
+        )
+        return ((tuple(rows[i] for i in order), enc_dirs), mem, arch, gvis)
 
     # -- exploration -----------------------------------------------------
 

@@ -24,7 +24,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.common.config import InterconnectKind
-from repro.verify.model import AbstractMachine, Event, ProtocolSpec
+from repro.verify.model import (
+    AbstractMachine,
+    Event,
+    ModelViolation,
+    ProtocolSpec,
+)
+from repro.verify.table import TransitionCoverage
 
 # Program ops: ("load", line, word) | ("store", line, word, value)
 Op = tuple
@@ -138,6 +144,101 @@ class LitmusResult:
         }
 
 
+@dataclass
+class OracleResult:
+    """One exhaustive enumeration of a test on one protocol."""
+
+    protocol: str
+    interconnect: str
+    outcomes: dict = field(default_factory=dict)  # outcome -> witness trace
+    complete: bool = True
+    states: int = 0
+    violation: dict | None = None  # {"kind", "detail", "trace"}
+    coverage: TransitionCoverage = field(default_factory=TransitionCoverage)
+
+    @property
+    def ok(self) -> bool:
+        """True when no invariant broke during enumeration."""
+        return self.violation is None
+
+
+def enumerate_outcomes(
+    spec: ProtocolSpec,
+    test: LitmusTest,
+    interconnect: InterconnectKind = InterconnectKind.BUS,
+    max_states: int | None = None,
+) -> OracleResult:
+    """Enumerate every interleaving of ``test`` on ``spec``'s machine.
+
+    A depth-first search over ``(state, pcs, loads)`` that forks both
+    validate decisions wherever a store detects temporal silence.  It
+    records transition coverage, catches a :class:`ModelViolation` with
+    its trace, keeps the shortest witness per outcome, and stops after
+    ``max_states`` visited keys (``None``: unbounded).
+    """
+    machine = AbstractMachine(
+        spec.make_logic(),
+        n_nodes=test.n_nodes,
+        n_lines=test.n_lines,
+        n_words=test.n_words,
+        interconnect=interconnect,
+    )
+    result = OracleResult(
+        protocol=machine.protocol.name,
+        interconnect=(
+            "directory"
+            if interconnect is InterconnectKind.DIRECTORY
+            else "bus"
+        ),
+    )
+    machine.protocol.observer = result.coverage.record
+    stack = [(machine.initial(), (0,) * test.n_nodes, (), ())]
+    seen = set()
+    while stack:
+        state, pcs, loads, trace = stack.pop()
+        key = (state, pcs, loads)
+        if key in seen:
+            continue
+        seen.add(key)
+        if max_states is not None and len(seen) >= max_states:
+            result.complete = False
+            break
+        if all(pc >= len(p) for pc, p in zip(pcs, test.programs)):
+            values = dict(loads)
+            outcome = tuple(values[at] for at in test.observed)
+            best = result.outcomes.get(outcome)
+            if best is None or len(trace) < len(best):
+                result.outcomes[outcome] = trace
+            continue
+        for node, program in enumerate(test.programs):
+            pc = pcs[node]
+            if pc >= len(program):
+                continue
+            op = program[pc]
+            next_pcs = pcs[:node] + (pc + 1,) + pcs[node + 1:]
+            if op[0] == "load":
+                events: tuple[Event, ...] = (("load", node, *op[1:]),)
+            elif machine.store_detects_reversion(state, node, *op[1:]):
+                events = tuple(("store", node, *op[1:], decision)
+                               for decision in ("validate", "quiet"))
+            else:
+                events = (("store", node, *op[1:]),)
+            for event in events:
+                try:
+                    nxt, read = machine.apply(state, event)
+                except ModelViolation as exc:
+                    result.violation = {"kind": exc.kind,
+                                        "detail": exc.detail,
+                                        "trace": trace + (event,)}
+                    result.states = len(seen)
+                    return result
+                nxt_loads = (loads + (((node, pc), read),)
+                             if op[0] == "load" else loads)
+                stack.append((nxt, next_pcs, nxt_loads, trace + (event,)))
+    result.states = len(seen)
+    return result
+
+
 class LitmusRunner:
     """Exhaustively interleaves litmus programs on the abstract machine."""
 
@@ -148,69 +249,13 @@ class LitmusRunner:
 
     def run_test(self, test: LitmusTest) -> LitmusResult:
         """Enumerate every interleaving of one test's programs."""
-        machine = AbstractMachine(
-            self.spec.make_logic(),
-            n_nodes=test.n_nodes,
-            n_lines=test.n_lines,
-            n_words=test.n_words,
-            interconnect=self.interconnect,
-        )
-        result = LitmusResult(
-            test=test,
-            protocol=machine.protocol.name,
-            interconnect=(
-                "directory"
-                if self.interconnect is InterconnectKind.DIRECTORY
-                else "bus"
-            ),
-        )
-        init = machine.initial()
-        start = (init, (0,) * test.n_nodes, (), ())
-        stack = [start]
-        seen = set()
-        while stack:
-            state, pcs, loads, trace = stack.pop()
-            key = (state, pcs, loads)
-            if key in seen:
-                continue
-            seen.add(key)
-            if all(pc >= len(p) for pc, p in zip(pcs, test.programs)):
-                observed = self._outcome(test, loads)
-                result.outcomes.setdefault(observed, trace)
-                continue
-            for node, program in enumerate(test.programs):
-                pc = pcs[node]
-                if pc >= len(program):
-                    continue
-                op = program[pc]
-                next_pcs = pcs[:node] + (pc + 1,) + pcs[node + 1:]
-                if op[0] == "load":
-                    event: Event = ("load", node, op[1], op[2])
-                    nxt, value = machine.apply(state, event)
-                    stack.append(
-                        (nxt, next_pcs, loads + (((node, pc), value),),
-                         trace + (event,))
-                    )
-                    continue
-                _, line, word, value = op
-                if machine.store_detects_reversion(state, node, line, word, value):
-                    decisions = ("validate", "quiet")
-                else:
-                    decisions = (None,)
-                for decision in decisions:
-                    event = (
-                        ("store", node, line, word, value)
-                        if decision is None
-                        else ("store", node, line, word, value, decision)
-                    )
-                    nxt, _ = machine.apply(state, event)
-                    stack.append((nxt, next_pcs, loads, trace + (event,)))
-        return result
-
-    @staticmethod
-    def _outcome(test: LitmusTest, loads) -> tuple:
-        values = dict(loads)
-        return tuple(values[key] for key in test.observed)
+        found = enumerate_outcomes(self.spec, test, self.interconnect)
+        if found.violation is not None:
+            raise ModelViolation(found.violation["kind"],
+                                 found.violation["detail"])
+        return LitmusResult(test=test, protocol=found.protocol,
+                            interconnect=found.interconnect,
+                            outcomes=found.outcomes)
 
     def run_all(self, tests=LITMUS_TESTS) -> list[LitmusResult]:
         """Run the whole suite (or a custom test list)."""

@@ -17,7 +17,8 @@ mutations per process): a mutated table can never leak into a
 subsequent clean run, because no live instance is ever patched in
 place.
 
-Mutations only make sense for temporal protocols where noted.
+Mutations only make sense for temporal protocols, or on a bus, where
+noted.
 """
 
 from __future__ import annotations
@@ -78,6 +79,11 @@ MUTATIONS = {
 
 # Mutations that require the T machinery to be reachable at all.
 TEMPORAL_ONLY = frozenset({"validate-installs-m", "t-ignores-flush"})
+
+# Mutations of a row only a bus exercises.  A directory's home never
+# contacts T-sharers on reads (a flushing read un-tracks them instead),
+# so there the mutant behaves exactly like the real table.
+BUS_ONLY = frozenset({"t-ignores-flush"})
 
 
 def apply_mutation(protocol: ProtocolLogic, name: str) -> ProtocolLogic:

@@ -21,7 +21,7 @@ from repro.fuzz.campaign import (
     run_campaign,
     run_fuzz_cell,
 )
-from repro.verify.mutations import MUTATIONS
+from repro.verify.mutations import BUS_ONLY, MUTATIONS
 
 # Enough iterations for one mutation slot per seeded mutation
 # (slots fall at indices MUTATION_STRIDE-1, 2*MUTATION_STRIDE-1, ...).
@@ -63,6 +63,15 @@ class TestSeededCanary:
         mut = doc["mutations"]
         assert mut["seeded_total"] == len(MUTATIONS)
         assert mut["seeded_detected"] == sorted(MUTATIONS)
+
+    def test_directory_canary_is_clean(self):
+        # A directory never reaches the row a bus-only bug patches, so
+        # its plan leaves that bug out instead of reporting it escaped.
+        doc = report(seed=1, interconnect="directory")
+        assert doc["ok"] is True, doc["findings"]
+        mut = doc["mutations"]
+        assert mut["seeded_total"] == len(MUTATIONS) - len(BUS_ONLY)
+        assert mut["seeded_detected"] == sorted(set(MUTATIONS) - BUS_ONLY)
 
     def test_mutation_records_carry_coverage_feedback(self):
         doc = report(seed=1)

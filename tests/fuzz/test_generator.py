@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from repro.common.config import InterconnectKind
 from repro.common.rng import SplitRng
 from repro.fuzz.generator import (
     MAX_NODES,
@@ -19,7 +20,7 @@ from repro.fuzz.mutator import (
 )
 from repro.fuzz.oracle import derive_allowed, enumerate_outcomes
 from repro.verify.model import ProtocolSpec
-from repro.verify.mutations import MUTATIONS
+from repro.verify.mutations import BUS_ONLY, MUTATIONS
 
 
 def rng(seed=0, name="test"):
@@ -114,6 +115,10 @@ class TestMutator:
     def test_seeded_plan_covers_all_verify_mutations(self):
         names = [d[1] for _proto, d in seeded_plan()]
         assert names == sorted(MUTATIONS)
+
+    def test_directory_plan_leaves_out_bus_only_mutations(self):
+        names = [d[1] for _proto, d in seeded_plan(InterconnectKind.DIRECTORY)]
+        assert names == sorted(set(MUTATIONS) - BUS_ONLY)
 
     def test_apply_descriptor_leaves_spec_pristine(self):
         spec = ProtocolSpec("mesti")

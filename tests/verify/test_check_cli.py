@@ -110,6 +110,27 @@ def test_check_temporal_mutation_on_plain_protocol_exits_two():
     ]) == 2
 
 
+def test_check_bus_only_mutation_on_directory_exits_two(capsys):
+    assert main([
+        "check", "--protocol", "mesti", "--interconnect", "directory",
+        "--mutate", "t-ignores-flush",
+    ]) == 2
+    assert "needs a bus" in capsys.readouterr().err
+
+
+def test_check_bus_only_mutation_skips_only_the_directory_run(capsys):
+    code = main([
+        "check", "--protocol", "mesti", "--interconnect", "both",
+        "--mutate", "t-ignores-flush", "--format", "json", "--no-replay",
+    ])
+    assert code == 1  # caught on the bus, as a seeded bug must be
+    captured = capsys.readouterr()
+    (run,) = json.loads(captured.out)["runs"]
+    assert run["interconnect"] == "bus"
+    assert run["mutation"]["detected"] is True
+    assert "skipping the directory run" in captured.err
+
+
 def test_check_bounded_run_flagged(capsys):
     assert main([
         "check", "--protocol", "mesi", "--interconnect", "bus",

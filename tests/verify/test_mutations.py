@@ -16,7 +16,12 @@ import pytest
 from repro.common.config import InterconnectKind
 from repro.verify.checker import ModelChecker
 from repro.verify.model import AbstractMachine, ProtocolSpec
-from repro.verify.mutations import MUTATIONS, TEMPORAL_ONLY, apply_mutation
+from repro.verify.mutations import (
+    BUS_ONLY,
+    MUTATIONS,
+    TEMPORAL_ONLY,
+    apply_mutation,
+)
 from repro.verify.replay import ConcreteReplayer
 
 
@@ -56,6 +61,31 @@ def test_t_ignores_flush_caught_abstractly():
     # checker sees it against the last-globally-visible shadow.
     result = checked("moesti", "t-ignores-flush")
     assert result.violations[0].kind == "t-discipline"
+
+
+def test_t_ignores_flush_unreachable_on_directory():
+    """Why the bug is bus-only: on a directory the mutant is equivalent.
+
+    It patches how a T copy answers a remote read, and a directory's
+    home never sends a read to a T copy (a flushing read un-tracks the
+    T-sharers instead).  The complete exploration is clean and never
+    exercises the patched rows.
+    """
+    assert "t-ignores-flush" in BUS_ONLY
+    logic = apply_mutation(
+        ProtocolSpec("mesti").make_logic(), "t-ignores-flush"
+    )
+    result = ModelChecker(AbstractMachine(
+        logic, n_nodes=3, interconnect=InterconnectKind.DIRECTORY
+    )).run()
+    assert result.ok and result.complete
+    exercised = {tuple(r["row"]) for r in result.coverage["exercised"]}
+    unreachable = {
+        tuple(r["row"]) for r in result.coverage["unreachable_ok"]
+    }
+    for label in ("Read", "Read+flush"):
+        assert ("remote", "T", label) not in exercised
+        assert ("remote", "T", label) in unreachable
 
 
 @pytest.mark.parametrize("name", ["mesti", "moesti", "emesti"])
