@@ -8,7 +8,7 @@ Usage (installed as ``repro-sim``, or ``python -m repro.cli``):
     repro-sim service top --port 8642
     repro-sim service postmortem flight.json
     repro-sim experiment figure7 --scale 0.6 --workers 4
-    repro-sim bench --quick
+    repro-sim bench --compare BENCH_matrix.json
     repro-sim check --protocol emesti --interconnect both
     repro-sim lint --format json
     repro-sim list
@@ -380,40 +380,29 @@ def cmd_experiment(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    """Handle ``repro-sim bench`` (perf tracking + regression gate)."""
+    """Handle ``repro-sim bench`` (the exact cycles/committed gate)."""
     from repro.experiments import bench
-    from repro.obs.regress import (
-        DEFAULT_REL_THRESHOLD,
-        compare_reports,
-        load_report,
-        render_comparison,
-    )
 
     baseline = None
     if args.compare:
         # Load before running: --output may point at the baseline file.
-        baseline = load_report(args.compare)
-    report = bench.run(
-        quick=args.quick, workers=args.workers, output=args.output,
-        results_dir=args.results_dir,
-    )
+        with open(args.compare) as handle:
+            baseline = json.load(handle)
+        if not isinstance(baseline, dict):
+            raise ConfigError(f"{args.compare}: not a bench report")
+    report = bench.run(output=args.output, results_dir=args.results_dir)
     print(bench.render(report))
-    if not report["determinism"]["ok"]:
-        print("repro-sim: error: serial/worker determinism check FAILED",
+    problems = bench.compare(report, baseline)
+    if baseline is not None:
+        print(f"\ncompare vs {args.compare}: "
+              + (f"{len(problems)} difference(s)" if problems else "identical"))
+    for line in problems:
+        print(f"  {line}")
+    if problems:
+        print("repro-sim: error: bench gate failed (regenerate the baseline "
+              "with `repro-sim bench` only for an intended model change)",
               file=sys.stderr)
         return 1
-    if baseline is not None:
-        threshold = (
-            DEFAULT_REL_THRESHOLD if args.threshold is None else args.threshold
-        )
-        comparison = compare_reports(baseline, report, rel_threshold=threshold)
-        print(f"\ncompare vs {args.compare}:")
-        print(render_comparison(comparison))
-        if not comparison.ok:
-            print("repro-sim: error: perf regression vs baseline "
-                  "(regenerate with `repro-sim bench` if intentional)",
-                  file=sys.stderr)
-            return 1
     return 0
 
 
@@ -720,23 +709,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench_p = sub.add_parser(
         "bench",
-        help="time the simulator and write BENCH_matrix.json",
+        help="run the exact cycles/committed gate and write BENCH_matrix.json",
         description=(
-            "Run the scheduler/stats microbenchmarks and a fixed "
-            "mini-matrix (per-cell wall times, serial vs parallel "
-            "wall-clock), verify the serial-vs-worker determinism "
-            "contract, and write a machine-readable report.  Exit 1 "
-            "on a determinism mismatch."
+            "Run a fixed mini-matrix serially and in a worker pool, check "
+            "that both produce identical summaries, and write each "
+            "cell's cycles/committed.  With --compare, exit 1 on any "
+            "difference from the baseline report.  Speed is measured "
+            "by perfbench, not here."
         ),
-    )
-    bench_p.add_argument(
-        "--quick", action="store_true",
-        help="smaller matrix and microbench counts (CI smoke)",
-    )
-    bench_p.add_argument(
-        "--workers", type=int, default=None, metavar="N",
-        help="workers for the parallel matrix pass "
-             "(default: min(4, cpu_count))",
     )
     bench_p.add_argument(
         "--output", default="BENCH_matrix.json", metavar="PATH",
@@ -744,18 +724,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench_p.add_argument(
         "--compare", default=None, metavar="BASELINE.json",
-        help="diff this run against a baseline bench report; exit 1 "
-             "when a metric regresses past the threshold",
-    )
-    bench_p.add_argument(
-        "--threshold", type=float, default=None, metavar="REL",
-        help="relative threshold for rate/time metrics in --compare "
-             "(default: 0.5, i.e. ±50%%; cycles/committed always "
-             "compare exactly)",
+        help="hold this run to a baseline bench report; exit 1 on any "
+             "difference in fingerprint, scale, cell set or a cell's "
+             "cycles/committed",
     )
     bench_p.add_argument(
         "--results-dir", default=None, metavar="DIR",
-        help="keep the matrix caches and run manifests in DIR "
+        help="keep the serial pass's cells and run manifest in DIR "
              "(default: a throwaway tempdir)",
     )
 

@@ -119,7 +119,7 @@ class Scheduler:
         queue = self._queue
         pop = heappop
         if until is None and max_cycles is None and max_events is None:
-            # Drain-the-queue fast path (replay, microbenchmarks):
+            # Drain-the-queue fast path (replay, unbounded runs):
             # no stop-condition or limit checks at all.
             while queue:
                 time, _, callback = pop(queue)

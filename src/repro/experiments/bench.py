@@ -1,47 +1,38 @@
-"""Performance bench harness (``repro-sim bench``).
+"""The ``repro-sim bench`` gate: exact cycles/committed and determinism.
 
-Tracks the perf trajectory of the simulator itself: two microbenchmarks
-(the :class:`~repro.common.events.Scheduler` event loop and the
-:class:`~repro.common.stats.StatsRegistry` counter hot path), a fixed
-mini-matrix timed cell by cell (serially, and optionally through the
-parallel runner for a wall-clock speedup figure), and the
-serial-vs-worker determinism check that guards the parallel runner's
-core contract.  Results are written as machine-readable JSON
-(``BENCH_matrix.json`` at the repo root by default) so successive runs
-are diffable; ``repro-sim bench --compare BASELINE.json`` diffs a fresh
-report against a committed one via :mod:`repro.obs.regress` and exits
-non-zero on regressions, which is how CI gates perf drift.
+:func:`run` simulates the fixed :data:`MINI_MATRIX` twice: once
+serially through :class:`~repro.experiments.runner.MatrixRunner`, once
+through the runner's warm process pool (:func:`pooled_pass`).  The
+report holds each cell's ``cycles``/``committed``, the machine-config
+fingerprint, the scale, and whether the two passes agree on every
+summary field outside
+:data:`~repro.experiments.runner.NONDETERMINISTIC_FIELDS`.
+:func:`compare` holds a report to a baseline (``BENCH_matrix.json`` at
+the repo root) and names every difference; any one fails the gate.
+
+Nothing here measures the host: the simulator's speed is perfbench's
+job (``perfbench/README.md``).
 """
 
 from __future__ import annotations
 
 import json
-import logging
-import os
-import sys
 import tempfile
-import time
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
-from repro.common.config import scaled_config
-from repro.common.events import Scheduler
-from repro.common.stats import StatsRegistry
 from repro.experiments.runner import (
     NONDETERMINISTIC_FIELDS,
     MatrixRunner,
-    config_fingerprint,
-    effective_workers,
+    RunSummary,
     run_cell,
-    summaries_equal,
     warm_pool,
 )
 
-log = logging.getLogger("repro.bench")
+#: Report format version.  3: cells and the determinism check only.
+SCHEMA = 3
 
-#: The fixed mini-matrix: small but heterogeneous (one scientific + one
-#: commercial workload, baseline + the headline technique), so per-cell
-#: wall times stay comparable run over run.
+#: The fixed mini-matrix: one scientific and one commercial workload,
+#: baseline and the headline technique.
 MINI_MATRIX = {
     "benchmarks": ("radiosity", "tpc-b"),
     "techniques": ("base", "emesti"),
@@ -49,258 +40,137 @@ MINI_MATRIX = {
     "scale": 0.1,
 }
 
-#: ``--quick`` variant for CI smoke runs.
-QUICK_MATRIX = {
-    "benchmarks": ("radiosity",),
-    "techniques": ("base", "emesti"),
-    "seeds": (1,),
-    "scale": 0.05,
-}
+#: The per-cell summary fields a report records and the gate compares.
+EXACT_FIELDS = ("cycles", "committed")
+
+#: Processes in the pooled pass.  Fixed rather than right-sized to the
+#: host's cores: the pass exists to cross a process boundary, so it
+#: must not degrade to in-process execution on a one-core host.
+POOL_WIDTH = 2
 
 
-def scheduler_microbench(n_events: int = 200_000) -> dict:
-    """Time ``n_events`` self-rescheduling events through the run loop."""
-    sched = Scheduler()
-    remaining = [n_events]
-
-    def tick():
-        remaining[0] -= 1
-        if remaining[0] > 0:
-            sched.after(1, tick)
-
-    sched.at(0, tick)
-    start = time.perf_counter()
-    sched.run()
-    seconds = time.perf_counter() - start
-    return {
-        "events": sched.events_fired,
-        "seconds": round(seconds, 4),
-        "events_per_sec": round(sched.events_fired / seconds) if seconds else None,
-    }
+def pooled_pass(
+    runner: MatrixRunner, cells: list[tuple[str, str, int]]
+) -> dict[str, RunSummary]:
+    """Run ``(benchmark, technique, seed)`` cells of ``runner``'s matrix
+    in the warm process pool, keyed like ``runner.run_matrix``."""
+    jobs = [
+        (runner.cell_config(technique), benchmark, runner.scale, seed)
+        for benchmark, technique, seed in cells
+    ]
+    summaries = warm_pool(POOL_WIDTH).map(run_cell, *zip(*jobs))
+    return {runner.key(*cell): summary for cell, summary in zip(cells, summaries)}
 
 
-def stats_microbench(n_adds: int = 300_000) -> dict:
-    """Time counter increments through the ScopedStats hot path."""
-    registry = StatsRegistry()
-    scoped = registry.scoped("node0")
-    add = scoped.add
-    start = time.perf_counter()
-    for _ in range(n_adds):
-        add("stores.update_silent")
-    add_seconds = time.perf_counter() - start
-    hist = registry.histogram("miss_latency")
-    record = hist.record
-    start = time.perf_counter()
-    for value in range(n_adds):
-        record(value & 1023)
-    hist_seconds = time.perf_counter() - start
-    return {
-        "adds": n_adds,
-        "add_seconds": round(add_seconds, 4),
-        "adds_per_sec": round(n_adds / add_seconds) if add_seconds else None,
-        "hist_records": n_adds,
-        "hist_seconds": round(hist_seconds, 4),
-        "hist_records_per_sec": (
-            round(n_adds / hist_seconds) if hist_seconds else None
-        ),
-    }
-
-
-def determinism_check(scale: float = 0.05, benchmark: str = "radiosity",
-                      technique: str = "emesti", seed: int = 1) -> dict:
-    """Run one cell serially and in a worker process; compare summaries.
-
-    This is the parallel runner's non-negotiable contract: both paths
-    must produce identical summaries (every field except the
-    ``wall_seconds`` host measurement).
-    """
-    runner = MatrixRunner(scale=scale, results_dir=tempfile.mkdtemp(),
-                          verbose=False)
-    config = runner.cell_config(technique)
-    serial = run_cell(config, benchmark, scale, seed)
-    with ProcessPoolExecutor(max_workers=1) as pool:
-        parallel = pool.submit(run_cell, config, benchmark, scale, seed).result()
-    mismatched = sorted(
-        key
-        for key in set(serial) | set(parallel)
-        if key not in NONDETERMINISTIC_FIELDS
-        and serial.get(key) != parallel.get(key)
-    )
-    return {
-        "benchmark": benchmark,
-        "technique": technique,
-        "seed": seed,
-        "scale": scale,
-        "ok": not mismatched,
-        "mismatched_fields": mismatched,
-    }
-
-
-def matrix_bench(spec: dict, workers: int | None = None,
-                 results_dir: str | Path | None = None) -> dict:
-    """Time the fixed mini-matrix cell by cell (plus a parallel pass).
-
-    Every cell runs fresh in an empty results dir — the point is
-    wall time, not reuse.  With ``workers`` > 1 the same matrix is
-    also run through ``run_matrix(workers=...)`` against a second
-    empty cache, yielding the serial/parallel wall-clock ratio and a
-    summary-equality cross-check between the two paths.  Pass
-    ``results_dir`` to keep the caches and run manifests around
-    (CI uploads them as artifacts); the default is a throwaway tempdir.
-    """
-    scale = spec["scale"]
-    root = Path(results_dir) if results_dir else Path(tempfile.mkdtemp())
-    serial = MatrixRunner(scale=scale, results_dir=root / "serial",
-                          verbose=False)
-    cells = []
-    start = time.perf_counter()
-    serial_out = serial.run_matrix(
-        benchmarks=spec["benchmarks"], techniques=spec["techniques"],
-        seeds=spec["seeds"],
-    )
-    serial_seconds = time.perf_counter() - start
-    for key, summary in serial_out.items():
-        benchmark, technique, seed = key.split("|")
-        cells.append({
-            "benchmark": benchmark,
-            "technique": technique,
-            "seed": int(seed),
-            "wall_seconds": summary["wall_seconds"],
-            "cycles": summary["cycles"],
-            "committed": summary["committed"],
-        })
-    n_cells = len(cells)
-    effective = effective_workers(workers, n_cells)
-    out = {
-        "scale": scale,
-        "benchmarks": list(spec["benchmarks"]),
-        "techniques": list(spec["techniques"]),
-        "seeds": list(spec["seeds"]),
-        "fingerprint": config_fingerprint(scaled_config()),
-        "cells": cells,
-        "serial_seconds": round(serial_seconds, 3),
-        "workers": workers,
-        "workers_effective": effective,
-        "parallel_seconds": None,
-        "speedup": None,
-        "speedup_basis": None,
-        "parallel_matches_serial": None,
-    }
-    if workers and workers > 1:
-        if effective > 1:
-            # Pre-warm the persistent pool outside the timed window:
-            # the measured figure is steady-state dispatch, matching
-            # how a long-running service actually uses the pool.
-            warm_pool(min(effective, n_cells))
-        par = MatrixRunner(scale=scale, results_dir=root / "parallel",
-                           verbose=False, workers=workers)
-        start = time.perf_counter()
-        par_out = par.run_matrix(
-            benchmarks=spec["benchmarks"], techniques=spec["techniques"],
-            seeds=spec["seeds"],
-        )
-        parallel_seconds = time.perf_counter() - start
-        out["parallel_seconds"] = round(parallel_seconds, 3)
-        if effective <= 1:
-            # Right-sizing degraded the pool to the serial execution
-            # plan (single core, or one cell): the "parallel" and
-            # serial passes run identical code, so their speedup is
-            # 1.0 by construction — reporting the measured ratio of
-            # two runs of the same plan would just be timer noise.
-            # The measured wall time is still recorded above.
-            out["speedup"] = 1.0
-            out["speedup_basis"] = "right-sized-serial"
-        else:
-            out["speedup"] = (
-                round(serial_seconds / parallel_seconds, 3)
-                if parallel_seconds else None
-            )
-            out["speedup_basis"] = "measured"
-        out["parallel_matches_serial"] = all(
-            summaries_equal(serial_out[key], par_out[key]) for key in serial_out
-        )
-    return out
-
-
-def run(quick: bool = False, workers: int | None = None,
-        output: str | Path = "BENCH_matrix.json", verbose: bool = True,
+def run(output: str | Path = "BENCH_matrix.json",
         results_dir: str | Path | None = None) -> dict:
-    """Run the full bench suite and write the JSON report.
+    """Run both passes of :data:`MINI_MATRIX` and write the report.
 
-    Returns the report dict; ``report["determinism"]["ok"]`` is the
-    pass/fail signal (the CLI turns it into the exit code).  With
-    ``results_dir`` the matrix caches and run manifests are kept
-    there instead of a throwaway tempdir.
+    The serial pass keeps its cells and run manifest in
+    ``results_dir`` (default: a temporary directory, removed before
+    returning).  Returns the report; ``report["determinism"]["ok"]``
+    says whether the passes agree.
     """
-    spec = QUICK_MATRIX if quick else MINI_MATRIX
-    if workers is None:
-        workers = min(4, os.cpu_count() or 1)
-    n_events = 50_000 if quick else 200_000
-    n_adds = 100_000 if quick else 300_000
-    if verbose:
-        log.info("scheduler microbench (%d events)...", n_events)
-    scheduler = scheduler_microbench(n_events)
-    if verbose:
-        log.info("stats microbench (%d adds)...", n_adds)
-    stats = stats_microbench(n_adds)
-    if verbose:
-        log.info("mini-matrix (%d cells, scale=%s, workers=%s)...",
-                 len(spec["benchmarks"]) * len(spec["techniques"])
-                 * len(spec["seeds"]), spec["scale"], workers)
-    matrix = matrix_bench(spec, workers=workers, results_dir=results_dir)
-    if verbose:
-        log.info("determinism check (serial vs worker)...")
-    determinism = determinism_check(scale=spec["scale"])
+    spec = MINI_MATRIX
+    cells = [
+        (benchmark, technique, seed)
+        for benchmark in spec["benchmarks"]
+        for technique in spec["techniques"]
+        for seed in spec["seeds"]
+    ]
+    with tempfile.TemporaryDirectory() as scratch:
+        runner = MatrixRunner(scale=spec["scale"],
+                              results_dir=results_dir or scratch,
+                              verbose=False)
+        serial = runner.run_matrix(benchmarks=spec["benchmarks"],
+                                   techniques=spec["techniques"],
+                                   seeds=spec["seeds"])
+        pooled = pooled_pass(runner, cells)
+    mismatched = sorted(
+        f"{key}.{field}"
+        for key, summary in serial.items()
+        for field in summary.keys() | pooled[key].keys()
+        if field not in NONDETERMINISTIC_FIELDS
+        and summary.get(field) != pooled[key].get(field)
+    )
     report = {
-        "schema": 2,
-        "quick": quick,
-        "python": sys.version.split()[0],
-        "platform": sys.platform,
-        "cpu_count": os.cpu_count(),
-        "scheduler": scheduler,
-        "stats": stats,
-        "matrix": matrix,
-        "determinism": determinism,
+        "schema": SCHEMA,
+        "fingerprint": runner.fingerprint,
+        "scale": spec["scale"],
+        "cells": [
+            {"benchmark": benchmark, "technique": technique, "seed": seed,
+             **{field: serial[runner.key(benchmark, technique, seed)][field]
+                for field in EXACT_FIELDS}}
+            for benchmark, technique, seed in cells
+        ],
+        "determinism": {"ok": not mismatched, "mismatched": mismatched},
     }
-    if matrix["parallel_matches_serial"] is False:
-        report["determinism"]["ok"] = False
-        report["determinism"]["mismatched_fields"].append(
-            "<run_matrix parallel/serial summaries differ>"
-        )
     Path(output).write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
-    if verbose:
-        log.info("wrote %s", output)
     return report
+
+
+def _cells(report: dict) -> dict[str, dict]:
+    """A report's cells keyed ``benchmark|technique|seed``."""
+    return {
+        MatrixRunner.key(cell["benchmark"], cell["technique"], cell["seed"]): cell
+        for cell in report.get("cells", ())
+    }
+
+
+def compare(report: dict, baseline: dict | None = None) -> list[str]:
+    """Every way ``report`` fails the gate, one line each (empty: pass).
+
+    A failed determinism check always fails.  Against a baseline, so
+    does any difference in the schema, fingerprint or scale, a cell
+    present in only one of the two, and any cell's ``cycles`` or
+    ``committed``.  Nothing is skipped: a baseline the report cannot be
+    held to fails rather than passing unchecked.
+    """
+    problems = []
+    if not report["determinism"]["ok"]:
+        problems.append(
+            "determinism: the serial and pooled passes differ in "
+            + ", ".join(report["determinism"]["mismatched"])
+        )
+    if baseline is None:
+        return problems
+    for field in ("schema", "fingerprint", "scale"):
+        if baseline.get(field) != report.get(field):
+            problems.append(
+                f"{field}: baseline {baseline.get(field)!r}, "
+                f"report {report.get(field)!r}"
+            )
+    base_cells, cells = _cells(baseline), _cells(report)
+    for key in sorted(base_cells.keys() - cells.keys()):
+        problems.append(f"cell {key}: in the baseline, missing from the report")
+    for key in sorted(cells.keys() - base_cells.keys()):
+        problems.append(f"cell {key}: in the report, missing from the baseline")
+    for key in sorted(base_cells.keys() & cells.keys()):
+        for field in EXACT_FIELDS:
+            expected, got = base_cells[key].get(field), cells[key].get(field)
+            if expected != got:
+                problems.append(
+                    f"cell {key} {field}: baseline {expected}, report {got}"
+                )
+    return problems
 
 
 def render(report: dict) -> str:
     """One-screen human summary of a bench report."""
     lines = [
-        f"scheduler : {report['scheduler']['events_per_sec']:,} events/s",
-        f"stats     : {report['stats']['adds_per_sec']:,} counter adds/s, "
-        f"{report['stats']['hist_records_per_sec']:,} histogram records/s",
+        f"cells      : {len(report['cells'])} at scale {report['scale']}, "
+        f"fingerprint {report['fingerprint']}"
     ]
-    matrix = report["matrix"]
-    lines.append(
-        f"matrix    : {len(matrix['cells'])} cells at scale {matrix['scale']} "
-        f"in {matrix['serial_seconds']}s serial"
-    )
-    for cell in matrix["cells"]:
+    for cell in report["cells"]:
         lines.append(
-            f"  {cell['benchmark']:>10s}/{cell['technique']:<8s} seed={cell['seed']} "
-            f"{cell['wall_seconds']:.2f}s"
-        )
-    if matrix["parallel_seconds"] is not None:
-        effective = matrix.get("workers_effective", matrix["workers"])
-        lines.append(
-            f"parallel  : {matrix['parallel_seconds']}s with "
-            f"{matrix['workers']} workers requested, {effective} effective "
-            f"(speedup {matrix['speedup']}x, cpu_count={report['cpu_count']})"
+            f"  {cell['benchmark']:>10s}/{cell['technique']:<8s} "
+            f"seed={cell['seed']} cycles={cell['cycles']} "
+            f"committed={cell['committed']}"
         )
     det = report["determinism"]
     lines.append(
         "determinism: "
-        + ("ok (serial == worker)" if det["ok"]
-           else f"MISMATCH in fields {det['mismatched_fields']}")
+        + ("ok (serial == pooled)" if det["ok"]
+           else f"MISMATCH in {', '.join(det['mismatched'])}")
     )
     return "\n".join(lines)

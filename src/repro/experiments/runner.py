@@ -264,7 +264,7 @@ def run_cell_chunk(
 
 #: Warm persistent worker pools, keyed by (worker count, initializer).
 #: Creating a :class:`ProcessPoolExecutor` per sweep pays process
-#: startup every time; reusing one across sweeps (the bench parallel
+#: startup every time; reusing one across sweeps (the bench's pooled
 #: pass, a service shard's whole lifetime) amortizes it to zero.
 #: Keying on the initializer keeps differently-initialized pools of
 #: the same width apart: a shard pool whose workers dropped inherited

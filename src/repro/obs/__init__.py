@@ -15,8 +15,6 @@
 * :class:`~repro.obs.progress.MatrixProgress` /
   :class:`~repro.obs.progress.RunManifest` — parallel-run telemetry:
   live per-cell progress and the persisted per-cell provenance record.
-* :func:`~repro.obs.regress.compare_reports` — cross-run perf
-  regression tracking (the ``repro-sim bench --compare`` gate).
 * :class:`~repro.obs.profiler.SimProfiler` — per-component event counts
   and wall-time attribution from the scheduler;
   :class:`~repro.obs.profiler.Heartbeat` — periodic progress logging.
@@ -41,13 +39,6 @@ from repro.obs.metrics import (
 )
 from repro.obs.profiler import Heartbeat, SimProfiler
 from repro.obs.progress import CellUpdate, MatrixProgress, RunManifest
-from repro.obs.regress import (
-    Comparison,
-    Delta,
-    compare_reports,
-    load_report,
-    render_comparison,
-)
 from repro.obs.provenance import (
     ProvenanceReport,
     analyze_events,
@@ -86,11 +77,6 @@ __all__ = [
     "CellUpdate",
     "MatrixProgress",
     "RunManifest",
-    "Comparison",
-    "Delta",
-    "compare_reports",
-    "load_report",
-    "render_comparison",
     "SimProfiler",
     "Heartbeat",
     "SpanRecord",

@@ -279,19 +279,17 @@ class JobQueue:
         self.lease_ttl = lease_ttl
         self.max_retries = max_retries
         self.traces = traces if traces is not None else JobTraceStore()
-        self._lease_hist = (metrics or MetricsRegistry()).histogram(
+        # The one store of lease waits: ``lease_stats`` reads it too.
+        self._lease_wait = (metrics or MetricsRegistry()).histogram(
             "repro_service_lease_latency_seconds",
             "queued -> leased wait per cell",
             bounds=LEASE_LATENCY_BOUNDS,
-        )
+        ).labels().hist
         self._state_path = self.root / "state.json"
         # Reentrant: public methods take it and call helpers that
         # assume it is held; queue -> events is the only lock order.
         self._lock = threading.RLock()
         self._seq = 0
-        self._lease_count = 0
-        self._lease_wait_total = 0.0
-        self._lease_wait_max = 0.0
         self.jobs: dict[str, dict[str, Any]] = {}
         self.cells: dict[str, dict[str, Any]] = {}
         self._load()
@@ -479,11 +477,7 @@ class JobQueue:
             }
             enqueued_at = cell.get("enqueued_at")
             if enqueued_at is not None:
-                wait = max(now - enqueued_at, 0.0)
-                self._lease_count += 1
-                self._lease_wait_total += wait
-                self._lease_wait_max = max(self._lease_wait_max, wait)
-                self._lease_hist.labels().record(wait)
+                self._lease_wait.record(max(now - enqueued_at, 0.0))
             trace = cell.get("trace")
             if trace is not None:
                 cell["lease_span"] = self.traces.span_begin(
@@ -703,12 +697,13 @@ class JobQueue:
             return {"cells": cells, "jobs": jobs}
 
     def lease_stats(self) -> dict[str, float]:
-        """Cumulative queued->leased latency accounting."""
+        """Cumulative queued->leased latency, read from the
+        ``repro_service_lease_latency_seconds`` histogram."""
         with self._lock:
             return {
-                "count": self._lease_count,
-                "wait_total": self._lease_wait_total,
-                "wait_max": self._lease_wait_max,
+                "count": self._lease_wait.count,
+                "wait_total": self._lease_wait.total,
+                "wait_max": self._lease_wait.max or 0.0,
             }
 
     def status(self, job_id: str) -> str:

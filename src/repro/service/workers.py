@@ -237,8 +237,7 @@ class WorkerShard:
         loop = asyncio.get_running_loop()
         stored = await loop.run_in_executor(None, self.store.get, fingerprint)
         if stored is None:
-            run = self._fuzz if cell.get("kind") == "fuzz" else self._simulate
-            await run(worker_id, cell)
+            await self._run(worker_id, cell)
             return
         hit_span = (
             self.traces.span_begin(
@@ -254,10 +253,19 @@ class WorkerShard:
             self.traces.span_end(trace, hit_span)
         await loop.run_in_executor(None, self.queue.complete, fingerprint)
 
-    async def _simulate(self, worker_id: str, cell: dict[str, Any]) -> None:
-        """Run one simulation cell in the executor and store its summary."""
+    async def _run(self, worker_id: str, cell: dict[str, Any]) -> None:
+        """Run one cell in the executor and store what it returns.
+
+        Both kinds take the same steps: ``cell.started``, the
+        ``cell.run`` span, a heartbeat-renewed executor run, and on
+        executor death or a raising cell, the span ended and the cell
+        handed back to the queue's retry budget.  A simulation stores
+        its summary; a fuzz campaign stores its report and surfaces
+        every finding as a ``cell.fuzz_finding`` event.
+        """
         fingerprint = cell["fingerprint"]
         trace = cell.get("trace")
+        fuzz = cell.get("kind") == "fuzz"
         loop = asyncio.get_running_loop()
         self.events.emit(
             "cell.started", fingerprint=fingerprint, worker=worker_id,
@@ -270,24 +278,31 @@ class WorkerShard:
             )
             if trace is not None else None
         )
-        # The trace context crosses the process-pool boundary, so it
-        # is plain data only (simlint SL203) — run_cell traces its
-        # coherence spans under this trace id and run span, and ships
-        # the rows back inside the summary.
-        trace_ctx = (
-            {"trace": trace, "span": run_span} if trace is not None else None
-        )
-        # The *exact* config a serial MatrixRunner would use for this
-        # cell — byte-identical summaries are the service's contract.
-        future = loop.run_in_executor(
-            self.executor(), run_cell,
-            cell_config(scaled_config(), cell["technique"]),
-            cell["benchmark"], cell["scale"], cell["seed"], False, trace_ctx,
-        )
-        try:
-            summary = await self._await_leased(
-                future, fingerprint, worker_id,
+        if fuzz:
+            # run_fuzz_cell runs its campaign serially: this cell
+            # already occupies a pool worker.
+            call = (run_fuzz_cell, cell["seed"], cell["budget"],
+                    tuple(cell["protocols"]), cell["interconnect"])
+        else:
+            # The trace context crosses the process-pool boundary, so
+            # it is plain data only (simlint SL203) — run_cell traces
+            # its coherence spans under this trace id and run span,
+            # and ships the rows back inside the summary.
+            trace_ctx = (
+                {"trace": trace, "span": run_span}
+                if trace is not None else None
             )
+            # The *exact* config a serial MatrixRunner would use for
+            # this cell — byte-identical summaries are the service's
+            # contract.  ``run_cell`` is read from the module globals
+            # here, at call time, so a replaced
+            # ``repro.service.workers.run_cell`` is what the pool runs.
+            call = (run_cell, cell_config(scaled_config(), cell["technique"]),
+                    cell["benchmark"], cell["scale"], cell["seed"], False,
+                    trace_ctx)
+        future = loop.run_in_executor(self.executor(), *call)
+        try:
+            result = await self._await_leased(future, fingerprint, worker_id)
         except BrokenExecutor:
             if trace is not None:
                 self.traces.span_end(trace, run_span, outcome="worker_death")
@@ -303,77 +318,31 @@ class WorkerShard:
                 None, self.queue.fail, fingerprint, "worker_error",
             )
             return
-        self.simulated += 1
-        # The worker's span rows ride back under summary["trace"]; pop
-        # them before storing so the stored summary stays
-        # byte-identical to a serial run's.
-        trace_doc = summary.pop("trace", None)
+        if fuzz:
+            self.fuzzed += 1
+            doc, trace_doc = result, None
+        else:
+            self.simulated += 1
+            # The worker's span rows ride back under summary["trace"];
+            # pop them before storing so the stored summary stays
+            # byte-identical to a serial run's.
+            trace_doc = result.pop("trace", None)
+            doc = {
+                "benchmark": cell["benchmark"],
+                "technique": cell["technique"],
+                "seed": cell["seed"],
+                "scale": cell["scale"],
+                "summary": result,
+            }
         if trace is not None:
             self.traces.span_end(trace, run_span, outcome="done")
             if trace_doc:
                 self.traces.ingest(trace, trace_doc["rows"], trace_doc["dropped"])
-        await loop.run_in_executor(None, self.store.store, fingerprint, {
-            "benchmark": cell["benchmark"],
-            "technique": cell["technique"],
-            "seed": cell["seed"],
-            "scale": cell["scale"],
-            "summary": summary,
-        })
-        await loop.run_in_executor(None, self.queue.complete, fingerprint)
-
-    async def _fuzz(self, worker_id: str, cell: dict[str, Any]) -> None:
-        """Run one fuzz-campaign cell and store its report.
-
-        Mirrors the simulation path — heartbeat-renewed executor run,
-        retry on death — but executes
-        :func:`repro.fuzz.campaign.run_fuzz_cell` (which runs its
-        campaign serially: this cell already occupies a pool worker)
-        and stores the JSON report.  Every finding in the report is
-        surfaced as a ``cell.fuzz_finding`` event before completion.
-        """
-        fingerprint = cell["fingerprint"]
-        trace = cell.get("trace")
-        loop = asyncio.get_running_loop()
-        self.events.emit(
-            "cell.started", fingerprint=fingerprint, worker=worker_id,
-            trace=trace,
-        )
-        run_span = (
-            self.traces.span_begin(
-                trace, "cell.run", parent=cell.get("lease_span"),
-                fingerprint=fingerprint, worker=worker_id,
-            )
-            if trace is not None else None
-        )
-        future = loop.run_in_executor(
-            self.executor(), run_fuzz_cell,
-            cell["seed"], cell["budget"], tuple(cell["protocols"]),
-            cell["interconnect"],
-        )
-        try:
-            doc = await self._await_leased(future, fingerprint, worker_id)
-        except BrokenExecutor:
-            if trace is not None:
-                self.traces.span_end(trace, run_span, outcome="worker_death")
-            await self._pool_died(fingerprint)
-            return
-        except asyncio.CancelledError:
-            raise
-        except Exception as exc:  # noqa: BLE001 - any cell error retries
-            log.warning("fuzz cell %s raised %s", fingerprint, exc)
-            if trace is not None:
-                self.traces.span_end(trace, run_span, outcome="worker_error")
-            await loop.run_in_executor(
-                None, self.queue.fail, fingerprint, "worker_error",
-            )
-            return
-        self.fuzzed += 1
-        if trace is not None:
-            self.traces.span_end(trace, run_span, outcome="done")
         await loop.run_in_executor(None, self.store.store, fingerprint, doc)
-        for finding in doc["findings"]:
-            self.events.emit(
-                "cell.fuzz_finding", fingerprint=fingerprint,
-                finding=finding["kind"], trace=trace,
-            )
+        if fuzz:
+            for finding in doc["findings"]:
+                self.events.emit(
+                    "cell.fuzz_finding", fingerprint=fingerprint,
+                    finding=finding["kind"], trace=trace,
+                )
         await loop.run_in_executor(None, self.queue.complete, fingerprint)

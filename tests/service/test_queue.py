@@ -10,6 +10,7 @@ import json
 
 import pytest
 
+from repro.obs.metrics import MetricsRegistry
 from repro.service.events import EventLog
 from repro.service.queue import JobQueue, SpecError, validate_spec
 
@@ -191,6 +192,31 @@ class TestLeasing:
         queue.submit({**SPEC, "techniques": ["base"]})
         cell = queue.lease("w0")
         assert not queue.heartbeat(cell["fingerprint"], "w1")
+
+    def test_lease_stats_read_the_lease_latency_histogram(self, tmp_path):
+        registry = MetricsRegistry()
+        queue, _events, clock = make_queue(
+            tmp_path, lease_ttl=10.0, metrics=registry,
+        )
+        assert queue.lease_stats() == {
+            "count": 0, "wait_total": 0.0, "wait_max": 0.0,
+        }
+        job = queue.submit(SPEC)
+        clock.advance(2.0)
+        assert queue.lease("w0")["fingerprint"] == job["cells"][0]  # waits 2
+        clock.advance(11.0)
+        queue.expire_leases()  # the cell is retried: queued again at 13
+        clock.advance(1.0)
+        assert queue.lease("w1")["fingerprint"] == job["cells"][0]  # waits 1
+        clock.advance(3.0)
+        assert queue.lease("w2")["fingerprint"] == job["cells"][1]  # waits 17
+        hist = registry.histogram(
+            "repro_service_lease_latency_seconds"
+        ).labels().hist
+        assert queue.lease_stats() == {
+            "count": hist.count, "wait_total": hist.total,
+            "wait_max": hist.max,
+        } == {"count": 3, "wait_total": 20.0, "wait_max": 17.0}
 
 
 class TestRetryBudget:
