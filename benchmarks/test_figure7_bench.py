@@ -27,8 +27,7 @@ def test_figure7_bench(benchmark, tmp_path):
     )
 
     def regenerate():
-        if BENCH_WORKERS:
-            runner.run_matrix(BENCHMARKS, ("base", *TECHNIQUES), BENCH_SEEDS)
+        runner.run_matrix(BENCHMARKS, ("base", *TECHNIQUES), BENCH_SEEDS)
         return speedups(
             runner, benchmarks=BENCHMARKS, techniques=TECHNIQUES, seeds=BENCH_SEEDS
         )

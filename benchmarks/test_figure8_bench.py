@@ -18,8 +18,7 @@ def test_figure8_bench(benchmark, tmp_path):
     )
 
     def regenerate():
-        if BENCH_WORKERS:
-            runner.run_matrix(BENCHMARKS, TECHNIQUES, BENCH_SEEDS)
+        runner.run_matrix(BENCHMARKS, TECHNIQUES, BENCH_SEEDS)
         return transaction_breakdown(
             runner, benchmarks=BENCHMARKS, techniques=TECHNIQUES, seeds=BENCH_SEEDS
         )

@@ -19,22 +19,15 @@ identical to the serial order.
 
 from __future__ import annotations
 
-import dataclasses
-
 from repro.analysis.report import render_table
-from repro.common.config import MachineConfig, ValidatePolicy, scaled_config
-from repro.experiments.runner import DEFAULT_JITTER, map_cells
-from repro.system.techniques import configure_technique
-
-
-def _jittered(config: MachineConfig) -> MachineConfig:
-    return dataclasses.replace(config, latency_jitter=DEFAULT_JITTER)
+from repro.common.config import ValidatePolicy, scaled_config
+from repro.experiments.runner import cell_config, map_cells
 
 
 def _sweep(specs, scale: float, seed: int, workers: int | None):
     """Run ``(tag, config)`` specs; returns {tag: summary} in job order."""
     jobs = [
-        (_jittered(config), benchmark, scale, seed)
+        (config, benchmark, scale, seed)
         for (benchmark, _label), config in specs
     ]
     summaries = map_cells(jobs, workers)
@@ -52,9 +45,9 @@ def validate_policy_ablation(scale=1.0, seed=1, benchmarks=("specjbb", "tpc-b"),
     specs = []
     for benchmark in benchmarks:
         specs.append(((benchmark, "base"),
-                      configure_technique(scaled_config(), "base")))
+                      cell_config(scaled_config(), "base")))
         for policy, technique in policies:
-            cfg = configure_technique(scaled_config(), technique)
+            cfg = cell_config(scaled_config(), technique)
             cfg = cfg.with_protocol(validate_policy=policy,
                                     enhanced=(policy is ValidatePolicy.PREDICTOR))
             specs.append(((benchmark, policy.value), cfg))
@@ -92,10 +85,10 @@ def sle_predictor_ablation(scale=1.0, seed=1, benchmarks=("tpc-b", "raytrace"),
     specs = []
     for benchmark in benchmarks:
         specs.append(((benchmark, "base"),
-                      configure_technique(scaled_config(), "base")))
+                      cell_config(scaled_config(), "base")))
         for label, kw in variants:
             specs.append(((benchmark, label),
-                          configure_technique(scaled_config(), "sle").with_sle(**kw)))
+                          cell_config(scaled_config(), "sle").with_sle(**kw)))
     results = _sweep(specs, scale, seed, workers)
     rows = []
     for benchmark in benchmarks:
@@ -120,13 +113,11 @@ def sle_rob_threshold_ablation(scale=1.0, seed=1, benchmark="raytrace",
                                thresholds=(0.25, 0.5, 0.75), verbose=True,
                                workers=None) -> str:
     """Critical-section buffering bound sweep."""
-    specs = [((benchmark, "base"), configure_technique(scaled_config(), "base"))]
+    specs = [((benchmark, "base"), cell_config(scaled_config(), "base"))]
     for threshold in thresholds:
         specs.append((
             (benchmark, threshold),
-            configure_technique(scaled_config(), "sle").with_sle(
-                rob_threshold=threshold
-            ),
+            cell_config(scaled_config(), "sle").with_sle(rob_threshold=threshold),
         ))
     results = _sweep(specs, scale, seed, workers)
     base = results[(benchmark, "base")]
@@ -153,9 +144,10 @@ def silent_store_ablation(scale=1.0, seed=1, benchmarks=("ocean", "tpc-b"),
     specs = []
     for benchmark in benchmarks:
         specs.append(((benchmark, "base"),
-                      configure_technique(scaled_config(), "base")))
+                      cell_config(scaled_config(), "base")))
         specs.append(((benchmark, "squash"),
-                      scaled_config().with_protocol(squash_silent_stores=True)))
+                      cell_config(scaled_config(), "base").with_protocol(
+                          squash_silent_stores=True)))
     results = _sweep(specs, scale, seed, workers)
     rows = []
     for benchmark in benchmarks:

@@ -6,7 +6,8 @@ through the runner's warm process pool (:func:`pooled_pass`).  The
 report holds each cell's ``cycles``/``committed``, the machine-config
 fingerprint, the scale, and whether the two passes agree on every
 summary field outside
-:data:`~repro.experiments.runner.NONDETERMINISTIC_FIELDS`.
+:data:`~repro.experiments.runner.NONDETERMINISTIC_FIELDS`, with every
+pooled cell run in another process.
 :func:`compare` holds a report to a baseline (``BENCH_matrix.json`` at
 the repo root) and names every difference; any one fails the gate.
 
@@ -17,6 +18,7 @@ job (``perfbench/README.md``).
 from __future__ import annotations
 
 import json
+import os
 import tempfile
 from pathlib import Path
 
@@ -24,8 +26,7 @@ from repro.experiments.runner import (
     NONDETERMINISTIC_FIELDS,
     MatrixRunner,
     RunSummary,
-    run_cell,
-    warm_pool,
+    map_cells,
 )
 
 #: Report format version.  3: cells and the determinism check only.
@@ -43,9 +44,8 @@ MINI_MATRIX = {
 #: The per-cell summary fields a report records and the gate compares.
 EXACT_FIELDS = ("cycles", "committed")
 
-#: Processes in the pooled pass.  Fixed rather than right-sized to the
-#: host's cores: the pass exists to cross a process boundary, so it
-#: must not degrade to in-process execution on a one-core host.
+#: Processes in the pooled pass, which exists to cross a process
+#: boundary.
 POOL_WIDTH = 2
 
 
@@ -53,12 +53,13 @@ def pooled_pass(
     runner: MatrixRunner, cells: list[tuple[str, str, int]]
 ) -> dict[str, RunSummary]:
     """Run ``(benchmark, technique, seed)`` cells of ``runner``'s matrix
-    in the warm process pool, keyed like ``runner.run_matrix``."""
+    in a :data:`POOL_WIDTH`-process pool, keyed like
+    ``runner.run_matrix``."""
     jobs = [
         (runner.cell_config(technique), benchmark, runner.scale, seed)
         for benchmark, technique, seed in cells
     ]
-    summaries = warm_pool(POOL_WIDTH).map(run_cell, *zip(*jobs))
+    summaries = map_cells(jobs, POOL_WIDTH)
     return {runner.key(*cell): summary for cell, summary in zip(cells, summaries)}
 
 
@@ -69,7 +70,8 @@ def run(output: str | Path = "BENCH_matrix.json",
     The serial pass keeps its cells and run manifest in
     ``results_dir`` (default: a temporary directory, removed before
     returning).  Returns the report; ``report["determinism"]["ok"]``
-    says whether the passes agree.
+    says whether the passes agree.  A pooled cell that ran in this
+    process fails the check too, named ``<key>.worker``.
     """
     spec = MINI_MATRIX
     cells = [
@@ -87,11 +89,15 @@ def run(output: str | Path = "BENCH_matrix.json",
                                    seeds=spec["seeds"])
         pooled = pooled_pass(runner, cells)
     mismatched = sorted(
-        f"{key}.{field}"
-        for key, summary in serial.items()
-        for field in summary.keys() | pooled[key].keys()
-        if field not in NONDETERMINISTIC_FIELDS
-        and summary.get(field) != pooled[key].get(field)
+        [f"{key}.{field}"
+         for key, summary in serial.items()
+         for field in summary.keys() | pooled[key].keys()
+         if field not in NONDETERMINISTIC_FIELDS
+         and summary.get(field) != pooled[key].get(field)]
+        # A pooled cell that ran here (a cell that failed in the pool
+        # reruns here) would be compared with the serial path itself.
+        + [f"{key}.worker" for key, summary in pooled.items()
+           if summary["worker"] == os.getpid()]
     )
     report = {
         "schema": SCHEMA,

@@ -21,9 +21,8 @@ import dataclasses
 
 from repro.analysis.report import render_table
 from repro.common.config import InterconnectKind, scaled_config
-from repro.experiments.runner import DEFAULT_JITTER, summarize
+from repro.experiments.runner import cell_config, summarize
 from repro.system.system import System
-from repro.system.techniques import configure_technique
 from repro.workloads.registry import get_benchmark
 
 HEADERS = [
@@ -38,9 +37,8 @@ HEADERS = [
 
 
 def _run(technique, benchmark, interconnect, scale, seed):
-    cfg = configure_technique(scaled_config(), technique)
-    cfg = dataclasses.replace(
-        cfg, interconnect=interconnect, latency_jitter=DEFAULT_JITTER
+    cfg = cell_config(
+        dataclasses.replace(scaled_config(), interconnect=interconnect), technique
     )
     result = System(cfg, get_benchmark(benchmark, scale=scale), seed=seed).run(
         max_cycles=500_000_000, max_events=300_000_000

@@ -76,16 +76,15 @@ def run(scale: float = 1.0, seeds=DEFAULT_SEEDS, results_dir="results",
         workers: int | None = None) -> str:
     """Run the full matrix and return the rendered figure.
 
-    ``workers`` > 1 fans the uncached cells (baseline included) out
-    over a process pool first; results are identical to the serial run.
+    ``workers`` > 1 runs the unstored cells (baseline included) in a
+    process pool; results are identical to the serial run.
     With ``claims`` (and a full benchmark/technique matrix), the
     paper's qualitative findings are evaluated against the measured
     speedups and reported claim by claim.
     """
     runner = MatrixRunner(scale=scale, results_dir=results_dir, verbose=verbose,
                           workers=workers)
-    if workers and workers > 1:
-        runner.run_matrix(benchmarks, ("base", *techniques), seeds)
+    runner.run_matrix(benchmarks, ("base", *techniques), seeds)
     results = speedups(runner, benchmarks, techniques, seeds)
     out = render(results)
     if chart:

@@ -61,12 +61,11 @@ def run(scale: float = 1.0, seeds=DEFAULT_SEEDS, results_dir="results",
         benchmarks=None, verbose=True, workers: int | None = None) -> str:
     """Run the experiment and return the rendered text.
 
-    ``workers`` > 1 prefetches the uncached matrix cells in parallel.
+    ``workers`` > 1 runs the unstored matrix cells in a process pool.
     """
     runner = MatrixRunner(scale=scale, results_dir=results_dir, verbose=verbose,
                           workers=workers)
-    if workers and workers > 1:
-        runner.run_matrix(benchmarks, ("base",) + FIGURE7_TECHNIQUES, seeds)
+    runner.run_matrix(benchmarks, ("base",) + FIGURE7_TECHNIQUES, seeds)
     return render(transaction_breakdown(runner, benchmarks, seeds=seeds))
 
 

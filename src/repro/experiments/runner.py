@@ -8,12 +8,13 @@ Figure 8 (address transactions) use the same matrix, Table 2 uses its
 ``mesti`` column, and the SLE statistics of §5.3.1 its ``sle`` column.
 
 Cells are independent simulations (each builds its own ``System`` from
-the seed), so the matrix fans out over a
-:class:`~concurrent.futures.ProcessPoolExecutor` when ``workers`` is
-given.  The determinism contract (docs/performance.md): a cell run in
-a worker produces a summary identical — every field except the
-``wall_seconds`` wall-clock measurement — to the same cell run
-serially, so stored, serial, and parallel results are interchangeable.
+the seed), and every sweep runs them through :func:`map_cells`:
+in-process, or one task per cell in a warm process pool when
+``workers`` > 1.  The determinism contract (docs/performance.md): a
+cell run in a worker produces a summary identical — every field except
+the :data:`NONDETERMINISTIC_FIELDS` host measurements — to the same
+cell run serially, so stored, serial, and pooled results are
+interchangeable.
 
 A cell is stored under :func:`cell_fingerprint` of its complete
 machine config, so summaries produced under one config are never
@@ -31,18 +32,17 @@ import gc
 import hashlib
 import json
 import logging
-import math
 import os
 import time
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 from repro.common.config import MachineConfig, scaled_config
 from repro.experiments.store import ResultStore
 from repro.obs.metrics import run_series
-from repro.obs.progress import CellUpdate, MatrixProgress, RunManifest
+from repro.obs.progress import RunManifest
 from repro.obs.provenance import analyze_events
 from repro.obs.spans import CELL_TRACE_ROWS
 from repro.obs.tracer import TraceFilter, Tracer
@@ -54,16 +54,10 @@ from repro.workloads.registry import BENCHMARKS, get_benchmark
 #: (Alameldeen–Wood): a few percent of the remote latency.
 DEFAULT_JITTER = 8
 
-#: Per-cell wall-clock budget for parallel runs.  The in-simulation
-#: ``max_cycles``/``max_events`` guards catch livelock deterministically;
-#: this outer limit only catches a wedged worker process.
-DEFAULT_CELL_TIMEOUT = 3600.0
-
-#: Target dispatch chunks per worker.  Cells are submitted to the pool
-#: in contiguous chunks rather than one task per cell: large matrices
-#: pay per-task pickling/IPC once per chunk, while keeping several
-#: chunks per worker preserves load balance when cell times vary.
-DISPATCH_CHUNKS_PER_WORKER = 4
+#: Seconds :func:`map_cells` waits for one pooled cell.  The
+#: in-simulation ``max_cycles``/``max_events`` guards catch livelock
+#: deterministically; this outer limit only catches a wedged worker.
+CELL_TIMEOUT = 3600.0
 
 #: Summary fields that measure the host, not the simulation — excluded
 #: from determinism comparisons.  ``worker`` (the producing pid) and
@@ -250,18 +244,6 @@ def run_cell(
     return summary
 
 
-def run_cell_chunk(
-    jobs: list[tuple],
-) -> list[RunSummary]:
-    """Run a contiguous chunk of cells in one worker task.
-
-    Chunked dispatch amortizes the per-task submission cost (pickling
-    the :class:`MachineConfig`, executor queue round-trips) over
-    several cells; the summaries come back in job order.
-    """
-    return [run_cell(*job) for job in jobs]
-
-
 #: Warm persistent worker pools, keyed by (worker count, initializer).
 #: Creating a :class:`ProcessPoolExecutor` per sweep pays process
 #: startup every time; reusing one across sweeps (the bench's pooled
@@ -317,186 +299,62 @@ def retire_pool(workers: int, initializer=None) -> None:
         pool.shutdown(wait=False, cancel_futures=True)
 
 
-def effective_workers(workers: int | None, n_jobs: int) -> int:
-    """Right-size a requested worker count to what can actually help.
+def map_cells(
+    jobs: list[tuple],
+    workers: int | None = None,
+) -> Iterator[RunSummary]:
+    """Yield the summary of each :func:`run_cell` job, in job order.
 
-    Worker processes beyond the job count idle, and worker processes
-    beyond the machine's cores *cost* wall time (context switching and
-    pool startup with zero added parallelism — the classic way a
-    parallel run loses to a serial one on small boxes).  The result is
-    ``min(workers, n_jobs, cpu_count)``; callers treat ``<= 1`` as
-    "run serially in-process".
+    With ``workers`` <= 1 each job runs in-process when its summary is
+    asked for.  Otherwise every job is one task in the
+    :func:`warm_pool` of ``min(workers, len(jobs))`` processes, and
+    each summary is yielded as soon as it and every earlier one are in,
+    so the caller can store finished cells before a later one fails.
+    A cell that raises, takes longer than :data:`CELL_TIMEOUT` or
+    loses its pool reruns once in-process, marked ``retries: 1``; a
+    second failure propagates.  After a sweep that saw a timeout or a
+    broken pool, the pool is retired: a timed-out task may still hold
+    a worker, and a broken pool takes no more tasks.  A pool that broke
+    while idle refuses the sweep's tasks; it is retired and the tasks
+    go to a fresh one.  An empty job list starts no pool.  Summaries
+    are identical either way outside :data:`NONDETERMINISTIC_FIELDS`.
     """
     if not workers or workers <= 1:
-        return 1
-    return max(1, min(workers, n_jobs, os.cpu_count() or 1))
-
-
-def _pool_map(
-    jobs: list[tuple[MachineConfig, str, float, int]],
-    workers: int,
-    timeout: float | None,
-    keys: list[str] | None = None,
-    on_event: Callable[[CellUpdate], None] | None = None,
-    chunksize: int | None = None,
-):
-    """Yield each job's summary in submission order from a process pool.
-
-    Each cell gets a per-cell ``timeout`` and exactly one retry — in a
-    fresh worker, or in-process if the pool died (worker crash); the
-    cell itself may still be fine.  Yielding incrementally lets the
-    caller persist finished cells before a later one fails.
-
-    ``on_event`` receives a :class:`CellUpdate` per telemetry event:
-    ``start`` at submission (the cell is queued or running), ``retry``/
-    ``timeout`` on a failed first attempt, ``finish`` once the summary
-    is harvested (carrying worker pid, wall time, and retry count).
-
-    Dispatch is *chunked over a warm pool*: jobs are submitted in
-    contiguous chunks (:func:`run_cell_chunk`,
-    :data:`DISPATCH_CHUNKS_PER_WORKER` chunks per worker) to a shared
-    persistent :func:`warm_pool`, so neither process startup nor
-    per-cell task overhead is paid per sweep.  A failed chunk falls
-    back to retrying its cells one at a time, preserving the per-cell
-    one-retry contract; ``chunksize`` overrides the heuristic.
-
-    Chunking coarsens the *first attempt's* timeout to ``timeout``
-    times the chunk length (a cell inside a running chunk task cannot
-    be interrupted individually); the individual retries are each
-    bounded by the per-cell ``timeout`` again, and they run in a
-    fresh dedicated pool so a wedged first attempt — which keeps
-    occupying its warm-pool worker — cannot starve them.  After a
-    sweep that saw any chunk time out, the warm pool is retired so
-    the hung worker does not shrink later sweeps' effective width.
-    """
-    if keys is None:
-        keys = [f"{job[1]}|scale{job[2]}|seed{job[3]}" for job in jobs]
+        for job in jobs:
+            yield run_cell(*job)
+        return
+    if not jobs:
+        return
     width = min(workers, len(jobs))
-    if chunksize is None:
-        chunksize = max(
-            1, math.ceil(len(jobs) / (width * DISPATCH_CHUNKS_PER_WORKER))
-        )
-    pool = warm_pool(width)
-    chunks = [
-        (jobs[i:i + chunksize], keys[i:i + chunksize])
-        for i in range(0, len(jobs), chunksize)
-    ]
-    futures = []
-    for chunk_jobs, chunk_keys in chunks:
-        futures.append(pool.submit(run_cell_chunk, chunk_jobs))
-        if on_event is not None:
-            for key in chunk_keys:
-                on_event(CellUpdate("start", key))
-    timed_out = False
     try:
-        for future, (chunk_jobs, chunk_keys) in zip(futures, chunks):
-            chunk_timeout = timeout * len(chunk_jobs) if timeout else timeout
+        futures = [warm_pool(width).submit(run_cell, *job) for job in jobs]
+    except BrokenExecutor:
+        retire_pool(width)
+        futures = [warm_pool(width).submit(run_cell, *job) for job in jobs]
+    spoiled = False
+    try:
+        for job, future in zip(jobs, futures):
             try:
-                summaries = future.result(timeout=chunk_timeout)
+                summary = future.result(timeout=CELL_TIMEOUT)
             except Exception as exc:  # noqa: BLE001 - each cell gets one retry
-                if isinstance(exc, (TimeoutError, FuturesTimeoutError)):
-                    timed_out = True
-                summaries = _retry_chunk(
-                    pool, width, chunk_jobs, chunk_keys, exc, timeout, on_event
+                spoiled |= isinstance(
+                    exc, (BrokenExecutor, TimeoutError, FuturesTimeoutError)
                 )
-            for key, summary in zip(chunk_keys, summaries):
-                if on_event is not None:
-                    on_event(CellUpdate(
-                        "finish", key,
-                        worker=summary.get("worker"),
-                        wall_seconds=summary.get("wall_seconds"),
-                        retries=int(summary.get("retries", 0)),
-                    ))
-                yield summary
-    finally:
-        if timed_out:
-            # A timed-out chunk's first attempt may still be wedged in
-            # a pool worker (a running pool task cannot be killed);
-            # retiring the pool keeps the hung process from occupying
-            # a slot in every later sweep of this width.
-            retire_pool(width)
-
-
-def _retry_chunk(
-    pool: ProcessPoolExecutor,
-    width: int,
-    chunk_jobs: list[tuple],
-    chunk_keys: list[str],
-    exc: Exception,
-    timeout: float | None,
-    on_event: Callable[[CellUpdate], None] | None,
-) -> list[RunSummary]:
-    """Re-run a failed chunk's cells one at a time (one retry each).
-
-    A chunk failure does not say which cell was at fault, so every
-    cell in the chunk is retried individually, each under the
-    per-cell ``timeout`` — in the pool when it is still alive, in a
-    fresh dedicated pool when the chunk *timed out* (the wedged first
-    attempt still occupies a warm-pool worker, so a healthy cell's
-    retry queued behind it would time out too), or in-process when
-    the executor broke (worker death took the pool down; the warm
-    pool is retired so the next sweep gets a fresh one).  A cell
-    whose individual retry also fails propagates, matching the
-    serial path.
-    """
-    kind = (
-        "timeout"
-        if isinstance(exc, (TimeoutError, FuturesTimeoutError))
-        else "retry"
-    )
-    retry_pool = pool
-    if kind == "timeout":
-        retry_pool = ProcessPoolExecutor(
-            max_workers=min(width, len(chunk_jobs))
-        )
-    summaries = []
-    try:
-        for job, key in zip(chunk_jobs, chunk_keys):
-            if on_event is not None:
-                on_event(CellUpdate(
-                    kind, key, error=f"{type(exc).__name__}: {exc}",
-                ))
-            log.warning(
-                "chunk containing cell %s failed (%s: %s); retrying the cell",
-                key, type(exc).__name__, exc,
-            )
-            try:
-                summary = retry_pool.submit(
-                    run_cell, *job
-                ).result(timeout=timeout)
-            except BrokenExecutor:
-                if retry_pool is pool:
-                    retire_pool(width)
+                config, benchmark, scale, seed = job[:4]
+                log.warning(
+                    "cell %s|scale%s|seed%s (%s) failed in the pool (%r); "
+                    "rerunning it in-process",
+                    benchmark, scale, seed,
+                    cell_fingerprint(config, benchmark, scale, seed), exc,
+                )
                 summary = run_cell(*job)
-            summary["retries"] = summary.get("retries", 0) + 1
-            summaries.append(summary)
+                summary["retries"] = 1
+            yield summary
     finally:
-        if retry_pool is not pool:
-            retry_pool.shutdown(wait=False, cancel_futures=True)
-    return summaries
-
-
-def map_cells(
-    jobs: list[tuple[MachineConfig, str, float, int]],
-    workers: int | None = None,
-    timeout: float | None = DEFAULT_CELL_TIMEOUT,
-) -> list[RunSummary]:
-    """Run ``(config, benchmark, scale, seed)`` jobs, preserving order.
-
-    With ``workers`` > 1 the jobs fan out over a process pool with a
-    per-cell timeout and one retry; otherwise they run serially.  The
-    requested width is right-sized by :func:`effective_workers` first —
-    a pool that cannot beat the serial path (more workers than cores
-    or than jobs) degrades to in-process execution instead of paying
-    dispatch overhead for nothing.  The returned list matches ``jobs``
-    index for index either way, with identical summaries (modulo
-    ``wall_seconds``) — simulations are pure functions of
-    (config, benchmark, scale, seed).
-    """
-    effective = effective_workers(workers, len(jobs))
-    if effective <= 1:
-        return [run_cell(*job) for job in jobs]
-    return list(_pool_map(jobs, effective, timeout))
+        for future in futures:
+            future.cancel()
+        if spoiled:
+            retire_pool(width)
 
 
 class MatrixRunner:
@@ -509,7 +367,6 @@ class MatrixRunner:
         results_dir: str | Path = "results",
         verbose: bool = True,
         workers: int | None = None,
-        cell_timeout: float | None = DEFAULT_CELL_TIMEOUT,
         provenance: bool = False,
     ):
         self.base_config = config or scaled_config()
@@ -522,7 +379,6 @@ class MatrixRunner:
         self.store = ResultStore(self.results_dir)
         self.verbose = verbose
         self.workers = workers
-        self.cell_timeout = cell_timeout
         # Trace every executed cell and attach its miss-provenance
         # summary (stored cells keep whatever they were stored with).
         self.provenance = provenance
@@ -601,16 +457,16 @@ class MatrixRunner:
         benchmarks: Iterable[str] | None = None,
         techniques: Iterable[str] = ("base",),
         seeds: Iterable[int] = (1, 2, 3),
-        workers: int | None = None,
     ) -> dict[str, RunSummary]:
         """Run every requested cell; returns the key->summary mapping.
 
-        ``workers`` (default: the runner's ``workers`` setting) > 1
-        fans the cells not yet stored out over a process pool; the
-        returned mapping is in the serial iteration order either way,
-        and every summary is identical to what the serial path would
-        produce (modulo the ``NONDETERMINISTIC_FIELDS`` provenance —
-        see docs/performance.md).
+        The cells not yet stored run through :func:`map_cells` on the
+        runner's ``workers`` and are stored one by one as they arrive,
+        so an interrupted sweep keeps every cell it finished.  The
+        returned mapping is in the serial iteration order, and every
+        summary is identical to what the serial path would produce
+        (modulo the ``NONDETERMINISTIC_FIELDS`` provenance — see
+        docs/performance.md).
 
         Every sweep records a :class:`RunManifest` in ``self.manifest``:
         per cell, stored-vs-ran status (``cached``/``ran``), the
@@ -625,32 +481,33 @@ class MatrixRunner:
             for technique in techniques
             for seed in seeds
         ]
-        workers = self.workers if workers is None else workers
         stored = {
             self.key(*cell) for cell in cells
             if self._lookup(*cell) is not None
         }
-        if workers and workers > 1:
-            self._run_cells_parallel(
-                [cell for cell in cells if self.key(*cell) not in stored],
-                workers,
-            )
-        out = {self.key(*cell): self.run_one(*cell) for cell in cells}
-        self.manifest = self._build_manifest(out, stored, workers)
+        pending = list(dict.fromkeys(
+            cell for cell in cells if self.key(*cell) not in stored
+        ))
+        jobs = [
+            (self.cell_config(technique), benchmark, self.scale, seed,
+             self.provenance)
+            for benchmark, technique, seed in pending
+        ]
+        for cell, summary in zip(pending, map_cells(jobs, self.workers)):
+            self.flush(*cell, summary)
+        out = {self.key(*cell): self._cells[self.key(*cell)] for cell in cells}
+        self.manifest = self._build_manifest(out, stored)
         if self.manifest.ran:
             self._save_manifest(self.manifest)
         return out
 
     def _build_manifest(
-        self,
-        out: dict[str, RunSummary],
-        stored: set[str],
-        workers: int | None,
+        self, out: dict[str, RunSummary], stored: set[str],
     ) -> RunManifest:
         """Per-cell provenance for one finished sweep."""
         manifest = RunManifest(
             label="matrix", scale=self.scale,
-            fingerprint=self.fingerprint, workers=workers,
+            fingerprint=self.fingerprint, workers=self.workers,
         )
         for key, summary in out.items():
             manifest.record(
@@ -670,51 +527,6 @@ class MatrixRunner:
             manifest.save(self.manifest_path)
         except OSError as exc:  # manifest is telemetry, never fatal
             log.warning("could not write manifest %s: %s", self.manifest_path, exc)
-
-    def _run_cells_parallel(
-        self, pending: list[tuple[str, str, int]], workers: int
-    ) -> None:
-        """Fan cells out over a process pool into the store.
-
-        Each cell is stored as it is harvested, so cells completed
-        before a crash/timeout-exhaustion stay stored — a re-run only
-        re-executes what's missing.
-        """
-        pending = list(dict.fromkeys(pending))
-        if not pending:
-            return
-        workers = effective_workers(workers, len(pending))
-        if workers <= 1:
-            # A pool cannot win here (single core, or a single cell);
-            # fall through to the serial path in run_matrix instead of
-            # paying dispatch overhead for zero parallelism.
-            log.log(
-                logging.INFO if self.verbose else logging.DEBUG,
-                "right-sized worker pool to serial for %d cell(s) "
-                "(cpu_count=%s)", len(pending), os.cpu_count(),
-            )
-            return
-        jobs = [
-            (self.cell_config(technique), benchmark, self.scale, seed,
-             self.provenance)
-            for benchmark, technique, seed in pending
-        ]
-        log.log(
-            logging.INFO if self.verbose else logging.DEBUG,
-            "fanning %d cell(s) out over %d warm workers",
-            len(pending), workers,
-        )
-        progress = MatrixProgress(total=len(pending), label="matrix")
-        try:
-            summaries = _pool_map(
-                jobs, workers, self.cell_timeout,
-                keys=[self.key(*cell) for cell in pending],
-                on_event=progress.update,
-            )
-            for (benchmark, technique, seed), summary in zip(pending, summaries):
-                self.flush(benchmark, technique, seed, summary)
-        finally:
-            progress.close()
 
     def cells(self, benchmark: str, technique: str, seeds: Iterable[int]) -> list[RunSummary]:
         """Fetch (running if needed) all seeds of one cell."""

@@ -15,12 +15,9 @@ cells dominate the sweep, and they parallelize perfectly.
 
 from __future__ import annotations
 
-import dataclasses
-
 from repro.analysis.report import render_table
 from repro.common.config import scaled_config
-from repro.experiments.runner import DEFAULT_JITTER, map_cells
-from repro.system.techniques import configure_technique
+from repro.experiments.runner import cell_config, map_cells
 
 HEADERS = [
     "Benchmark",
@@ -36,15 +33,12 @@ def collect(scale=0.4, seed=1, benchmarks=("tpc-b", "radiosity"),
             cpu_counts=(4, 8, 16), verbose=True, workers=None):
     """Run the experiment and return its result rows."""
     points = [(b, n) for b in benchmarks for n in cpu_counts]
-    jobs = []
-    for benchmark, n in points:
-        for technique in ("base", "emesti"):
-            cfg = dataclasses.replace(
-                configure_technique(scaled_config(n_procs=n), technique),
-                latency_jitter=DEFAULT_JITTER,
-            )
-            jobs.append((cfg, benchmark, scale, seed))
-    summaries = map_cells(jobs, workers)
+    jobs = [
+        (cell_config(scaled_config(n_procs=n), technique), benchmark, scale, seed)
+        for benchmark, n in points
+        for technique in ("base", "emesti")
+    ]
+    summaries = list(map_cells(jobs, workers))
     rows = []
     for i, (benchmark, n) in enumerate(points):
         base, emesti = summaries[2 * i], summaries[2 * i + 1]

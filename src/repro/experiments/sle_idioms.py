@@ -59,12 +59,11 @@ def run(scale: float = 1.0, seeds=(1,), results_dir="results", verbose=True,
         workers: int | None = None) -> str:
     """Run the experiment and return the rendered text.
 
-    ``workers`` > 1 prefetches the uncached ``sle`` cells in parallel.
+    ``workers`` > 1 runs the unstored ``sle`` cells in a process pool.
     """
     runner = MatrixRunner(scale=scale, results_dir=results_dir, verbose=verbose,
                           workers=workers)
-    if workers and workers > 1:
-        runner.run_matrix(None, ("sle",), seeds)
+    runner.run_matrix(None, ("sle",), seeds)
     rows = collect(runner, seeds=seeds)
     return render_table(HEADERS, rows, title="SLE elision idiom statistics (§5.3.1)")
 

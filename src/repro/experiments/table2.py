@@ -57,12 +57,11 @@ def run(scale: float = 1.0, seeds=(1,), results_dir="results", verbose=True,
         workers: int | None = None) -> str:
     """Run the experiment and return the rendered table.
 
-    ``workers`` > 1 prefetches the uncached baseline cells in parallel.
+    ``workers`` > 1 runs the unstored baseline cells in a process pool.
     """
     runner = MatrixRunner(scale=scale, results_dir=results_dir, verbose=verbose,
                           workers=workers)
-    if workers and workers > 1:
-        runner.run_matrix(None, ("base",), seeds)
+    runner.run_matrix(None, ("base",), seeds)
     rows = collect(runner, seeds)
     return render_table(
         HEADERS, rows,

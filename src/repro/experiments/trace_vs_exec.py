@@ -21,15 +21,12 @@ the producer.
 
 from __future__ import annotations
 
-import dataclasses
-
 from repro.analysis.report import render_table
 from repro.analysis.trace import TraceRecorder
 from repro.analysis.tracedriven import TraceDrivenAnalyzer
 from repro.common.config import scaled_config
-from repro.experiments.runner import DEFAULT_JITTER
+from repro.experiments.runner import cell_config
 from repro.system.system import System
-from repro.system.techniques import configure_technique
 from repro.workloads.registry import get_benchmark
 
 HEADERS = [
@@ -43,9 +40,7 @@ HEADERS = [
 
 
 def _run(technique: str, benchmark: str, scale: float, seed: int, record=False):
-    cfg = dataclasses.replace(
-        configure_technique(scaled_config(), technique), latency_jitter=DEFAULT_JITTER
-    )
+    cfg = cell_config(scaled_config(), technique)
     system = System(cfg, get_benchmark(benchmark, scale=scale), seed=seed)
     recorder = TraceRecorder(system) if record else None
     result = system.run(max_cycles=500_000_000, max_events=300_000_000)

@@ -12,9 +12,8 @@
   text.  :func:`~repro.obs.metrics.run_metrics` builds one from a
   finished run's statistics through the declared
   :data:`~repro.obs.metrics.RUN_METRICS` table (``RunResult.metrics``).
-* :class:`~repro.obs.progress.MatrixProgress` /
-  :class:`~repro.obs.progress.RunManifest` — parallel-run telemetry:
-  live per-cell progress and the persisted per-cell provenance record.
+* :class:`~repro.obs.progress.RunManifest` — sweep telemetry: the
+  persisted per-cell provenance record of a matrix sweep.
 * :class:`~repro.obs.profiler.SimProfiler` — per-component event counts
   and wall-time attribution from the scheduler;
   :class:`~repro.obs.profiler.Heartbeat` — periodic progress logging.
@@ -38,7 +37,7 @@ from repro.obs.metrics import (
     run_metrics,
 )
 from repro.obs.profiler import Heartbeat, SimProfiler
-from repro.obs.progress import CellUpdate, MatrixProgress, RunManifest
+from repro.obs.progress import RunManifest
 from repro.obs.provenance import (
     ProvenanceReport,
     analyze_events,
@@ -74,8 +73,6 @@ __all__ = [
     "MetricSpec",
     "MetricsRegistry",
     "run_metrics",
-    "CellUpdate",
-    "MatrixProgress",
     "RunManifest",
     "SimProfiler",
     "Heartbeat",

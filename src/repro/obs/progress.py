@@ -1,128 +1,24 @@
-"""Parallel-run telemetry: per-cell progress events and run manifests.
+"""Sweep telemetry: the per-cell run manifest.
 
-While a :class:`~repro.experiments.runner.MatrixRunner` fans cells out
-over worker processes, the only signal used to be a log line per
-finished cell.  This module adds two observability surfaces:
+Progress while a :class:`~repro.experiments.runner.MatrixRunner`
+sweep runs is the runner's own log line per stored cell
+(``repro.runner``), the same for serial and pooled sweeps.  What
+outlasts the sweep is the :class:`RunManifest`, kept next to the
+stored cells (``matrix_scale<scale>.manifest.json``): for every cell,
+whether it was served from the store or ran, which worker ran it, how
+many retries it took, and its wall time.  CI uploads the manifest as
+an artifact, so a flaky or slow cell is diagnosable after the fact.
 
-* :class:`MatrixProgress` renders :class:`CellUpdate` events —
-  start / finish / retry / timeout, worker pid, wall time — as a live
-  single-line progress display on a TTY (falling back to plain log
-  lines otherwise);
-* :class:`RunManifest` persists the same telemetry next to the result
-  cache (``<cache>.manifest.json``): for every cell, whether it was
-  served from cache or ran, which worker ran it, how many retries it
-  took, and its wall time.  CI uploads the manifest as an artifact, so
-  a flaky or slow cell is diagnosable after the fact.
-
-Timestamps are deliberately relative (``time.perf_counter`` deltas):
-the manifest must be byte-stable across reruns of a fully cached
-matrix, and simlint's SL001 bans wall-clock reads in ``src/repro``.
+The manifest holds no wall-clock dates: it must be byte-stable across
+reruns of a fully cached matrix, and simlint's SL001 bans wall-clock
+reads in ``src/repro``.
 """
 
 from __future__ import annotations
 
 import json
-import logging
-import sys
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
-
-log = logging.getLogger("repro.progress")
-
-#: The event vocabulary carried by :class:`CellUpdate`.
-UPDATE_KINDS = ("start", "finish", "retry", "timeout")
-
-
-@dataclass
-class CellUpdate:
-    """One telemetry event for one matrix cell."""
-
-    kind: str  # one of UPDATE_KINDS
-    key: str  # "benchmark|technique|seed"
-    worker: int | None = None  # pid that produced the summary
-    wall_seconds: float | None = None
-    retries: int = 0
-    error: str | None = None  # failure text for retry/timeout events
-
-    def __post_init__(self):
-        if self.kind not in UPDATE_KINDS:
-            raise ValueError(f"unknown cell update kind {self.kind!r}")
-
-
-class MatrixProgress:
-    """Renders cell updates as a live progress line (or log lines).
-
-    On a TTY ``stream`` the display is a single ``\\r``-rewritten line
-    (``label 3/8 done, 1 running, 1 retried — last tpc-b|emesti|1
-    2.1s``); otherwise every finish/retry/timeout becomes one log
-    record, so redirected output stays readable.
-    """
-
-    def __init__(self, total: int, label: str = "matrix", stream=None,
-                 live: bool | None = None):
-        self.total = total
-        self.label = label
-        self.stream = stream if stream is not None else sys.stderr
-        self.live = (
-            live if live is not None
-            else bool(getattr(self.stream, "isatty", lambda: False)())
-        )
-        self.done = 0
-        self.running = 0
-        self.retried = 0
-        self.last: CellUpdate | None = None
-        self._start = time.perf_counter()
-
-    def update(self, event: CellUpdate) -> None:
-        """Fold one event into the display state and re-render."""
-        if event.kind == "start":
-            self.running += 1
-        elif event.kind == "finish":
-            self.done += 1
-            self.running = max(0, self.running - 1)
-            self.last = event
-        elif event.kind in ("retry", "timeout"):
-            self.retried += 1
-        if self.live:
-            self._render()
-        elif event.kind in ("retry", "timeout"):
-            # Failures are always worth a log line; routine finishes
-            # stay at DEBUG (the runner already logs each cell).
-            log.info("%s", self._line(event))
-        elif event.kind == "finish":
-            log.debug("%s", self._line(event))
-
-    def _line(self, event: CellUpdate) -> str:
-        bits = [f"{self.label} {self.done}/{self.total} done"]
-        if self.running:
-            bits.append(f"{self.running} running")
-        if self.retried:
-            bits.append(f"{self.retried} retried")
-        if event.kind in ("retry", "timeout"):
-            bits.append(f"{event.kind} {event.key}: {event.error or '?'}")
-        elif event.key:
-            detail = f"last {event.key}"
-            if event.wall_seconds is not None:
-                detail += f" {event.wall_seconds:.1f}s"
-            bits.append(detail)
-        return ", ".join(bits)
-
-    def _render(self) -> None:
-        line = self._line(self.last or CellUpdate("finish", ""))
-        self.stream.write("\r" + line.ljust(79)[:200])
-        self.stream.flush()
-
-    def close(self) -> None:
-        """Finish the live line (newline) and log the total wall time."""
-        elapsed = time.perf_counter() - self._start
-        if self.live:
-            self.stream.write("\n")
-            self.stream.flush()
-        log.debug(
-            "%s: %d/%d cells in %.1fs (%d retried)",
-            self.label, self.done, self.total, elapsed, self.retried,
-        )
 
 
 @dataclass

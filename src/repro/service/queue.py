@@ -26,10 +26,12 @@ below.  Cells, not jobs, are the unit of scheduling:
   ``reason=cancelled``; an in-flight leased cell is left to finish so
   its result still lands in the store.
 
-Durability: every mutation rewrites ``state.json`` atomically
-(:func:`~repro.experiments.store.atomic_write`).  On load, cells found
-*leased* are returned to *queued* — the lease holder died with the
-process, and a re-run of a deterministic cell is always safe.
+Durability: every update a restart reads rewrites ``state.json``
+atomically (:func:`~repro.experiments.store.atomic_write`).  On load,
+cells found *leased* are returned to *queued* — the lease holder died
+with the process, and a re-run of a deterministic cell is always safe
+— so a lease or a heartbeat, which a restart would undo, writes
+nothing.
 
 Thread-safety: the service offloads queue calls to executor threads
 (the ``state.json`` rewrite must not block the event loop — simlint
@@ -488,7 +490,6 @@ class JobQueue:
                 "cell.leased", fingerprint=cell["fingerprint"], worker=worker,
                 trace=trace,
             )
-            self._save()
             return dict(cell)
 
     def heartbeat(self, fingerprint: str, worker: str) -> bool:
@@ -501,7 +502,6 @@ class JobQueue:
             ):
                 return False
             cell["lease"]["deadline"] = self.clock() + self.lease_ttl
-            self._save()
             return True
 
     def expire_leases(self) -> list[str]:

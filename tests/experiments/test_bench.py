@@ -6,12 +6,15 @@ import copy
 import json
 import os
 import pathlib
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
 from repro import cli
 from repro.experiments import bench
+from repro.experiments import runner as runner_module
 from repro.experiments.runner import NONDETERMINISTIC_FIELDS
+from tests.experiments.test_parallel_runner import FakePool
 
 ROOT = pathlib.Path(__file__).resolve().parents[2]
 
@@ -272,4 +275,21 @@ def test_pooled_pass_compares_every_deterministic_field(
     assert report["determinism"] == {
         "ok": False,
         "mismatched": ["tpc-b|emesti|1.ipc", "tpc-b|emesti|1.txn_total"],
+    }
+
+
+def test_cells_rerun_in_process_fail_the_check(tmp_path, monkeypatch, store_dir):
+    """A broken pool cannot pass the gate by comparing the serial path
+    with itself: every cell it lost reran in this process."""
+    lost = [BrokenProcessPool("pool died") for _ in range(4)]
+    monkeypatch.setitem(
+        runner_module._WARM_POOLS, (bench.POOL_WIDTH, None), FakePool(*lost),
+    )
+    report = bench.run(output=tmp_path / "b.json", results_dir=store_dir)
+    assert report["determinism"] == {
+        "ok": False,
+        "mismatched": [
+            "radiosity|base|1.worker", "radiosity|emesti|1.worker",
+            "tpc-b|base|1.worker", "tpc-b|emesti|1.worker",
+        ],
     }

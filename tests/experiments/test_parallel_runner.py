@@ -3,7 +3,9 @@
 Covers the non-negotiables of the ``workers=N`` mode:
 
 * a cell run in a worker process produces a summary identical to the
-  same cell run serially (modulo the ``wall_seconds`` measurement);
+  same cell run serially (modulo the ``NONDETERMINISTIC_FIELDS``), and
+  a pooled sweep leaves the process on every host;
+* a cell that fails in the pool reruns once in-process;
 * cells are stored under a fingerprint of their machine config, a
   damaged cell file is re-run rather than served, and runners sharing
   a results directory see each other's cells.
@@ -14,12 +16,14 @@ from __future__ import annotations
 import dataclasses
 import json
 import logging
+import os
 from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
 from repro.common.config import BusConfig, scaled_config
+from repro.experiments import runner as runner_module
 from repro.experiments.runner import (
     NONDETERMINISTIC_FIELDS,
     MatrixRunner,
@@ -70,34 +74,56 @@ class TestDeterminism:
             worker = pool.submit(run_cell, config, "radiosity", SCALE, 1).result()
         assert summaries_equal(serial, worker)
 
-    def test_run_matrix_workers_matches_serial(self, tmp_path):
+    def test_run_matrix_workers_matches_serial(self, tmp_path, monkeypatch):
+        # ``workers=2`` means two processes, whatever the host's cores.
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
         serial = MatrixRunner(
             scale=SCALE, results_dir=tmp_path / "serial", verbose=False
         ).run_matrix(benchmarks=["radiosity"], techniques=("base", "mesti"),
                      seeds=(1, 2))
         parallel = MatrixRunner(
-            scale=SCALE, results_dir=tmp_path / "par", verbose=False
+            scale=SCALE, results_dir=tmp_path / "par", verbose=False, workers=2,
         ).run_matrix(benchmarks=["radiosity"], techniques=("base", "mesti"),
-                     seeds=(1, 2), workers=2)
+                     seeds=(1, 2))
         # Deterministic result order: same keys in the same order.
         assert list(parallel) == list(serial)
         for key in serial:
+            assert serial[key]["worker"] == os.getpid()
+            assert parallel[key]["worker"] != os.getpid(), key
             assert summaries_equal(serial[key], parallel[key]), key
 
     def test_workers_results_are_cached(self, tmp_path):
-        runner = MatrixRunner(scale=SCALE, results_dir=tmp_path, verbose=False)
-        runner.run_matrix(**CELL, workers=2)
+        runner = MatrixRunner(
+            scale=SCALE, results_dir=tmp_path, verbose=False, workers=2,
+        )
+        runner.run_matrix(**CELL)
         assert json.loads(cell_path(tmp_path).read_text())["summary"]
         assert status(tmp_path)[0] == "cached"
 
-    def test_map_cells_serial_parallel_parity(self):
+    def test_map_cells_serial_parallel_parity(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
         config = scaled_config()
         jobs = [(config, "radiosity", SCALE, 1), (config, "radiosity", SCALE, 2)]
-        serial = map_cells(jobs)
-        parallel = map_cells(jobs, workers=2)
+        serial = list(map_cells(jobs))
+        parallel = list(map_cells(jobs, workers=2))
         assert len(parallel) == 2
         for a, b in zip(serial, parallel):
+            assert a["worker"] == os.getpid()
+            assert b["worker"] != os.getpid()
             assert summaries_equal(a, b)
+
+    def test_sweep_of_stored_cells_starts_no_pool(self, tmp_path, monkeypatch):
+        MatrixRunner(scale=SCALE, results_dir=tmp_path, verbose=False).run_matrix(**CELL)
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a sweep with nothing to run started a pool")
+
+        monkeypatch.setattr(runner_module, "warm_pool", no_pool)
+        runner = MatrixRunner(
+            scale=SCALE, results_dir=tmp_path, verbose=False, workers=2,
+        )
+        runner.run_matrix(**CELL)
+        assert runner.manifest.cells["radiosity|base|1"]["status"] == "cached"
 
 
 class TestManifest:
@@ -110,9 +136,11 @@ class TestManifest:
     def test_run_matrix_writes_manifest(self, tmp_path):
         from repro.obs.progress import RunManifest
 
-        runner = MatrixRunner(scale=SCALE, results_dir=tmp_path, verbose=False)
+        runner = MatrixRunner(
+            scale=SCALE, results_dir=tmp_path, verbose=False, workers=2,
+        )
         runner.run_matrix(benchmarks=["radiosity"], techniques=("base",),
-                          seeds=(1, 2), workers=2)
+                          seeds=(1, 2))
         assert runner.manifest_path.exists()
         manifest = RunManifest.load(runner.manifest_path)
         assert manifest == runner.manifest
@@ -142,14 +170,19 @@ class TestManifest:
 
 class FakePool:
     """Executor stand-in: each submit answers with the next outcome
-    (a summary, or an exception to raise from ``result``)."""
+    (a summary, or an exception to raise from ``result``); a
+    ``broken`` one refuses every task, like a pool whose worker died
+    while it was idle."""
 
-    def __init__(self, *outcomes):
+    def __init__(self, *outcomes, broken=False):
         self.outcomes = list(outcomes)
+        self.broken = broken
         self.submitted = []
         self.shut_down = False
 
     def submit(self, fn, *args):
+        if self.broken:
+            raise BrokenProcessPool("a worker died while the pool was idle")
         self.submitted.append(args)
         future = Future()
         outcome = self.outcomes.pop(0)
@@ -164,54 +197,86 @@ class FakePool:
 
 
 JOBS = [("config", "x", SCALE, 1), ("config", "y", SCALE, 2)]
-KEYS = ["x|scale0.02|seed1", "y|scale0.02|seed2"]
 
 
 class TestRetry:
-    """``_retry_chunk``: the cells of a failed dispatch chunk."""
+    """``map_cells`` over a fake pool: one in-process rerun per failed cell."""
 
-    def test_failed_chunk_retries_each_cell_once(self, caplog):
-        from repro.experiments.runner import _retry_chunk
-
-        pool = FakePool({"cycles": 7, "retries": 0}, {"cycles": 8, "retries": 0})
-        events = []
-        with caplog.at_level(logging.WARNING, logger="repro.runner"):
-            out = _retry_chunk(
-                pool, 2, JOBS, KEYS, RuntimeError("worker died"), 1.0, events.append,
-            )
-        assert pool.submitted == JOBS  # one retry per cell, in the same pool
-        # Each retried summary is marked so the extra attempt is visible
-        # in the store.
-        assert out == [{"cycles": 7, "retries": 1}, {"cycles": 8, "retries": 1}]
-        assert [(e.kind, e.key) for e in events] == [("retry", k) for k in KEYS]
-        assert "RuntimeError: worker died" in events[0].error
-        assert caplog.text.count("retrying the cell") == 2
-
-    def test_failed_chunk_second_failure_propagates(self):
-        from repro.experiments.runner import _retry_chunk
-
-        pool = FakePool(RuntimeError("still dead"))
-        with pytest.raises(RuntimeError, match="still dead"):
-            _retry_chunk(pool, 2, JOBS, KEYS, RuntimeError("worker died"), 1.0, None)
-        assert pool.submitted == JOBS[:1]
-
-    def test_broken_executor_retries_in_process(self, monkeypatch):
-        from repro.experiments import runner
-
-        pool = FakePool(BrokenProcessPool("pool died"), BrokenProcessPool("pool died"))
-        monkeypatch.setitem(runner._WARM_POOLS, (97, None), pool)
-        ran = []
+    @pytest.fixture(autouse=True)
+    def reran(self, monkeypatch):
+        """Cells rerun in-process answer ``cycles: 7``; the jobs rerun."""
+        jobs = []
         monkeypatch.setattr(
-            runner, "run_cell", lambda *job: ran.append(job) or {"cycles": 7},
+            runner_module, "run_cell",
+            lambda *job: jobs.append(job) or {"cycles": 7, "retries": 0},
         )
-        out = runner._retry_chunk(
-            pool, 97, JOBS, KEYS, RuntimeError("worker died"), 1.0, None,
+        return jobs
+
+    @staticmethod
+    def install(monkeypatch, *outcomes):
+        """Put a fake pool behind ``warm_pool(2)``."""
+        pool = FakePool(*outcomes)
+        monkeypatch.setitem(runner_module._WARM_POOLS, (2, None), pool)
+        return pool
+
+    def test_failed_cell_reruns_once_in_process(self, monkeypatch, reran, caplog):
+        pool = self.install(
+            monkeypatch, RuntimeError("boom"), {"cycles": 8, "retries": 0},
         )
-        assert ran == JOBS  # every cell ran in-process
+        with caplog.at_level(logging.WARNING, logger="repro.runner"):
+            out = list(map_cells(JOBS, workers=2))
+        assert pool.submitted == JOBS  # one task per cell
+        assert reran == JOBS[:1]  # only the failed cell reran
+        # The rerun is marked so the extra attempt is visible in the store.
+        assert out == [{"cycles": 7, "retries": 1}, {"cycles": 8, "retries": 0}]
+        assert caplog.text.count("rerunning it in-process") == 1
+        assert "x|scale0.02|seed1" in caplog.text
+        assert "RuntimeError('boom')" in caplog.text
+        # A cell's own failure leaves the pool in service.
+        assert runner_module._WARM_POOLS[(2, None)] is pool
+        assert not pool.shut_down
+
+    def test_second_failure_propagates(self, monkeypatch):
+        self.install(monkeypatch, RuntimeError("boom"), {"cycles": 8, "retries": 0})
+
+        def still_failing(*job):
+            raise RuntimeError("still failing")
+
+        monkeypatch.setattr(runner_module, "run_cell", still_failing)
+        with pytest.raises(RuntimeError, match="still failing"):
+            list(map_cells(JOBS, workers=2))
+
+    def assert_rerun_and_retired(self, monkeypatch, reran, loss):
+        pool = self.install(monkeypatch, loss, loss)
+        out = list(map_cells(JOBS, workers=2))
+        assert reran == JOBS  # every cell reran in-process
         assert out == [{"cycles": 7, "retries": 1}] * 2
-        # The broken warm pool is retired so the next sweep gets a fresh one.
-        assert (97, None) not in runner._WARM_POOLS
+        # The next sweep gets a fresh pool: a timed-out task may still
+        # hold a worker, and a broken pool takes no more tasks.
+        assert (2, None) not in runner_module._WARM_POOLS
         assert pool.shut_down
+
+    def test_broken_executor_retries_in_process(self, monkeypatch, reran):
+        self.assert_rerun_and_retired(
+            monkeypatch, reran, BrokenProcessPool("pool died"),
+        )
+
+    def test_timeout_retires_the_pool(self, monkeypatch, reran):
+        self.assert_rerun_and_retired(monkeypatch, reran, TimeoutError())
+
+    def test_pool_broken_while_idle_is_replaced(self, monkeypatch, reran):
+        idle = FakePool(broken=True)
+        monkeypatch.setitem(runner_module._WARM_POOLS, (2, None), idle)
+        fresh = FakePool({"cycles": 8, "retries": 0}, {"cycles": 9, "retries": 0})
+        monkeypatch.setattr(
+            runner_module, "ProcessPoolExecutor", lambda **kwargs: fresh,
+        )
+        out = list(map_cells(JOBS, workers=2))
+        assert idle.shut_down
+        assert runner_module._WARM_POOLS[(2, None)] is fresh
+        assert fresh.submitted == JOBS
+        assert reran == []  # nothing failed once the tasks were taken
+        assert out == [{"cycles": 8, "retries": 0}, {"cycles": 9, "retries": 0}]
 
 
 class TestConfigFingerprint:

@@ -1,84 +1,10 @@
-"""Parallel-run telemetry: cell updates, live rendering, manifests."""
+"""Sweep telemetry: the per-cell run manifest."""
 
 from __future__ import annotations
 
-import io
-import logging
-
 import pytest
 
-from repro.obs.progress import CellUpdate, MatrixProgress, RunManifest
-
-
-class TtyStringIO(io.StringIO):
-    def isatty(self):
-        return True
-
-
-class TestCellUpdate:
-    def test_kinds_are_validated(self):
-        CellUpdate("start", "radiosity|base|1")
-        with pytest.raises(ValueError, match="unknown cell update kind"):
-            CellUpdate("begin", "radiosity|base|1")
-
-    def test_defaults(self):
-        event = CellUpdate("finish", "k")
-        assert event.worker is None
-        assert event.retries == 0
-        assert event.error is None
-
-
-class TestMatrixProgress:
-    def feed(self, progress):
-        progress.update(CellUpdate("start", "a|base|1"))
-        progress.update(CellUpdate("start", "b|base|1"))
-        progress.update(
-            CellUpdate("finish", "a|base|1", worker=123, wall_seconds=2.125)
-        )
-        progress.update(CellUpdate("retry", "b|base|1", error="boom"))
-        progress.update(
-            CellUpdate("finish", "b|base|1", worker=124, wall_seconds=0.5)
-        )
-
-    def test_counts(self):
-        progress = MatrixProgress(total=4, stream=io.StringIO())
-        self.feed(progress)
-        assert progress.done == 2
-        assert progress.running == 0
-        assert progress.retried == 1
-        assert progress.last.key == "b|base|1"
-
-    def test_live_rendering_rewrites_one_line(self):
-        stream = TtyStringIO()
-        progress = MatrixProgress(total=4, label="bench", stream=stream)
-        assert progress.live
-        self.feed(progress)
-        progress.close()
-        text = stream.getvalue()
-        assert "\r" in text
-        assert "bench 2/4 done" in text
-        assert "1 retried" in text
-        assert "last b|base|1 0.5s" in text
-        assert text.endswith("\n")  # close() finishes the line
-
-    def test_non_tty_logs_failures_only(self, caplog):
-        progress = MatrixProgress(total=4, stream=io.StringIO())
-        assert not progress.live
-        with caplog.at_level(logging.INFO, logger="repro.progress"):
-            self.feed(progress)
-            progress.close()
-        messages = [
-            rec.getMessage() for rec in caplog.records
-            if rec.name == "repro.progress"
-        ]
-        assert len(messages) == 1
-        assert "retry b|base|1: boom" in messages[0]
-
-    def test_live_override(self):
-        stream = io.StringIO()  # no isatty -> would default to False
-        progress = MatrixProgress(total=1, stream=stream, live=True)
-        progress.update(CellUpdate("finish", "a|base|1"))
-        assert "1/1 done" in stream.getvalue()
+from repro.obs.progress import RunManifest
 
 
 class TestRunManifest:

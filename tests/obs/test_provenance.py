@@ -182,6 +182,29 @@ class TestRunnerProvenance:
         assert "provenance" in cell
         assert cell["provenance"]["attribution_rate"] >= 0.95
 
+    def test_pooled_sweep_records_the_serial_provenance(self, tmp_path):
+        import os
+
+        from repro.experiments.runner import MatrixRunner
+
+        def sweep(workers):
+            runner = MatrixRunner(
+                scaled_config(n_procs=4), scale=0.05,
+                results_dir=tmp_path / f"workers{workers}", verbose=False,
+                workers=workers, provenance=True,
+            )
+            runner.run_matrix(
+                benchmarks=["locks"], techniques=["emesti", "emesti+lvp"],
+                seeds=(1,),
+            )
+            return runner.manifest.cells
+
+        serial, pooled = sweep(None), sweep(2)
+        assert list(pooled) == list(serial)
+        for key, cell in pooled.items():
+            assert cell["worker"] != os.getpid(), key
+            assert cell["provenance"] == serial[key]["provenance"], key
+
     def test_untraced_manifest_has_no_provenance_key(self, tmp_path):
         from repro.experiments.runner import MatrixRunner
 

@@ -348,10 +348,35 @@ class TestDurability:
     def test_leased_cells_recover_to_queued_on_reload(self, tmp_path):
         queue, _events, _clock = make_queue(tmp_path)
         queue.submit(SPEC)
-        queue.lease("w0")
+        leased = queue.lease("w0")["fingerprint"]
+        # A lease writes nothing, so write again: the file then holds
+        # the leased cell.
+        queue.submit({**SPEC, "seeds": [2]})
+        doc = json.loads((tmp_path / "queue" / "state.json").read_text())
+        assert doc["cells"][leased]["state"] == "leased"
         reloaded = JobQueue(tmp_path / "queue", events=EventLog())
+        assert reloaded.cells[leased]["state"] == "queued"
+        assert reloaded.cells[leased]["lease"] is None
         states = {c["state"] for c in reloaded.pending()}
         assert states == {"queued"}
+
+    def test_lease_and_heartbeat_do_not_write_state(self, tmp_path, monkeypatch):
+        from repro.service import queue as queue_module
+
+        writes = []
+        write = queue_module.atomic_write
+        monkeypatch.setattr(
+            queue_module, "atomic_write",
+            lambda path, text: writes.append(path) or write(path, text),
+        )
+        queue, _events, _clock = make_queue(tmp_path)
+        queue.submit({**SPEC, "techniques": ["base"]})
+        cell = queue.lease("w0")
+        assert queue.heartbeat(cell["fingerprint"], "w0")
+        queue.complete(cell["fingerprint"])
+        # submit and complete; a restart would undo a lease or a
+        # heartbeat, so neither rewrites the file.
+        assert len(writes) == 2
 
     def test_job_ids_continue_from_the_persisted_counter(self, tmp_path):
         queue, _events, _clock = make_queue(tmp_path)
