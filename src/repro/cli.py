@@ -3,8 +3,8 @@
 Usage (installed as ``repro-sim``, or ``python -m repro.cli``):
 
     repro-sim run tpc-b --technique emesti+lvp --scale 0.5 --seed 1
-    repro-sim run locks --technique emesti --trace /tmp/t.json --trace-format chrome
-    repro-sim report /tmp/t.json --chrome /tmp/t.chrome.json
+    repro-sim run locks --technique emesti --trace /tmp/t.jsonl
+    repro-sim report /tmp/t.jsonl --chrome /tmp/t.chrome.json
     repro-sim service top --port 8642
     repro-sim service postmortem flight.json
     repro-sim experiment figure7 --scale 0.6 --workers 4
@@ -56,10 +56,7 @@ def _make_tracer(args) -> Tracer | None:
     # Attaching the sink up front (rather than saving at the end) is
     # what makes traces crash-safe: the tracer flushes what it has on
     # exception and at interpreter exit.
-    return Tracer(
-        filter=filt, ring=args.trace_ring,
-        path=args.trace, format=args.trace_format,
-    )
+    return Tracer(filter=filt, ring=args.trace_ring, path=args.trace)
 
 
 def cmd_run(args) -> int:
@@ -90,7 +87,7 @@ def cmd_run(args) -> int:
         print(f"{key.ljust(width)} : {value}")
     if tracer is not None:
         print(f"trace: {len(tracer.events)} events -> {args.trace} "
-              f"({args.trace_format}, {tracer.filtered} filtered, "
+              f"({tracer.filtered} filtered, "
               f"{tracer.overwritten} overwritten)")
     if args.metrics:
         from pathlib import Path
@@ -122,7 +119,9 @@ def cmd_report(args) -> int:
         Path(args.chrome).write_text(json.dumps(doc) + "\n")
         print(f"chrome trace: {len(doc['traceEvents'])} records -> "
               f"{args.chrome}")
-    print(render_report(summarize_trace(load.events, top=args.top)))
+    print(render_report(
+        summarize_trace(load.events, top=args.top, dropped=load.dropped)
+    ))
     return 0
 
 
@@ -143,7 +142,7 @@ def cmd_explain(args) -> int:
         render_provenance,
     )
 
-    overwritten = None  # the ring's overwrites, with --trace-ring
+    overwritten = None  # --trace-ring's overwrites, or the --trace trailer's
     if args.trace:
         load = load_trace(args.trace)
         if load.skipped:
@@ -151,6 +150,7 @@ def cmd_explain(args) -> int:
                   f"event(s) in {args.trace}", file=sys.stderr)
         events = load.events
         metrics = None
+        overwritten = load.dropped
     else:
         if args.benchmark is None:
             print("repro-sim: error: explain needs a benchmark to run "
@@ -164,7 +164,7 @@ def cmd_explain(args) -> int:
         if args.save_trace:
             with open(args.save_trace, "w"):
                 pass
-            tracer.attach_sink(args.save_trace, "jsonl")
+            tracer.attach_sink(args.save_trace)
         system = System(config, workload, seed=args.seed, tracer=tracer)
         with tracer:
             result = system.run()
@@ -197,12 +197,14 @@ def cmd_explain(args) -> int:
         print(json.dumps(doc, indent=1, sort_keys=True))
     else:
         print(render_provenance(report, rows, top=args.top))
+        ring = "" if overwritten is None else f", {overwritten} overwritten"
         if gated:
-            ring = "" if overwritten is None else f", {overwritten} overwritten"
             print(f"\nresult: {'ok' if ok else 'FAIL'} "
                   f"(attribution {report.attribution_rate:.1%}, "
                   f"reconciliation "
                   f"{'exact' if reconciliation_ok(rows) else 'MISMATCH'}{ring})")
+        else:
+            print(f"\ntrace: {len(events)} events{ring}")
     return 0 if ok else 1
 
 
@@ -598,12 +600,8 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--procs", type=int, default=4)
     run_p.add_argument(
         "--trace", metavar="PATH", default=None,
-        help="write a structured event trace to PATH",
-    )
-    run_p.add_argument(
-        "--trace-format", choices=("jsonl", "chrome", "spans"), default="jsonl",
-        help="trace output format (chrome loads in Perfetto/about:tracing; "
-             "spans is one folded span per line)",
+        help="write a structured event trace (span-event JSONL) to PATH; "
+             "'report PATH --chrome OUT' exports it for Perfetto",
     )
     run_p.add_argument(
         "--trace-filter", metavar="SPEC", default=None,
@@ -637,7 +635,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     report_p = sub.add_parser("report", help="summarize a saved trace")
-    report_p.add_argument("trace", help="trace file (jsonl or chrome)")
+    report_p.add_argument("trace", help="trace file (span-event JSONL)")
     report_p.add_argument(
         "--top", type=int, default=10,
         help="rows per ranking (hot lines, nodes)",
@@ -678,7 +676,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     explain_p.add_argument(
         "--save-trace", metavar="PATH", default=None,
-        help="also write the run's raw event trace (jsonl) to PATH",
+        help="also write the run's event trace (span-event JSONL) to PATH",
     )
     explain_p.add_argument(
         "--trace-ring", metavar="N", type=int, default=None,

@@ -40,9 +40,7 @@ def _run(technique, benchmark, interconnect, scale, seed):
     cfg = cell_config(
         dataclasses.replace(scaled_config(), interconnect=interconnect), technique
     )
-    result = System(cfg, get_benchmark(benchmark, scale=scale), seed=seed).run(
-        max_cycles=500_000_000, max_events=300_000_000
-    )
+    result = System(cfg, get_benchmark(benchmark, scale=scale), seed=seed).run()
     summary = summarize(result)
     summary["messages"] = result.stats.get("bus.messages")
     return summary

@@ -226,9 +226,7 @@ def run_cell(
     if gc_was_enabled:
         gc.disable()
     try:
-        result = System(config, workload, seed=seed, tracer=tracer).run(
-            max_cycles=500_000_000, max_events=300_000_000
-        )
+        result = System(config, workload, seed=seed, tracer=tracer).run()
     finally:
         if gc_was_enabled:
             gc.enable()

@@ -43,7 +43,7 @@ def _run(technique: str, benchmark: str, scale: float, seed: int, record=False):
     cfg = cell_config(scaled_config(), technique)
     system = System(cfg, get_benchmark(benchmark, scale=scale), seed=seed)
     recorder = TraceRecorder(system) if record else None
-    result = system.run(max_cycles=500_000_000, max_events=300_000_000)
+    result = system.run()
     return result, recorder
 
 

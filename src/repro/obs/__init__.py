@@ -1,9 +1,10 @@
 """Simulation observability: tracing, metrics, profiling, and reports.
 
 * :class:`~repro.obs.tracer.Tracer` — typed structured event tracing
-  (JSONL / Chrome trace-event output, per-kind/node/address filtering,
-  bounded ring-buffer mode).  :data:`~repro.obs.tracer.NULL_TRACER` is
-  the zero-overhead default every component holds when tracing is off.
+  (span-event JSONL files ending in one trailer row, per-kind/node/
+  address filtering, bounded ring-buffer mode).
+  :data:`~repro.obs.tracer.NULL_TRACER` is the zero-overhead default
+  every component holds when tracing is off.
 * :class:`~repro.obs.ring.Ring` — the one bounded buffer behind every
   observability ring (tracer, service event log, job traces,
   telemetry, flight recorder); it counts every row it overwrites.
@@ -47,7 +48,6 @@ from repro.obs.provenance import (
 from repro.obs.report import (
     TraceLoad,
     load_trace,
-    read_trace,
     render_report,
     summarize_trace,
 )
@@ -85,7 +85,6 @@ __all__ = [
     "render_provenance",
     "TraceLoad",
     "load_trace",
-    "read_trace",
     "render_report",
     "summarize_trace",
 ]

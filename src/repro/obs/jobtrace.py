@@ -3,9 +3,9 @@
 The service keeps one bounded span buffer *per job trace* rather than
 one global ring: a large cell's thousands of coherence spans must not
 evict another job's causal tree.  Each trace is a
-:class:`~repro.obs.ring.Ring` of span-event rows — the tracer's JSONL
-wire format, so ``repro-sim report`` (and its ``--chrome`` export)
-consume a job trace unchanged.  Service spans are minted here
+:class:`~repro.obs.ring.Ring` of span-event rows, exported in the
+tracer's file format, so ``repro-sim report`` (and its ``--chrome``
+export) consume a job trace unchanged.  Service spans are minted here
 (``job``, ``cell.lease``, ``cell.run``, ``cell.cache_hit`` — see
 :data:`repro.obs.spans.SERVICE_SPAN_NAMES`); a worker's spans arrive
 as the rows its tracer wrote under the job's trace context
@@ -23,7 +23,6 @@ and reports can tell them apart.
 
 from __future__ import annotations
 
-import json
 import threading
 import time
 from collections import OrderedDict
@@ -31,6 +30,7 @@ from itertools import count
 from typing import Any, Iterable
 
 from repro.obs.ring import Ring
+from repro.obs.tracer import trace_jsonl
 
 #: Traces retained (whole oldest traces are evicted beyond this).
 DEFAULT_MAX_TRACES = 64
@@ -146,24 +146,14 @@ class JobTraceStore:
             return ring.dropped if ring is not None else 0
 
     def to_jsonl(self, trace: str) -> str:
-        """Span-event JSONL (the tracer's wire format) for one trace.
-
-        Ends with a meta trailer carrying ``trace``/``events``/
-        ``dropped`` so consumers can detect bounded-buffer loss; the
-        report loader counts the trailer as one skipped line.
-        """
+        """One trace's file (:func:`~repro.obs.tracer.trace_jsonl`):
+        its rows, then the trailer ``{"meta": "job-trace", "trace",
+        "events", "dropped"}``."""
         with self._lock:
             ring = self._traces.get(trace)
             rows = list(ring) if ring is not None else []
             dropped = ring.dropped if ring is not None else 0
-        lines = [json.dumps(row) for row in rows]
-        lines.append(
-            json.dumps(
-                {"meta": "job-trace", "trace": trace, "events": len(rows),
-                 "dropped": dropped}
-            )
-        )
-        return "\n".join(lines) + "\n"
+        return trace_jsonl(rows, "job-trace", dropped, trace=trace)
 
     def stats(self) -> dict[str, Any]:
         """Occupancy summary for telemetry sampling.

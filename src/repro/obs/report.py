@@ -1,13 +1,13 @@
 """Trace file reading and summarization (``repro-sim report``).
 
-Reads a trace written by :class:`repro.obs.tracer.Tracer` in either
-format (JSONL or Chrome trace-event JSON — including the bare
-top-level-array Chrome variant), reduces it to counts per event kind /
-per node / per hot line address plus the covered cycle span, and
-renders a terminal report.  Loading is tolerant: an empty file is an
-empty trace, and malformed lines/records are counted and skipped
-rather than aborting the whole report (a trace from an interrupted run
-is exactly when you want the report most).
+Reads a trace file in the one format every writer uses (span-event
+JSONL ending in one trailer row, see
+:func:`repro.obs.tracer.trace_jsonl`), reduces it to counts per event
+kind / per node / per hot line address plus the covered cycle span,
+and renders a terminal report.  Loading is tolerant: an empty file is
+an empty trace, and malformed lines are counted and skipped rather
+than aborting the whole report (a trace from an interrupted run is
+exactly when you want the report most).
 """
 
 from __future__ import annotations
@@ -26,53 +26,41 @@ from repro.obs.tracer import TraceEvent
 class TraceLoad:
     """The outcome of loading a trace file.
 
-    ``format`` is the detected input format (``jsonl``, ``chrome``, or
-    ``empty``); ``skipped`` counts malformed lines/records that were
-    dropped instead of raising.
+    ``skipped`` counts malformed lines that were dropped instead of
+    raising; ``dropped`` is the trailer's count of rows the writer's
+    bounded buffer lost before the file was written.
     """
 
     events: list[TraceEvent] = field(default_factory=list)
     skipped: int = 0
-    format: str = "empty"
+    dropped: int = 0
 
 
 def load_trace(path) -> TraceLoad:
-    """Load a JSONL or Chrome-format trace, tolerating damage.
+    """Load a span-event JSONL trace file, tolerating damage.
 
-    Format auto-detection: a Chrome trace is one JSON document with a
-    ``traceEvents`` key (or a bare top-level array of trace events —
-    the variant Chrome itself accepts); anything else is treated as
-    JSONL.  A whole-file parse — not the first character — is what
-    disambiguates, since every JSONL line also starts with ``{``.
-
-    Malformed JSONL lines (bad JSON, missing ``ts``/``kind``) and
-    Chrome records (missing ``ts``/``name``) are skipped and counted
-    in :attr:`TraceLoad.skipped`; a truncated final line from an
-    interrupted run therefore costs one event, not the whole report.
-    Raises :class:`~repro.common.errors.ConfigError` only when the
-    file is a JSON document that is not a trace at all.
+    A row with a ``meta`` key is the file's trailer: its ``dropped``
+    adds to :attr:`TraceLoad.dropped`.  Every other row is one event.
+    Malformed lines (bad JSON, missing ``ts``/``kind``, a trailer
+    without ``dropped``) are skipped and counted in
+    :attr:`TraceLoad.skipped`; a truncated final line from an
+    interrupted run therefore costs one row, not the whole report.
+    Raises :class:`~repro.common.errors.ConfigError` when a non-empty
+    file holds no event and no trailer at all (a Chrome document,
+    say): it is not a trace file.
     """
-    text = Path(path).read_text()
-    if not text.strip():
-        return TraceLoad()
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError:
-        doc = None  # multi-line JSONL (or a truncated single document)
-    if isinstance(doc, list):
-        return _from_chrome(doc)
-    if isinstance(doc, dict):
-        if "traceEvents" in doc:
-            return _from_chrome(doc["traceEvents"])
-        if "kind" not in doc:  # neither Chrome nor a single JSONL event
-            raise ConfigError("not a Chrome trace: missing 'traceEvents'")
-    out = TraceLoad(format="jsonl")
-    for line in text.splitlines():
+    out = TraceLoad()
+    trailers = 0
+    for line in Path(path).read_text().splitlines():
         line = line.strip()
         if not line:
             continue
         try:
             raw = json.loads(line)
+            if "meta" in raw:
+                out.dropped += raw["dropped"]
+                trailers += 1
+                continue
             event = TraceEvent(
                 ts=raw.pop("ts"),
                 kind=raw.pop("kind"),
@@ -84,54 +72,23 @@ def load_trace(path) -> TraceLoad:
             out.skipped += 1
             continue
         out.events.append(event)
+    if out.skipped and not out.events and not trailers:
+        raise ConfigError(f"{path}: not a span-event JSONL trace file")
     return out
 
 
-def read_trace(path) -> list[TraceEvent]:
-    """Back-compat wrapper around :func:`load_trace` (events only)."""
-    return load_trace(path).events
-
-
-def _from_chrome(records: list[Any]) -> TraceLoad:
-    out = TraceLoad(format="chrome")
-    for raw in records:
-        try:
-            ts = raw["ts"]
-            kind = raw["name"]
-        except (KeyError, TypeError):
-            out.skipped += 1
-            continue
-        args = dict(raw.get("args", {}))
-        base = args.pop("base", None)
-        if isinstance(base, str):
-            try:
-                base = int(base, 0)
-            except ValueError:
-                out.skipped += 1
-                continue
-        if "dur" in raw:
-            args["dur"] = raw["dur"]
-        tid = raw.get("tid", -1)
-        out.events.append(
-            TraceEvent(
-                ts=ts,
-                kind=kind,
-                node=None if tid == -1 else tid,
-                base=base,
-                fields=args,
-            )
-        )
-    return out
-
-
-def summarize_trace(events: list[TraceEvent], top: int = 10) -> dict[str, Any]:
-    """Reduce a trace to its headline numbers."""
+def summarize_trace(
+    events: list[TraceEvent], top: int = 10, dropped: int = 0,
+) -> dict[str, Any]:
+    """Reduce a trace to its headline numbers; ``dropped`` is the
+    trace file's count of rows lost before it was written."""
     kinds = Counter(e.kind for e in events)
     nodes = Counter(e.node for e in events if e.node is not None)
     bases = Counter(e.base for e in events if e.base is not None)
     ts = [e.ts for e in events]
     return {
         "events": len(events),
+        "dropped": dropped,
         "first_ts": min(ts) if ts else 0,
         "last_ts": max(ts) if ts else 0,
         "kinds": dict(kinds.most_common()),
@@ -144,6 +101,7 @@ def render_report(summary: dict[str, Any]) -> str:
     """Render :func:`summarize_trace` output for the terminal."""
     lines = [
         f"events     : {summary['events']}",
+        f"dropped    : {summary['dropped']}",
         f"cycle span : {summary['first_ts']} .. {summary['last_ts']}"
         f" ({summary['last_ts'] - summary['first_ts']} cycles)",
         "",

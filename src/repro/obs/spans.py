@@ -11,11 +11,11 @@ Parent links (``parent`` field on the begin event) form the causal
 tree: a miss span parents the bus transaction it issues.
 
 This module is the *read side*: it folds an event stream back into
-:class:`SpanRecord` objects, serializes them as span-JSONL, and
-renders the Chrome async/flow records the tracer's ``chrome`` export
-embeds.  It deliberately does not import the tracer (the tracer
-imports us), and treats events duck-typed: anything with ``ts``,
-``kind``, ``node``, ``base`` and ``fields`` attributes works.
+:class:`SpanRecord` objects and renders the Chrome async/flow records
+that :func:`~repro.obs.tracer.chrome_document` embeds.  It
+deliberately does not import the tracer (the tracer imports us), and
+treats events duck-typed: anything with ``ts``, ``kind``, ``node``,
+``base`` and ``fields`` attributes works.
 
 Ring-buffer interaction: when the tracer runs with a bounded ring, a
 ``span.begin`` may be evicted while its ``span.end`` survives.  Such
@@ -26,7 +26,6 @@ silently dropped or mispaired.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -75,21 +74,6 @@ class SpanRecord:
     def dur(self) -> int | None:
         """Span duration in cycles (None while the span is open)."""
         return None if self.end is None else self.end - self.begin
-
-    def to_dict(self) -> dict:
-        """JSON-safe representation (one span-JSONL line)."""
-        out = {
-            "span": self.span,
-            "name": self.name,
-            "node": self.node,
-            "base": hex(self.base) if self.base is not None else None,
-            "begin": self.begin,
-            "end": self.end,
-            "dur": self.dur,
-            "parent": self.parent,
-        }
-        out.update(self.fields)
-        return out
 
 
 @dataclass
@@ -149,34 +133,11 @@ def collect_spans(events: Iterable) -> SpanStream:
     return SpanStream(spans=spans, by_id=by_id, truncated=truncated)
 
 
-def spans_to_jsonl(events: Iterable) -> str:
-    """Serialize the reconstructed spans as span-JSONL.
-
-    One JSON object per span in creation order, then a trailing meta
-    record ``{"meta": "spans", "count": ..., "open": ...,
-    "truncated": ...}`` so consumers can detect ring-buffer loss.
-    """
-    stream = collect_spans(events)
-    lines = [json.dumps(rec.to_dict(), sort_keys=True) for rec in stream.spans]
-    lines.append(
-        json.dumps(
-            {
-                "meta": "spans",
-                "count": len(stream.spans),
-                "open": stream.open,
-                "truncated": stream.truncated,
-            },
-            sort_keys=True,
-        )
-    )
-    return "\n".join(lines) + "\n"
-
-
 def chrome_span_records(event, begun: dict) -> list[dict]:
     """Chrome records for one span event: async b/e plus flow links.
 
     ``begun`` maps span id -> ``(name, begin_ts, tid)`` for every
-    ``span.begin`` in the stream (prescanned by the tracer so end
+    ``span.begin`` in the stream (prescanned by the exporter so end
     events and parent links can resolve names and anchor points).
     A ``span.begin`` with a known parent also emits a flow-start /
     flow-finish pair connecting the parent's begin to this begin —

@@ -4,10 +4,12 @@ Every interesting protocol moment — a bus grant, a cache state
 transition (including T and Validate_Shared), a validate broadcast or
 suppression, an LVP prediction/verification/squash, an SLE
 attempt/abort — is emitted as a :class:`TraceEvent` with the simulated
-cycle, the node, the line address, and event-specific fields.  Traces
-serialize to JSON-lines (one event per line, grep/jq-friendly) or to
-the Chrome trace-event format (open in Perfetto / ``chrome://tracing``
-with one track per node).
+cycle, the node, the line address, and event-specific fields.  A
+trace file is span-event JSON-lines (one event per line, grep/jq
+friendly) ending in one trailer row that records what the ring
+dropped (:func:`trace_jsonl`); :func:`chrome_document` renders the
+events as a Chrome trace-event document (``repro-sim report
+--chrome``) for Perfetto / ``chrome://tracing``.
 
 The taxonomy is the closed set in :data:`EVENT_KINDS`; dotted names
 group related events (``bus.*``, ``cache.*``, ``validate.*``,
@@ -44,7 +46,7 @@ from typing import Any, Callable, Iterable, Iterator
 
 from repro.common.errors import ConfigError
 from repro.obs.ring import Ring
-from repro.obs.spans import chrome_span_records, collect_spans, spans_to_jsonl
+from repro.obs.spans import chrome_span_records, collect_spans
 
 #: Low bits of a span id: span ``s`` owns the id block
 #: ``(s << SPAN_ID_BITS) + 1 ...``, where a tracer opened under ``s``
@@ -237,7 +239,7 @@ class Tracer:
     ``trace`` id and ``clock: "cycles"``, so :meth:`rows` are the
     job-trace rows the service appends unchanged.
 
-    ``path``/``format`` attach a *sink*: the trace is written there by
+    ``path`` attaches a *sink*: the trace is written there by
     :meth:`close` (or the context-manager exit), and — crash safety —
     by an ``atexit`` hook if the process dies with the tracer still
     open, so an interrupted run keeps its partial trace.
@@ -249,7 +251,6 @@ class Tracer:
         filter: TraceFilter | None = None,
         ring: int | None = None,
         path=None,
-        format: str = "jsonl",
         context: dict | None = None,
     ):
         if ring is not None and ring <= 0:
@@ -267,10 +268,9 @@ class Tracer:
             1 if self._root is None else (self._root << SPAN_ID_BITS) + 1
         )
         self._sink_path = None
-        self._sink_format = "jsonl"
         self._atexit_registered = False
         if path is not None:
-            self.attach_sink(path, format)
+            self.attach_sink(path)
 
     def bind_clock(self, scheduler) -> None:
         """Read timestamps from ``scheduler.now`` from now on."""
@@ -362,29 +362,16 @@ class Tracer:
         """Events the ring buffer overwrote (always 0 without ``ring``)."""
         return self._events.dropped
 
-    @property
-    def spans_truncated(self) -> int:
-        """Span ends whose begin was evicted from the ring buffer.
-
-        Computed on demand from the buffer (no hot-path bookkeeping);
-        non-zero means the span set is incomplete and downstream
-        analysis should treat per-span data as a sample.
-        """
-        return collect_spans(self._events).truncated
-
     # -- crash safety ----------------------------------------------------
 
-    def attach_sink(self, path, format: str = "jsonl") -> None:
+    def attach_sink(self, path) -> None:
         """Write the trace to ``path`` at close/exit (flush-on-crash).
 
         Registers an ``atexit`` hook so the buffer survives an
         unhandled exception or interrupt; :meth:`close` (or leaving
         the ``with`` block) writes the file and unregisters the hook.
         """
-        if format not in ("jsonl", "chrome", "spans"):
-            raise ConfigError(f"unknown trace format {format!r}")
         self._sink_path = path
-        self._sink_format = format
         if not self._atexit_registered:
             atexit.register(self._atexit_flush)
             self._atexit_registered = True
@@ -394,7 +381,7 @@ class Tracer:
         if self._sink_path is None:
             return
         try:
-            self.save(self._sink_path, format=self._sink_format)
+            self.save(self._sink_path)
         except Exception:  # noqa: BLE001 - crash path must not mask exit
             pass
 
@@ -404,7 +391,7 @@ class Tracer:
             atexit.unregister(self._atexit_flush)
             self._atexit_registered = False
         if self._sink_path is not None:
-            self.save(self._sink_path, format=self._sink_format)
+            self.save(self._sink_path)
 
     def __enter__(self) -> "Tracer":
         return self
@@ -431,36 +418,35 @@ class Tracer:
         return [e.to_dict() for e in self._events]
 
     def to_jsonl(self) -> str:
-        """One JSON object per line, in emission order."""
-        return "\n".join(json.dumps(row) for row in self.rows())
+        """The trace file: the rows in emission order, then a trailer
+        whose ``dropped`` counts the rows the ring overwrote."""
+        return trace_jsonl(self.rows(), "tracer", self.overwritten)
 
-    def to_chrome(self) -> dict[str, Any]:
-        """The Chrome trace-event format (see :func:`chrome_document`)."""
-        return chrome_document(self._events, spans_truncated=self.spans_truncated)
-
-    def to_spans(self) -> str:
-        """Span-JSONL: one object per reconstructed span, plus a meta
-        trailer with ``count``/``open``/``truncated`` health fields."""
-        return spans_to_jsonl(self._events)
-
-    def save(self, path, format: str = "jsonl") -> None:
-        """Write the trace to ``path`` as ``jsonl``, ``chrome`` or
-        ``spans``."""
-        if format == "jsonl":
-            text = self.to_jsonl() + "\n"
-        elif format == "chrome":
-            text = json.dumps(self.to_chrome(), indent=1)
-        elif format == "spans":
-            text = self.to_spans()
-        else:
-            raise ConfigError(f"unknown trace format {format!r}")
+    def save(self, path) -> None:
+        """Write the trace file (:meth:`to_jsonl`) to ``path``."""
         with open(path, "w") as fh:
-            fh.write(text)
+            fh.write(self.to_jsonl())
 
 
-def chrome_document(
-    events: Iterable[TraceEvent], spans_truncated: int | None = None
-) -> dict[str, Any]:
+def trace_jsonl(
+    rows: Iterable[dict[str, Any]], meta: str, dropped: int, **trailer: Any,
+) -> str:
+    """The one trace file format: one span-event row per line, then one
+    trailer row ``{"meta": meta, **trailer, "events": n, "dropped":
+    dropped}``.
+
+    ``dropped`` counts the rows the writer's bounded buffer lost, so a
+    file records its own loss; :func:`repro.obs.report.load_trace`
+    reads the trailer back.
+    """
+    lines = [json.dumps(row) for row in rows]
+    lines.append(json.dumps(
+        {"meta": meta, **trailer, "events": len(lines), "dropped": dropped}
+    ))
+    return "\n".join(lines) + "\n"
+
+
+def chrome_document(events: Iterable[TraceEvent]) -> dict[str, Any]:
     """Render any event stream as a Chrome trace document.
 
     One ``tid`` track per node; events carrying a ``dur`` field
@@ -471,13 +457,13 @@ def chrome_document(
     are sorted by timestamp so viewers see a monotone timeline
     even when duration events were stamped retroactively.
 
-    Module-level (not a :class:`Tracer` method) so loaded traces —
-    ``repro-sim report --chrome`` and the per-job service trace
-    export — convert without round-tripping through a tracer.
+    ``metadata.spans_truncated`` counts the span ends, in the given
+    events, whose begin is missing (evicted by a trace ring).  This
+    is ``repro-sim report --chrome``'s export of a loaded trace file.
     """
-    events = sorted(events, key=lambda e: e.ts)
-    if spans_truncated is None:
-        spans_truncated = collect_spans(events).truncated
+    events = list(events)
+    spans_truncated = collect_spans(events).truncated
+    events.sort(key=lambda e: e.ts)
     # Prescan: span id -> (name, begin ts, tid) so end events can
     # carry the span's name and flow arrows can anchor on parents.
     begun: dict[int, tuple[str, int, int]] = {}

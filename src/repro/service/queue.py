@@ -51,6 +51,7 @@ from __future__ import annotations
 import hashlib
 import json
 import re
+import sys
 import threading
 import time
 from pathlib import Path
@@ -168,7 +169,8 @@ def validate_spec(spec: dict) -> dict:
     Two spec kinds exist.  The default simulation spec requires
     ``benchmarks`` (known names), ``techniques`` (known names), and
     ``seeds`` (ints; booleans rejected), with optional ``scale``
-    (positive float, default 0.1) and ``priority`` (int, default 0).
+    (positive finite number, default 0.1) and ``priority`` (int,
+    default 0; booleans rejected).
     A ``{"kind": "fuzz"}`` spec instead describes fuzzing campaigns —
     one cell per entry of ``seeds`` — with optional ``budget``,
     ``protocols``, ``interconnect``, and ``priority``.  Each axis is
@@ -206,10 +208,15 @@ def validate_spec(spec: dict) -> dict:
     techniques = list(dict.fromkeys(techniques))
     seeds = list(dict.fromkeys(seeds))
     scale = spec.get("scale", 0.1)
-    if not isinstance(scale, (int, float)) or scale <= 0:
-        raise SpecError(f"'scale' must be a positive number, got {scale!r}")
+    # The chained test also rejects NaN, infinities and ints too large
+    # for a float, all of which json.loads accepts.
+    if (
+        not isinstance(scale, (int, float)) or isinstance(scale, bool)
+        or not 0 < scale <= sys.float_info.max
+    ):
+        raise SpecError(f"'scale' must be a positive finite number, got {scale!r}")
     priority = spec.get("priority", 0)
-    if not isinstance(priority, int):
+    if not isinstance(priority, int) or isinstance(priority, bool):
         raise SpecError(f"'priority' must be an integer, got {priority!r}")
     out = {
         "benchmarks": benchmarks,

@@ -176,11 +176,14 @@ class System:
     def run(
         self,
         max_cycles: int = 500_000_000,
-        max_events: int = 200_000_000,
+        max_events: int = 300_000_000,
         heartbeat: int = 0,
     ) -> RunResult:
         """Run all programs to completion and return the result.
 
+        ``max_cycles``/``max_events`` are the livelock guards; sweeps,
+        experiments and ``repro-sim run`` all use these defaults, so a
+        cell passes or fails them the same way everywhere.
         ``heartbeat`` > 0 logs a progress line (cycles, committed ops,
         IPC-so-far, events/sec) every that-many cycles through the
         ``repro.heartbeat`` logger — observability for long runs.

@@ -107,6 +107,25 @@ class TestMatrixRunner:
         cells = runner.cells("radiosity", "base", (1, 2))
         assert len(cells) == 2
 
+    def test_run_cell_keeps_system_run_limits(self, monkeypatch):
+        """A sweep's cell and ``repro-sim run`` hit the same livelock
+        guards, so no cell passes in one and raises in the other."""
+        from repro.common.config import scaled_config
+        from repro.common.events import Scheduler
+
+        limits = []
+        real_run = Scheduler.run
+
+        def spy(self, until=None, max_cycles=None, max_events=None):
+            limits.append((max_cycles, max_events))
+            return real_run(self, until, max_cycles, max_events)
+
+        monkeypatch.setattr(Scheduler, "run", spy)
+        config = cell_config(scaled_config(), "emesti")
+        run_cell(config, "locks", 0.02, 1)
+        System(config, get_benchmark("locks", scale=0.02), seed=1).run()
+        assert len(limits) == 2 and limits[0] == limits[1]
+
 
 class TestExperimentHarnesses:
     def test_table2_renders(self, tmp_path):

@@ -141,9 +141,21 @@ class TestExport:
         path = tmp_path / "trace.jsonl"
         path.write_text(store.to_jsonl("t-1"))
         load = load_trace(path)
-        # The meta trailer is the single skipped line.
-        assert load.skipped == 1
+        # The meta trailer is read, not skipped.
+        assert load.skipped == 0 and load.dropped == 0
         assert [e.kind for e in load.events] == ["span.begin", "span.end"]
+
+    def test_capped_trace_loads_with_its_dropped_count(self, tmp_path):
+        from repro.obs.report import load_trace
+
+        store = _store(max_events=3)
+        for n in range(3):
+            store.span_end("t-1", store.span_begin("t-1", "job", job=n))
+        path = tmp_path / "trace.jsonl"
+        path.write_text(store.to_jsonl("t-1"))
+        load = load_trace(path)
+        assert load.skipped == 0 and len(load.events) == 3
+        assert load.dropped == store.dropped("t-1") == 3
 
     def test_unknown_trace_exports_empty_trailer(self):
         store = _store()

@@ -5,12 +5,14 @@ import json
 import pytest
 
 from repro.common.errors import ConfigError
+from repro.obs.report import load_trace
 from repro.obs.tracer import (
     EVENT_KINDS,
     NULL_TRACER,
     TraceEvent,
     TraceFilter,
     Tracer,
+    chrome_document,
 )
 
 
@@ -155,15 +157,18 @@ class TestSerialization:
     def test_jsonl_round_trip(self):
         tracer = self.make_tracer()
         lines = tracer.to_jsonl().splitlines()
-        assert len(lines) == 2
+        assert len(lines) == 3  # two rows, then the trailer
         first = json.loads(lines[0])
         assert first == {
             "ts": 5, "kind": "cache.transition", "node": 1, "base": 0x80,
             "frm": "I", "to": "S",
         }
+        assert json.loads(lines[-1]) == {
+            "meta": "tracer", "events": 2, "dropped": 0,
+        }
 
     def test_chrome_shape(self):
-        doc = self.make_tracer().to_chrome()
+        doc = chrome_document(self.make_tracer().events)
         assert set(doc) >= {"traceEvents", "displayTimeUnit"}
         by_name = {e["name"]: e for e in doc["traceEvents"]}
         miss = by_name["mem.miss"]
@@ -174,22 +179,19 @@ class TestSerialization:
         assert inst["args"]["base"] == "0x80"
 
     def test_chrome_sorted_by_ts(self):
-        doc = self.make_tracer().to_chrome()
+        doc = chrome_document(self.make_tracer().events)
         ts = [e["ts"] for e in doc["traceEvents"]]
         assert ts == sorted(ts)
 
     def test_save_jsonl_and_chrome(self, tmp_path):
+        # The saved file is the one format; Chrome is exported from it.
         tracer = self.make_tracer()
-        jsonl = tmp_path / "t.jsonl"
-        chrome = tmp_path / "t.json"
-        tracer.save(jsonl, format="jsonl")
-        tracer.save(chrome, format="chrome")
-        assert len(jsonl.read_text().strip().splitlines()) == 2
-        assert "traceEvents" in json.loads(chrome.read_text())
-
-    def test_save_unknown_format(self, tmp_path):
-        with pytest.raises(ConfigError):
-            self.make_tracer().save(tmp_path / "t", format="xml")
+        path = tmp_path / "t.jsonl"
+        tracer.save(path)
+        assert len(path.read_text().splitlines()) == 3
+        load = load_trace(path)
+        assert load.skipped == 0
+        assert chrome_document(load.events) == chrome_document(tracer.events)
 
 
 class TestTaxonomy:

@@ -91,6 +91,18 @@ class TestSpecValidation:
         with pytest.raises(SpecError, match="seeds"):
             validate_spec({**SPEC, "seeds": [True]})
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("scale", True), ("priority", True),
+         ("scale", float("nan")), ("scale", float("inf"))],
+        ids=["bool-scale", "bool-priority", "nan-scale", "inf-scale"],
+    )
+    def test_malformed_number_rejected(self, field, value):
+        # json.loads yields all four; a true scale would queue a
+        # scale-1.0 cell, a non-finite one fails only in the pool.
+        with pytest.raises(SpecError, match=field):
+            validate_spec({**SPEC, field: value})
+
 
 class TestSubmitAndDedupe:
     def test_submit_explodes_matrix_into_cells(self, tmp_path):

@@ -166,7 +166,7 @@ class TestFleetTelemetry:
         assert all(r["trace"] == job["id"] for r in worker)
 
     def test_job_trace_exports_as_chrome_document(
-        self, first_run, client, tmp_path,
+        self, first_run, client, service, tmp_path,
     ):
         from repro.obs.report import load_trace
         from repro.obs.tracer import chrome_document
@@ -175,7 +175,8 @@ class TestFleetTelemetry:
         path = tmp_path / "job-trace.jsonl"
         path.write_text(client.trace(job["id"]))
         load = load_trace(path)
-        assert load.skipped == 1  # the meta trailer
+        assert load.skipped == 0  # the meta trailer is read, not skipped
+        assert load.dropped == service.service.traces.dropped(job["id"])
         doc = chrome_document(load.events)
         phases = {e["ph"] for e in doc["traceEvents"]}
         # Async begin/end pairs plus flow arrows for the parent links.
@@ -231,6 +232,15 @@ class TestApiErrors:
     def test_bad_spec_is_rejected_with_400(self, client):
         with pytest.raises(ServiceError, match="(?i)unknown benchmark"):
             client.submit({**SPEC, "benchmarks": ["quake"]})
+
+    def test_nan_scale_is_rejected_with_400_and_enqueues_nothing(
+        self, client, service,
+    ):
+        jobs = set(service.service.queue.jobs)
+        # The client serializes NaN as the bare token json.loads accepts.
+        with pytest.raises(ServiceError, match=r"\(400\).*scale"):
+            client.submit({**SPEC, "scale": float("nan")})
+        assert set(service.service.queue.jobs) == jobs
 
     def test_unknown_job_is_404(self, client):
         with pytest.raises(ServiceError, match="lookup failed"):

@@ -37,12 +37,13 @@ def test_requires_command():
 
 
 def test_run_with_chrome_trace(tmp_path, capsys):
-    # The acceptance path: a traced run produces a valid Chrome trace.
-    trace = tmp_path / "t.json"
+    # The acceptance path: a traced run exports a valid Chrome trace.
+    trace = tmp_path / "t.jsonl"
+    chrome = tmp_path / "t.json"
     assert main(["run", "locks", "--technique", "emesti",
-                 "--scale", "0.05", "--trace", str(trace),
-                 "--trace-format", "chrome"]) == 0
-    doc = json.loads(trace.read_text())
+                 "--scale", "0.05", "--trace", str(trace)]) == 0
+    assert main(["report", str(trace), "--chrome", str(chrome)]) == 0
+    doc = json.loads(chrome.read_text())
     events = doc["traceEvents"]
     assert events, "trace must not be empty"
     ts = [e["ts"] for e in events]
@@ -62,13 +63,31 @@ def test_run_with_trace_filter_and_ring(tmp_path, capsys):
     assert main(["run", "locks", "--technique", "emesti", "--scale", "0.05",
                  "--trace", str(trace), "--trace-filter", "kind=bus.grant",
                  "--trace-ring", "5"]) == 0
-    lines = [json.loads(l) for l in trace.read_text().splitlines() if l]
-    assert 0 < len(lines) <= 5
-    assert all(e["kind"] == "bus.grant" for e in lines)
+    *rows, trailer = [json.loads(l) for l in trace.read_text().splitlines()]
+    assert 0 < len(rows) <= 5
+    assert all(e["kind"] == "bus.grant" for e in rows)
+    assert trailer["meta"] == "tracer"
     # The ring's overwrites are reported beside the filtered count.
     summary = capsys.readouterr().out.splitlines()[-1]
     match = re.search(r"(\d+) filtered, (\d+) overwritten\)$", summary)
     assert match and int(match.group(1)) > 0 and int(match.group(2)) > 0
+
+
+def test_run_trace_trailer_records_ring_overwrites(tmp_path, capsys):
+    # The file says what the ring lost: its trailer's dropped is the
+    # overwritten count `run` prints, and the trailer loads cleanly.
+    from repro.obs.report import load_trace
+
+    trace = tmp_path / "t.jsonl"
+    assert main(["run", "locks", "--technique", "emesti", "--scale", "0.05",
+                 "--trace", str(trace), "--trace-ring", "300"]) == 0
+    summary = capsys.readouterr().out.splitlines()[-1]
+    overwritten = int(re.search(r"(\d+) overwritten\)$", summary).group(1))
+    trailer = json.loads(trace.read_text().splitlines()[-1])
+    assert trailer == {"meta": "tracer", "events": 300, "dropped": overwritten}
+    assert overwritten > 0
+    load = load_trace(trace)
+    assert load.skipped == 0 and load.dropped == overwritten
 
 
 def test_run_with_profile(capsys):
@@ -85,6 +104,20 @@ def test_report_command(tmp_path, capsys):
     assert main(["report", str(trace)]) == 0
     out = capsys.readouterr().out
     assert "by kind:" in out and "bus.grant" in out
+
+
+def test_report_prints_the_trailer_dropped(tmp_path, capsys):
+    from repro.obs.tracer import Tracer
+
+    tracer = Tracer(clock=lambda: 0, ring=2)
+    for ts in range(5):
+        tracer.emit("bus.grant", ts=ts)
+    trace = tmp_path / "t.jsonl"
+    tracer.save(trace)
+    assert main(["report", str(trace)]) == 0
+    captured = capsys.readouterr()
+    assert "dropped    : 3" in captured.out.splitlines()
+    assert captured.err == ""  # loss is reported, not warned as damage
 
 
 def test_explain_live_gates_and_reports(capsys):
@@ -127,6 +160,18 @@ def test_explain_offline_trace(tmp_path, capsys):
     out = capsys.readouterr().out
     # Offline there is no registry to reconcile against.
     assert "miss provenance" in out and "metrics reconciliation" not in out
+
+
+def test_explain_offline_reports_the_saved_ring_overwrites(tmp_path, capsys):
+    trace = tmp_path / "t.jsonl"
+    assert main(["explain", "locks", "--technique", "emesti", "--scale",
+                 "0.1", "--trace-ring", "50", "--save-trace", str(trace),
+                 "--format", "json"]) == 1
+    live = json.loads(capsys.readouterr().out)
+    assert main(["explain", "--trace", str(trace), "--format", "json"]) == 0
+    offline = json.loads(capsys.readouterr().out)
+    assert live["overwritten"] > 0
+    assert offline["overwritten"] == live["overwritten"]
 
 
 def test_explain_line_drilldown(tmp_path, capsys):
