@@ -14,7 +14,8 @@ Routes
     Body: a job spec (see :func:`repro.service.queue.validate_spec`).
     202 with ``{"job", "cells", "status"}``; 400 on a bad spec.
 ``GET /jobs/{id}``
-    Job record + per-cell states; 404 for unknown ids.
+    Job record + per-cell states; 404 for unknown ids, saying
+    ``expired`` for an id whose record retention dropped.
 ``POST /jobs/{id}/cancel``
     Cancel; queued exclusive cells drain, the job completes with
     ``reason=cancelled``.
@@ -59,7 +60,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.ring import Ring
 
 from .events import EventLog
-from .queue import JOB_TERMINAL, JobQueue, SpecError
+from .queue import JOB_TERMINAL, JobNotFound, JobQueue, SpecError
 from .workers import ResultStore, WorkerShard
 
 log = logging.getLogger("repro.service")
@@ -80,9 +81,9 @@ SAMPLE_COLUMNS = (
     "queued",            # cells waiting in the queue
     "leased",            # cells currently under a worker lease
     "jobs_active",       # jobs not yet terminal
-    "jobs_done",         # jobs completed with reason=done
-    "jobs_failed",       # jobs completed with reason=failed
-    "jobs_cancelled",    # jobs completed with reason=cancelled
+    "jobs_done",         # held jobs completed with reason=done
+    "jobs_failed",       # held jobs completed with reason=failed
+    "jobs_cancelled",    # held jobs completed with reason=cancelled
     "workers",           # worker slots in the shard
     "busy",              # workers currently simulating
     "utilization",       # busy / workers
@@ -165,8 +166,8 @@ class Service:
             labels=("state",),
         )
         self._jobs_gauge = self.metrics.gauge(
-            "repro_service_jobs", "jobs by status (active, or the "
-            "terminal reason)", labels=("status",),
+            "repro_service_jobs", "jobs by status (active, the "
+            "terminal reason, or expired)", labels=("status",),
         )
         self._util_gauge = self.metrics.gauge(
             "repro_service_worker_utilization",
@@ -462,8 +463,8 @@ class Service:
             return
         loop = asyncio.get_running_loop()
         try:
-            # submit() rewrites state.json under the queue lock; off
-            # the loop so a slow disk cannot stall other requests.
+            # submit() appends to the queue journal under the queue
+            # lock; off the loop so a slow disk cannot stall requests.
             job = await loop.run_in_executor(None, self.queue.submit, spec)
         except SpecError as exc:
             await self._respond(writer, 400, {"error": str(exc)})
@@ -482,8 +483,8 @@ class Service:
             doc = await loop.run_in_executor(
                 None, self.queue.job_status, job_id,
             )
-        except KeyError:
-            await self._respond(writer, 404, {"error": f"no job {job_id}"})
+        except JobNotFound as exc:
+            await self._respond(writer, 404, {"error": str(exc)})
             return
         await self._respond(writer, 200, doc)
 
@@ -494,8 +495,8 @@ class Service:
         loop = asyncio.get_running_loop()
         try:
             job = await loop.run_in_executor(None, self.queue.cancel, job_id)
-        except KeyError:
-            await self._respond(writer, 404, {"error": f"no job {job_id}"})
+        except JobNotFound as exc:
+            await self._respond(writer, 404, {"error": str(exc)})
             return
         await self._respond(writer, 200, {
             "job": job["id"], "status": job["status"],
@@ -513,10 +514,16 @@ class Service:
         the queue sets a terminal status and emits ``job.completed``
         under one lock hold, so a snapshot taken after a terminal
         status holds that event, and the stream never ends without it.
+        An expired job is over: its view went with its record, so its
+        stream replays what is left (nothing, once pruned) and ends.
         """
         loop = asyncio.get_running_loop()
-        if not await loop.run_in_executor(None, self.queue.has_job, job_id):
-            await self._respond(writer, 404, {"error": f"no job {job_id}"})
+        try:
+            status = await loop.run_in_executor(
+                None, self.queue.status, job_id,
+            )
+        except JobNotFound as exc:
+            await self._respond(writer, 404, {"error": str(exc)})
             return
         writer.write(
             b"HTTP/1.1 200 OK\r\n"
@@ -525,9 +532,6 @@ class Service:
         )
         sent = 0
         while True:
-            status = await loop.run_in_executor(
-                None, self.queue.status, job_id,
-            )
             records = self.events.for_job(job_id)
             for record in records[sent:]:
                 writer.write(
@@ -535,13 +539,16 @@ class Service:
                 )
             sent = len(records)
             await writer.drain()
-            if status in JOB_TERMINAL:
+            if status in JOB_TERMINAL or status == "expired":
                 break
             self._wake.clear()
             try:
                 await asyncio.wait_for(self._wake.wait(), timeout=1.0)
             except asyncio.TimeoutError:
                 pass  # periodic re-check even with no event traffic
+            status = await loop.run_in_executor(
+                None, self.queue.status, job_id,
+            )
 
     async def _get_trace(
         self, job_id: str, writer: asyncio.StreamWriter,
@@ -557,8 +564,8 @@ class Service:
             trace = await loop.run_in_executor(
                 None, self.queue.job_trace, job_id,
             )
-        except KeyError:
-            await self._respond(writer, 404, {"error": f"no job {job_id}"})
+        except JobNotFound as exc:
+            await self._respond(writer, 404, {"error": str(exc)})
             return
         if trace is None or not self.traces.has(trace):
             await self._respond(

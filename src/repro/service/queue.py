@@ -26,16 +26,33 @@ below.  Cells, not jobs, are the unit of scheduling:
   ``reason=cancelled``; an in-flight leased cell is left to finish so
   its result still lands in the store.
 
-Durability: every update a restart reads rewrites ``state.json``
-atomically (:func:`~repro.experiments.store.atomic_write`).  On load,
-cells found *leased* are returned to *queued* — the lease holder died
-with the process, and a re-run of a deterministic cell is always safe
-— so a lease or a heartbeat, which a restart would undo, writes
-nothing.
+Durability: the state is a snapshot, ``state.json``, plus an
+append-only journal, ``journal.jsonl``, beside it.  Every update a
+restart reads (a submit, a completion, a retry or failure, a cancel)
+appends one JSON line: ``seq`` and the whole records of only the jobs
+and cells that update touched, ``null`` for a deleted one.  Load
+replays the lines over the snapshot.  A torn last line (a crash in
+mid-append) is dropped and the file cut back to its whole lines.  Once
+the journal outgrows :data:`COMPACT_RATIO` times the snapshot, the
+snapshot is rewritten atomically
+(:func:`~repro.experiments.store.atomic_write`) and the journal
+emptied; a crash between the two replays the old journal over the new
+snapshot, which gives the same state because every line carries whole
+records.  On load, cells found *leased* are returned to *queued* — the
+lease holder died with the process, and a re-run of a deterministic
+cell is always safe — so a lease or a heartbeat, which a restart would
+undo, appends nothing.  The queue directory has one owner, so load
+also deletes the temp files a crash in mid-compaction left behind.
+
+Retention: the queue keeps the records of only the newest
+``events.retain_terminal`` terminal jobs, the jobs whose event views
+the :class:`~repro.service.events.EventLog` keeps.  An older job's id
+reads as expired (:class:`JobNotFound`); its results stay in the
+result store.
 
 Thread-safety: the service offloads queue calls to executor threads
-(the ``state.json`` rewrite must not block the event loop — simlint
-SL201), so every public method serializes on one reentrant lock and
+(the journal append must not block the event loop — simlint SL201),
+so every public method serializes on one reentrant lock and
 ``jobs``/``cells``/``_seq`` must only be touched with it held
 (simlint SL202 enforces this statically).  Async callers read state
 through the locked :meth:`has_job`/:meth:`status` accessors.
@@ -51,7 +68,6 @@ from __future__ import annotations
 import hashlib
 import json
 import re
-import sys
 import threading
 import time
 from pathlib import Path
@@ -84,9 +100,30 @@ DEFAULT_MAX_RETRIES = 1
 #: Terminal job states.
 JOB_TERMINAL = ("done", "failed", "cancelled")
 
+#: Compaction folds the journal into a fresh snapshot once the journal
+#: outgrows this many times the snapshot (and :data:`COMPACT_FLOOR`),
+#: so each update costs a constant amount amortized and the files on
+#: disk stay a bounded multiple of the retained state.
+COMPACT_RATIO = 2
+
+#: Journal bytes below which no compaction runs (a small or missing
+#: snapshot would otherwise compact on nearly every update).
+COMPACT_FLOOR = 64 * 1024
+
 
 class SpecError(ConfigError):
     """A submitted job spec failed validation (HTTP 400)."""
+
+
+class JobNotFound(KeyError):
+    """No record for a job id: never minted, or expired (retention).
+
+    The message says which (``no job X`` or ``job X expired``); the API
+    answers 404 with it.
+    """
+
+    def __str__(self) -> str:
+        return str(self.args[0])
 
 
 #: Protocol names a fuzz spec may list (mirrors ProtocolSpec.NAMES;
@@ -96,6 +133,11 @@ FUZZ_PROTOCOLS = ("mesi", "moesi", "mesti", "moesti", "emesti")
 #: Ceiling on a fuzz cell's iteration budget: a cell is one lease, so
 #: a huge budget would outlive any reasonable heartbeat horizon.
 MAX_FUZZ_BUDGET = 10_000
+
+#: Ceiling on a simulation cell's ``scale``: the paper's full size, the
+#: scale of the stored paper matrix.  A cell holds a pool worker for
+#: its whole run, and run time grows with scale.
+MAX_SCALE = 1.0
 
 
 def _validate_trace(spec: dict) -> str | None:
@@ -169,7 +211,7 @@ def validate_spec(spec: dict) -> dict:
     Two spec kinds exist.  The default simulation spec requires
     ``benchmarks`` (known names), ``techniques`` (known names), and
     ``seeds`` (ints; booleans rejected), with optional ``scale``
-    (positive finite number, default 0.1) and ``priority`` (int,
+    (a number in (0, :data:`MAX_SCALE`], default 0.1) and ``priority`` (int,
     default 0; booleans rejected).
     A ``{"kind": "fuzz"}`` spec instead describes fuzzing campaigns —
     one cell per entry of ``seeds`` — with optional ``budget``,
@@ -208,13 +250,14 @@ def validate_spec(spec: dict) -> dict:
     techniques = list(dict.fromkeys(techniques))
     seeds = list(dict.fromkeys(seeds))
     scale = spec.get("scale", 0.1)
-    # The chained test also rejects NaN, infinities and ints too large
-    # for a float, all of which json.loads accepts.
+    # The chained test also rejects NaN, which json.loads accepts.
     if (
         not isinstance(scale, (int, float)) or isinstance(scale, bool)
-        or not 0 < scale <= sys.float_info.max
+        or not 0 < scale <= MAX_SCALE
     ):
-        raise SpecError(f"'scale' must be a positive finite number, got {scale!r}")
+        raise SpecError(
+            f"'scale' must be a number in (0, {MAX_SCALE}], got {scale!r}"
+        )
     priority = spec.get("priority", 0)
     if not isinstance(priority, int) or isinstance(priority, bool):
         raise SpecError(f"'priority' must be an integer, got {priority!r}")
@@ -295,12 +338,20 @@ class JobQueue:
             bounds=LEASE_LATENCY_BOUNDS,
         ).labels().hist
         self._state_path = self.root / "state.json"
+        self._journal_path = self.root / "journal.jsonl"
         # Reentrant: public methods take it and call helpers that
         # assume it is held; queue -> events is the only lock order.
         self._lock = threading.RLock()
         self._seq = 0
         self.jobs: dict[str, dict[str, Any]] = {}
         self.cells: dict[str, dict[str, Any]] = {}
+        # Terminal job ids, oldest first: retention drops from the front.
+        self._terminal: dict[str, None] = {}
+        # The keys the current update touched: _commit journals them.
+        self._dirty_jobs: set[str] = set()
+        self._dirty_cells: set[str] = set()
+        self._snapshot_bytes = 0
+        self._journal_bytes = 0
         self._load()
 
     # ------------------------------------------------------------------
@@ -308,29 +359,145 @@ class JobQueue:
     # ------------------------------------------------------------------
 
     def _load(self) -> None:
-        """Recover persisted state; leased cells return to queued."""
-        if not self._state_path.exists():
-            return
-        doc = json.loads(self._state_path.read_text())
-        self._seq = doc.get("seq", 0)
-        self.jobs = doc.get("jobs", {})
-        self.cells = doc.get("cells", {})
+        """Recover the snapshot and the journal; leased cells return to
+        queued, and a crashed compaction's temp files are deleted."""
+        for stale in self.root.glob(self._state_path.name + ".*.tmp"):
+            stale.unlink(missing_ok=True)
+        if self._state_path.exists():
+            text = self._state_path.read_text()
+            doc = json.loads(text)
+            self._seq = doc["seq"]
+            self.jobs = doc["jobs"]
+            self.cells = doc["cells"]
+            self._terminal = dict.fromkeys(doc.get("terminal", ()))
+            # A snapshot written before retention lists no terminal
+            # order: take its terminal jobs in id order.
+            self._retain(sorted(self.jobs))
+            self._snapshot_bytes = len(text)
+        self._replay()
         for cell in self.cells.values():
             if cell["state"] == "leased":
                 # The lease holder died with the previous process;
                 # deterministic cells are always safe to re-run.
-                cell["state"] = "queued"
-                cell["lease"] = None
+                cell.update(state="queued", lease=None, lease_span=None)
 
-    def _save(self) -> None:
-        """Atomically rewrite ``state.json``."""
-        doc = {"seq": self._seq, "jobs": self.jobs, "cells": self.cells}
-        atomic_write(self._state_path, json.dumps(doc, indent=1, sort_keys=True))
+    def _replay(self) -> None:
+        """Apply every whole journal line and cut what follows the last
+        one that parses (a torn tail) off the file."""
+        try:
+            data = self._journal_path.read_bytes()
+        except FileNotFoundError:
+            return
+        whole = 0
+        while (end := data.find(b"\n", whole)) >= 0:
+            try:
+                update = json.loads(data[whole:end])
+            except ValueError:
+                break
+            self._apply(update)
+            whole = end + 1
+        if whole < len(data):
+            with open(self._journal_path, "r+b") as journal:
+                journal.truncate(whole)
+        self._journal_bytes = whole
+
+    def _apply(self, update: dict[str, Any]) -> None:
+        """Set, or delete for ``null``, every record one line carries."""
+        self._seq = update["seq"]
+        for table, records in (
+            (self.jobs, update["jobs"]), (self.cells, update["cells"]),
+        ):
+            for key, record in records.items():
+                if record is None:
+                    table.pop(key, None)
+                else:
+                    table[key] = record
+        self._retain(update["jobs"])
+
+    def _retain(self, job_ids: Iterable[str]) -> None:
+        """Keep the terminal order: append the jobs among ``job_ids``
+        that ended, forget the deleted ones.  Live updates and replay
+        both pass a line's job ids in sorted order, so a reload
+        rebuilds the same order."""
+        for job_id in job_ids:
+            job = self.jobs.get(job_id)
+            if job is None:
+                self._terminal.pop(job_id, None)
+            elif job["status"] in JOB_TERMINAL:
+                self._terminal.setdefault(job_id)
+
+    def _commit(self) -> None:
+        """Journal the update: drop the terminal jobs past retention,
+        then append one line with every touched record."""
+        if not (self._dirty_jobs or self._dirty_cells):
+            return
+        self._retain(sorted(self._dirty_jobs))
+        cap = self.events.retain_terminal
+        if cap is not None and len(self._terminal) > cap:
+            while len(self._terminal) > cap:
+                expired = next(iter(self._terminal))
+                del self._terminal[expired]
+                del self.jobs[expired]
+                self._dirty_jobs.add(expired)
+            self._gc_cells()
+        line = json.dumps({
+            "seq": self._seq,
+            "jobs": {j: self.jobs.get(j) for j in sorted(self._dirty_jobs)},
+            "cells": {f: self.cells.get(f) for f in sorted(self._dirty_cells)},
+        }, sort_keys=True) + "\n"
+        with open(self._journal_path, "a") as journal:
+            journal.write(line)
+        # Cleared only once written: a failed append leaves the keys
+        # for the next update to journal.
+        self._dirty_jobs.clear()
+        self._dirty_cells.clear()
+        self._journal_bytes += len(line)
+        if self._journal_bytes > max(
+            COMPACT_RATIO * self._snapshot_bytes, COMPACT_FLOOR,
+        ):
+            self._compact()
+
+    def _compact(self) -> None:
+        """Fold the journal into a fresh snapshot, then empty it."""
+        text = json.dumps({
+            "seq": self._seq, "jobs": self.jobs, "cells": self.cells,
+            "terminal": list(self._terminal),
+        }, sort_keys=True)
+        atomic_write(self._state_path, text)
+        self._snapshot_bytes = len(text)
+        with open(self._journal_path, "w"):
+            pass
+        self._journal_bytes = 0
 
     def _next_id(self, prefix: str) -> str:
         """Mint an id from the persisted sequence counter."""
         self._seq += 1
         return f"{prefix}-{self._seq:06d}"
+
+    def _job(self, job_id: str) -> dict[str, Any]:
+        """The job's record; raises :class:`JobNotFound` saying whether
+        the id expired or was never minted."""
+        job = self.jobs.get(job_id)
+        if job is not None:
+            return job
+        if self._expired(job_id):
+            raise JobNotFound(f"job {job_id} expired")
+        raise JobNotFound(f"no job {job_id}")
+
+    def _expired(self, job_id: str) -> bool:
+        """Whether the counter minted ``job_id`` and retention dropped
+        its record."""
+        number = job_id.removeprefix("job-")
+        return (
+            job_id not in self.jobs and number.isdecimal()
+            and job_id == f"job-{int(number):06d}"
+            and int(number) <= self._seq
+        )
+
+    def _ended(self, job_id: str) -> bool:
+        """A job waits on nothing once terminal, or once expired."""
+        job = self.jobs.get(job_id)
+        return job is None or job["status"] in JOB_TERMINAL
 
     # ------------------------------------------------------------------
     # Submission
@@ -388,16 +555,15 @@ class JobQueue:
             trace = spec.get("trace") or job_id
             job_span = self.traces.span_begin(trace, "job", job=job_id)
             fingerprints: list[str] = []
-            deduped: list[str] = []
             for fingerprint, payload in self._cell_payloads(spec):
                 fingerprints.append(fingerprint)
                 self.events.attach(fingerprint, job_id)
+                self._dirty_cells.add(fingerprint)
                 live = self.cells.get(fingerprint)
                 if live is not None and live["state"] in (
                     "queued", "leased",
                 ):
                     live["jobs"].append(job_id)
-                    deduped.append(fingerprint)
                     self.events.emit(
                         "cell.deduped", job=job_id,
                         fingerprint=fingerprint, trace=trace,
@@ -411,8 +577,7 @@ class JobQueue:
                 # and they would stay non-terminal forever.
                 carried = [
                     j for j in (live["jobs"] if live else ())
-                    if j in self.jobs
-                    and self.jobs[j]["status"] not in JOB_TERMINAL
+                    if not self._ended(j)
                 ]
                 self.cells[fingerprint] = {
                     "fingerprint": fingerprint,
@@ -442,11 +607,12 @@ class JobQueue:
                 "span": job_span,
             }
             self.jobs[job_id] = job
+            self._dirty_jobs.add(job_id)
             self.events.emit(
                 "job.enqueued", job=job_id, cells=len(fingerprints),
                 trace=trace,
             )
-            self._save()
+            self._commit()
             return job
 
     # ------------------------------------------------------------------
@@ -464,8 +630,7 @@ class JobQueue:
             priorities = [
                 self.jobs[job_id]["priority"]
                 for job_id in cell["jobs"]
-                if job_id in self.jobs
-                and self.jobs[job_id]["status"] not in JOB_TERMINAL
+                if not self._ended(job_id)
             ]
             return max(priorities, default=0)
 
@@ -522,18 +687,21 @@ class JobQueue:
             ]
             for fingerprint in expired:
                 self._bounce(fingerprint, "lease_expired")
+            self._commit()
             return expired
 
     def fail(self, fingerprint: str, reason: str) -> None:
         """A worker reported the cell's run died; retry or fail it."""
         with self._lock:
             self._bounce(fingerprint, reason)
+            self._commit()
 
     def _bounce(self, fingerprint: str, reason: str) -> None:
         """Shared retry-or-fail transition for lost leases."""
         cell = self.cells.get(fingerprint)
         if cell is None or cell["state"] != "leased":
             return
+        self._dirty_cells.add(fingerprint)
         cell["lease"] = None
         trace = cell.get("trace")
         if trace is not None:
@@ -557,7 +725,6 @@ class JobQueue:
             )
             for job_id in list(cell["jobs"]):
                 self._finish_job(job_id, "failed")
-        self._save()
 
     # ------------------------------------------------------------------
     # Completion
@@ -569,6 +736,7 @@ class JobQueue:
             cell = self.cells.get(fingerprint)
             if cell is None or cell["state"] in ("done", "failed"):
                 return
+            self._dirty_cells.add(fingerprint)
             cell["state"] = "done"
             cell["lease"] = None
             trace = cell.get("trace")
@@ -590,13 +758,14 @@ class JobQueue:
                 ):
                     self._finish_job(job_id, "done")
             self._gc_cells()
-            self._save()
+            self._commit()
 
     def _finish_job(self, job_id: str, reason: str) -> None:
         """Move a job to a terminal state and emit ``job.completed``."""
         job = self.jobs.get(job_id)
         if job is None or job["status"] in JOB_TERMINAL:
             return
+        self._dirty_jobs.add(job_id)
         job["status"] = reason
         job["reason"] = reason
         trace = job.get("trace")
@@ -607,23 +776,30 @@ class JobQueue:
         )
 
     def _gc_cells(self) -> None:
-        """Drop done cells whose every referencing job is terminal.
+        """Drop done cells no job waits on, and failed cells whose
+        every job expired.
 
         This is what makes an identical re-submission take the
         enqueue -> lease -> ``cell.cache_hit`` path: the live set only
         dedupes *in-flight* work; finished results live in the result
-        store, not the queue.
+        store, not the queue.  A failed cell stays while a held job
+        still reports it.
         """
         dead = [
             f for f, cell in self.cells.items()
-            if cell["state"] == "done" and all(
-                self.jobs.get(j, {}).get("status") in JOB_TERMINAL
-                for j in cell["jobs"]
-            )
+            if (cell["state"] == "done"
+                and all(self._ended(j) for j in cell["jobs"]))
+            or (cell["state"] == "failed"
+                and not any(j in self.jobs for j in cell["jobs"]))
         ]
         for fingerprint in dead:
-            del self.cells[fingerprint]
-            self.events.detach_cell(fingerprint)
+            self._drop_cell(fingerprint)
+
+    def _drop_cell(self, fingerprint: str) -> None:
+        """Delete a cell record (journaled as ``null``)."""
+        del self.cells[fingerprint]
+        self._dirty_cells.add(fingerprint)
+        self.events.detach_cell(fingerprint)
 
     # ------------------------------------------------------------------
     # Cancellation / inspection
@@ -632,9 +808,7 @@ class JobQueue:
     def cancel(self, job_id: str) -> dict[str, Any]:
         """Cancel a job; drains its exclusively-held queued cells."""
         with self._lock:
-            job = self.jobs.get(job_id)
-            if job is None:
-                raise KeyError(job_id)
+            job = self._job(job_id)
             if job["status"] in JOB_TERMINAL:
                 return dict(job)
             self._finish_job(job_id, "cancelled")
@@ -644,28 +818,26 @@ class JobQueue:
                     continue
                 others = [
                     j for j in cell["jobs"]
-                    if j != job_id
-                    and self.jobs.get(j, {}).get("status") not in JOB_TERMINAL
+                    if j != job_id and not self._ended(j)
                 ]
                 if cell["state"] == "queued" and not others:
                     # Nobody else wants it and no worker holds it: drop.
-                    del self.cells[fingerprint]
-                    self.events.detach_cell(fingerprint)
+                    self._drop_cell(fingerprint)
                 # A leased cell finishes its run (the result is still
                 # stored); the cancelled job just no longer waits on it.
             self._gc_cells()
-            self._save()
+            self._commit()
             return dict(job)
 
     def job_status(self, job_id: str) -> dict[str, Any]:
-        """The job record plus per-cell states (raises KeyError).
+        """The job record plus per-cell states (raises JobNotFound).
 
         A cancelled job waits on none of its cells, so each one not
         done reads ``dropped``: drained, still queued for another job,
         or running on a worker that held it when the cancel landed.
         """
         with self._lock:
-            job = self.jobs[job_id]
+            job = self._job(job_id)
             cancelled = job["status"] == "cancelled"
             cells = {}
             for fingerprint in job["cells"]:
@@ -686,12 +858,13 @@ class JobQueue:
             return job_id in self.jobs
 
     def job_trace(self, job_id: str) -> str | None:
-        """The job's distributed-trace id (raises KeyError)."""
+        """The job's distributed-trace id (raises JobNotFound)."""
         with self._lock:
-            return self.jobs[job_id].get("trace")
+            return self._job(job_id).get("trace")
 
     def depth_counts(self) -> dict[str, Any]:
-        """Cells by state and jobs by status (telemetry sampling)."""
+        """Cells by state and held jobs by status, plus the ``expired``
+        jobs retention dropped (telemetry sampling)."""
         with self._lock:
             cells: dict[str, int] = {}
             for cell in self.cells.values():
@@ -701,6 +874,9 @@ class JobQueue:
                 status = job["status"]
                 key = status if status in JOB_TERMINAL else "active"
                 jobs[key] = jobs.get(key, 0) + 1
+            # Every minted id is a job, held or expired.
+            if self._seq > len(self.jobs):
+                jobs["expired"] = self._seq - len(self.jobs)
             return {"cells": cells, "jobs": jobs}
 
     def lease_stats(self) -> dict[str, float]:
@@ -714,9 +890,12 @@ class JobQueue:
             }
 
     def status(self, job_id: str) -> str:
-        """A job's current status string (raises KeyError)."""
+        """A job's current status string: ``expired`` once retention
+        dropped its record (raises JobNotFound for an id never minted)."""
         with self._lock:
-            return self.jobs[job_id]["status"]
+            if self._expired(job_id):
+                return "expired"
+            return self._job(job_id)["status"]
 
     def pending(self) -> Iterable[dict[str, Any]]:
         """Every live (queued or leased) cell, for inspection."""

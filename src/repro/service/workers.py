@@ -18,6 +18,16 @@ Each worker loops:
    queue's retry budget) and, for a broken pool, retire it so the
    next lease gets a fresh one.
 
+A worker that finds the queue empty sleeps until new work arrives:
+the shard subscribes to the :class:`~repro.service.events.EventLog`,
+and every ``cell.enqueued`` or ``cell.retried`` — the only events that
+put a cell in the queue — wakes the idle workers through
+``call_soon_threadsafe``, since queue calls emit from executor threads.
+No worker polls, so a silent shard means an empty queue.  A worker
+notes the wake count before each lease and sleeps only if no wake
+arrived since, so a submit that lands while a lease is in flight is
+never missed, however many workers are idle.
+
 The reaper periodically calls
 :meth:`~repro.service.queue.JobQueue.expire_leases`, which is what
 recovers cells whose worker died *without* reporting (process kill):
@@ -53,8 +63,12 @@ from .queue import JobQueue
 
 log = logging.getLogger("repro.service")
 
-#: Idle worker poll cadence (seconds) when the queue is empty.
-IDLE_POLL = 0.05
+#: Floor (seconds) on the reaper and heartbeat periods, so a tiny
+#: ``lease_ttl`` cannot spin them.
+MIN_PERIOD = 0.05
+
+#: The events that put a cell in the queue: each wakes idle workers.
+WAKE_EVENTS = ("cell.enqueued", "cell.retried")
 
 
 def _close_inherited_inet_sockets() -> None:
@@ -123,6 +137,12 @@ class WorkerShard:
         #: Workers currently processing a leased cell (utilization
         #: telemetry).  Loop-thread only — no lock needed.
         self.busy = 0
+        # Wake-on-submit state, loop-thread only: the count of wakes
+        # so far and the event idle workers wait on (made in start(),
+        # on the loop that runs the workers).
+        self._loop: asyncio.AbstractEventLoop | None = None
+        self._wakes = 0
+        self._work: asyncio.Event | None = None
 
     def executor(self) -> Executor:
         """The shard's executor (warm process pool by default)."""
@@ -136,6 +156,9 @@ class WorkerShard:
     async def start(self) -> None:
         """Spawn the worker tasks and the lease reaper."""
         self._stopping = False
+        self._loop = asyncio.get_running_loop()
+        self._work = asyncio.Event()
+        self.events.subscribe(self._on_event)
         for i in range(self.workers):
             worker_id = f"{self.name}/w{i}"
             self._tasks.append(
@@ -146,14 +169,31 @@ class WorkerShard:
     async def stop(self) -> None:
         """Cancel every task (every stored cell is already on disk)."""
         self._stopping = True
+        self.events.unsubscribe(self._on_event)
         for task in self._tasks:
             task.cancel()
         await asyncio.gather(*self._tasks, return_exceptions=True)
         self._tasks.clear()
+        self._loop = None
+
+    def _on_event(self, record: dict[str, Any]) -> None:
+        """EventLog subscriber (any thread): new work wakes the idle
+        workers, marshalled onto the loop like the API's stream wake."""
+        loop = self._loop
+        if (
+            record["event"] in WAKE_EVENTS
+            and loop is not None and not loop.is_closed()
+        ):
+            loop.call_soon_threadsafe(self._wake)
+
+    def _wake(self) -> None:
+        """Count a wake and release every idle worker (loop thread)."""
+        self._wakes += 1
+        self._work.set()
 
     async def _reaper(self) -> None:
         """Periodically expire dead leases (crashed/silent workers)."""
-        period = max(self.queue.lease_ttl / 4, IDLE_POLL)
+        period = max(self.queue.lease_ttl / 4, MIN_PERIOD)
         loop = asyncio.get_running_loop()
         while not self._stopping:
             await asyncio.sleep(period)
@@ -167,18 +207,25 @@ class WorkerShard:
     async def _worker(self, worker_id: str) -> None:
         """One worker's lease -> serve/run -> complete loop.
 
-        Queue calls rewrite ``state.json``; they run in the default
+        Queue calls append to the journal; they run in the default
         thread pool so the event loop never blocks on disk (simlint
         SL201 — the callable is *passed* to run_in_executor, keeping
-        it out of the coroutine's call graph).
+        it out of the coroutine's call graph).  An empty lease sleeps
+        until the next wake, unless one arrived while it ran.
         """
         loop = asyncio.get_running_loop()
         while not self._stopping:
+            wakes = self._wakes
             cell = await loop.run_in_executor(
                 None, self.queue.lease, worker_id,
             )
             if cell is None:
-                await asyncio.sleep(IDLE_POLL)
+                if wakes == self._wakes:
+                    # Clearing cannot swallow another worker's wake:
+                    # set() already released every waiter, and a
+                    # worker still leasing sees the count move.
+                    self._work.clear()
+                    await self._work.wait()
                 continue
             self.busy += 1
             try:
@@ -190,7 +237,7 @@ class WorkerShard:
                             worker_id: str):
         """Await an executor future, renewing the lease by heartbeat."""
         loop = asyncio.get_running_loop()
-        heartbeat = max(self.queue.lease_ttl / 3, IDLE_POLL)
+        heartbeat = max(self.queue.lease_ttl / 3, MIN_PERIOD)
         while True:
             done, _pending = await asyncio.wait(
                 {future}, timeout=heartbeat,

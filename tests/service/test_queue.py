@@ -6,13 +6,16 @@ simulation; the queue is a pure state machine over its events.
 
 from __future__ import annotations
 
+import copy
 import json
+import random
 
 import pytest
 
 from repro.obs.metrics import MetricsRegistry
+from repro.service import queue as queue_module
 from repro.service.events import EventLog
-from repro.service.queue import JobQueue, SpecError, validate_spec
+from repro.service.queue import JobNotFound, JobQueue, SpecError, validate_spec
 
 
 class FakeClock:
@@ -349,6 +352,12 @@ class TestCancellation:
         assert names(events).count("job.completed") == 1
 
 
+def journal_lines(tmp_path) -> list[dict]:
+    """The queue journal's lines, parsed."""
+    path = tmp_path / "queue" / "journal.jsonl"
+    return [json.loads(line) for line in path.read_text().splitlines()]
+
+
 class TestDurability:
     def test_state_survives_reload(self, tmp_path):
         queue, _events, _clock = make_queue(tmp_path)
@@ -361,11 +370,10 @@ class TestDurability:
         queue, _events, _clock = make_queue(tmp_path)
         queue.submit(SPEC)
         leased = queue.lease("w0")["fingerprint"]
-        # A lease writes nothing, so write again: the file then holds
-        # the leased cell.
-        queue.submit({**SPEC, "seeds": [2]})
-        doc = json.loads((tmp_path / "queue" / "state.json").read_text())
-        assert doc["cells"][leased]["state"] == "leased"
+        # A lease appends nothing; a submit that joins the leased cell
+        # journals its whole record, lease and all.
+        queue.submit(SPEC)
+        assert journal_lines(tmp_path)[-1]["cells"][leased]["state"] == "leased"
         reloaded = JobQueue(tmp_path / "queue", events=EventLog())
         assert reloaded.cells[leased]["state"] == "queued"
         assert reloaded.cells[leased]["lease"] is None
@@ -373,22 +381,21 @@ class TestDurability:
         assert states == {"queued"}
 
     def test_lease_and_heartbeat_do_not_write_state(self, tmp_path, monkeypatch):
-        from repro.service import queue as queue_module
-
-        writes = []
-        write = queue_module.atomic_write
+        snapshots = []
         monkeypatch.setattr(
             queue_module, "atomic_write",
-            lambda path, text: writes.append(path) or write(path, text),
+            lambda path, text: snapshots.append(path),
         )
         queue, _events, _clock = make_queue(tmp_path)
         queue.submit({**SPEC, "techniques": ["base"]})
+        assert len(journal_lines(tmp_path)) == 1
         cell = queue.lease("w0")
         assert queue.heartbeat(cell["fingerprint"], "w0")
+        # A restart would undo a lease or a heartbeat: neither appends.
+        assert len(journal_lines(tmp_path)) == 1
         queue.complete(cell["fingerprint"])
-        # submit and complete; a restart would undo a lease or a
-        # heartbeat, so neither rewrites the file.
-        assert len(writes) == 2
+        assert len(journal_lines(tmp_path)) == 2
+        assert snapshots == []
 
     def test_job_ids_continue_from_the_persisted_counter(self, tmp_path):
         queue, _events, _clock = make_queue(tmp_path)
@@ -397,11 +404,21 @@ class TestDurability:
         second = reloaded.submit(SPEC)
         assert second["id"] != first["id"]
 
-    def test_state_file_is_valid_json(self, tmp_path):
+    def test_state_file_is_valid_json(self, tmp_path, monkeypatch):
         queue, _events, _clock = make_queue(tmp_path)
-        queue.submit(SPEC)
+        job = queue.submit(SPEC)
+        (line,) = journal_lines(tmp_path)
+        assert set(line) == {"seq", "jobs", "cells"}
+        assert line["seq"] == 1
+        assert line["jobs"] == {job["id"]: queue.jobs[job["id"]]}
+        assert line["cells"] == {f: queue.cells[f] for f in job["cells"]}
+        # Compaction folds the journal into the state.json snapshot.
+        monkeypatch.setattr(queue_module, "COMPACT_FLOOR", 0)
+        queue.cancel(job["id"])
         doc = json.loads((tmp_path / "queue" / "state.json").read_text())
-        assert set(doc) == {"seq", "jobs", "cells"}
+        assert set(doc) == {"seq", "jobs", "cells", "terminal"}
+        assert doc["terminal"] == [job["id"]]
+        assert (tmp_path / "queue" / "journal.jsonl").read_text() == ""
 
 
 class TestStatus:
@@ -416,3 +433,250 @@ class TestStatus:
         queue, _events, _clock = make_queue(tmp_path)
         with pytest.raises(KeyError):
             queue.job_status("job-404")
+
+
+def reload_view(queue: JobQueue) -> tuple:
+    """What a reload of ``queue`` must rebuild: its jobs, counter,
+    terminal order and cells, with leased cells read as queued."""
+    cells = copy.deepcopy(queue.cells)
+    for cell in cells.values():
+        if cell["state"] == "leased":
+            cell.update(state="queued", lease=None, lease_span=None)
+    return queue.jobs, queue._seq, list(queue._terminal), cells
+
+
+def reload(tmp_path) -> JobQueue:
+    """A fresh queue on the same root (a restart)."""
+    return JobQueue(tmp_path / "queue", events=EventLog())
+
+
+class TestJournal:
+    @pytest.mark.parametrize("floor", [None, 2048], ids=["default", "compacting"])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_reload_equals_the_live_state_after_every_update(
+        self, tmp_path, monkeypatch, seed, floor,
+    ):
+        # Random submit/lease/complete/fail/cancel/expire sequences
+        # with a 3-job retention; a small compaction floor also
+        # replays journals over fresh snapshots.
+        if floor is not None:
+            monkeypatch.setattr(queue_module, "COMPACT_FLOOR", floor)
+        rng = random.Random(seed)
+        clock = FakeClock()
+        queue = JobQueue(
+            tmp_path / "queue", events=EventLog(retain_terminal=3),
+            clock=clock, lease_ttl=10.0,
+        )
+        leased: list[str] = []
+        for step in range(150):
+            op = rng.choice(
+                ["submit", "submit", "lease", "lease", "complete",
+                 "fail", "cancel", "expire"],
+            )
+            if op == "submit":
+                queue.submit({
+                    **SPEC,
+                    "techniques": rng.sample(["base", "emesti", "mesti"], 2),
+                    "seeds": [rng.randint(1, 3)],
+                    "priority": rng.randint(0, 1),
+                })
+            elif op == "lease":
+                cell = queue.lease("w0")
+                if cell is not None:
+                    leased.append(cell["fingerprint"])
+            elif op == "complete" and leased:
+                queue.complete(leased.pop(rng.randrange(len(leased))))
+            elif op == "fail" and leased:
+                queue.fail(leased.pop(rng.randrange(len(leased))), "worker_error")
+            elif op == "cancel" and queue.jobs:
+                queue.cancel(rng.choice(sorted(queue.jobs)))
+            elif op == "expire":
+                clock.advance(11.0)
+                queue.expire_leases()
+                leased.clear()
+            assert reload_view(reload(tmp_path)) == reload_view(queue), (
+                f"step {step}: {op}"
+            )
+
+    def test_torn_tail_is_cut_back_to_whole_lines(self, tmp_path):
+        queue, _events, _clock = make_queue(tmp_path)
+        first = queue.submit(SPEC)
+        queue.submit({**SPEC, "seeds": [2]})
+        path = tmp_path / "queue" / "journal.jsonl"
+        whole, torn = path.read_bytes().splitlines(keepends=True)
+        path.write_bytes(whole + torn[: len(torn) // 2])
+        reloaded = reload(tmp_path)
+        assert set(reloaded.jobs) == {first["id"]}
+        assert path.read_bytes() == whole
+        # A later append lands after the whole prefix and survives.
+        later = reloaded.submit({**SPEC, "seeds": [3]})
+        again = reload(tmp_path)
+        assert set(again.jobs) == {first["id"], later["id"]}
+        assert reload_view(again) == reload_view(reloaded)
+
+    def test_crash_between_snapshot_and_journal_reset(
+        self, tmp_path, monkeypatch,
+    ):
+        queue, _events, _clock = make_queue(tmp_path)
+        job = queue.submit(SPEC)
+        queue.submit({**SPEC, "seeds": [2]})
+        cell = queue.lease("w0")
+
+        class Crash(Exception):
+            pass
+
+        write = queue_module.atomic_write
+
+        def write_then_crash(path, text):
+            write(path, text)
+            raise Crash
+
+        monkeypatch.setattr(queue_module, "atomic_write", write_then_crash)
+        monkeypatch.setattr(queue_module, "COMPACT_FLOOR", 0)
+        with pytest.raises(Crash):
+            queue.complete(cell["fingerprint"])
+        # The new snapshot is down and the old journal is still there.
+        assert (tmp_path / "queue" / "state.json").exists()
+        assert len(journal_lines(tmp_path)) == 3
+        assert reload_view(reload(tmp_path)) == reload_view(queue)
+        assert queue.jobs[job["id"]]["status"] == "queued"
+
+    def test_stale_snapshot_temp_files_are_deleted_on_load(self, tmp_path):
+        queue, _events, _clock = make_queue(tmp_path)
+        queue.submit(SPEC)
+        stale = tmp_path / "queue" / "state.json.k3xq_9ab.tmp"
+        stale.write_text('{"seq": 1, "jo')
+        # The result store is shared: its temp files are not the queue's.
+        results = tmp_path / "results"
+        results.mkdir()
+        store_tmp = results / "0123456789abcdef.json.k3xq_9ab.tmp"
+        store_tmp.write_text("{")
+        reloaded = reload(tmp_path)
+        assert not stale.exists()
+        assert store_tmp.exists()
+        assert len(reloaded.pending()) == 2
+
+
+class TestConstantCost:
+    """The journal's costs are counted in bytes, not timed."""
+
+    JOBS = 2000
+
+    @pytest.fixture(scope="class")
+    def history(self, tmp_path_factory):
+        """Run JOBS one-cell jobs; record each submit's appended bytes
+        (None where a compaction emptied the journal) and the bytes on
+        disk after each job."""
+        root = tmp_path_factory.mktemp("constant") / "queue"
+        queue = JobQueue(root, events=EventLog(), clock=FakeClock())
+        journal = root / "journal.jsonl"
+        spec = {**SPEC, "techniques": ["base"]}
+        appended: list[int | None] = []
+        on_disk: list[int] = []
+
+        def size(path) -> int:
+            return path.stat().st_size if path.exists() else 0
+
+        for _ in range(self.JOBS + 1):
+            before = size(journal)
+            job = queue.submit(spec)
+            after = size(journal)
+            appended.append(after - before if after > before else None)
+            queue.lease("w0")
+            queue.complete(job["cells"][0])
+            on_disk.append(size(journal) + size(root / "state.json"))
+        return appended, on_disk, queue
+
+    def test_a_late_submit_appends_what_the_first_did(self, history):
+        appended, _on_disk, _queue = history
+        first = appended[0]
+        late = next(n for n in reversed(appended) if n is not None)
+        # Only the counters' digits grow (seq, order, span ids).
+        assert abs(late - first) <= 16, (first, late)
+
+    def test_disk_state_stays_bounded(self, history):
+        _appended, on_disk, queue = history
+        assert len(queue.jobs) == queue.events.retain_terminal
+        # Compaction keeps the snapshot plus journal within a fixed
+        # multiple of the retained state, at 200 jobs as at 2,000.
+        assert max(on_disk[200:]) < 512 * 1024
+        assert max(on_disk[1000:]) <= 1.25 * max(on_disk[200:1000])
+
+
+class TestRetention:
+    def run_job(self, queue: JobQueue, seed: int, techniques=("base",)) -> dict:
+        """Submit a job, then lease and complete every cell of it (its
+        priority puts its cells ahead of any already queued)."""
+        job = queue.submit({
+            **SPEC, "techniques": list(techniques), "seeds": [seed],
+            "priority": 10,
+        })
+        for _ in job["cells"]:
+            queue.complete(queue.lease("w0")["fingerprint"])
+        return job
+
+    def test_only_the_newest_terminal_jobs_are_kept(self, tmp_path):
+        queue = JobQueue(tmp_path / "queue", events=EventLog(retain_terminal=2))
+        jobs = [self.run_job(queue, seed)["id"] for seed in (1, 2, 3)]
+        assert set(queue.jobs) == set(jobs[1:])
+        assert set(reload(tmp_path).jobs) == set(jobs[1:])
+        assert queue.depth_counts()["jobs"] == {"done": 2, "expired": 1}
+
+    def test_a_snapshot_from_before_retention_loads_and_expires(self, tmp_path):
+        # Such a state.json has no terminal list: its terminal jobs
+        # join the retention order by id.
+        root = tmp_path / "queue"
+        queue = JobQueue(root, events=EventLog(retain_terminal=None))
+        jobs = [self.run_job(queue, seed)["id"] for seed in (1, 2, 3)]
+        (root / "journal.jsonl").unlink()
+        (root / "state.json").write_text(json.dumps(
+            {"seq": queue._seq, "jobs": queue.jobs, "cells": queue.cells},
+        ))
+        reloaded = JobQueue(root, events=EventLog(retain_terminal=2))
+        assert reloaded.jobs == queue.jobs
+        latest = self.run_job(reloaded, 4)["id"]
+        assert sorted(reloaded.jobs) == [jobs[2], latest]
+
+    def test_expired_and_unminted_ids_read_differently(self, tmp_path):
+        queue = JobQueue(tmp_path / "queue", events=EventLog(retain_terminal=1))
+        old = self.run_job(queue, 1)["id"]
+        self.run_job(queue, 2)
+        with pytest.raises(JobNotFound, match=f"job {old} expired"):
+            queue.job_status(old)
+        assert queue.status(old) == "expired"
+        with pytest.raises(JobNotFound, match="no job job-999999"):
+            queue.job_status("job-999999")
+        with pytest.raises(JobNotFound, match="no job"):
+            queue.status("job-0000001")
+
+    def test_done_cell_shared_with_an_expired_job_is_collected(self, tmp_path):
+        queue = JobQueue(tmp_path / "queue", events=EventLog(retain_terminal=1))
+        first = queue.submit({**SPEC, "techniques": ["base"]})
+        shared = first["cells"][0]
+        # The second job joins the queued cell and waits on a sibling.
+        second = queue.submit(SPEC)
+        assert queue.cells[shared]["jobs"] == [first["id"], second["id"]]
+        queue.complete(queue.lease("w0")["fingerprint"])
+        assert queue.jobs[first["id"]]["status"] == "done"
+        self.run_job(queue, 7)  # a later completion expires the first job
+        assert first["id"] not in queue.jobs
+        queue.complete(queue.lease("w0")["fingerprint"])
+        assert queue.jobs[second["id"]]["status"] == "done"
+        assert queue.cells == {}
+
+    def test_cancel_drains_a_cell_only_an_expired_job_shared(self, tmp_path):
+        clock = FakeClock()
+        queue = JobQueue(
+            tmp_path / "queue", events=EventLog(retain_terminal=1),
+            clock=clock, lease_ttl=10.0,
+        )
+        first = queue.submit({**SPEC, "techniques": ["base"]})
+        queue.lease("w0")
+        queue.cancel(first["id"])
+        clock.advance(11.0)
+        queue.expire_leases()  # the cell is queued again, for nobody
+        late = queue.submit({**SPEC, "techniques": ["base"]})
+        self.run_job(queue, 7, techniques=("emesti",))  # expires the first
+        assert first["id"] not in queue.jobs
+        queue.cancel(late["id"])
+        assert queue.pending() == []

@@ -11,14 +11,20 @@ immediate identical re-submission served entirely from cache —
 from __future__ import annotations
 
 import json
+import shutil
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import pytest
 
 from repro.experiments.runner import MatrixRunner, summaries_equal
 from repro.service.client import ServiceClient, ServiceError
+from repro.service.queue import MAX_SCALE, cell_identity
 
 from .harness import ServiceHarness
+
+#: The stored scale-1.0 paper matrix.
+PAPER_RESULTS = Path(__file__).resolve().parents[2] / "results"
 
 SPEC = {
     "benchmarks": ["radiosity", "tpc-b"],
@@ -241,6 +247,23 @@ class TestApiErrors:
         with pytest.raises(ServiceError, match=r"\(400\).*scale"):
             client.submit({**SPEC, "scale": float("nan")})
         assert set(service.service.queue.jobs) == jobs
+
+    def test_scale_is_capped_at_the_paper_size(self, client, service):
+        # A cell of the stored paper matrix (scale 1.0) is accepted and
+        # served from the store; a larger scale is refused.
+        spec = {
+            "benchmarks": ["ocean"], "techniques": ["lvp"], "seeds": [1],
+            "scale": MAX_SCALE,
+        }
+        name = cell_identity("ocean", "lvp", 1, MAX_SCALE) + ".json"
+        (service.root / "results").mkdir(exist_ok=True)
+        shutil.copy(PAPER_RESULTS / name, service.root / "results" / name)
+        job, events = client.submit_and_wait(spec)
+        assert job["status"] == "done"
+        assert "cell.cache_hit" in [e["event"] for e in events]
+        for scale in (1.01, 1e6):
+            with pytest.raises(ServiceError, match=r"\(400\).*scale"):
+                client.submit({**spec, "scale": scale})
 
     def test_unknown_job_is_404(self, client):
         with pytest.raises(ServiceError, match="lookup failed"):

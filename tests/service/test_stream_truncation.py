@@ -18,7 +18,7 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from repro.service.api import Service
-from repro.service.client import ServiceClient
+from repro.service.client import ServiceClient, ServiceError
 
 from .harness import ServiceHarness
 
@@ -100,6 +100,16 @@ class TestRingTruncationOverHttp:
         # status with nothing to replay.
         job_a, _events_a, _followers = wrapped
         assert list(client.follow(job_a["id"])) == []
+
+    def test_expired_job_answers_404_expired(self, wrapped, client):
+        # The queue keeps the records of the same two newest terminal
+        # jobs whose views the log keeps: A's id reads as expired, an
+        # id the counter never minted as unknown.
+        job_a, _events_a, _followers = wrapped
+        with pytest.raises(ServiceError, match=rf"\(404\).*job {job_a['id']} expired"):
+            client.job(job_a["id"])
+        with pytest.raises(ServiceError, match=r"\(404\).*no job job-999999"):
+            client.job("job-999999")
 
     def test_retained_job_still_replays_after_wrap(self, wrapped, client):
         # The second-newest follower is inside the retention window.

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import threading
 from concurrent.futures import Future, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 
@@ -43,12 +44,12 @@ class CrashingExecutor(ThreadPoolExecutor):
         return super().submit(fn, *args, **kwargs)
 
 
-def build(tmp_path, executor, **queue_kwargs):
+def build(tmp_path, executor, workers=1, **queue_kwargs):
     """Queue + store + shard wired to one event log."""
     events = EventLog()
     queue = JobQueue(tmp_path / "queue", events=events, **queue_kwargs)
     store = ResultStore(tmp_path / "results")
-    shard = WorkerShard(queue, store, events, workers=1, executor=executor)
+    shard = WorkerShard(queue, store, events, workers=workers, executor=executor)
     return events, queue, store, shard
 
 
@@ -275,5 +276,151 @@ class TestResultStore:
             job = await run_job(queue, shard, SPEC)
             reloaded = ResultStore(tmp_path / "results")
             assert reloaded.get(job["cells"][0]) == store.get(job["cells"][0])
+
+        asyncio.run(scenario())
+
+
+def spy_leases(queue, idle_after: int):
+    """Record every ``queue.lease`` result.  Returns the list, an event
+    set (on the running loop) once ``idle_after`` leases came back
+    empty, i.e. once that many workers found nothing to do, and one
+    set once a lease took a cell."""
+    loop = asyncio.get_running_loop()
+    results: list = []
+    idle, took = asyncio.Event(), asyncio.Event()
+    lease = queue.lease
+
+    def spy(worker_id):
+        cell = lease(worker_id)
+        results.append(cell)
+        if cell is not None:
+            loop.call_soon_threadsafe(took.set)
+        elif results.count(None) == idle_after:
+            loop.call_soon_threadsafe(idle.set)
+        return cell
+
+    queue.lease = spy
+    return results, idle, took
+
+
+class TestWakeOnSubmit:
+    """Idle workers sleep until a submit or a retry wakes them."""
+
+    def test_idle_shard_does_not_poll(self, tmp_path):
+        async def scenario():
+            _events, queue, _store, shard = build(
+                tmp_path, ThreadPoolExecutor(max_workers=1), workers=2,
+            )
+            results, idle, _took = spy_leases(queue, idle_after=2)
+            await shard.start()
+            try:
+                await asyncio.wait_for(idle.wait(), timeout=10)
+                # Long enough for several 50 ms polls, had there been any.
+                await asyncio.sleep(0.3)
+            finally:
+                await shard.stop()
+            assert results == [None, None]
+
+        asyncio.run(scenario())
+
+    def test_submit_to_an_idle_shard_is_leased_without_a_sleep(
+        self, tmp_path, monkeypatch,
+    ):
+        from repro.service import workers as workers_module
+
+        monkeypatch.setattr(
+            workers_module, "run_cell", lambda *_args: {"cycles": 1},
+        )
+
+        async def scenario():
+            _events, queue, _store, shard = build(
+                tmp_path, ThreadPoolExecutor(max_workers=1),
+            )
+            loop = asyncio.get_running_loop()
+            results, idle, took = spy_leases(queue, idle_after=1)
+            await shard.start()
+            try:
+                await asyncio.wait_for(idle.wait(), timeout=10)
+                sleeps: list[float] = []
+                sleep = asyncio.sleep
+
+                def recording_sleep(delay, *args, **kwargs):
+                    sleeps.append(delay)
+                    return sleep(delay, *args, **kwargs)
+
+                monkeypatch.setattr(asyncio, "sleep", recording_sleep)
+                await loop.run_in_executor(
+                    None, queue.submit, {**SPEC, "techniques": ["base"]},
+                )
+                await asyncio.wait_for(took.wait(), timeout=10)
+                monkeypatch.setattr(asyncio, "sleep", sleep)
+            finally:
+                await shard.stop()
+            assert sleeps == []
+            # The idle lease, then the woken one that took the cell.
+            assert results[0] is None and results[1] is not None
+
+        asyncio.run(scenario())
+
+    def test_a_wake_during_a_lease_is_not_lost(self, tmp_path, monkeypatch):
+        # A 2-cell job is submitted while one worker's empty lease is
+        # still in flight and the other worker sleeps.  The sleeper
+        # wakes and takes one cell; the worker whose lease raced the
+        # submit must still see the wake and take the other.  Each
+        # cell blocks until both run at once, so a lost wake leaves
+        # the second cell queued and breaks the first cell's barrier.
+        from repro.service import workers as workers_module
+
+        barrier = threading.Barrier(2, timeout=10)
+
+        def blocking_run_cell(*_args):
+            barrier.wait()
+            return {"cycles": 1}
+
+        monkeypatch.setattr(workers_module, "run_cell", blocking_run_cell)
+
+        async def scenario():
+            events, queue, _store, shard = build(
+                tmp_path, ThreadPoolExecutor(max_workers=2), workers=2,
+            )
+            loop = asyncio.get_running_loop()
+            lease = queue.lease
+            calls: list = []
+            release = threading.Event()
+            idle, took = asyncio.Event(), asyncio.Event()
+
+            def spy(worker_id):
+                cell = lease(worker_id)
+                calls.append(cell)
+                if len(calls) == 1:
+                    release.wait(timeout=10)  # hold the first lease
+                elif len(calls) == 2:
+                    loop.call_soon_threadsafe(idle.set)
+                if cell is not None:
+                    loop.call_soon_threadsafe(took.set)
+                return cell
+
+            queue.lease = spy
+            await shard.start()
+            try:
+                await asyncio.wait_for(idle.wait(), timeout=10)
+                job = await loop.run_in_executor(
+                    None, queue.submit,
+                    {**SPEC, "techniques": ["base", "emesti"]},
+                )
+                await asyncio.wait_for(took.wait(), timeout=10)
+                release.set()
+                deadline = loop.time() + 30
+                while queue.status(job["id"]) not in ("done", "failed"):
+                    assert loop.time() < deadline, "job did not settle"
+                    await asyncio.sleep(0.02)
+            finally:
+                release.set()
+                await shard.stop()
+            assert calls[:2] == [None, None]
+            assert queue.status(job["id"]) == "done"
+            names = [r["event"] for r in events.records]
+            assert names.count("cell.started") == 2
+            assert "cell.retried" not in names
 
         asyncio.run(scenario())
