@@ -415,13 +415,17 @@ def cmd_serve(args) -> int:
 
     from repro.service.api import Service
 
+    if args.lease_ttl is not None and not args.lease_ttl > 0:
+        # A TTL <= 0 expires every lease while its cell still runs.
+        print("repro-sim: error: --lease-ttl must be > 0", file=sys.stderr)
+        return 2
     # A server launched as a background job from a non-interactive
     # shell (``nohup repro-sim serve ... &``, as the CI smoke does)
     # inherits SIGINT set to SIG_IGN — the shell ignores it for
     # async commands without job control, and Python honors an
     # inherited SIG_IGN.  Restore the default handler so
     # ``kill -INT`` always reaches the graceful-shutdown path that
-    # flushes the event log and the flight recorder.
+    # writes the event log and the final flight file.
     signal.signal(signal.SIGINT, signal.default_int_handler)
 
     async def _serve() -> int:
@@ -468,11 +472,11 @@ def cmd_service(args) -> int:
             return 1
         return 0 if shown else 1
     if args.service_command == "postmortem":
-        from repro.obs.flight import load_flight, render_postmortem
+        from repro.service.top import load_telemetry, render_postmortem
 
         try:
-            doc = load_flight(args.path)
-        except (OSError, ValueError, json.JSONDecodeError) as exc:
+            doc = load_telemetry(args.path)
+        except (OSError, ValueError) as exc:
             print(f"repro-sim: error: {exc}", file=sys.stderr)
             return 1
         print(render_postmortem(doc, tail=args.tail))
@@ -758,7 +762,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve_p.add_argument(
         "--lease-ttl", type=float, default=None, metavar="SECONDS",
-        help="cell lease deadline (heartbeats renew it; default 30)",
+        help="cell lease deadline, > 0 (heartbeats renew it; default 30)",
     )
     serve_p.add_argument(
         "--event-log", default=None, metavar="PATH",
@@ -766,9 +770,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve_p.add_argument(
         "--flight", default=None, metavar="PATH",
-        help="persist a flight-recorder ring (last events + telemetry "
-             "samples) to PATH for crash postmortems; render it with "
-             "`repro-sim service postmortem PATH`",
+        help="rewrite the GET /telemetry document, with the newest 2048 "
+             "events, to PATH every sampler tick for crash postmortems; "
+             "render it with `repro-sim service postmortem PATH`",
     )
     serve_p.add_argument(
         "--telemetry-interval", type=float, default=1.0, metavar="SECONDS",
@@ -782,8 +786,9 @@ def build_parser() -> argparse.ArgumentParser:
         description=(
             "Client-side observability for a `repro-sim serve` "
             "instance: `top` renders a refresh-loop terminal dashboard "
-            "from GET /telemetry; `postmortem` renders a flight-"
-            "recorder file left behind by `serve --flight PATH`."
+            "from GET /telemetry; `postmortem` renders the same document "
+            "as `serve --flight PATH` left it on disk, with each job's "
+            "last known state."
         ),
     )
     service_sub = service_p.add_subparsers(
@@ -811,9 +816,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="append frames instead of clearing the screen (CI logs)",
     )
     post_p = service_sub.add_parser(
-        "postmortem", help="render a flight-recorder file",
+        "postmortem", help="render a flight file (serve --flight)",
     )
-    post_p.add_argument("path", help="flight-recorder JSON (serve --flight)")
+    post_p.add_argument(
+        "path", help="telemetry document written by serve --flight",
+    )
     post_p.add_argument(
         "--tail", type=int, default=15,
         help="newest events to show",

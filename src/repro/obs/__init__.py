@@ -7,7 +7,7 @@
   every component holds when tracing is off.
 * :class:`~repro.obs.ring.Ring` — the one bounded buffer behind every
   observability ring (tracer, service event log, job traces,
-  telemetry, flight recorder); it counts every row it overwrites.
+  telemetry samples); it counts every row it overwrites.
 * :class:`~repro.obs.metrics.MetricsRegistry` — named, labeled metric
   series (counters, gauges, histograms); exports JSON and Prometheus
   text.  :func:`~repro.obs.metrics.run_metrics` builds one from a

@@ -3,9 +3,9 @@
 A :class:`Ring` is a FIFO that keeps at most ``capacity`` items and
 counts every item it overwrites, so a bounded buffer never loses a
 row silently: the tracer's ``--trace-ring``, the service's global
-event log, each job trace, the telemetry samples and the flight
-recorder's events and samples are all rings, and the service exports
-their overwrite counts as ``repro_ring_dropped_total{ring=...}``.
+event log, each job trace and the telemetry samples are all rings,
+and the service exports their overwrite counts as
+``repro_ring_dropped_total{ring=...}``.
 ``capacity=None`` keeps everything and never drops.
 
 Appends and reads take the ring's own lock, so one thread may append

@@ -41,9 +41,13 @@ Routes
 ``GET /telemetry``
     The time-series vitals ring (:data:`SAMPLE_COLUMNS`) plus an
     event tail and trace-store occupancy — what ``repro-sim service
-    top`` renders.
+    top`` renders (:meth:`Service.telemetry_document`).
 ``GET /healthz``
     Liveness: ``{"ok": true}``.
+
+A request whose ``Content-Length`` is not a decimal integer answers
+400, and one whose length exceeds :data:`MAX_BODY` answers 413 without
+its body being read.
 """
 
 from __future__ import annotations
@@ -51,10 +55,11 @@ from __future__ import annotations
 import asyncio
 import json
 import logging
+import threading
 from pathlib import Path
 from typing import Any
 
-from repro.obs.flight import FlightRecorder
+from repro.experiments.store import atomic_write
 from repro.obs.jobtrace import JobTraceStore
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.ring import Ring
@@ -70,6 +75,9 @@ MAX_BODY = 1 << 20
 
 #: How many newest EventLog records ``GET /telemetry`` tails.
 TELEMETRY_EVENT_TAIL = 50
+
+#: How many newest EventLog records the ``flight_path`` file tails.
+FLIGHT_EVENT_TAIL = 2048
 
 #: Telemetry samples retained; at the default 1 s cadence this is
 #: ~12 minutes.
@@ -99,6 +107,14 @@ SAMPLE_COLUMNS = (
 _UNSET = object()
 
 
+class _Refused(Exception):
+    """A request refused before routing: its HTTP status and reason."""
+
+    def __init__(self, status: int, message: str):
+        super().__init__(message)
+        self.status = status
+
+
 class Service:
     """The assembled service: queue, store, shard, event log, HTTP.
 
@@ -112,10 +128,11 @@ class Service:
     * a :class:`~repro.obs.ring.Ring` of telemetry samples fed by a
       background sampler task (:meth:`_telemetry_loop`) that also
       updates the sampled Prometheus gauges; ``GET /telemetry``
-      serves it;
-    * optionally (``flight_path``) a :class:`FlightRecorder`
-      subscribed to the event log and flushed every sampler tick, so
-      a killed server leaves a parseable postmortem on disk;
+      serves it as :meth:`telemetry_document`;
+    * optionally (``flight_path``) the same document, with a longer
+      event tail, rewritten atomically every sampler tick and once
+      more at :meth:`stop`, so a killed server leaves a parseable
+      postmortem on disk;
     * ``repro_ring_dropped_total{ring=...}`` on ``/metrics``: every
       ring's overwrite count, read from the rings at export.
 
@@ -140,9 +157,8 @@ class Service:
         self.traces = JobTraceStore()
         self.telemetry: Ring[dict] = Ring(TELEMETRY_SAMPLES)
         self.telemetry_interval = telemetry_interval
-        self.flight = (
-            FlightRecorder(flight_path) if flight_path is not None else None
-        )
+        self.flight_path = None if flight_path is None else Path(flight_path)
+        self._flight_lock = threading.Lock()
         log_kwargs = {}
         if max_event_records is not _UNSET:
             log_kwargs["max_records"] = max_event_records
@@ -191,19 +207,11 @@ class Service:
         rings.view(lambda: self.events.dropped, ring="events")
         rings.view(lambda: self.traces.stats()["dropped"], ring="traces")
         rings.view(lambda: self.telemetry.dropped, ring="telemetry")
-        if self.flight is not None:
-            for name in ("events", "samples"):
-                rings.view(
-                    lambda name=name: self.flight.dropped()[name],
-                    ring=f"flight.{name}",
-                )
         self._server: asyncio.AbstractServer | None = None
         self._wake = asyncio.Event()
         self._loop: asyncio.AbstractEventLoop | None = None
         self._telemetry_task: asyncio.Task | None = None
         self.events.subscribe(lambda _record: self._wake_streams())
-        if self.flight is not None:
-            self.events.subscribe(self.flight.record_event)
 
     def _wake_streams(self) -> None:
         """Wake every pending event stream after an emit.
@@ -253,16 +261,37 @@ class Service:
                 pass
             self._telemetry_task = None
         await self.shard.stop()
-        if self.flight is not None:
-            # One last sample + forced flush so the on-disk document
-            # reflects the final state (file I/O off the loop).
+        if self.flight_path is not None:
+            # One last sample, which rewrites the flight file, so the
+            # file on disk reflects the final state (file I/O off the
+            # loop).
             loop = asyncio.get_running_loop()
             await loop.run_in_executor(None, self._sample_once)
-            await loop.run_in_executor(None, self.flight.close)
 
     # ------------------------------------------------------------------
     # Telemetry sampling
     # ------------------------------------------------------------------
+
+    def telemetry_document(self, tail: int) -> dict[str, Any]:
+        """The schema-1 telemetry document with the newest ``tail``
+        event records: what ``GET /telemetry`` serves and the
+        ``flight_path`` file holds.
+
+        Everything here is lock-serialized in-memory state, no file
+        I/O, so the HTTP handler builds it on the loop.
+        """
+        samples = list(self.telemetry)
+        return {
+            "schema": 1,
+            "capacity": self.telemetry.capacity,
+            "recorded": len(samples) + self.telemetry.dropped,
+            "columns": list(SAMPLE_COLUMNS),
+            "latest": samples[-1] if samples else None,
+            "samples": samples,
+            "events": self.events.tail(tail),
+            "event_ring": self.events.occupancy(),
+            "traces": self.traces.stats(),
+        }
 
     def _sample_once(self) -> dict:
         """Take one vitals sample (runs on an executor thread).
@@ -270,7 +299,8 @@ class Service:
         Reads go through the locked accessors (``depth_counts`` /
         ``lease_stats`` / ``occupancy``); ``shard.busy`` and
         ``shard.workers`` are loop-thread-written ints, so a stale
-        read costs one tick of accuracy, never a torn value.
+        read costs one tick of accuracy, never a torn value.  Under
+        ``flight_path`` the sample then rewrites the flight file.
         """
         depth = self.queue.depth_counts()
         lease = self.queue.lease_stats()
@@ -316,9 +346,16 @@ class Service:
         self._ring_gauge.labels().set(ring["records"])
         self._cache_gauge.labels().set(sample["cache_hit_ratio"])
         self.telemetry.append(sample)
-        if self.flight is not None:
-            self.flight.record_sample(sample)
-            self.flight.flush()
+        if self.flight_path is not None:
+            # Built and written under one lock, so the last write holds
+            # every sample taken before it: a tick still running when
+            # stop() samples cannot replace the final file with an
+            # older one.
+            with self._flight_lock:
+                atomic_write(
+                    self.flight_path,
+                    json.dumps(self.telemetry_document(FLIGHT_EVENT_TAIL)),
+                )
         return sample
 
     async def _telemetry_loop(self) -> None:
@@ -346,9 +383,13 @@ class Service:
     ) -> None:
         """Parse one request, route it, always close the connection."""
         try:
-            request = await self._read_request(reader)
-            if request is not None:
-                await self._route(request, writer)
+            try:
+                request = await self._read_request(reader)
+            except _Refused as exc:
+                await self._respond(writer, exc.status, {"error": str(exc)})
+            else:
+                if request is not None:
+                    await self._route(request, writer)
         except (ConnectionError, asyncio.IncompleteReadError):
             pass
         except Exception as exc:  # noqa: BLE001 - one bad request, not the server
@@ -366,7 +407,12 @@ class Service:
 
     @staticmethod
     async def _read_request(reader: asyncio.StreamReader) -> dict | None:
-        """Parse the request line, headers, and body (or None on EOF)."""
+        """Parse the request line, headers, and body (or None on EOF).
+
+        Raises :class:`_Refused` (400) for a ``Content-Length`` that is
+        not a decimal integer and (413) for one over :data:`MAX_BODY`,
+        whose body is then never read.
+        """
         try:
             request_line = await reader.readline()
         except (ConnectionError, asyncio.IncompleteReadError):
@@ -384,10 +430,15 @@ class Service:
                 break
             name, _sep, value = line.decode("latin1").partition(":")
             headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", 0) or 0)
-        body = b""
-        if 0 < length <= MAX_BODY:
-            body = await reader.readexactly(length)
+        raw = headers.get("content-length") or "0"
+        if not (raw.isascii() and raw.isdigit()):
+            raise _Refused(400, f"bad Content-Length: {raw!r}")
+        length = int(raw)
+        if length > MAX_BODY:
+            raise _Refused(
+                413, f"body of {length} bytes exceeds the {MAX_BODY}-byte cap",
+            )
+        body = await reader.readexactly(length)
         return {"method": method.upper(), "path": target, "body": body}
 
     @staticmethod
@@ -402,6 +453,7 @@ class Service:
             payload = str(doc).encode()
         reason = {200: "OK", 202: "Accepted", 400: "Bad Request",
                   404: "Not Found", 405: "Method Not Allowed",
+                  413: "Content Too Large",
                   500: "Internal Server Error"}.get(status, "OK")
         head = (
             f"HTTP/1.1 {status} {reason}\r\n"
@@ -438,7 +490,9 @@ class Service:
         elif method == "GET" and len(parts) == 2 and parts[0] == "results":
             await self._get_result(parts[1], writer)
         elif method == "GET" and parts == ["telemetry"]:
-            await self._get_telemetry(writer)
+            await self._respond(
+                writer, 200, self.telemetry_document(TELEMETRY_EVENT_TAIL),
+            )
         elif method == "GET" and parts == ["metrics"]:
             await self._respond(
                 writer, 200, self.metrics.to_prometheus(),
@@ -576,26 +630,6 @@ class Service:
             writer, 200, self.traces.to_jsonl(trace),
             content_type="application/x-ndjson",
         )
-
-    async def _get_telemetry(self, writer: asyncio.StreamWriter) -> None:
-        """``GET /telemetry``: vitals ring + event tail + trace stats
-        (the schema-1 document).
-
-        Everything here is lock-serialized in-memory state — no file
-        I/O — so, like the event-stream reads, it stays on the loop.
-        """
-        samples = list(self.telemetry)
-        await self._respond(writer, 200, {
-            "schema": 1,
-            "capacity": self.telemetry.capacity,
-            "recorded": len(samples) + self.telemetry.dropped,
-            "columns": list(SAMPLE_COLUMNS),
-            "latest": samples[-1] if samples else None,
-            "samples": samples,
-            "events": self.events.tail(TELEMETRY_EVENT_TAIL),
-            "event_ring": self.events.occupancy(),
-            "traces": self.traces.stats(),
-        })
 
     async def _get_result(
         self, fingerprint: str, writer: asyncio.StreamWriter,

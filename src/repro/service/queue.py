@@ -55,7 +55,7 @@ Thread-safety: the service offloads queue calls to executor threads
 so every public method serializes on one reentrant lock and
 ``jobs``/``cells``/``_seq`` must only be touched with it held
 (simlint SL202 enforces this statically).  Async callers read state
-through the locked :meth:`has_job`/:meth:`status` accessors.
+through locked accessors such as :meth:`status`.
 
 All timestamps come from the injected ``clock`` (default
 :func:`time.perf_counter`) and ids from a persisted sequence counter,
@@ -850,12 +850,6 @@ class JobQueue:
                     state = cell["state"]
                 cells[fingerprint] = state
             return {**job, "cell_states": cells}
-
-    def has_job(self, job_id: str) -> bool:
-        """Locked existence probe (async callers must not touch
-        ``jobs`` directly — simlint SL202)."""
-        with self._lock:
-            return job_id in self.jobs
 
     def job_trace(self, job_id: str) -> str | None:
         """The job's distributed-trace id (raises JobNotFound)."""

@@ -1,17 +1,24 @@
-"""``repro-sim service top``: a refresh-loop terminal dashboard.
+"""``repro-sim service top`` and ``repro-sim service postmortem``.
 
-Renders the ``GET /telemetry`` document — the newest vitals row, a
-sparkline per headline series, the trace-store / event-ring occupancy,
-and the newest service events — then sleeps and refreshes.  The
-renderer (:func:`render_top`) is a pure document -> string function so
-tests can drive it with canned telemetry; only :func:`run_top` touches
-the network and the terminal.
+``top`` renders the ``GET /telemetry`` document — the newest vitals
+row, each bounded ring's drop count, a sparkline per headline series,
+the trace-store / event-ring occupancy, and the newest service events
+— then sleeps and refreshes.  ``postmortem`` renders the same
+document as ``serve --flight PATH`` left it on disk, plus each job's
+last known state rebuilt from the event tail.  The renderers
+(:func:`render_top`, :func:`render_postmortem`) are pure document ->
+string functions so tests can drive them with canned telemetry; only
+:func:`run_top` touches the network and the terminal.
 """
 
 from __future__ import annotations
 
+import json
 import time
+from pathlib import Path
 from typing import Any, Callable
+
+from .queue import JOB_TERMINAL
 
 #: Eight-level unicode sparkline ramp.
 _SPARK = "▁▂▃▄▅▆▇█"
@@ -59,9 +66,9 @@ def render_top(doc: dict[str, Any], width: int = 78,
     samples = doc.get("samples") or []
     ring = doc.get("event_ring") or {}
     traces = doc.get("traces") or {}
+    recorded = doc.get("recorded", len(samples))
     lines = [
-        "repro-sim service top — "
-        f"{doc.get('recorded', len(samples))} samples recorded, "
+        f"service telemetry — {recorded} samples recorded, "
         f"{len(samples)} retained",
         "-" * width,
     ]
@@ -89,14 +96,21 @@ def render_top(doc: dict[str, Any], width: int = 78,
             f"hit ratio={_fmt(latest.get('cache_hit_ratio', 0.0))}  "
             "events  : "
             f"ring={_fmt(ring.get('records', latest.get('event_records', 0)))}"
-            f"/{_fmt(ring.get('capacity', '?'))} "
-            f"dropped={_fmt(ring.get('dropped', latest.get('event_dropped', 0)))}  "
+            f"/{_fmt(ring.get('capacity', '?'))}  "
             "traces  : "
             f"{_fmt(traces.get('traces', 0))} "
             f"({_fmt(traces.get('events', 0))} spans)"
         )
     else:
         lines.append("(no telemetry samples yet)")
+    # The rings' overwrite counts, under their repro_ring_dropped_total
+    # labels.
+    lines.append(
+        "dropped : "
+        f"events={_fmt(ring.get('dropped', latest.get('event_dropped', 0)))} "
+        f"traces={_fmt(traces.get('dropped', 0))} "
+        f"telemetry={_fmt(recorded - len(samples))}"
+    )
     if samples:
         lines.append("")
         for column, label in _SPARK_COLUMNS:
@@ -104,11 +118,11 @@ def render_top(doc: dict[str, Any], width: int = 78,
             lines.append(
                 f"{label:<7s} {_sparkline(series)}  now={_fmt(series[-1])}"
             )
-    tail = doc.get("events") or []
+    tail = (doc.get("events") or [])[-events:] if events > 0 else []
     if tail:
         lines.append("")
-        lines.append(f"newest {min(events, len(tail))} events:")
-        for record in tail[-events:]:
+        lines.append(f"newest {len(tail)} events:")
+        for record in tail:
             detail = " ".join(
                 f"{k}={v}" for k, v in record.items()
                 if k not in ("seq", "event")
@@ -116,6 +130,50 @@ def render_top(doc: dict[str, Any], width: int = 78,
             lines.append(
                 f"  seq {record.get('seq', '?'):>6} "
                 f"{record.get('event', '?'):<18s} {detail}"
+            )
+    return "\n".join(lines)
+
+
+def load_telemetry(path) -> dict[str, Any]:
+    """Read a telemetry document from ``path`` (a ``serve --flight``
+    file); raise ValueError for anything but a schema-1 document."""
+    doc = json.loads(Path(path).read_text())
+    if not isinstance(doc, dict) or doc.get("schema") != 1:
+        raise ValueError(f"{path}: not a schema-1 telemetry document")
+    return doc
+
+
+def _job_states(
+    events: list[dict[str, Any]],
+) -> dict[str, tuple[str, dict[str, Any]]]:
+    """Each job's last known state and last event, rebuilt from an
+    event tail."""
+    jobs: dict[str, tuple[str, dict[str, Any]]] = {}
+    for record in events:
+        job = record.get("job")
+        if job is None:
+            continue
+        state = jobs.get(job, ("in flight",))[0]
+        if record.get("event") == "job.completed":
+            state = record.get("reason", "completed")
+        jobs[job] = (state, record)
+    return jobs
+
+
+def render_postmortem(doc: dict[str, Any], tail: int = 15) -> str:
+    """Render a flight file: :func:`render_top`'s view with a
+    ``tail``-event tail, then each job's last known state, a job the
+    tail never saw complete flagged ``<- interrupted``."""
+    lines = [render_top(doc, events=tail)]
+    jobs = _job_states(doc.get("events") or [])
+    if jobs:
+        lines.append("")
+        lines.append("jobs (last known state):")
+        for job, (state, last) in jobs.items():
+            flag = "" if state in JOB_TERMINAL else "  <- interrupted"
+            lines.append(
+                f"  {job:<12s} {state:<10s} last event"
+                f" {last.get('event', '?')} (seq {last.get('seq', '?')}){flag}"
             )
     return "\n".join(lines)
 

@@ -1,10 +1,10 @@
 """Every service ring's overwrites reach ``/metrics``.
 
 Each bounded buffer behind the service's observability — the global
-event log, the job traces, the telemetry samples and the flight
-recorder's events and samples — is overflowed here, and each
-overwrite must show up in ``repro_ring_dropped_total{ring=...}`` as
-``GET /metrics`` renders it, with the older names perfbench reads
+event log, the job traces and the telemetry samples — is overflowed
+here, and each overwrite must show up in
+``repro_ring_dropped_total{ring=...}`` as ``GET /metrics`` renders it,
+with the older names perfbench reads
 (``repro_service_events_dropped_total`` and ``/telemetry``'s
 ``traces.dropped``) reading the same counts.
 """
@@ -14,11 +14,16 @@ from __future__ import annotations
 import asyncio
 import json
 
-from repro.obs.flight import DEFAULT_EVENTS, DEFAULT_SAMPLES
 from repro.obs.jobtrace import DEFAULT_MAX_EVENTS
 from repro.service.api import TELEMETRY_SAMPLES, Service
 
 EVENT_RING = 4
+
+EMPTY_RINGS = [
+    'repro_ring_dropped_total{ring="events"} 0',
+    'repro_ring_dropped_total{ring="telemetry"} 0',
+    'repro_ring_dropped_total{ring="traces"} 0',
+]
 
 
 class _Writer:
@@ -44,10 +49,9 @@ def _get(service: Service, path: str) -> str:
 
 def test_every_ring_overwrite_reaches_metrics(tmp_path):
     service = Service(
-        tmp_path, telemetry_interval=0, flight_path=tmp_path / "flight.json",
-        max_event_records=EVENT_RING,
+        tmp_path, telemetry_interval=0, max_event_records=EVENT_RING,
     )
-    emitted = DEFAULT_EVENTS + 3
+    emitted = EVENT_RING + 3
     for i in range(emitted):
         service.events.emit("cell.finished", fingerprint=f"f{i}")
     for _ in range(DEFAULT_MAX_EVENTS + 2):
@@ -59,8 +63,6 @@ def test_every_ring_overwrite_reaches_metrics(tmp_path):
         "events": emitted - EVENT_RING,
         "traces": 2,
         "telemetry": 5,
-        "flight.events": emitted - DEFAULT_EVENTS,
-        "flight.samples": sampled - DEFAULT_SAMPLES,
     }
     text = _get(service, "/metrics")
     for ring, dropped in expected.items():
@@ -73,21 +75,29 @@ def test_every_ring_overwrite_reaches_metrics(tmp_path):
     assert len(doc["samples"]) == doc["capacity"] == TELEMETRY_SAMPLES
 
 
-def test_a_fresh_service_exports_empty_rings(tmp_path):
-    # No flight recorder: three rings, each an explicit 0.
-    service = Service(tmp_path, telemetry_interval=0)
-    rings = [
+def _ring_series(service: Service) -> list[str]:
+    return [
         line for line in _get(service, "/metrics").splitlines()
         if line.startswith("repro_ring_dropped_total{")
     ]
-    assert rings == [
-        'repro_ring_dropped_total{ring="events"} 0',
-        'repro_ring_dropped_total{ring="telemetry"} 0',
-        'repro_ring_dropped_total{ring="traces"} 0',
-    ]
+
+
+def test_a_fresh_service_exports_empty_rings(tmp_path):
+    # Three rings, each an explicit 0.
+    service = Service(tmp_path, telemetry_interval=0)
+    assert _ring_series(service) == EMPTY_RINGS
     doc = json.loads(_get(service, "/telemetry"))
     assert doc["latest"] is None and doc["samples"] == []
     assert doc["recorded"] == 0
     assert doc["traces"] == {
         "traces": 0, "events": 0, "dropped": 0, "evicted": 0,
     }
+
+
+def test_a_flight_file_adds_no_ring(tmp_path):
+    # The flight file is the /telemetry document: it owns no buffer.
+    service = Service(
+        tmp_path, telemetry_interval=0, flight_path=tmp_path / "flight.json",
+    )
+    service._sample_once()
+    assert _ring_series(service) == EMPTY_RINGS

@@ -12,12 +12,14 @@ from __future__ import annotations
 
 import json
 import shutil
+import socket
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
 
 from repro.experiments.runner import MatrixRunner, summaries_equal
+from repro.service.api import MAX_BODY
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.queue import MAX_SCALE, cell_identity
 
@@ -290,6 +292,41 @@ class TestApiErrors:
     def test_unknown_route_is_404(self, client):
         status, _doc = client._request("GET", "/nope")
         assert status == 404
+
+    @pytest.mark.parametrize(
+        "length", ["abc", "-1", "1.5", "\u00b2"],
+        ids=["word", "negative", "fraction", "superscript"],
+    )
+    def test_malformed_content_length_is_400(self, service, length):
+        status, doc = _raw_request(service, (
+            f"POST /jobs HTTP/1.1\r\nContent-Length: {length}\r\n\r\n"
+        ).encode("latin1"))
+        assert status == 400
+        assert "Content-Length" in doc["error"]
+
+    def test_body_over_the_cap_is_413_and_never_read(self, service):
+        jobs = set(service.service.queue.jobs)
+        # No body follows the headers: reading one would hang until
+        # the socket timeout.
+        status, doc = _raw_request(service, (
+            f"POST /jobs HTTP/1.1\r\nContent-Length: {MAX_BODY + 1}\r\n\r\n"
+        ).encode())
+        assert status == 413
+        assert str(MAX_BODY) in doc["error"]
+        assert set(service.service.queue.jobs) == jobs
+
+
+def _raw_request(service, request: bytes) -> tuple[int, dict]:
+    """Send raw request bytes; return the status and the JSON body."""
+    with socket.create_connection(
+        (service.host, service.port), timeout=10,
+    ) as sock:
+        sock.sendall(request)
+        data = b""
+        while chunk := sock.recv(65536):
+            data += chunk
+    head, _sep, body = data.partition(b"\r\n\r\n")
+    return int(head.split()[1]), json.loads(body)
 
 
 class TestCancellationOverHttp:

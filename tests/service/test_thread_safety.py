@@ -86,12 +86,10 @@ def test_concurrent_lease_never_double_leases(tmp_path):
 
 
 def test_locked_accessors_cover_the_api_reads(tmp_path):
-    """has_job/status are what ``GET /jobs/{id}/events`` polls with;
-    they must match the jobs dict and raise on unknown ids."""
+    """status is what ``GET /jobs/{id}/events`` polls with; it must
+    match the jobs dict and raise on unknown ids."""
     queue = make_queue(tmp_path)
     job = queue.submit(SPEC)
-    assert queue.has_job(job["id"])
-    assert not queue.has_job("nope")
     assert queue.status(job["id"]) == job["status"]
     try:
         queue.status("nope")

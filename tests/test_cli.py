@@ -6,6 +6,9 @@ import re
 import pytest
 
 from repro.cli import build_parser, main
+from repro.service.api import Service
+
+from .service.harness import ServiceHarness
 
 
 def test_list(capsys):
@@ -194,3 +197,43 @@ def test_list_includes_extra_benchmarks(capsys):
 def test_quiet_and_verbose_exclusive():
     with pytest.raises(SystemExit):
         build_parser().parse_args(["-q", "-v", "list"])
+
+
+def test_service_top_renders_a_live_server(tmp_path, capsys):
+    with ServiceHarness(tmp_path, telemetry_interval=0) as harness:
+        harness.service._sample_once()
+        code = main(["service", "top", "--port", str(harness.port),
+                     "--iterations", "1", "--no-clear"])
+    assert code == 0
+    assert "queue   : queued=0 leased=0" in capsys.readouterr().out
+
+
+def test_service_postmortem_renders_a_flight_file(tmp_path, capsys):
+    path = tmp_path / "flight.json"
+    Service(tmp_path, telemetry_interval=0, flight_path=path)._sample_once()
+    assert main(["service", "postmortem", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "queue   : queued=0 leased=0" in out
+    assert "dropped : events=0 traces=0 telemetry=0" in out
+
+
+def test_service_postmortem_rejects_missing_and_parent_format_files(
+    tmp_path, capsys,
+):
+    assert main(["service", "postmortem", str(tmp_path / "none.json")]) == 1
+    assert "none.json" in capsys.readouterr().err
+    path = tmp_path / "flight.json"
+    path.write_text(json.dumps({
+        "format": 1, "recorded": 0, "events": [], "samples": [],
+        "dropped": {"events": 0, "samples": 0},
+    }))
+    assert main(["service", "postmortem", str(path)]) == 1
+    assert "not a schema-1 telemetry document" in capsys.readouterr().err
+
+
+def test_serve_rejects_a_lease_ttl_that_is_not_positive(tmp_path, capsys):
+    for ttl in ("0", "-1", "nan"):
+        assert main(["serve", "--lease-ttl", ttl,
+                     "--root", str(tmp_path / "state")]) == 2
+        assert "--lease-ttl must be > 0" in capsys.readouterr().err
+    assert not (tmp_path / "state").exists()
