@@ -20,11 +20,11 @@ cell replaces it.
 
 from __future__ import annotations
 
+import itertools
 import json
 import logging
 import os
 import re
-import tempfile
 from pathlib import Path
 from typing import Any
 
@@ -36,18 +36,28 @@ log = logging.getLogger("repro.store")
 FINGERPRINT = re.compile(r"(fuzz-)?[0-9a-f]{16}")
 
 
+#: Temp-file serials: with the pid, they name every temp file apart.
+_TEMP_SERIALS = itertools.count()
+
+
 def atomic_write(path: str | Path, text: str) -> None:
     """Replace ``path`` with ``text`` in one step.
 
-    The text goes to a uniquely named temp file in the same directory,
+    The text goes to a temp file of its own in the same directory,
     which :func:`os.replace` then moves over ``path``: a reader or a
     crash sees the old content or the new, and two writers of one path
-    never share a temp file.
+    never share a temp file.  The temp file is created as
+    ``open(path, "w")`` creates a file, mode ``0o666`` less the umask,
+    so ``path`` ends with the mode a plain write gives it.
     """
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(
-        prefix=path.name + ".", suffix=".tmp", dir=path.parent,
-    )
+    while True:
+        tmp = path.with_name(f"{path.name}.{os.getpid()}-{next(_TEMP_SERIALS)}.tmp")
+        try:
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            break
+        except FileExistsError:  # left by a dead process that had this pid
+            pass
     try:
         with os.fdopen(fd, "w") as handle:
             handle.write(text)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import threading
 from collections import deque
+from itertools import islice
 from typing import Generic, Iterable, Iterator, TypeVar
 
 T = TypeVar("T")
@@ -67,6 +68,14 @@ class Ring(Generic[T]):
         appends cannot disturb the reader."""
         with self._lock:
             return iter(list(self._items))
+
+    def tail(self, n: int) -> list[T]:
+        """The newest ``n`` items, oldest first, read without copying
+        the rest of the ring."""
+        with self._lock:
+            newest = list(islice(reversed(self._items), n))
+        newest.reverse()
+        return newest
 
     def __len__(self) -> int:
         with self._lock:

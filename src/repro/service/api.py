@@ -64,7 +64,7 @@ from repro.obs.jobtrace import JobTraceStore
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.ring import Ring
 
-from .events import EventLog
+from .events import DEFAULT_MAX_RECORDS, EventLog
 from .queue import JOB_TERMINAL, JobNotFound, JobQueue, SpecError
 from .workers import ResultStore, WorkerShard
 
@@ -103,9 +103,6 @@ SAMPLE_COLUMNS = (
     "event_dropped",     # cumulative records the ring overwrote
 )
 
-#: Sentinel for "caller did not override the EventLog default".
-_UNSET = object()
-
 
 class _Refused(Exception):
     """A request refused before routing: its HTTP status and reason."""
@@ -136,8 +133,8 @@ class Service:
     * ``repro_ring_dropped_total{ring=...}`` on ``/metrics``: every
       ring's overwrite count, read from the rings at export.
 
-    ``max_event_records`` / ``retain_terminal`` pass through to the
-    :class:`EventLog` ring (tests shrink them to exercise truncation).
+    ``max_event_records`` sizes the :class:`EventLog` ring (tests
+    shrink it to exercise truncation).
     """
 
     def __init__(
@@ -149,8 +146,7 @@ class Service:
         metrics: MetricsRegistry | None = None,
         flight_path: str | Path | None = None,
         telemetry_interval: float = 1.0,
-        max_event_records=_UNSET,
-        retain_terminal=_UNSET,
+        max_event_records: int | None = DEFAULT_MAX_RECORDS,
     ):
         self.root = Path(root)
         self.metrics = metrics or MetricsRegistry()
@@ -159,12 +155,9 @@ class Service:
         self.telemetry_interval = telemetry_interval
         self.flight_path = None if flight_path is None else Path(flight_path)
         self._flight_lock = threading.Lock()
-        log_kwargs = {}
-        if max_event_records is not _UNSET:
-            log_kwargs["max_records"] = max_event_records
-        if retain_terminal is not _UNSET:
-            log_kwargs["retain_terminal"] = retain_terminal
-        self.events = EventLog(metrics=self.metrics, **log_kwargs)
+        self.events = EventLog(
+            metrics=self.metrics, max_records=max_event_records,
+        )
         queue_kwargs = {} if lease_ttl is None else {"lease_ttl": lease_ttl}
         self.queue = JobQueue(
             self.root / "queue", events=self.events,
@@ -568,8 +561,8 @@ class Service:
         the queue sets a terminal status and emits ``job.completed``
         under one lock hold, so a snapshot taken after a terminal
         status holds that event, and the stream never ends without it.
-        An expired job is over: its view went with its record, so its
-        stream replays what is left (nothing, once pruned) and ends.
+        An expired job is over: the queue dropped its view with its
+        record, so its stream replays nothing and ends.
         """
         loop = asyncio.get_running_loop()
         try:

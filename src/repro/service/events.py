@@ -7,8 +7,9 @@ carry.  Emission goes through :class:`EventLog`, which
 
 * rejects undeclared event names and missing required fields at emit
   time (the contract is enforced in production, not just in tests);
-* appends the event to a global ordered log and to a per-job view
-  (``GET /jobs/{id}/events`` streams the latter as NDJSON);
+* appends the event to a global ordered log and to the per-job
+  views of the jobs its emitter names (``GET /jobs/{id}/events``
+  streams a view as NDJSON);
 * increments a ``repro_service_events_total{event=...}`` counter on
   the attached :class:`~repro.obs.metrics.MetricsRegistry` so the
   Prometheus export shows event rates with zero extra wiring.
@@ -20,9 +21,9 @@ only ``.emit()`` string-literal names declared here.
 from __future__ import annotations
 
 import threading
-from collections import defaultdict, deque
+from collections import defaultdict
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any, Callable, Iterable
 
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.ring import Ring
@@ -32,11 +33,6 @@ from repro.obs.ring import Ring
 #: A long-running ``repro-sim serve`` would otherwise leak memory
 #: proportional to every event it ever emitted.
 DEFAULT_MAX_RECORDS = 100_000
-
-#: How many *terminal* jobs keep their per-job event view, so
-#: ``GET /jobs/{id}/events`` can still replay a recently finished
-#: job's history.  Older terminal jobs' views are dropped.
-DEFAULT_RETAIN_TERMINAL = 256
 
 
 @dataclass(frozen=True)
@@ -113,15 +109,16 @@ class EventLog:
     Subscribers (see :meth:`subscribe`) are called synchronously after
     each append — the API layer uses this to wake NDJSON streams.
 
+    The log keeps no job lifecycle: the emitter (the
+    :class:`~repro.service.queue.JobQueue`, from its durable records)
+    names the views each record joins and prunes the views it expires.
+
     Memory is bounded for long-running services: the global log keeps
     only the newest ``max_records`` records (a
     :class:`~repro.obs.ring.Ring`, whose overwrites are
     :attr:`dropped` and exported as
-    ``repro_service_events_dropped_total``), and the per-job views of
-    jobs long past their ``job.completed`` event are pruned once more
-    than ``retain_terminal`` jobs have finished after them.  Pass
-    ``None`` for either to keep everything (the pure state-machine
-    tests do).
+    ``repro_service_events_dropped_total``).  Pass ``None`` to keep
+    every record (the pure state-machine tests do).
 
     Thread-safety: the service emits from executor threads (queue and
     store calls are offloaded so their file I/O stays off the event
@@ -135,7 +132,6 @@ class EventLog:
         self,
         metrics: MetricsRegistry | None = None,
         max_records: int | None = DEFAULT_MAX_RECORDS,
-        retain_terminal: int | None = DEFAULT_RETAIN_TERMINAL,
     ):
         if metrics is None:
             metrics = MetricsRegistry()
@@ -150,12 +146,9 @@ class EventLog:
             "global event-ring records overwritten before any dump/replay",
         ).view(lambda: self.dropped)
         self._seq = 0
-        self.retain_terminal = retain_terminal
         self._lock = threading.RLock()
         self.records: Ring[dict[str, Any]] = Ring(max_records)
         self._by_job: dict[str, list[dict[str, Any]]] = defaultdict(list)
-        self._cell_jobs: dict[str, set[str]] = defaultdict(set)
-        self._terminal_jobs: deque[str] = deque()
         self._subscribers: list[Callable[[dict[str, Any]], None]] = []
 
     @property
@@ -164,9 +157,14 @@ class EventLog:
         with self._lock:
             return self.records.dropped
 
-    def emit(self, name: str, **fields: Any) -> dict[str, Any]:
-        """Record one event; raises on undeclared names/missing or
-        undeclared fields."""
+    def emit(
+        self, name: str, jobs: Iterable[str] = (), /, **fields: Any,
+    ) -> dict[str, Any]:
+        """Record one event and append it to the views of ``jobs``;
+        raises on undeclared names/missing or undeclared fields.
+
+        ``jobs`` is positional-only, so every keyword is payload.
+        """
         spec = EVENT_SPECS.get(name)
         if spec is None:
             raise ValueError(f"undeclared service event: {name!r}")
@@ -187,70 +185,19 @@ class EventLog:
             self._seq += 1
             record = {"seq": self._seq, "event": name, **fields}
             self.records.append(record)
-            # Route the record into every interested job's view: the
-            # explicit ``job`` field, plus every job attached to the
-            # cell fingerprint (cell.leased/started/... carry only the
-            # fingerprint, but a job's stream must show its cells'
-            # whole lifecycle — including cells it shares with other
-            # jobs).
-            jobs = set()
-            if fields.get("job") is not None:
-                jobs.add(fields["job"])
-            fingerprint = fields.get("fingerprint")
-            if fingerprint is not None:
-                jobs |= self._cell_jobs.get(fingerprint, set())
-            for job in sorted(jobs):
+            for job in jobs:
                 self._by_job[job].append(record)
-            if name == "job.completed":
-                self._close_job_view(fields.get("job"))
             self._counter.labels(event=name).inc()
             subscribers = list(self._subscribers)
         for subscriber in subscribers:
             subscriber(record)
         return record
 
-    def _close_job_view(self, job: str | None) -> None:
-        """End a now-terminal job's view at its ``job.completed``.
-
-        The job stops receiving its cells' events (a cell a worker
-        still holds after a cancel or a sibling's failure runs on, and
-        its ``cell.started``/``cell.finished`` must not land after the
-        terminal record a stream ends on), and the view is queued for
-        retention-based pruning: it survives the next
-        ``retain_terminal`` job completions, so recently finished jobs
-        still replay their full history to late-attaching streams.
-        """
-        if job is None:
-            return
-        for fingerprint in [
-            f for f, jobs in self._cell_jobs.items() if job in jobs
-        ]:
-            jobs = self._cell_jobs[fingerprint]
-            jobs.discard(job)
-            if not jobs:
-                del self._cell_jobs[fingerprint]
-        if self.retain_terminal is None:
-            return
-        self._terminal_jobs.append(job)
-        while len(self._terminal_jobs) > self.retain_terminal:
-            self.prune_job(self._terminal_jobs.popleft())
-
     def prune_job(self, job_id: str) -> None:
         """Drop one job's per-job view (the shared records stay in
         the global ring until they age out)."""
         with self._lock:
             self._by_job.pop(job_id, None)
-
-    def attach(self, fingerprint: str, job: str) -> None:
-        """Stream future events for this cell into ``job``'s view."""
-        with self._lock:
-            self._cell_jobs[fingerprint].add(job)
-
-    def detach_cell(self, fingerprint: str) -> None:
-        """Forget a retired cell's job routing (the cell left the
-        live set; a later identical submission re-attaches)."""
-        with self._lock:
-            self._cell_jobs.pop(fingerprint, None)
 
     def subscribe(self, callback: Callable[[dict[str, Any]], None]) -> None:
         """Call ``callback(record)`` after every future emit."""
@@ -276,8 +223,7 @@ class EventLog:
     def tail(self, n: int) -> list[dict[str, Any]]:
         """The newest ``n`` records (the ``/telemetry`` event tail)."""
         with self._lock:
-            records = list(self.records)
-        return records[-n:]
+            return self.records.tail(n)
 
     def occupancy(self) -> dict[str, Any]:
         """Ring occupancy for telemetry sampling."""

@@ -40,15 +40,21 @@ emptied; a crash between the two replays the old journal over the new
 snapshot, which gives the same state because every line carries whole
 records.  On load, cells found *leased* are returned to *queued* — the
 lease holder died with the process, and a re-run of a deterministic
-cell is always safe — so a lease or a heartbeat, which a restart would
-undo, appends nothing.  The queue directory has one owner, so load
-also deletes the temp files a crash in mid-compaction left behind.
+cell is always safe — so a lease, a heartbeat or a start, which a
+restart would undo, appends nothing.  Load also clears the span ids
+the records hold, which name spans of the old process's trace store.
+The queue directory has one owner, so load also deletes the temp files
+a crash in mid-compaction left behind.
 
-Retention: the queue keeps the records of only the newest
-``events.retain_terminal`` terminal jobs, the jobs whose event views
-the :class:`~repro.service.events.EventLog` keeps.  An older job's id
-reads as expired (:class:`JobNotFound`); its results stay in the
-result store.
+Events: the queue emits every lifecycle event, under its lock, into
+the views its records name: a job event joins its job's view, a cell
+event those of the jobs still waiting on the cell.  So a view ends at
+its job's ``job.completed``, and a restart changes no routing.
+
+Retention: the queue keeps the records and event views of only the
+newest :data:`RETAIN_TERMINAL` terminal jobs.  An older job's id reads
+as expired (:class:`JobNotFound`); its results stay in the result
+store.
 
 Thread-safety: the service offloads queue calls to executor threads
 (the journal append must not block the event loop — simlint SL201),
@@ -99,6 +105,9 @@ DEFAULT_MAX_RETRIES = 1
 
 #: Terminal job states.
 JOB_TERMINAL = ("done", "failed", "cancelled")
+
+#: Terminal jobs whose records and event views are kept; older expire.
+RETAIN_TERMINAL = 256
 
 #: Compaction folds the journal into a fresh snapshot once the journal
 #: outgrows this many times the snapshot (and :data:`COMPACT_FLOOR`),
@@ -375,11 +384,15 @@ class JobQueue:
             self._retain(sorted(self.jobs))
             self._snapshot_bytes = len(text)
         self._replay()
+        # In this process's fresh trace store an old id names a new span.
+        for job in self.jobs.values():
+            job["span"] = None
         for cell in self.cells.values():
+            cell.update(job_span=None, lease_span=None)
             if cell["state"] == "leased":
                 # The lease holder died with the previous process;
                 # deterministic cells are always safe to re-run.
-                cell.update(state="queued", lease=None, lease_span=None)
+                cell.update(state="queued", lease=None)
 
     def _replay(self) -> None:
         """Apply every whole journal line and cut what follows the last
@@ -428,17 +441,18 @@ class JobQueue:
 
     def _commit(self) -> None:
         """Journal the update: drop the terminal jobs past retention,
-        then append one line with every touched record."""
+        with their event views, then append one line with every
+        touched record."""
         if not (self._dirty_jobs or self._dirty_cells):
             return
         self._retain(sorted(self._dirty_jobs))
-        cap = self.events.retain_terminal
-        if cap is not None and len(self._terminal) > cap:
-            while len(self._terminal) > cap:
+        if len(self._terminal) > RETAIN_TERMINAL:
+            while len(self._terminal) > RETAIN_TERMINAL:
                 expired = next(iter(self._terminal))
                 del self._terminal[expired]
                 del self.jobs[expired]
                 self._dirty_jobs.add(expired)
+                self.events.prune_job(expired)
             self._gc_cells()
         line = json.dumps({
             "seq": self._seq,
@@ -499,6 +513,11 @@ class JobQueue:
         job = self.jobs.get(job_id)
         return job is None or job["status"] in JOB_TERMINAL
 
+    def _waiting(self, cell: dict[str, Any]) -> list[str]:
+        """The jobs still waiting on ``cell``: the views its events
+        join."""
+        return [j for j in cell["jobs"] if not self._ended(j)]
+
     # ------------------------------------------------------------------
     # Submission
     # ------------------------------------------------------------------
@@ -555,9 +574,21 @@ class JobQueue:
             trace = spec.get("trace") or job_id
             job_span = self.traces.span_begin(trace, "job", job=job_id)
             fingerprints: list[str] = []
+            # Recorded first, so the job waits on each cell it joins.
+            job = {
+                "id": job_id,
+                "spec": spec,
+                "priority": spec["priority"],
+                "cells": fingerprints,
+                "status": "queued",
+                "reason": None,
+                "trace": trace,
+                "span": job_span,
+            }
+            self.jobs[job_id] = job
+            self._dirty_jobs.add(job_id)
             for fingerprint, payload in self._cell_payloads(spec):
                 fingerprints.append(fingerprint)
-                self.events.attach(fingerprint, job_id)
                 self._dirty_cells.add(fingerprint)
                 live = self.cells.get(fingerprint)
                 if live is not None and live["state"] in (
@@ -565,7 +596,7 @@ class JobQueue:
                 ):
                     live["jobs"].append(job_id)
                     self.events.emit(
-                        "cell.deduped", job=job_id,
+                        "cell.deduped", self._waiting(live), job=job_id,
                         fingerprint=fingerprint, trace=trace,
                     )
                     continue
@@ -575,11 +606,8 @@ class JobQueue:
                 # over into the fresh cell — otherwise the
                 # re-run's completion would never credit them
                 # and they would stay non-terminal forever.
-                carried = [
-                    j for j in (live["jobs"] if live else ())
-                    if not self._ended(j)
-                ]
-                self.cells[fingerprint] = {
+                carried = self._waiting(live) if live else []
+                cell = self.cells[fingerprint] = {
                     "fingerprint": fingerprint,
                     **payload,
                     "state": "queued",
@@ -593,24 +621,12 @@ class JobQueue:
                     "enqueued_at": self.clock(),
                 }
                 self.events.emit(
-                    "cell.enqueued", job=job_id,
+                    "cell.enqueued", self._waiting(cell), job=job_id,
                     fingerprint=fingerprint, trace=trace,
                 )
-            job = {
-                "id": job_id,
-                "spec": spec,
-                "priority": spec["priority"],
-                "cells": fingerprints,
-                "status": "queued",
-                "reason": None,
-                "trace": trace,
-                "span": job_span,
-            }
-            self.jobs[job_id] = job
-            self._dirty_jobs.add(job_id)
             self.events.emit(
-                "job.enqueued", job=job_id, cells=len(fingerprints),
-                trace=trace,
+                "job.enqueued", (job_id,), job=job_id,
+                cells=len(fingerprints), trace=trace,
             )
             self._commit()
             return job
@@ -627,12 +643,10 @@ class JobQueue:
         cannot follow into, so it cannot be proven lock-held.
         """
         with self._lock:
-            priorities = [
-                self.jobs[job_id]["priority"]
-                for job_id in cell["jobs"]
-                if not self._ended(job_id)
-            ]
-            return max(priorities, default=0)
+            return max(
+                (self.jobs[j]["priority"] for j in self._waiting(cell)),
+                default=0,
+            )
 
     def lease(self, worker: str) -> dict[str, Any] | None:
         """Take the best queued cell under a heartbeat lease, if any."""
@@ -659,8 +673,8 @@ class JobQueue:
                     fingerprint=cell["fingerprint"], worker=worker,
                 )
             self.events.emit(
-                "cell.leased", fingerprint=cell["fingerprint"], worker=worker,
-                trace=trace,
+                "cell.leased", self._waiting(cell),
+                fingerprint=cell["fingerprint"], worker=worker, trace=trace,
             )
             return dict(cell)
 
@@ -709,52 +723,84 @@ class JobQueue:
                 trace, cell.get("lease_span"), outcome=reason,
             )
             cell["lease_span"] = None
+        waiting = self._waiting(cell)
         if cell["retries"] < self.max_retries:
             cell["retries"] += 1
             cell["state"] = "queued"
             cell["enqueued_at"] = self.clock()
             self.events.emit(
-                "cell.retried", fingerprint=fingerprint, reason=reason,
-                trace=trace,
+                "cell.retried", waiting, fingerprint=fingerprint,
+                reason=reason, trace=trace,
             )
         else:
             cell["state"] = "failed"
             self.events.emit(
-                "cell.failed", fingerprint=fingerprint, reason=reason,
-                trace=trace,
+                "cell.failed", waiting, fingerprint=fingerprint,
+                reason=reason, trace=trace,
             )
-            for job_id in list(cell["jobs"]):
+            for job_id in waiting:
                 self._finish_job(job_id, "failed")
 
     # ------------------------------------------------------------------
     # Completion
     # ------------------------------------------------------------------
 
-    def complete(self, fingerprint: str) -> None:
-        """Mark a cell done (its summary is in the store) and credit jobs."""
+    def start(self, fingerprint: str, worker: str) -> None:
+        """A worker began running its leased cell (the store did not
+        hold it): emit ``cell.started``.  Appends nothing, like the
+        lease."""
         with self._lock:
             cell = self.cells.get(fingerprint)
             if cell is None or cell["state"] in ("done", "failed"):
                 return
+            self.events.emit(
+                "cell.started", self._waiting(cell),
+                fingerprint=fingerprint, worker=worker,
+                trace=cell.get("trace"),
+            )
+
+    def complete(
+        self, fingerprint: str, cached: bool = False,
+        findings: Iterable[str] = (),
+    ) -> None:
+        """Mark a cell done (its result is in the store) and credit jobs.
+
+        A cell served from the store (``cached``) first gets
+        ``cell.cache_hit``, and a fuzz cell one ``cell.fuzz_finding``
+        per finding kind in ``findings``.
+        """
+        with self._lock:
+            cell = self.cells.get(fingerprint)
+            if cell is None or cell["state"] in ("done", "failed"):
+                return
+            trace = cell.get("trace")
+            waiting = self._waiting(cell)
+            if cached:
+                self.events.emit(
+                    "cell.cache_hit", waiting, fingerprint=fingerprint,
+                    trace=trace,
+                )
+            for finding in findings:
+                self.events.emit(
+                    "cell.fuzz_finding", waiting, fingerprint=fingerprint,
+                    finding=finding, trace=trace,
+                )
             self._dirty_cells.add(fingerprint)
             cell["state"] = "done"
             cell["lease"] = None
-            trace = cell.get("trace")
             if trace is not None:
                 self.traces.span_end(
                     trace, cell.get("lease_span"), outcome="done",
                 )
                 cell["lease_span"] = None
             self.events.emit(
-                "cell.finished", fingerprint=fingerprint, trace=trace,
+                "cell.finished", waiting, fingerprint=fingerprint,
+                trace=trace,
             )
-            for job_id in list(cell["jobs"]):
-                job = self.jobs.get(job_id)
-                if job is None or job["status"] in JOB_TERMINAL:
-                    continue
+            for job_id in waiting:
                 if all(
                     self.cells.get(f, {}).get("state") == "done"
-                    for f in job["cells"]
+                    for f in self.jobs[job_id]["cells"]
                 ):
                     self._finish_job(job_id, "done")
             self._gc_cells()
@@ -772,7 +818,8 @@ class JobQueue:
         if trace is not None:
             self.traces.span_end(trace, job.get("span"), reason=reason)
         self.events.emit(
-            "job.completed", job=job_id, reason=reason, trace=trace,
+            "job.completed", (job_id,), job=job_id, reason=reason,
+            trace=trace,
         )
 
     def _gc_cells(self) -> None:
@@ -787,8 +834,7 @@ class JobQueue:
         """
         dead = [
             f for f, cell in self.cells.items()
-            if (cell["state"] == "done"
-                and all(self._ended(j) for j in cell["jobs"]))
+            if (cell["state"] == "done" and not self._waiting(cell))
             or (cell["state"] == "failed"
                 and not any(j in self.jobs for j in cell["jobs"]))
         ]
@@ -799,7 +845,6 @@ class JobQueue:
         """Delete a cell record (journaled as ``null``)."""
         del self.cells[fingerprint]
         self._dirty_cells.add(fingerprint)
-        self.events.detach_cell(fingerprint)
 
     # ------------------------------------------------------------------
     # Cancellation / inspection
@@ -816,11 +861,7 @@ class JobQueue:
                 cell = self.cells.get(fingerprint)
                 if cell is None:
                     continue
-                others = [
-                    j for j in cell["jobs"]
-                    if j != job_id and not self._ended(j)
-                ]
-                if cell["state"] == "queued" and not others:
+                if cell["state"] == "queued" and not self._waiting(cell):
                     # Nobody else wants it and no worker holds it: drop.
                     self._drop_cell(fingerprint)
                 # A leased cell finishes its run (the result is still

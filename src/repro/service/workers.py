@@ -18,6 +18,9 @@ Each worker loops:
    queue's retry budget) and, for a broken pool, retire it so the
    next lease gets a fresh one.
 
+Each event named above comes from the queue transition the shard
+calls; the shard emits none.
+
 A worker that finds the queue empty sleeps until new work arrives:
 the shard subscribes to the :class:`~repro.service.events.EventLog`,
 and every ``cell.enqueued`` or ``cell.retried`` — the only events that
@@ -286,19 +289,16 @@ class WorkerShard:
         if stored is None:
             await self._run(worker_id, cell)
             return
-        hit_span = (
-            self.traces.span_begin(
+        if trace is not None:
+            hit_span = self.traces.span_begin(
                 trace, "cell.cache_hit", parent=cell.get("lease_span"),
                 fingerprint=fingerprint,
             )
-            if trace is not None else None
-        )
-        self.events.emit(
-            "cell.cache_hit", fingerprint=fingerprint, trace=trace,
-        )
-        if trace is not None:
             self.traces.span_end(trace, hit_span)
-        await loop.run_in_executor(None, self.queue.complete, fingerprint)
+        cached = True
+        await loop.run_in_executor(
+            None, self.queue.complete, fingerprint, cached,
+        )
 
     async def _run(self, worker_id: str, cell: dict[str, Any]) -> None:
         """Run one cell in the executor and store what it returns.
@@ -314,9 +314,8 @@ class WorkerShard:
         trace = cell.get("trace")
         fuzz = cell.get("kind") == "fuzz"
         loop = asyncio.get_running_loop()
-        self.events.emit(
-            "cell.started", fingerprint=fingerprint, worker=worker_id,
-            trace=trace,
+        await loop.run_in_executor(
+            None, self.queue.start, fingerprint, worker_id,
         )
         run_span = (
             self.traces.span_begin(
@@ -386,10 +385,8 @@ class WorkerShard:
             if trace_doc:
                 self.traces.ingest(trace, trace_doc["rows"], trace_doc["dropped"])
         await loop.run_in_executor(None, self.store.store, fingerprint, doc)
-        if fuzz:
-            for finding in doc["findings"]:
-                self.events.emit(
-                    "cell.fuzz_finding", fingerprint=fingerprint,
-                    finding=finding["kind"], trace=trace,
-                )
-        await loop.run_in_executor(None, self.queue.complete, fingerprint)
+        cached = False
+        findings = [f["kind"] for f in doc["findings"]] if fuzz else ()
+        await loop.run_in_executor(
+            None, self.queue.complete, fingerprint, cached, findings,
+        )

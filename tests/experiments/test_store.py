@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import json
 import logging
+import os
+import stat
 import sys
 import threading
 
 import pytest
 
-from repro.experiments.store import ResultStore
+from repro.experiments.store import ResultStore, atomic_write
 
 FP = "0123456789abcdef"
 DOC = {"benchmark": "radiosity", "technique": "base", "seed": 1,
@@ -92,3 +94,23 @@ def test_concurrent_stores_of_one_cell_leave_one_whole_file(tmp_path):
     assert errors == []
     assert [p.name for p in tmp_path.iterdir()] == [f"{FP}.json"]
     assert json.loads((tmp_path / f"{FP}.json").read_text()) == doc
+
+
+@pytest.mark.skipif(os.name != "posix", reason="POSIX file modes")
+@pytest.mark.parametrize(
+    "umask", [0o022, 0o077, 0o002], ids=["022", "077", "002"],
+)
+def test_written_files_get_the_mode_a_plain_write_gives(tmp_path, umask):
+    previous = os.umask(umask)
+    try:
+        ResultStore(tmp_path).store(FP, DOC)
+        atomic_write(tmp_path / "flight.json", "{}")
+        (tmp_path / "plain.json").write_text("{}")
+    finally:
+        os.umask(previous)
+    modes = {
+        p.name: stat.S_IMODE(p.stat().st_mode) for p in tmp_path.iterdir()
+    }
+    assert modes == dict.fromkeys(
+        [f"{FP}.json", "flight.json", "plain.json"], 0o666 & ~umask,
+    )

@@ -47,6 +47,16 @@ class TestBound:
             ring.append(item)  # no "mutated during iteration"
         assert list(ring) == [1, 2, 1, 2]
 
+    @pytest.mark.parametrize("capacity", [5, None])
+    def test_tail_is_the_newest_items_in_order(self, capacity):
+        ring = Ring(capacity)
+        ring.extend(range(8))
+        held = len(ring)
+        for n in (1, 3, held, held + 4):
+            assert ring.tail(n) == list(ring)[-n:], n
+        assert ring.tail(0) == []
+        assert Ring(3).tail(2) == []
+
 
 class TestConcurrency:
     def test_appends_while_reading_lose_no_count(self):

@@ -1,4 +1,8 @@
-"""The named-event contract: registry validation, routing, metrics."""
+"""The named-event contract: registry validation, routing, metrics.
+
+Routing and view retention are the queue's: those tests drive a
+:class:`~repro.service.queue.JobQueue` and read its log's views.
+"""
 
 from __future__ import annotations
 
@@ -7,7 +11,9 @@ import json
 import pytest
 
 from repro.obs.metrics import MetricsRegistry
+from repro.service import queue as queue_module
 from repro.service.events import EVENT_NAMES, EVENT_SPECS, EventLog
+from repro.service.queue import JobQueue
 
 
 class TestRegistry:
@@ -50,50 +56,94 @@ class TestEmit:
         assert 'repro_service_events_total{event="job.enqueued"} 2' in text
 
 
+def _one_cell(seed: int) -> dict:
+    return {
+        "benchmarks": ["radiosity"], "techniques": ["base"],
+        "seeds": [seed], "scale": 0.05,
+    }
+
+
+def _names(log: EventLog, job_id: str) -> list[str]:
+    return [r["event"] for r in log.for_job(job_id)]
+
+
 class TestRouting:
-    def test_job_field_routes_to_job_view(self):
-        log = EventLog()
-        log.emit("job.enqueued", job="job-1", cells=1)
-        log.emit("job.enqueued", job="job-2", cells=1)
-        assert [r["job"] for r in log.for_job("job-1")] == ["job-1"]
+    """The queue names the views each event joins, from its records:
+    a job's view gets its own job events and the events of the cells
+    it waits on."""
 
-    def test_attached_fingerprints_route_cell_events(self):
+    def test_job_field_routes_to_job_view(self, tmp_path):
         log = EventLog()
-        log.attach("f00d", "job-1")
-        log.emit("cell.leased", fingerprint="f00d", worker="w0")
-        log.emit("cell.leased", fingerprint="beef", worker="w0")
-        events = log.for_job("job-1")
-        assert len(events) == 1
-        assert events[0]["fingerprint"] == "f00d"
+        queue = JobQueue(tmp_path, events=log)
+        first = queue.submit(_one_cell(1))
+        queue.submit(_one_cell(2))
+        assert {r["job"] for r in log.for_job(first["id"])} == {first["id"]}
 
-    def test_shared_cell_routes_to_every_attached_job(self):
+    def test_attached_fingerprints_route_cell_events(self, tmp_path):
+        # A job is attached to the cells it submitted; another job's
+        # cell's events stay out of its view.
         log = EventLog()
-        log.attach("f00d", "job-1")
-        log.attach("f00d", "job-2")
-        log.emit("cell.cache_hit", fingerprint="f00d")
-        assert log.for_job("job-1") == log.for_job("job-2")
+        queue = JobQueue(tmp_path, events=log)
+        mine = queue.submit(_one_cell(1))
+        queue.submit(_one_cell(2))
+        for _ in range(2):
+            queue.complete(queue.lease("w0")["fingerprint"])
+        cell_events = [
+            r for r in log.for_job(mine["id"]) if r["event"].startswith("cell.")
+        ]
+        assert [r["event"] for r in cell_events] == [
+            "cell.enqueued", "cell.leased", "cell.finished",
+        ]
+        assert {r["fingerprint"] for r in cell_events} == set(mine["cells"])
 
-    def test_detach_stops_routing(self):
+    def test_shared_cell_routes_to_every_attached_job(self, tmp_path):
         log = EventLog()
-        log.attach("f00d", "job-1")
-        log.detach_cell("f00d")
-        log.emit("cell.finished", fingerprint="f00d")
-        assert log.for_job("job-1") == []
+        queue = JobQueue(tmp_path, events=log)
+        first = queue.submit(_one_cell(1))
+        second = queue.submit(_one_cell(1))  # joins the queued cell
+        queue.complete(queue.lease("w0")["fingerprint"], cached=True)
+        shared = [
+            "cell.leased", "cell.cache_hit", "cell.finished", "job.completed",
+        ]
+        assert _names(log, first["id"]) == [
+            "cell.enqueued", "job.enqueued", "cell.deduped", *shared,
+        ]
+        assert _names(log, second["id"]) == [
+            "cell.deduped", "job.enqueued", *shared,
+        ]
 
-    def test_job_view_ends_at_job_completed(self):
+    def test_detach_stops_routing(self, tmp_path):
+        # A finished cell leaves the live set: a later run of the same
+        # cell for a new job reaches none of the ended jobs.
+        log = EventLog()
+        queue = JobQueue(tmp_path, events=log)
+        old = queue.submit(_one_cell(1))
+        queue.complete(queue.lease("w0")["fingerprint"])
+        before = log.for_job(old["id"])
+        new = queue.submit(_one_cell(1))
+        queue.complete(queue.lease("w0")["fingerprint"], cached=True)
+        assert log.for_job(old["id"]) == before
+        assert _names(log, new["id"]) == [
+            "cell.enqueued", "job.enqueued", "cell.leased", "cell.cache_hit",
+            "cell.finished", "job.completed",
+        ]
+
+    def test_job_view_ends_at_job_completed(self, tmp_path):
         # A cell a worker still holds when one of its jobs is
         # cancelled runs on; its later events reach only the live job.
         log = EventLog()
-        log.attach("f00d", "job-1")
-        log.attach("f00d", "job-2")
-        log.emit("cell.leased", fingerprint="f00d", worker="w0")
-        log.emit("job.completed", job="job-1", reason="cancelled")
-        log.emit("cell.started", fingerprint="f00d", worker="w0")
-        assert [r["event"] for r in log.for_job("job-1")] == [
+        queue = JobQueue(tmp_path, events=log)
+        cancelled = queue.submit(_one_cell(1))
+        live = queue.submit(_one_cell(1))
+        fingerprint = queue.lease("w0")["fingerprint"]
+        queue.cancel(cancelled["id"])
+        queue.start(fingerprint, "w0")
+        queue.complete(fingerprint)
+        assert _names(log, cancelled["id"])[-2:] == [
             "cell.leased", "job.completed",
         ]
-        assert [r["event"] for r in log.for_job("job-2")] == [
-            "cell.leased", "cell.started",
+        assert _names(log, live["id"])[-4:] == [
+            "cell.leased", "cell.started", "cell.finished", "job.completed",
         ]
 
     def test_subscribers_see_every_record(self):
@@ -120,25 +170,31 @@ class TestBoundedMemory:
         assert [r["fingerprint"] for r in log.records] == ["f2", "f3", "f4"]
         assert [r["seq"] for r in log.records] == [3, 4, 5]
 
-    def test_terminal_job_views_prune_beyond_retention(self):
-        log = EventLog(retain_terminal=2)
-        for i in range(4):
-            job = f"job-{i}"
-            log.emit("job.enqueued", job=job, cells=1)
-            log.emit("job.completed", job=job, reason="done")
+    def test_terminal_job_views_prune_beyond_retention(
+        self, tmp_path, monkeypatch,
+    ):
+        monkeypatch.setattr(queue_module, "RETAIN_TERMINAL", 2)
+        log = EventLog()
+        queue = JobQueue(tmp_path, events=log)
+        jobs = []
+        for seed in (1, 2, 3, 4):
+            jobs.append(queue.submit(_one_cell(seed))["id"])
+            queue.complete(queue.lease("w0")["fingerprint"])
         # The two most recent terminal jobs still replay...
-        assert len(log.for_job("job-2")) == 2
-        assert len(log.for_job("job-3")) == 2
-        # ...older ones were pruned.
-        assert log.for_job("job-0") == []
-        assert log.for_job("job-1") == []
+        assert len(log.for_job(jobs[2])) == 5
+        assert len(log.for_job(jobs[3])) == 5
+        # ...older ones were pruned with their records.
+        assert log.for_job(jobs[0]) == []
+        assert log.for_job(jobs[1]) == []
+        assert log.occupancy()["views"] == 2
 
     def test_unbounded_when_caps_are_none(self):
-        log = EventLog(max_records=None, retain_terminal=None)
+        # The log prunes no view on its own: retention is the queue's.
+        log = EventLog(max_records=None)
         for i in range(4):
             job = f"job-{i}"
-            log.emit("job.enqueued", job=job, cells=1)
-            log.emit("job.completed", job=job, reason="done")
+            log.emit("job.enqueued", [job], job=job, cells=1)
+            log.emit("job.completed", [job], job=job, reason="done")
         assert len(log.records) == 8
         assert len(log.for_job("job-0")) == 2
 

@@ -437,12 +437,17 @@ class TestStatus:
 
 def reload_view(queue: JobQueue) -> tuple:
     """What a reload of ``queue`` must rebuild: its jobs, counter,
-    terminal order and cells, with leased cells read as queued."""
+    terminal order and cells, with leased cells read as queued and no
+    span ids (they name spans of the previous process's trace store)."""
+    jobs = copy.deepcopy(queue.jobs)
+    for job in jobs.values():
+        job["span"] = None
     cells = copy.deepcopy(queue.cells)
     for cell in cells.values():
+        cell.update(job_span=None, lease_span=None)
         if cell["state"] == "leased":
-            cell.update(state="queued", lease=None, lease_span=None)
-    return queue.jobs, queue._seq, list(queue._terminal), cells
+            cell.update(state="queued", lease=None)
+    return jobs, queue._seq, list(queue._terminal), cells
 
 
 def reload(tmp_path) -> JobQueue:
@@ -461,11 +466,11 @@ class TestJournal:
         # replays journals over fresh snapshots.
         if floor is not None:
             monkeypatch.setattr(queue_module, "COMPACT_FLOOR", floor)
+        monkeypatch.setattr(queue_module, "RETAIN_TERMINAL", 3)
         rng = random.Random(seed)
         clock = FakeClock()
         queue = JobQueue(
-            tmp_path / "queue", events=EventLog(retain_terminal=3),
-            clock=clock, lease_ttl=10.0,
+            tmp_path / "queue", events=EventLog(), clock=clock, lease_ttl=10.0,
         )
         leased: list[str] = []
         for step in range(150):
@@ -596,7 +601,7 @@ class TestConstantCost:
 
     def test_disk_state_stays_bounded(self, history):
         _appended, on_disk, queue = history
-        assert len(queue.jobs) == queue.events.retain_terminal
+        assert len(queue.jobs) == queue_module.RETAIN_TERMINAL
         # Compaction keeps the snapshot plus journal within a fixed
         # multiple of the retained state, at 200 jobs as at 2,000.
         assert max(on_disk[200:]) < 512 * 1024
@@ -615,30 +620,35 @@ class TestRetention:
             queue.complete(queue.lease("w0")["fingerprint"])
         return job
 
-    def test_only_the_newest_terminal_jobs_are_kept(self, tmp_path):
-        queue = JobQueue(tmp_path / "queue", events=EventLog(retain_terminal=2))
+    def test_only_the_newest_terminal_jobs_are_kept(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(queue_module, "RETAIN_TERMINAL", 2)
+        queue = JobQueue(tmp_path / "queue", events=EventLog())
         jobs = [self.run_job(queue, seed)["id"] for seed in (1, 2, 3)]
         assert set(queue.jobs) == set(jobs[1:])
         assert set(reload(tmp_path).jobs) == set(jobs[1:])
         assert queue.depth_counts()["jobs"] == {"done": 2, "expired": 1}
 
-    def test_a_snapshot_from_before_retention_loads_and_expires(self, tmp_path):
+    def test_a_snapshot_from_before_retention_loads_and_expires(
+        self, tmp_path, monkeypatch,
+    ):
         # Such a state.json has no terminal list: its terminal jobs
         # join the retention order by id.
         root = tmp_path / "queue"
-        queue = JobQueue(root, events=EventLog(retain_terminal=None))
+        queue = JobQueue(root, events=EventLog())
         jobs = [self.run_job(queue, seed)["id"] for seed in (1, 2, 3)]
         (root / "journal.jsonl").unlink()
         (root / "state.json").write_text(json.dumps(
             {"seq": queue._seq, "jobs": queue.jobs, "cells": queue.cells},
         ))
-        reloaded = JobQueue(root, events=EventLog(retain_terminal=2))
-        assert reloaded.jobs == queue.jobs
+        monkeypatch.setattr(queue_module, "RETAIN_TERMINAL", 2)
+        reloaded = JobQueue(root, events=EventLog())
+        assert reloaded.jobs == reload_view(queue)[0]
         latest = self.run_job(reloaded, 4)["id"]
         assert sorted(reloaded.jobs) == [jobs[2], latest]
 
-    def test_expired_and_unminted_ids_read_differently(self, tmp_path):
-        queue = JobQueue(tmp_path / "queue", events=EventLog(retain_terminal=1))
+    def test_expired_and_unminted_ids_read_differently(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(queue_module, "RETAIN_TERMINAL", 1)
+        queue = JobQueue(tmp_path / "queue", events=EventLog())
         old = self.run_job(queue, 1)["id"]
         self.run_job(queue, 2)
         with pytest.raises(JobNotFound, match=f"job {old} expired"):
@@ -649,8 +659,11 @@ class TestRetention:
         with pytest.raises(JobNotFound, match="no job"):
             queue.status("job-0000001")
 
-    def test_done_cell_shared_with_an_expired_job_is_collected(self, tmp_path):
-        queue = JobQueue(tmp_path / "queue", events=EventLog(retain_terminal=1))
+    def test_done_cell_shared_with_an_expired_job_is_collected(
+        self, tmp_path, monkeypatch,
+    ):
+        monkeypatch.setattr(queue_module, "RETAIN_TERMINAL", 1)
+        queue = JobQueue(tmp_path / "queue", events=EventLog())
         first = queue.submit({**SPEC, "techniques": ["base"]})
         shared = first["cells"][0]
         # The second job joins the queued cell and waits on a sibling.
@@ -664,11 +677,13 @@ class TestRetention:
         assert queue.jobs[second["id"]]["status"] == "done"
         assert queue.cells == {}
 
-    def test_cancel_drains_a_cell_only_an_expired_job_shared(self, tmp_path):
+    def test_cancel_drains_a_cell_only_an_expired_job_shared(
+        self, tmp_path, monkeypatch,
+    ):
+        monkeypatch.setattr(queue_module, "RETAIN_TERMINAL", 1)
         clock = FakeClock()
         queue = JobQueue(
-            tmp_path / "queue", events=EventLog(retain_terminal=1),
-            clock=clock, lease_ttl=10.0,
+            tmp_path / "queue", events=EventLog(), clock=clock, lease_ttl=10.0,
         )
         first = queue.submit({**SPEC, "techniques": ["base"]})
         queue.lease("w0")

@@ -1,12 +1,12 @@
 """EventLog ring truncation vs live event streams (ISSUE 10 sat. 3).
 
-A deliberately tiny global ring (16 records) and short terminal-view
-retention, exercised through real HTTP ``GET /jobs/{id}/events``
-follows: a job's stream must replay its complete history even after
-the global ring wrapped past its records, the overwrites must be
-surfaced on ``/metrics`` as ``repro_service_events_dropped_total``,
-and a job pruned from view retention replays empty (but the stream
-still terminates cleanly).
+A deliberately tiny global ring (16 records) and short terminal-job
+retention (the queue's ``RETAIN_TERMINAL``, patched to 2), exercised
+through real HTTP ``GET /jobs/{id}/events`` follows: a job's stream
+must replay its complete history even after the global ring wrapped
+past its records, the overwrites must be surfaced on ``/metrics`` as
+``repro_service_events_dropped_total``, and a job pruned from view
+retention replays empty (but the stream still terminates cleanly).
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from repro.service import queue as queue_module
 from repro.service.api import Service
 from repro.service.client import ServiceClient, ServiceError
 
@@ -34,14 +35,16 @@ def _spec(seed):
 
 @pytest.fixture(scope="module")
 def service(tmp_path_factory):
-    """A service whose EventLog wraps after 16 records."""
+    """A service whose EventLog wraps after 16 records and whose queue
+    keeps two terminal jobs."""
     root = tmp_path_factory.mktemp("truncation")
-    with ServiceHarness(
-        root, workers=1, executor=ThreadPoolExecutor(max_workers=1),
-        max_event_records=RING, retain_terminal=2,
-        telemetry_interval=0,
-    ) as harness:
-        yield harness
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(queue_module, "RETAIN_TERMINAL", 2)
+        with ServiceHarness(
+            root, workers=1, executor=ThreadPoolExecutor(max_workers=1),
+            max_event_records=RING, telemetry_interval=0,
+        ) as harness:
+            yield harness
 
 
 @pytest.fixture(scope="module")
@@ -94,7 +97,7 @@ class TestRingTruncationOverHttp:
     def test_pruned_job_view_replays_empty_but_terminates(
         self, wrapped, client,
     ):
-        # Three jobs completed after A with retain_terminal=2: A's
+        # Three jobs completed after A with two terminal jobs kept: A's
         # per-job view is pruned.  The stream still answers 200 (the
         # queue knows the job) and ends immediately on terminal
         # status with nothing to replay.
@@ -102,9 +105,8 @@ class TestRingTruncationOverHttp:
         assert list(client.follow(job_a["id"])) == []
 
     def test_expired_job_answers_404_expired(self, wrapped, client):
-        # The queue keeps the records of the same two newest terminal
-        # jobs whose views the log keeps: A's id reads as expired, an
-        # id the counter never minted as unknown.
+        # The queue drops A's record with its view: A's id reads as
+        # expired, an id the counter never minted as unknown.
         job_a, _events_a, _followers = wrapped
         with pytest.raises(ServiceError, match=rf"\(404\).*job {job_a['id']} expired"):
             client.job(job_a["id"])
