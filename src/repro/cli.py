@@ -17,14 +17,19 @@ Usage (installed as ``repro-sim``, or ``python -m repro.cli``):
 from __future__ import annotations
 
 import argparse
+import contextlib
+import cProfile
+import io
 import json
 import logging
+import os
+import pstats
 import sys
+from collections import defaultdict
 
 from repro.common.config import InterconnectKind, scaled_config
 from repro.common.errors import ConfigError
 from repro.experiments.runner import summarize
-from repro.obs.profiler import SimProfiler
 from repro.obs.report import load_trace, render_report, summarize_trace
 from repro.obs.tracer import TraceFilter, Tracer, chrome_document
 from repro.system.system import System
@@ -59,6 +64,33 @@ def _make_tracer(args) -> Tracer | None:
     return Tracer(filter=filt, ring=args.trace_ring, path=args.trace)
 
 
+def _profile_report(profile, top: int = 20) -> str:
+    """``run --profile``'s report: self time per ``repro`` package, then
+    pstats' ``top`` functions by self time.
+
+    cProfile bills each function's own time to that function, so a
+    package's row is the work its code did, whoever scheduled it.  A
+    function's package is the ``repro`` subpackage its file lives in;
+    builtins and the standard library share the ``other`` row.
+    """
+    root = os.path.join(os.path.dirname(os.path.abspath(__file__)), "")
+    out = io.StringIO()
+    stats = pstats.Stats(profile, stream=out)
+    seconds: dict[str, float] = defaultdict(float)
+    for (filename, _line, _name), (_cc, _nc, self_s, _cum, _callers) in stats.stats.items():
+        package = "other"
+        if filename.startswith(root):
+            parts = filename[len(root):].split(os.sep)
+            package = "repro." + parts[0] if len(parts) > 1 else "repro"
+        seconds[package] += self_s
+    total = sum(seconds.values()) or 1e-12
+    lines = [f"{'package':<18s} {'self_s':>8s} {'share':>6s}"]
+    for package, self_s in sorted(seconds.items(), key=lambda row: -row[1]):
+        lines.append(f"{package:<18s} {self_s:>8.3f} {100 * self_s / total:>5.1f}%")
+    stats.strip_dirs().sort_stats("tottime").print_stats(top)
+    return "\n".join(lines) + "\n" + out.getvalue().rstrip()
+
+
 def cmd_run(args) -> int:
     """Handle ``repro-sim run``."""
     config = configure_technique(scaled_config(n_procs=args.procs), args.technique)
@@ -72,14 +104,13 @@ def cmd_run(args) -> int:
         config, workload, seed=args.seed, tracer=tracer,
         check_invariants=args.check_invariants,
     )
-    profiler = SimProfiler() if args.profile else None
-    if profiler is not None:
-        system.scheduler.enable_profiling(profiler)
-    if tracer is not None:
-        # The context manager flushes a partial trace if the run dies.
-        with tracer:
-            result = system.run(heartbeat=args.heartbeat)
-    else:
+    profile = cProfile.Profile() if args.profile else None
+    with contextlib.ExitStack() as stack:
+        if tracer is not None:
+            # The context manager flushes a partial trace if the run dies.
+            stack.enter_context(tracer)
+        if profile is not None:
+            stack.enter_context(profile)
         result = system.run(heartbeat=args.heartbeat)
     summary = summarize(result)
     width = max(len(k) for k in summary)
@@ -101,8 +132,8 @@ def cmd_run(args) -> int:
         n_series = sum(1 for f in metrics.families() for _ in f.series())
         print(f"metrics: {n_series} series -> {args.metrics} "
               f"({args.metrics_format})")
-    if profiler is not None:
-        print(profiler.report())
+    if profile is not None:
+        print(_profile_report(profile))
     return 0
 
 
@@ -621,7 +652,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run_p.add_argument(
         "--profile", action="store_true",
-        help="attribute wall time to simulator components",
+        help="profile the run with cProfile: self time per repro "
+             "package, then the 20 functions with the most self time",
     )
     run_p.add_argument(
         "--metrics", metavar="PATH", default=None,

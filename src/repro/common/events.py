@@ -63,35 +63,6 @@ class Scheduler:
         callback()
         return True
 
-    def enable_profiling(self, profiler) -> None:
-        """Attribute every fired event's wall time to ``profiler``.
-
-        ``profiler`` is a :class:`repro.obs.profiler.SimProfiler` (any
-        object with ``record(label, seconds)``).  The profiled step is
-        swapped in as an instance attribute, so the default ``step``
-        keeps zero profiling overhead when this is never called.
-        """
-        from time import perf_counter
-
-        from repro.obs.profiler import component_of
-
-        self._profiler = profiler
-        self._perf_counter = perf_counter
-        self._component_of = component_of
-        self.step = self._profiled_step  # type: ignore[method-assign]
-
-    def _profiled_step(self) -> bool:
-        perf_counter = self._perf_counter
-        if not self._queue:
-            return False
-        time, _, callback = heappop(self._queue)
-        self._now = time
-        self._events_fired += 1
-        start = perf_counter()
-        callback()
-        self._profiler.record(self._component_of(callback), perf_counter() - start)
-        return True
-
     def run(
         self,
         until: Callable[[], bool] | None = None,
@@ -100,7 +71,7 @@ class Scheduler:
     ) -> None:
         """Run events until the queue drains or a stop condition holds.
 
-        ``until`` is checked after every event; ``max_cycles`` and
+        ``until`` is checked before every event; ``max_cycles`` and
         ``max_events`` are hard safety limits that raise
         :class:`SimulationError` when exceeded (they indicate livelock).
 
@@ -111,22 +82,8 @@ class Scheduler:
         each callback — callbacks read them through ``now``/
         ``events_fired`` (heartbeats, tracers, ``at()`` validation).
         """
-        if "step" in self.__dict__:
-            # Profiling swapped in a custom step; take the generic
-            # (measured) path so every event stays attributed.
-            self._run_via_step(until, max_cycles, max_events)
-            return
         queue = self._queue
         pop = heappop
-        if until is None and max_cycles is None and max_events is None:
-            # Drain-the-queue fast path (replay, unbounded runs):
-            # no stop-condition or limit checks at all.
-            while queue:
-                time, _, callback = pop(queue)
-                self._now = time
-                self._events_fired += 1
-                callback()
-            return
         start_events = self._events_fired
         while queue:
             if until is not None and until():
@@ -139,21 +96,3 @@ class Scheduler:
             self._now = time
             self._events_fired += 1
             callback()
-
-    def _run_via_step(
-        self,
-        until: Callable[[], bool] | None,
-        max_cycles: int | None,
-        max_events: int | None,
-    ) -> None:
-        """The generic run loop, dispatching through ``self.step``."""
-        step = self.step
-        start_events = self._events_fired
-        while self._queue:
-            if until is not None and until():
-                return
-            if max_cycles is not None and self._now > max_cycles:
-                raise SimulationError(f"exceeded max_cycles={max_cycles}")
-            if max_events is not None and self._events_fired - start_events > max_events:
-                raise SimulationError(f"exceeded max_events={max_events}")
-            step()

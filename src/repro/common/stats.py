@@ -3,10 +3,10 @@
 Every component increments named counters in a shared
 :class:`StatsRegistry`; names are dotted paths
 (``bus.txn.read``, ``core0.commit.load``).  The registry is the run's
-only counter store, and :data:`repro.obs.metrics.RUN_METRICS` names
-each paper counter's key once: ``summarize()`` sums the keys into the
-figures' fields and :func:`repro.obs.metrics.run_metrics` exports them
-as labelled series after the run.
+only counter store, and the observability layer's ``RUN_METRICS``
+table (``obs/metrics.py``) names each paper counter's key once:
+``summarize()`` sums the keys into the figures' fields and
+``run_metrics`` exports them as labelled series after the run.
 
 Beyond scalar counters the registry also hosts named
 :class:`Histogram` distributions (bucketed, with p50/p95/p99 readouts

@@ -33,6 +33,7 @@ import hashlib
 import json
 import logging
 import os
+import threading
 import time
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeoutError
@@ -242,6 +243,35 @@ def run_cell(
     return summary
 
 
+#: Seconds between a pool worker's checks that the process that forked
+#: it is still its parent (:func:`exit_with_parent`).
+ORPHAN_CHECK = 0.5
+
+
+def exit_with_parent(initializer: Callable | None = None) -> None:
+    """Pool-worker initializer: start a watch that ends this worker once
+    the process that forked it dies, then run ``initializer``.
+
+    A forked pool worker holds the write ends of its own pool's pipes,
+    so its parent's death closes nothing it waits on: an idle worker
+    blocks reading the call queue and a busy one blocks writing its
+    result, both for good.  A daemon thread instead checks
+    ``os.getppid()`` every :data:`ORPHAN_CHECK` seconds and ends the
+    worker with ``os._exit`` once the worker has been re-parented.
+    Every process pool ``src/`` creates starts its workers with it.
+    """
+    parent = os.getppid()
+
+    def watch() -> None:
+        while os.getppid() == parent:
+            time.sleep(ORPHAN_CHECK)
+        os._exit(1)
+
+    threading.Thread(target=watch, name="exit-with-parent", daemon=True).start()
+    if initializer is not None:
+        initializer()
+
+
 #: Warm persistent worker pools, keyed by (worker count, initializer).
 #: Creating a :class:`ProcessPoolExecutor` per sweep pays process
 #: startup every time; reusing one across sweeps (the bench's pooled
@@ -272,14 +302,19 @@ def warm_pool(workers: int, initializer=None) -> ProcessPoolExecutor:
     the pool key, so a caller that needs initialized workers (the
     service shard dropping fork-inherited TCP fds — see
     ``repro.service.workers._close_inherited_inet_sockets``) never
-    silently receives a same-width pool created without it.
+    silently receives a same-width pool created without it.  Each
+    worker runs it after :func:`exit_with_parent` has started its
+    watch, so no worker outlives this process.
     """
     key = (workers, initializer)
     pool = _WARM_POOLS.get(key)
     if pool is None:
         if not _WARM_POOLS:
             atexit.register(_shutdown_warm_pools)
-        pool = ProcessPoolExecutor(max_workers=workers, initializer=initializer)
+        pool = ProcessPoolExecutor(
+            max_workers=workers, initializer=exit_with_parent,
+            initargs=(initializer,),
+        )
         _WARM_POOLS[key] = pool
     return pool
 

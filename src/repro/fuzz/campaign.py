@@ -41,6 +41,7 @@ from dataclasses import dataclass, field
 
 from repro.common.config import InterconnectKind
 from repro.common.rng import SplitRng
+from repro.experiments.runner import exit_with_parent
 from repro.fuzz.differential import DEFAULT_PROTOCOLS, run_differential
 from repro.fuzz.generator import generate_test, make_schedule
 from repro.fuzz.minimize import minimize_test
@@ -440,7 +441,9 @@ def run_campaign(options: FuzzOptions) -> FuzzReport:
     """Run one campaign to its budget; deterministic per options."""
     report = FuzzReport(options=options)
     executor = (
-        ProcessPoolExecutor(max_workers=options.workers)
+        ProcessPoolExecutor(
+            max_workers=options.workers, initializer=exit_with_parent,
+        )
         if options.workers > 0 else None
     )
     try:

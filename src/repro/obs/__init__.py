@@ -1,4 +1,4 @@
-"""Simulation observability: tracing, metrics, profiling, and reports.
+"""Simulation observability: tracing, metrics, progress, and reports.
 
 * :class:`~repro.obs.tracer.Tracer` — typed structured event tracing
   (span-event JSONL files ending in one trailer row, per-kind/node/
@@ -13,11 +13,10 @@
   text.  :func:`~repro.obs.metrics.run_metrics` builds one from a
   finished run's statistics through the declared
   :data:`~repro.obs.metrics.RUN_METRICS` table (``RunResult.metrics``).
-* :class:`~repro.obs.progress.RunManifest` — sweep telemetry: the
-  persisted per-cell provenance record of a matrix sweep.
-* :class:`~repro.obs.profiler.SimProfiler` — per-component event counts
-  and wall-time attribution from the scheduler;
-  :class:`~repro.obs.profiler.Heartbeat` — periodic progress logging.
+* :class:`~repro.obs.progress.Heartbeat` — periodic progress logging
+  of a run; :class:`~repro.obs.progress.RunManifest` — sweep
+  telemetry: the persisted per-cell provenance record of a matrix
+  sweep.  ``repro-sim run --profile`` is stdlib :mod:`cProfile`.
 * :func:`~repro.obs.report.load_trace` /
   :func:`~repro.obs.report.summarize_trace` — load (tolerantly) and
   summarize a trace file (the ``repro-sim report`` command).
@@ -37,8 +36,7 @@ from repro.obs.metrics import (
     MetricsRegistry,
     run_metrics,
 )
-from repro.obs.profiler import Heartbeat, SimProfiler
-from repro.obs.progress import RunManifest
+from repro.obs.progress import Heartbeat, RunManifest
 from repro.obs.provenance import (
     ProvenanceReport,
     analyze_events,
@@ -74,7 +72,6 @@ __all__ = [
     "MetricsRegistry",
     "run_metrics",
     "RunManifest",
-    "SimProfiler",
     "Heartbeat",
     "SpanRecord",
     "SpanStream",

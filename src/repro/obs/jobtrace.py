@@ -33,11 +33,11 @@ from repro.obs.ring import Ring
 from repro.obs.tracer import trace_jsonl
 
 #: Traces retained (whole oldest traces are evicted beyond this).
-DEFAULT_MAX_TRACES = 64
+MAX_TRACES = 64
 
 #: Span-event rows retained per trace; the ring overwrites the oldest
 #: beyond this and counts them.
-DEFAULT_MAX_EVENTS = 50_000
+MAX_EVENTS = 50_000
 
 
 def _microseconds() -> int:
@@ -48,14 +48,7 @@ def _microseconds() -> int:
 class JobTraceStore:
     """Bounded, thread-safe store of span events keyed by trace id."""
 
-    def __init__(
-        self,
-        max_traces: int = DEFAULT_MAX_TRACES,
-        max_events: int = DEFAULT_MAX_EVENTS,
-        clock=_microseconds,
-    ):
-        self.max_traces = max_traces
-        self.max_events = max_events
+    def __init__(self, clock=_microseconds):
         self.clock = clock
         self._lock = threading.RLock()
         self._traces: OrderedDict[str, Ring[dict[str, Any]]] = OrderedDict()
@@ -160,7 +153,7 @@ class JobTraceStore:
 
         ``dropped`` counts every row lost since the store was made,
         evicted traces' included; ``evicted`` counts whole traces
-        evicted beyond ``max_traces``.
+        evicted beyond :data:`MAX_TRACES`.
         """
         with self._lock:
             rings = list(self._traces.values())
@@ -178,8 +171,8 @@ class JobTraceStore:
         callers hold the lock."""
         ring = self._traces.get(trace)
         if ring is None:
-            ring = self._traces[trace] = Ring(self.max_events)
-            while len(self._traces) > self.max_traces:
+            ring = self._traces[trace] = Ring(MAX_EVENTS)
+            while len(self._traces) > MAX_TRACES:
                 _, old = self._traces.popitem(last=False)
                 self._evicted += 1
                 self._evicted_dropped += old.dropped

@@ -64,7 +64,7 @@ from repro.obs.jobtrace import JobTraceStore
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.ring import Ring
 
-from .events import DEFAULT_MAX_RECORDS, EventLog
+from .events import EventLog
 from .queue import JOB_TERMINAL, JobNotFound, JobQueue, SpecError
 from .workers import ResultStore, WorkerShard
 
@@ -132,9 +132,6 @@ class Service:
       postmortem on disk;
     * ``repro_ring_dropped_total{ring=...}`` on ``/metrics``: every
       ring's overwrite count, read from the rings at export.
-
-    ``max_event_records`` sizes the :class:`EventLog` ring (tests
-    shrink it to exercise truncation).
     """
 
     def __init__(
@@ -146,7 +143,6 @@ class Service:
         metrics: MetricsRegistry | None = None,
         flight_path: str | Path | None = None,
         telemetry_interval: float = 1.0,
-        max_event_records: int | None = DEFAULT_MAX_RECORDS,
     ):
         self.root = Path(root)
         self.metrics = metrics or MetricsRegistry()
@@ -155,9 +151,7 @@ class Service:
         self.telemetry_interval = telemetry_interval
         self.flight_path = None if flight_path is None else Path(flight_path)
         self._flight_lock = threading.Lock()
-        self.events = EventLog(
-            metrics=self.metrics, max_records=max_event_records,
-        )
+        self.events = EventLog(metrics=self.metrics)
         queue_kwargs = {} if lease_ttl is None else {"lease_ttl": lease_ttl}
         self.queue = JobQueue(
             self.root / "queue", events=self.events,

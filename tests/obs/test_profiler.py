@@ -1,74 +1,15 @@
-"""Profiling hooks: wall-time attribution and heartbeats."""
+"""Run heartbeats: ``--heartbeat``'s progress lines.
+
+The heartbeat is :class:`repro.obs.progress.Heartbeat`; ``run
+--profile`` is stdlib cProfile and is tested in tests/test_cli.py.
+"""
 
 import logging
 
 import pytest
 
 from repro.common.events import Scheduler
-from repro.obs.profiler import Heartbeat, SimProfiler, component_of
-
-
-class FakeBus:
-    """Module-level stand-in so qualnames look like real components."""
-
-    def pump(self):
-        """A bound-method callback."""
-
-    def request(self):
-        """Return a closure scheduled by this site."""
-        return lambda: None
-
-
-def tick():
-    """A plain-function callback."""
-
-
-class TestComponentOf:
-    def test_bound_method(self):
-        assert component_of(FakeBus().pump) == "FakeBus.pump"
-
-    def test_closure_attributes_to_creating_site(self):
-        assert component_of(FakeBus().request()) == "FakeBus.request"
-
-    def test_plain_function(self):
-        assert component_of(tick) == "tick"
-
-
-class TestSimProfiler:
-    def test_record_and_rows(self):
-        prof = SimProfiler()
-        prof.record("Bus.pump", 0.5)
-        prof.record("Bus.pump", 0.25)
-        prof.record("Core.step", 2.0)
-        assert prof.total_events == 3
-        assert prof.total_seconds == pytest.approx(2.75)
-        rows = prof.rows()
-        assert rows[0][0] == "Core.step"  # most expensive first
-        assert rows[1] == ("Bus.pump", 2, 0.75)
-
-    def test_report_renders(self):
-        prof = SimProfiler()
-        prof.record("Bus.pump", 0.5)
-        text = prof.report()
-        assert "Bus.pump" in text and "TOTAL" in text
-
-    def test_scheduler_integration(self):
-        sched = Scheduler()
-        prof = SimProfiler()
-        sched.enable_profiling(prof)
-        for t in range(5):
-            sched.at(t, tick)
-        sched.run()
-        assert prof.total_events == 5
-        assert prof.counts == {"tick": 5}
-
-    def test_default_step_is_unwrapped(self):
-        # Profiling swaps step per instance; untouched schedulers keep
-        # the plain class method (the zero-overhead default).
-        sched = Scheduler()
-        assert "step" not in vars(sched)
-        sched.enable_profiling(SimProfiler())
-        assert "step" in vars(sched)
+from repro.obs.progress import Heartbeat
 
 
 class TestHeartbeat:

@@ -11,6 +11,7 @@ import json
 import pytest
 
 from repro.obs.metrics import MetricsRegistry
+from repro.service import events as events_module
 from repro.service import queue as queue_module
 from repro.service.events import EVENT_NAMES, EVENT_SPECS, EventLog
 from repro.service.queue import JobQueue
@@ -163,8 +164,9 @@ class TestRouting:
 
 
 class TestBoundedMemory:
-    def test_global_log_is_ring_capped(self):
-        log = EventLog(max_records=3)
+    def test_global_log_is_ring_capped(self, monkeypatch):
+        monkeypatch.setattr(events_module, "MAX_RECORDS", 3)
+        log = EventLog()
         for i in range(5):
             log.emit("cell.finished", fingerprint=f"f{i}")
         assert [r["fingerprint"] for r in log.records] == ["f2", "f3", "f4"]
@@ -189,8 +191,9 @@ class TestBoundedMemory:
         assert log.occupancy()["views"] == 2
 
     def test_unbounded_when_caps_are_none(self):
-        # The log prunes no view on its own: retention is the queue's.
-        log = EventLog(max_records=None)
+        # Under its record cap the log keeps every record, and it
+        # prunes no view on its own: retention is the queue's.
+        log = EventLog()
         for i in range(4):
             job = f"job-{i}"
             log.emit("job.enqueued", [job], job=job, cells=1)
@@ -212,9 +215,10 @@ class TestDropAccounting:
         record = log.emit("cell.finished", fingerprint="f", trace="t-1")
         assert record["trace"] == "t-1"
 
-    def test_ring_overwrite_bumps_dropped_counter(self):
+    def test_ring_overwrite_bumps_dropped_counter(self, monkeypatch):
+        monkeypatch.setattr(events_module, "MAX_RECORDS", 3)
         registry = MetricsRegistry()
-        log = EventLog(metrics=registry, max_records=3)
+        log = EventLog(metrics=registry)
         for i in range(5):
             log.emit("cell.finished", fingerprint=f"f{i}")
         assert log.dropped == 2
@@ -223,7 +227,8 @@ class TestDropAccounting:
         )
 
     def test_unbounded_log_never_drops(self):
-        log = EventLog(max_records=None)
+        # A log under its record cap drops nothing.
+        log = EventLog()
         for i in range(5):
             log.emit("cell.finished", fingerprint=f"f{i}")
         assert log.dropped == 0
@@ -234,8 +239,9 @@ class TestDropAccounting:
             log.emit("cell.finished", fingerprint=f"f{i}")
         assert [r["fingerprint"] for r in log.tail(2)] == ["f3", "f4"]
 
-    def test_occupancy_reports_ring_state(self):
-        log = EventLog(max_records=3)
+    def test_occupancy_reports_ring_state(self, monkeypatch):
+        monkeypatch.setattr(events_module, "MAX_RECORDS", 3)
+        log = EventLog()
         for i in range(4):
             log.emit("cell.finished", fingerprint=f"f{i}")
         occ = log.occupancy()

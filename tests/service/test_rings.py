@@ -14,7 +14,8 @@ from __future__ import annotations
 import asyncio
 import json
 
-from repro.obs.jobtrace import DEFAULT_MAX_EVENTS
+from repro.obs.jobtrace import MAX_EVENTS
+from repro.service import events as events_module
 from repro.service.api import TELEMETRY_SAMPLES, Service
 
 EVENT_RING = 4
@@ -47,14 +48,13 @@ def _get(service: Service, path: str) -> str:
     return writer.data.split(b"\r\n\r\n", 1)[1].decode()
 
 
-def test_every_ring_overwrite_reaches_metrics(tmp_path):
-    service = Service(
-        tmp_path, telemetry_interval=0, max_event_records=EVENT_RING,
-    )
+def test_every_ring_overwrite_reaches_metrics(tmp_path, monkeypatch):
+    monkeypatch.setattr(events_module, "MAX_RECORDS", EVENT_RING)
+    service = Service(tmp_path, telemetry_interval=0)
     emitted = EVENT_RING + 3
     for i in range(emitted):
         service.events.emit("cell.finished", fingerprint=f"f{i}")
-    for _ in range(DEFAULT_MAX_EVENTS + 2):
+    for _ in range(MAX_EVENTS + 2):
         service.traces.span_begin("t-1", "job")
     sampled = TELEMETRY_SAMPLES + 5
     for _ in range(sampled):

@@ -17,6 +17,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from repro.service import events as events_module
 from repro.service import queue as queue_module
 from repro.service.api import Service
 from repro.service.client import ServiceClient, ServiceError
@@ -40,9 +41,10 @@ def service(tmp_path_factory):
     root = tmp_path_factory.mktemp("truncation")
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(queue_module, "RETAIN_TERMINAL", 2)
+        patch.setattr(events_module, "MAX_RECORDS", RING)
         with ServiceHarness(
             root, workers=1, executor=ThreadPoolExecutor(max_workers=1),
-            max_event_records=RING, telemetry_interval=0,
+            telemetry_interval=0,
         ) as harness:
             yield harness
 

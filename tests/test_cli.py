@@ -1,5 +1,6 @@
 """Command-line interface."""
 
+import itertools
 import json
 import re
 
@@ -94,9 +95,25 @@ def test_run_trace_trailer_records_ring_overwrites(tmp_path, capsys):
 
 
 def test_run_with_profile(capsys):
+    # --profile leaves the run's summary byte for byte as it is, then
+    # rolls cProfile's self time up by repro package and prints
+    # pstats' table of the functions with the most self time.
+    assert main(["run", "radiosity", "--scale", "0.02"]) == 0
+    plain = capsys.readouterr().out
     assert main(["run", "radiosity", "--scale", "0.02", "--profile"]) == 0
     out = capsys.readouterr().out
-    assert "component" in out and "TOTAL" in out
+    assert out.startswith(plain)
+    profile = out[len(plain):].splitlines()
+    assert profile[0].split() == ["package", "self_s", "share"]
+    rows = list(itertools.takewhile(lambda line: "%" in line, profile[1:]))
+    packages = [row.split()[0] for row in rows]
+    assert {"repro.cpu", "repro.memory", "repro.coherence"} <= set(packages)
+    assert sum(float(row.split()[2].rstrip("%")) for row in rows) == pytest.approx(
+        100, abs=0.1 * len(rows),
+    )
+    table = profile[1 + len(rows):]
+    assert "function calls" in table[0]
+    assert any(line.split()[:2] == ["ncalls", "tottime"] for line in table)
 
 
 def test_report_command(tmp_path, capsys):
