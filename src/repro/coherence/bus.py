@@ -13,6 +13,13 @@ Read/ReadX.
 Per-transaction jitter (``MachineConfig.latency_jitter``) injects the
 small timing perturbations used by the Alameldeen–Wood variability
 methodology the paper adopts for its 95% confidence intervals.
+
+``_execute`` is the one atomic grant of every address transaction on
+either interconnect.  The bus is its base case: every other controller
+is snooped, no home answers for anyone, there is no bookkeeping and no
+indirection hop.  :class:`~repro.coherence.directory.DirectoryNetwork`
+overrides the three hooks (``_targets``, ``_home_shared``,
+``_granted``) and sets ``hop``.
 """
 
 from __future__ import annotations
@@ -73,6 +80,10 @@ class SnoopBus:
         self._jitter = jitter
         self._rng = rng or SplitRng("bus")
         self._clients: list[SnoopClient] = []
+        # Indirection through a home node: added to a request's arrival
+        # at the ordering point and to a forwarded (dirty-owner) read's
+        # delivery.  The bus broadcasts directly.
+        self.hop = 0
         self._addr_free_at = 0
         self._data_free_at = 0
         self._queue_hist = stats.histogram("queue_depth")
@@ -100,14 +111,32 @@ class SnoopBus:
         self, txn: BusTransaction, on_complete: CompletionCallback | None = None
     ) -> None:
         """Queue an address transaction; ``on_complete`` fires at completion."""
-        grant = max(self.scheduler.now, self._addr_free_at)
+        self._queue(txn, on_complete, self.scheduler.now)
+
+    def _queue(
+        self, txn: BusTransaction, on_complete: CompletionCallback | None,
+        arrive: int,
+    ) -> None:
+        """Serialize ``txn`` at the ordering point it reaches at ``arrive``."""
+        grant = max(arrive, self._addr_free_at)
         # Queue depth in transactions ahead of this one (the wait for
         # the address bus, in occupancy slots).
-        self._queue_hist.record(
-            (grant - self.scheduler.now) // self.config.addr_occupancy
-        )
+        self._queue_hist.record((grant - arrive) // self.config.addr_occupancy)
         self._addr_free_at = grant + self.config.addr_occupancy
         self.scheduler.at(grant, lambda: self._execute(txn, on_complete))
+
+    # -- what a home directory changes -------------------------------------
+
+    def _targets(self, txn: BusTransaction) -> list[SnoopClient]:
+        """The controllers snooped for ``txn``: every other one."""
+        return [c for c in self._clients if c.node_id != txn.requester]
+
+    def _home_shared(self, txn: BusTransaction) -> bool:
+        """Whether the home reports an uncontacted sharer on a read."""
+        return False
+
+    def _granted(self, txn: BusTransaction) -> None:
+        """Bookkeeping after the atomic grant (none on the bus)."""
 
     # ------------------------------------------------------------------
 
@@ -132,13 +161,20 @@ class SnoopBus:
         self._txn_total.inc()
 
         result = txn.result
-        remotes = [c for c in self._clients if c.node_id != txn.requester]
-        for client in remotes:
+        targets = self._targets(txn)
+        for client in targets:
             query = client.snoop_query(txn)
             if query.assert_shared:
                 result.shared = True
             if query.can_supply:
                 result.dirty_owner = client.node_id
+        if txn.kind is TxnKind.READ and not result.shared:
+            # A home contacts no clean sharer on a read, so it supplies
+            # the sharing indication itself: the requester fills S, not
+            # E.  (Invalidating transactions reach every sharer, so the
+            # responses — including Validate_Shared's deliberate
+            # withholding — stand on their own.)
+            result.shared = self._home_shared(txn)
 
         # Capture the data payload at the atomic point, before state
         # transitions disturb it.
@@ -159,16 +195,17 @@ class SnoopBus:
         self.tracer.emit(
             "bus.grant", node=txn.requester, base=txn.base,
             txn=txn.kind.value, shared=result.shared,
-            owner=result.dirty_owner, span=txn.span,
+            owner=result.dirty_owner, targets=len(targets), span=txn.span,
         )
 
-        for client in remotes:
+        for client in targets:
             client.snoop_apply(txn)
 
         # The requester's state change is part of the atomic grant:
         # later transactions must observe the new owner/sharer.  Data
         # delivery (below) only models latency.
         requester.on_grant(txn, data)
+        self._granted(txn)
 
         done = now + self._completion_delay(txn)
         self.tracer.span_end(
@@ -186,4 +223,8 @@ class SnoopBus:
         now = self.scheduler.now
         start = max(now, self._data_free_at)
         self._data_free_at = start + self.config.data_occupancy
-        return (start - now) + self.config.data_latency + jitter
+        delay = (start - now) + self.config.data_latency + jitter
+        if txn.result.dirty_owner is not None:
+            # A home forwarded the request to the owner (a 3-hop read).
+            delay += self.hop
+        return delay

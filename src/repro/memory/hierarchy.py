@@ -376,41 +376,12 @@ class NodeMemory:
         Acquires ownership, then atomically compares the word against
         ``expect`` and writes ``new`` on a match.
         """
-        base = line_address(addr, self.config.line_size)
-        widx = word_index(addr, self.config.line_size)
-        entry = self.mshrs.get(base)
-        if entry is not None:
-            entry.add_waiter(lambda data: self.atomic_rmw(addr, expect, new, on_done))
-            return
-
-        outcome = {"ok": False}
-
-        def at_grant() -> None:
-            line = self.ctrl.lookup(base)
-            if line.data[widx] != expect:
-                return
-            self.ctrl.before_nonsilent_store(line, needs_upgrade=False)
-            self._do_write(line, base, widx, new)
-            outcome["ok"] = True
-
-        line = self.ctrl.lookup(base)
-        if line is not None and line.state.writable:
-            if line.data[widx] != expect:
-                on_done(False)
-                return
-            self.ctrl.before_nonsilent_store(line, needs_upgrade=False)
-            self._do_write(line, base, widx, new)
-            on_done(True)
-        elif line is not None and line.state.valid:
-            self.ctrl.issue(
-                TxnKind.UPGRADE, base,
-                lambda txn, data: on_done(outcome["ok"]), on_granted=at_grant,
-            )
-        else:
-            self._miss(
-                base, is_store=True,
-                waiter=lambda data: on_done(outcome["ok"]), on_granted=at_grant,
-            )
+        self._atomic(
+            addr,
+            lambda word: (new, True) if word == expect else (None, False),
+            on_done,
+            lambda: self.atomic_rmw(addr, expect, new, on_done),
+        )
 
     def atomic_add(self, addr: int, delta: int, on_done: Callable[[int], None]) -> None:
         """Atomic fetch-and-add (always succeeds once ownership is held).
@@ -419,37 +390,58 @@ class NodeMemory:
         increments): architecturally equivalent to a successful
         load-linked / store-conditional retry loop.
         """
+        self._atomic(
+            addr,
+            lambda word: (word + delta, word + delta),
+            on_done,
+            lambda: self.atomic_add(addr, delta, on_done),
+        )
+
+    def _atomic(
+        self, addr: int, update: Callable[[int], tuple], on_done: Callable,
+        pending: StoreCallback,
+    ) -> None:
+        """Read-modify-write ``addr``'s word atomically with ownership.
+
+        ``update(word)`` returns ``(new, outcome)``: ``new`` is written
+        unless it is None, and ``on_done(outcome)`` fires when the
+        access completes.  A writable line applies at once; otherwise an
+        Upgrade (valid line) or a ReadX (miss) acquires ownership and
+        the update applies at its grant.  ``pending`` re-issues the
+        access once a miss already pending on the line settles.
+        """
         base = line_address(addr, self.config.line_size)
         widx = word_index(addr, self.config.line_size)
         entry = self.mshrs.get(base)
         if entry is not None:
-            entry.add_waiter(lambda data: self.atomic_add(addr, delta, on_done))
+            entry.add_waiter(lambda data: pending())
             return
 
-        result = {"value": 0}
-
-        def at_grant() -> None:
-            line = self.ctrl.lookup(base)
-            new_value = line.data[widx] + delta
-            self.ctrl.before_nonsilent_store(line, needs_upgrade=False)
-            self._do_write(line, base, widx, new_value)
-            result["value"] = new_value
+        def apply(line: CacheLine):
+            new, outcome = update(line.data[widx])
+            if new is not None:
+                self.ctrl.before_nonsilent_store(line, needs_upgrade=False)
+                self._do_write(line, base, widx, new)
+            return outcome
 
         line = self.ctrl.lookup(base)
         if line is not None and line.state.writable:
-            new_value = line.data[widx] + delta
-            self.ctrl.before_nonsilent_store(line, needs_upgrade=False)
-            self._do_write(line, base, widx, new_value)
-            on_done(new_value)
-        elif line is not None and line.state.valid:
+            on_done(apply(line))
+            return
+        granted = []  # the outcome, once applied at the grant
+
+        def at_grant() -> None:
+            granted.append(apply(self.ctrl.lookup(base)))
+
+        if line is not None and line.state.valid:
             self.ctrl.issue(
                 TxnKind.UPGRADE, base,
-                lambda txn, data: on_done(result["value"]), on_granted=at_grant,
+                lambda txn, data: on_done(granted[0]), on_granted=at_grant,
             )
         else:
             self._miss(
                 base, is_store=True,
-                waiter=lambda data: on_done(result["value"]), on_granted=at_grant,
+                waiter=lambda data: on_done(granted[0]), on_granted=at_grant,
             )
 
     # ------------------------------------------------------------------

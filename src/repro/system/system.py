@@ -105,26 +105,20 @@ class System:
             tracer.bind_clock(self.scheduler)
             self.tracer = tracer
         self.memory = MainMemory(config.line_size)
-        if config.interconnect is InterconnectKind.DIRECTORY:
-            self.bus = DirectoryNetwork(
-                self.scheduler,
-                config.bus,
-                self.memory,
-                self.stats.scoped("bus"),
-                jitter=config.latency_jitter,
-                rng=self.rng.split("bus"),
-                tracer=self.tracer,
-            )
-        else:
-            self.bus = SnoopBus(
-                self.scheduler,
-                config.bus,
-                self.memory,
-                self.stats.scoped("bus"),
-                jitter=config.latency_jitter,
-                rng=self.rng.split("bus"),
-                tracer=self.tracer,
-            )
+        bus_cls = (
+            DirectoryNetwork
+            if config.interconnect is InterconnectKind.DIRECTORY
+            else SnoopBus
+        )
+        self.bus = bus_cls(
+            self.scheduler,
+            config.bus,
+            self.memory,
+            self.stats.scoped("bus"),
+            jitter=config.latency_jitter,
+            rng=self.rng.split("bus"),
+            tracer=self.tracer,
+        )
         self.classifier = MissClassifier(self.stats.scoped("misses"), config.n_procs)
         programs = workload.build_programs(config, self.rng.split("workload"))
         if len(programs) != config.n_procs:

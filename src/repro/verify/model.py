@@ -5,12 +5,15 @@ word — but it is *not* a re-implementation of the protocols: every
 state decision is delegated to the node's real
 :class:`~repro.coherence.protocol.ProtocolLogic` instance (snoop
 queries, snoop applies, fill states, validate states), and directory
-bookkeeping reuses the real
-:class:`~repro.coherence.directory.DirectoryNetwork` target/update
-logic.  What the model abstracts away is *timing*: the bus is already
-atomic at its grant point, so collapsing each transaction to one
-atomic step preserves the protocol-visible interleavings while making
-the state space finite and small.
+bookkeeping calls the real home rules,
+:meth:`~repro.coherence.directory.DirectoryNetwork.targets`,
+:meth:`~repro.coherence.directory.DirectoryNetwork.home_shared` and
+:meth:`~repro.coherence.directory.DirectoryNetwork.update`, the same
+static functions the interconnect's grant calls.  What the model
+abstracts away is *timing*: the bus is already atomic at its grant
+point, so collapsing each transaction to one atomic step preserves the
+protocol-visible interleavings while making the state space finite and
+small.
 
 Global states are plain nested tuples (hashable, cheap to compare):
 
@@ -38,21 +41,17 @@ from __future__ import annotations
 from typing import Iterator
 
 from repro.common.config import (
-    BusConfig,
     InterconnectKind,
     ProtocolConfig,
     ProtocolKind,
     ValidatePolicy,
 )
 from repro.common.errors import ProtocolError
-from repro.common.events import Scheduler
-from repro.common.stats import StatsRegistry
 from repro.coherence.directory import DirectoryEntry, DirectoryNetwork
-from repro.coherence.messages import BusTransaction, SnoopResult, TxnKind
+from repro.coherence.messages import BusTransaction, TxnKind
 from repro.coherence.protocol import ProtocolLogic, make_protocol
 from repro.coherence.states import LineState
 from repro.memory.cache import CacheLine
-from repro.memory.mainmem import MainMemory
 
 # Line-aligned bases the model's lines map to (also used by the
 # concrete replay bridge, keeping abstract and concrete traces in the
@@ -133,15 +132,6 @@ class AbstractMachine:
         self.n_words = n_words
         self.values = values
         self.interconnect = interconnect
-        self._dirnet: DirectoryNetwork | None = None
-        if interconnect is InterconnectKind.DIRECTORY:
-            # One real DirectoryNetwork whose pure target/update methods
-            # the model calls with ephemeral entries — the bookkeeping
-            # under test is the implementation's, not a re-derivation.
-            self._dirnet = DirectoryNetwork(
-                Scheduler(), BusConfig(), MainMemory(LINE_SIZE),
-                StatsRegistry().scoped("dir"),
-            )
 
     # ------------------------------------------------------------------
     # State construction and views
@@ -155,7 +145,7 @@ class AbstractMachine:
         )
         mem = tuple(zero for _ in range(self.n_lines))
         dirs = None
-        if self._dirnet is not None:
+        if self.interconnect is InterconnectKind.DIRECTORY:
             dirs = tuple((None, frozenset(), frozenset()) for _ in range(self.n_lines))
         return (nodes, mem, mem, mem, dirs)
 
@@ -225,9 +215,10 @@ class AbstractMachine:
             entry = DirectoryEntry(
                 owner=d[0], sharers=set(d[1]), t_sharers=set(d[2])
             )
-            # Contacting a node that silently dropped the line is a
-            # harmless no-op, exactly as on the real interconnect.
-            targets = [t for t in self._dirnet._targets(entry, txn) if t in lines]
+            # The home's rules are the implementation's, not a
+            # re-derivation.  Contacting a node that silently dropped
+            # the line is a harmless no-op, as on the real interconnect.
+            targets = [t for t in DirectoryNetwork.targets(entry, txn) if t in lines]
         else:
             targets = [t for t in lines if t != req]
 
@@ -240,13 +231,8 @@ class AbstractMachine:
                 result.dirty_owner = t
         if dirs is not None and kind is TxnKind.READ and not result.shared:
             # The home supplies the sharing indication for uncontacted
-            # clean sharers (DirectoryNetwork._execute does the same).
-            others = set(entry.sharers)
-            if entry.owner is not None:
-                others.add(entry.owner)
-            others.discard(req)
-            if others:
-                result.shared = True
+            # clean sharers (the interconnect's grant does the same).
+            result.shared = DirectoryNetwork.home_shared(entry, req)
 
         mem_line = mem[line]
         gvis_line = gvis[line]
@@ -292,7 +278,7 @@ class AbstractMachine:
         mem = self._with_line(mem, line, mem_line)
         gvis = self._with_line(gvis, line, gvis_line)
         if dirs is not None:
-            self._dirnet._update_directory(entry, txn, result)
+            DirectoryNetwork.update(entry, txn, result)
             dirs = self._with_line(
                 dirs,
                 line,

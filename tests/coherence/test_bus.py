@@ -2,13 +2,17 @@
 
 import pytest
 
-from repro.common.config import BusConfig
+from repro.common.config import BusConfig, scaled_config
 from repro.common.events import Scheduler
 from repro.common.stats import StatsRegistry
 from repro.coherence.bus import SnoopBus
 from repro.coherence.messages import BusTransaction, TxnKind
 from repro.coherence.protocol import SnoopQuery
 from repro.memory.mainmem import MainMemory
+from repro.obs.tracer import TraceFilter, Tracer
+from repro.system.system import System
+from repro.system.techniques import configure_technique
+from repro.workloads.registry import get_benchmark
 
 
 class _StubClient:
@@ -152,3 +156,11 @@ def test_jitter_perturbs_completion_times():
 
     times = {completion_with(s) for s in range(8)}
     assert len(times) > 1  # jitter actually varies timing
+
+
+def test_grant_rows_count_every_other_node_as_a_target():
+    tracer = Tracer(filter=TraceFilter.parse("kind=bus.grant"))
+    config = configure_technique(scaled_config(n_procs=4), "emesti")
+    System(config, get_benchmark("locks", scale=0.05), seed=1, tracer=tracer).run()
+    rows = list(tracer.events)
+    assert rows and all(e.fields["targets"] == 3 for e in rows)

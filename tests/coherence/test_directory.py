@@ -4,9 +4,15 @@ import dataclasses
 
 import pytest
 
-from repro.common.config import InterconnectKind, ProtocolKind, ValidatePolicy
+from repro.common.config import (
+    InterconnectKind,
+    ProtocolKind,
+    ValidatePolicy,
+    scaled_config,
+)
 from repro.coherence.directory import DirectoryNetwork
 from repro.coherence.states import LineState
+from repro.experiments.runner import cell_config, run_cell
 from tests.harness import MemHarness
 
 ADDR = 0x10000
@@ -16,46 +22,7 @@ def dir_harness(config, **proto):
     cfg = dataclasses.replace(config, interconnect=InterconnectKind.DIRECTORY)
     if proto:
         cfg = cfg.with_protocol(**proto)
-    h = DirectoryHarness(cfg)
-    return h
-
-
-class DirectoryHarness(MemHarness):
-    """MemHarness wired over a DirectoryNetwork."""
-
-    def __init__(self, config):
-        # Rebuild like MemHarness but with the directory interconnect.
-        from repro.common.events import Scheduler
-        from repro.common.stats import StatsRegistry
-        from repro.coherence.controller import CoherenceController
-        from repro.memory.hierarchy import NodeMemory
-        from repro.memory.mainmem import MainMemory
-        from tests.harness import FakeCore
-
-        config.validate()
-        self.config = config
-        self.scheduler = Scheduler()
-        self.stats = StatsRegistry()
-        self.memory = MainMemory(config.line_size)
-        self.bus = DirectoryNetwork(
-            self.scheduler, config.bus, self.memory, self.stats.scoped("bus")
-        )
-        self.controllers = []
-        self.nodes = []
-        self.cores = []
-        self._seq = 0
-        for i in range(config.n_procs):
-            ctrl = CoherenceController(
-                i, config, self.bus, self.memory, self.stats.scoped(f"ctrl{i}")
-            )
-            node = NodeMemory(
-                i, config, self.scheduler, ctrl, self.stats.scoped(f"node{i}")
-            )
-            core = FakeCore()
-            node.core = core
-            self.controllers.append(ctrl)
-            self.nodes.append(node)
-            self.cores.append(core)
+    return MemHarness(cfg)
 
 
 @pytest.fixture
@@ -72,6 +39,9 @@ def hm(tiny_config):
 
 
 class TestBasicCoherence:
+    def test_harness_runs_on_the_directory(self, h):
+        assert isinstance(h.bus, DirectoryNetwork)
+
     def test_read_write_round_trip(self, h):
         h.store(0, ADDR, 42)
         assert h.load(1, ADDR)[1] == 42
@@ -196,3 +166,25 @@ class TestValueCorrectnessOverDirectory:
                 _, observed, _ = h.load(proc, addr, spec=False)
                 assert observed == shadow.get(addr, 0), hex(addr)
             h.drain()
+
+
+# Cycles/committed of whole directory cells (scale 0.05, seed 1): the
+# bench gate's baseline and perfbench's digests cover bus cells only,
+# so these pin the directory grant's timing.
+@pytest.mark.parametrize(
+    ("workload", "technique", "cycles", "committed"),
+    [
+        ("radiosity", "base", 15613, 12443),
+        ("radiosity", "emesti", 15219, 16573),
+        ("tpc-b", "base", 18168, 6412),
+        ("tpc-b", "emesti", 19142, 7594),
+        ("locks", "base", 8177, 2264),
+        ("locks", "emesti", 7747, 2827),
+    ],
+)
+def test_directory_cell_timing(workload, technique, cycles, committed):
+    base = dataclasses.replace(
+        scaled_config(), interconnect=InterconnectKind.DIRECTORY
+    )
+    summary = run_cell(cell_config(base, technique), workload, 0.05, 1)
+    assert (summary["cycles"], summary["committed"]) == (cycles, committed)

@@ -6,7 +6,7 @@ import pytest
 
 from repro.common.config import InterconnectKind, ProtocolKind, ValidatePolicy
 from repro.coherence.states import LineState
-from tests.coherence.test_directory import DirectoryHarness
+from tests.harness import MemHarness
 
 ADDR = 0x10000
 
@@ -17,7 +17,7 @@ def make(config, n=2, **proto):
     )
     if proto:
         cfg = cfg.with_protocol(**proto)
-    return DirectoryHarness(cfg)
+    return MemHarness(cfg)
 
 
 def test_racing_upgrades_convert(tiny_config):
@@ -72,7 +72,7 @@ def test_lvp_over_directory(tiny_config):
         tiny_config.with_lvp(enabled=True), n_procs=2,
         interconnect=InterconnectKind.DIRECTORY,
     )
-    h = DirectoryHarness(cfg)
+    h = MemHarness(cfg)
     h.store(0, ADDR, 5)
     h.load(1, ADDR)
     h.store(0, ADDR + 8, 1)  # false sharing: word 0 unchanged

@@ -1,6 +1,7 @@
 """Test harness: drive the memory system directly, without cores.
 
-``MemHarness`` wires scheduler + memory + bus + one controller/node per
+``MemHarness`` wires scheduler + memory + interconnect (the bus, or the
+directory when ``config.interconnect`` says so) + one controller/node per
 processor, and offers synchronous-looking load/store helpers that run
 the event loop until the access completes.  ``FakeCore`` stands in for
 the real core, recording LVP callbacks.
@@ -10,11 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.common.config import MachineConfig, scaled_config
+from repro.common.config import InterconnectKind, MachineConfig, scaled_config
 from repro.common.events import Scheduler
 from repro.common.stats import StatsRegistry
 from repro.coherence.bus import SnoopBus
 from repro.coherence.controller import CoherenceController
+from repro.coherence.directory import DirectoryNetwork
 from repro.memory.hierarchy import NodeMemory
 from repro.memory.mainmem import MainMemory
 
@@ -85,7 +87,12 @@ class MemHarness:
         self.scheduler = Scheduler()
         self.stats = StatsRegistry()
         self.memory = MainMemory(self.config.line_size)
-        self.bus = SnoopBus(
+        bus_cls = (
+            DirectoryNetwork
+            if self.config.interconnect is InterconnectKind.DIRECTORY
+            else SnoopBus
+        )
+        self.bus = bus_cls(
             self.scheduler, self.config.bus, self.memory, self.stats.scoped("bus")
         )
         self.controllers: list[CoherenceController] = []

@@ -1,10 +1,11 @@
 """Provenance analyzer: attribution, reconciliation, the explain gate."""
 
+import dataclasses
 import json
 
 import pytest
 
-from repro.common.config import scaled_config
+from repro.common.config import InterconnectKind, scaled_config
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.provenance import (
     MISS_CLASSES,
@@ -20,8 +21,12 @@ from repro.system.techniques import configure_technique
 from repro.workloads.registry import get_benchmark
 
 
-def _traced_run(technique="emesti+lvp", scale=0.2, seed=1, procs=4):
-    config = configure_technique(scaled_config(n_procs=procs), technique)
+def _traced_run(technique="emesti+lvp", scale=0.2, seed=1, procs=4,
+                interconnect=InterconnectKind.BUS):
+    base = dataclasses.replace(
+        scaled_config(n_procs=procs), interconnect=interconnect
+    )
+    config = configure_technique(base, technique)
     tracer = Tracer()
     system = System(
         config, get_benchmark("locks", scale=scale), seed=seed, tracer=tracer,
@@ -65,6 +70,25 @@ class TestAcceptance:
         report = analyze_events(tracer.events)
         assert report.spans["open"] == 0
         assert report.spans["truncated"] == 0
+
+
+class TestAcceptanceOnDirectory:
+    """Attribution and exact reconciliation over the directory's grants.
+
+    Span balance is checked on the bus only: a run ends when its last
+    core finishes, and a validate still on its hop to the home then
+    never grants, so its span stays open.
+    """
+
+    @pytest.fixture(scope="class")
+    def locks_run(self):
+        return _traced_run(interconnect=InterconnectKind.DIRECTORY)
+
+    test_attribution_rate_on_locks = TestAcceptance.test_attribution_rate_on_locks
+    test_validate_totals_reconcile_exactly = (
+        TestAcceptance.test_validate_totals_reconcile_exactly
+    )
+    test_miss_totals_reconcile_exactly = TestAcceptance.test_miss_totals_reconcile_exactly
 
 
 class TestClassification:

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from repro.common.config import InterconnectKind, ProtocolKind, ValidatePolicy
 from repro.coherence.states import LineState
-from tests.coherence.test_directory import DirectoryHarness
+from tests.harness import MemHarness
 
 LINES = [0x10000, 0x10040]
 WORDS = [0, 5]
@@ -64,7 +64,7 @@ def test_directory_moesi_invariants(tiny_config, seq):
     cfg = dataclasses.replace(
         tiny_config, n_procs=3, interconnect=InterconnectKind.DIRECTORY
     )
-    run_directory_sequence(DirectoryHarness(cfg), seq)
+    run_directory_sequence(MemHarness(cfg), seq)
 
 
 @settings(max_examples=30, deadline=None,
@@ -77,7 +77,7 @@ def test_directory_emesti_invariants(tiny_config, seq):
         kind=ProtocolKind.MOESTI, enhanced=True,
         validate_policy=ValidatePolicy.PREDICTOR,
     )
-    run_directory_sequence(DirectoryHarness(cfg), seq)
+    run_directory_sequence(MemHarness(cfg), seq)
 
 
 @settings(max_examples=30, deadline=None,
@@ -89,7 +89,7 @@ def test_directory_mesti_invariants(tiny_config, seq):
     ).with_protocol(
         kind=ProtocolKind.MESTI, validate_policy=ValidatePolicy.ALWAYS
     )
-    run_directory_sequence(DirectoryHarness(cfg), seq)
+    run_directory_sequence(MemHarness(cfg), seq)
 
 
 def test_directory_t_copy_rot(tiny_config):
@@ -106,7 +106,7 @@ def test_directory_t_copy_rot(tiny_config):
     ).with_protocol(
         kind=ProtocolKind.MESTI, validate_policy=ValidatePolicy.ALWAYS
     )
-    h = DirectoryHarness(cfg)
+    h = MemHarness(cfg)
     base = 0x10000
 
     h.load(1, base, spec=False)          # P1 fills clean
