@@ -241,14 +241,19 @@ def cmd_explain(args) -> int:
 
 def cmd_check(args) -> int:
     """Handle ``repro-sim check`` (protocol verification)."""
-    from repro.fuzz.report import mutation_record, render_mutation
+    from repro.fuzz.report import render_mutation
     from repro.verify.checker import ModelChecker
     from repro.verify.litmus import LitmusRunner
     from repro.verify.model import AbstractMachine, ProtocolSpec
-    from repro.verify.mutations import BUS_ONLY, apply_mutation
+    from repro.verify.mutations import inapplicable, mutate, mutation_record
     from repro.verify.replay import ConcreteReplayer
     from repro.verify.report import render_check, render_litmus, render_replay
 
+    for flag, bound in (("--depth", args.depth),
+                        ("--max-states", args.max_states)):
+        if bound is not None and bound < 1:
+            print(f"repro-sim: error: {flag} must be >= 1", file=sys.stderr)
+            return 2
     protocols = (
         list(ProtocolSpec.NAMES) if args.protocol == "all" else [args.protocol]
     )
@@ -257,74 +262,84 @@ def cmd_check(args) -> int:
         "directory": (InterconnectKind.DIRECTORY,),
         "both": (InterconnectKind.BUS, InterconnectKind.DIRECTORY),
     }[args.interconnect]
-    if args.mutate in BUS_ONLY and InterconnectKind.DIRECTORY in interconnects:
-        reason = (
-            f"mutation {args.mutate!r} needs a bus: a directory's home "
-            f"never contacts T-sharers on reads, so the row it patches "
-            f"is unreachable there"
-        )
-        if args.interconnect == "directory":
-            print(f"repro-sim: error: {reason}", file=sys.stderr)
+    combos = [
+        (ProtocolSpec(name), interconnect)
+        for name in protocols for interconnect in interconnects
+    ]
+    if args.mutate:
+        applicable = []
+        for spec, interconnect in combos:
+            try:
+                why = inapplicable(spec.make_logic(), args.mutate, interconnect)
+            except ValueError as exc:
+                print(f"repro-sim: error: {exc}", file=sys.stderr)
+                return 2
+            if why is None:
+                applicable.append((spec, interconnect))
+            else:
+                print(f"repro-sim: skipping the {interconnect.value} run "
+                      f"of {spec.name}: {why}", file=sys.stderr)
+        if not applicable:
+            print(f"repro-sim: error: mutation {args.mutate!r} applies to "
+                  f"none of the requested runs", file=sys.stderr)
             return 2
-        print(f"repro-sim: skipping the directory run: {reason}",
-              file=sys.stderr)
-        interconnects = (InterconnectKind.BUS,)
+        combos = applicable
     text = args.format == "text"
     runs = []
     failed = False
-    for name in protocols:
-        spec = ProtocolSpec(name)
-        for interconnect in interconnects:
-            logic = spec.make_logic()
-            if args.mutate:
-                try:
-                    logic = apply_mutation(logic, args.mutate)
-                except ValueError as exc:
-                    print(f"repro-sim: error: {exc}", file=sys.stderr)
-                    return 2
-            machine = AbstractMachine(
-                logic, n_nodes=args.nodes, interconnect=interconnect
+    for spec, interconnect in combos:
+        logic = spec.make_logic()
+        if args.mutate:
+            logic = mutate(logic, args.mutate)
+        machine = AbstractMachine(
+            logic, n_nodes=args.nodes, interconnect=interconnect
+        )
+        result = ModelChecker(
+            machine, max_depth=args.depth, max_states=args.max_states
+        ).run()
+        run = result.to_json()
+        if args.mutate:
+            run["mutation"] = mutation_record(
+                args.mutate, result.protocol, result
             )
-            result = ModelChecker(
-                machine, max_depth=args.depth, max_states=args.max_states
-            ).run()
-            run = result.to_json()
-            if args.mutate:
-                run["mutation"] = mutation_record(args.mutate, result)
-                if text:
-                    print(render_mutation(run["mutation"]))
-                if result.ok:
-                    # An undetected seeded bug is itself a failure of
-                    # the verification loop (a mutation escape).
-                    failed = True
+            run["mutation"]["rows"] = sorted(
+                ":".join(entry["row"])
+                for entry in result.coverage.get("exercised", ())
+            )
             if text:
-                print(render_check(result))
-            # Coverage gaps only count against a complete clean run;
-            # a violation (or a bounded search) stops exploration early.
-            gaps = result.ok and result.complete and (
-                result.coverage.get("missing")
-                or result.coverage.get("unexpected")
-            )
-            if result.violations or gaps:
+                print(render_mutation(run["mutation"]))
+            if result.ok:
+                # An undetected seeded bug is itself a failure of
+                # the verification loop (a mutation escape).
                 failed = True
-            if result.violations and not args.no_replay:
-                replayer = ConcreteReplayer(
-                    spec, n_nodes=args.nodes, interconnect=interconnect,
-                    mutate=args.mutate,
-                )
-                trace = result.violations[0].trace
-                outcome = replayer.replay(trace)
-                run["replay"] = outcome.to_json()
-                if text:
-                    print(render_replay(outcome, len(trace)))
-            if not args.no_litmus and not args.mutate:
-                litmus = LitmusRunner(spec, interconnect).run_all()
-                run["litmus"] = [r.to_json() for r in litmus]
-                if any(not r.ok for r in litmus):
-                    failed = True
-                if text:
-                    print(render_litmus(litmus))
-            runs.append(run)
+        if text:
+            print(render_check(result))
+        # Coverage gaps only count against a complete clean run;
+        # a violation (or a bounded search) stops exploration early.
+        gaps = result.ok and result.complete and (
+            result.coverage.get("missing")
+            or result.coverage.get("unexpected")
+        )
+        if result.violations or gaps:
+            failed = True
+        if result.violations and not args.no_replay:
+            replayer = ConcreteReplayer(
+                spec, n_nodes=args.nodes, interconnect=interconnect,
+                mutate=args.mutate,
+            )
+            trace = result.violations[0].trace
+            outcome = replayer.replay(trace)
+            run["replay"] = outcome.to_json()
+            if text:
+                print(render_replay(outcome, len(trace)))
+        if not args.no_litmus and not args.mutate:
+            litmus = LitmusRunner(spec, interconnect).run_all()
+            run["litmus"] = [r.to_json() for r in litmus]
+            if any(not r.ok for r in litmus):
+                failed = True
+            if text:
+                print(render_litmus(litmus))
+        runs.append(run)
     ok = not failed
     if text:
         print("result:", "ok" if ok else "FAIL")

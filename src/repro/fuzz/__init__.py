@@ -1,8 +1,8 @@
 """Coverage-guided protocol fuzzing over the verify subsystem.
 
-ROADMAP item 5: generalize the seeded mutations of PR 2 into a
-continuous campaign.  The package composes three loops on top of
-:mod:`repro.verify`:
+The package turns the seeded protocol bugs of
+:mod:`repro.verify.mutations` into a continuous campaign, composing
+three loops on top of :mod:`repro.verify`:
 
 * :mod:`repro.fuzz.generator` — randomized litmus tests and schedules,
   seeded via :class:`repro.common.rng.SplitRng` (deterministic per
@@ -14,13 +14,13 @@ continuous campaign.  The package composes three loops on top of
   base vs MESTI vs E-MESTI, abstractly and concretely (through
   :mod:`repro.verify.replay`), with final-memory agreement checked
   per the data-value invariant;
-* :mod:`repro.fuzz.mutator` — random protocol-table / validate-policy
-  mutations (plus the seeded ``MUTATIONS``) that the bounded checker
-  must catch, with transition-table coverage as the feedback signal;
-* :mod:`repro.fuzz.campaign` — the budgeted round loop, the corpus of
-  (seed, mutation, schedule) triples that reached new coverage rows,
+* :mod:`repro.fuzz.campaign` — the budgeted round loop: random
+  protocol mutants (:func:`~repro.fuzz.campaign.random_descriptor`,
+  after the seeded plan) that the bounded checker must catch, with
+  transition-table coverage as the feedback signal; the corpus of
+  (seed, mutation, schedule) triples that reached new coverage rows;
   and counterexample minimization;
-* :mod:`repro.fuzz.report` — the JSON/text report shared with
+* :mod:`repro.fuzz.report` — the text renderings shared with
   ``repro-sim check --mutate``.
 
 Surface: ``repro-sim fuzz`` (see :mod:`repro.cli`) and the service's
@@ -29,7 +29,7 @@ Surface: ``repro-sim fuzz`` (see :mod:`repro.cli`) and the service's
 
 from repro.fuzz.campaign import FuzzOptions, run_campaign, run_fuzz_cell
 from repro.fuzz.generator import generate_test, make_schedule
-from repro.fuzz.report import mutation_record, render_fuzz, render_mutation
+from repro.fuzz.report import render_fuzz, render_mutation
 from repro.verify.litmus import enumerate_outcomes
 
 __all__ = [
@@ -37,7 +37,6 @@ __all__ = [
     "enumerate_outcomes",
     "generate_test",
     "make_schedule",
-    "mutation_record",
     "render_fuzz",
     "render_mutation",
     "run_campaign",

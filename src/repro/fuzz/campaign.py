@@ -8,9 +8,10 @@ One campaign interleaves two iteration kinds under a single budget:
   under test against it, and run one random schedule differentially
   (:mod:`repro.fuzz.differential`);
 * **mutation** iterations (every 4th) build a protocol mutant
-  (:mod:`repro.fuzz.mutator`) — walking the hand-seeded plan first,
-  then sampling randomly — and require the bounded model checker to
-  flag it.
+  (:mod:`repro.verify.mutations`) — walking the hand-seeded plan
+  first, then sampling the descriptor grammar with
+  :func:`random_descriptor` — and require the bounded model checker
+  to flag it.
 
 Coverage feedback: every iteration reports the transition-table rows
 it exercised, namespaced per protocol; an iteration that reaches rows
@@ -39,18 +40,14 @@ from __future__ import annotations
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
+from repro.coherence.messages import SnoopResult, TxnKind
+from repro.coherence.states import LineState
 from repro.common.config import InterconnectKind
 from repro.common.rng import SplitRng
 from repro.experiments.runner import exit_with_parent
 from repro.fuzz.differential import DEFAULT_PROTOCOLS, run_differential
 from repro.fuzz.generator import generate_test, make_schedule
 from repro.fuzz.minimize import minimize_test
-from repro.fuzz.mutator import (
-    apply_descriptor,
-    descriptor_name,
-    random_descriptor,
-    seeded_plan,
-)
 from repro.fuzz.oracle import (
     DEFAULT_MAX_STATES,
     REFERENCE_PROTOCOL,
@@ -59,6 +56,13 @@ from repro.fuzz.oracle import (
 from repro.verify.checker import ModelChecker
 from repro.verify.litmus import enumerate_outcomes
 from repro.verify.model import AbstractMachine, ProtocolSpec
+from repro.verify.mutations import (
+    TEMPORAL_SHAPES,
+    Descriptor,
+    mutate,
+    mutation_record,
+    seeded_plan,
+)
 from repro.verify.replay import ConcreteReplayer
 
 #: Every ``MUTATION_STRIDE``-th iteration checks a protocol mutant.
@@ -105,11 +109,11 @@ def _trace_json(trace) -> list:
     return [list(event) for event in trace]
 
 
-def _witness(spec_name, test, trace, interconnect, mutate=None) -> dict:
+def _witness(spec_name, test, trace, interconnect, mutant=None) -> dict:
     """Concrete-simulator replay of an abstract trace (the witness)."""
     replayer = ConcreteReplayer(
         ProtocolSpec(spec_name), n_nodes=test.n_nodes,
-        interconnect=interconnect, mutate=mutate,
+        interconnect=interconnect, mutate=mutant,
     )
     doc = replayer.replay(trace).to_json()
     doc["protocol"] = spec_name
@@ -119,6 +123,53 @@ def _witness(spec_name, test, trace, interconnect, mutate=None) -> dict:
 # ----------------------------------------------------------------------
 # One iteration (module-level: runs in pool workers)
 # ----------------------------------------------------------------------
+
+
+def random_descriptor(rng: SplitRng, spec: ProtocolSpec) -> Descriptor:
+    """Sample one random mutant descriptor valid for ``spec``.
+
+    Samples are steered away from trivially equivalent mutants: the
+    pristine table is probed first and the mutated outcome is always a
+    *different* state letter.  Equivalent mutants still exist, so a
+    random mutant the bounded checker does not flag is evidence, not a
+    finding.
+    """
+    logic = spec.make_logic()
+    letters = [s.value for s in logic.states()]
+    shapes = ["fill-state", "remote-row"]
+    if logic.has_temporal:
+        shapes += TEMPORAL_SHAPES
+    shape = rng.choice(tuple(shapes))
+    if shape == "fill-state":
+        txn = rng.choice((TxnKind.READ, TxnKind.READX))
+        result = SnoopResult()
+        result.shared = rng.choice((True, False))
+        probe = logic.fill_state(txn, result)
+        post = rng.choice(tuple(x for x in letters if x != probe.value))
+        return ("fill-state", txn.value, probe.value, post)
+    if shape == "post-validate":
+        current = logic.post_validate_state().value
+        return ("post-validate",
+                rng.choice(tuple(x for x in letters if x != current)))
+    if shape == "revalidated":
+        current = logic.revalidated_state().value
+        return ("revalidated",
+                rng.choice(tuple(x for x in letters if x != current)))
+    if shape == "writes-back-flip":
+        return ("writes-back-flip",)
+    # remote-row: probe a random legal row, force a different outcome.
+    labels = logic.remote_event_labels()
+    for _ in range(16):
+        pre = rng.choice(tuple(letters))
+        label = rng.choice(tuple(labels))
+        post = logic.probe_remote(LineState(pre), label)
+        if post == "illegal":
+            continue
+        forced = rng.choice(tuple(x for x in letters if x != post))
+        return ("remote-row", pre, label, forced)
+    # Every sampled row was illegal (vanishingly unlikely): fall back
+    # to a known-meaningful row flip.
+    return ("remote-row", "M", TxnKind.READX.value, "M")
 
 
 def _mutation_iteration(options: FuzzOptions, index: int,
@@ -134,26 +185,16 @@ def _mutation_iteration(options: FuzzOptions, index: int,
         descriptor = random_descriptor(
             rng.split("descriptor"), ProtocolSpec(proto_name)
         )
-    spec = ProtocolSpec(proto_name)
-    logic = apply_descriptor(spec, descriptor)
+    logic = mutate(ProtocolSpec(proto_name).make_logic(), descriptor)
     machine = AbstractMachine(logic, n_nodes=3, interconnect=interconnect)
     result = ModelChecker(
         machine, max_states=options.mutation_max_states
     ).run()
-    detected = not result.ok
     record = {
         "descriptor": list(descriptor),
-        "name": descriptor_name(descriptor),
-        "protocol": proto_name,
-        "seeded": descriptor[0] == "seeded",
-        "detected": detected,
-        "caught_as": result.violations[0].kind if detected else None,
-        "trace_len": (
-            len(result.violations[0].trace) if detected else None
-        ),
-        "states": result.states,
-        "rows_reached": len(result.coverage.get("exercised", ())),
+        **mutation_record(descriptor, proto_name, result),
     }
+    detected = record["detected"]
     findings: list[dict] = []
     if record["seeded"] and not detected:
         findings.append({
@@ -174,8 +215,7 @@ def _mutation_iteration(options: FuzzOptions, index: int,
         trace = result.violations[0].trace
         test_shim = _MutantShim(n_nodes=3)
         witness = _witness(
-            proto_name, test_shim, trace, interconnect,
-            mutate=descriptor[1],
+            proto_name, test_shim, trace, interconnect, mutant=descriptor,
         )
         record["witness"] = witness
         if witness["ok"]:

@@ -1,42 +1,15 @@
-"""Shared report shapes for the fuzz campaign and ``check --mutate``.
+"""Text renderings for the fuzz campaign and ``check --mutate``.
 
 ``repro-sim check --mutate NAME`` and the campaign's mutation
 iterations answer the same question — *did the checker catch this
 mutant, and what did the attempt exercise?* — so they share one record
-schema, produced here.  :func:`render_fuzz` and
-:func:`render_mutation` are the text renderings the CLI prints; the
-JSON documents themselves come from
-:meth:`repro.fuzz.campaign.FuzzReport.to_json` and
-:func:`mutation_record`.
+schema, :func:`repro.verify.mutations.mutation_record`.
+:func:`render_fuzz` and :func:`render_mutation` are the text
+renderings the CLI prints; the campaign's JSON document comes from
+:meth:`repro.fuzz.campaign.FuzzReport.to_json`.
 """
 
 from __future__ import annotations
-
-
-def mutation_record(name: str, result) -> dict:
-    """Summarize a mutated :class:`~repro.verify.checker.CheckResult`.
-
-    Same keys as the campaign's mutation records (minus the
-    descriptor machinery): the mutation ``name``, whether the checker
-    ``detected`` it, what it was ``caught_as``, the counterexample
-    ``trace_len``, and the coverage rows the attempt reached.
-    """
-    detected = not result.ok
-    rows = sorted(
-        ":".join(entry["row"])
-        for entry in result.coverage.get("exercised", ())
-    )
-    return {
-        "name": name,
-        "protocol": result.protocol,
-        "seeded": True,
-        "detected": detected,
-        "caught_as": result.violations[0].kind if detected else None,
-        "trace_len": len(result.violations[0].trace) if detected else None,
-        "states": result.states,
-        "rows_reached": len(rows),
-        "rows": rows,
-    }
 
 
 def render_mutation(record: dict) -> str:

@@ -11,8 +11,9 @@ with symmetry reduction and checks the invariants in
 against their allowed-outcome sets, :mod:`.replay` re-executes any
 abstract trace on the concrete memory system under
 :class:`~repro.coherence.validation.CoherenceChecker`, and
-:mod:`.mutations` provides seeded protocol bugs that demonstrate the
-whole loop: abstract counterexample -> concrete failure.
+:mod:`.mutations` defines protocol mutants, among them the seeded bugs
+that demonstrate the whole loop: abstract counterexample -> concrete
+failure.
 
 Surface: ``repro-sim check`` (see :mod:`repro.cli`).
 """
@@ -20,7 +21,7 @@ Surface: ``repro-sim check`` (see :mod:`repro.cli`).
 from repro.verify.checker import CheckResult, ModelChecker, Violation
 from repro.verify.litmus import LITMUS_TESTS, LitmusRunner, LitmusTest
 from repro.verify.model import AbstractMachine, ModelViolation, ProtocolSpec
-from repro.verify.mutations import MUTATIONS, apply_mutation
+from repro.verify.mutations import SEEDED, mutate
 from repro.verify.replay import ConcreteReplayer, ReplayOutcome
 from repro.verify.table import TransitionCoverage, coverage_report, expected_rows
 
@@ -31,14 +32,14 @@ __all__ = [
     "LITMUS_TESTS",
     "LitmusRunner",
     "LitmusTest",
-    "MUTATIONS",
     "ModelChecker",
     "ModelViolation",
     "ProtocolSpec",
     "ReplayOutcome",
+    "SEEDED",
     "TransitionCoverage",
     "Violation",
-    "apply_mutation",
     "coverage_report",
     "expected_rows",
+    "mutate",
 ]

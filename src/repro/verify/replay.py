@@ -43,7 +43,7 @@ from repro.coherence.validation import CoherenceChecker
 from repro.memory.hierarchy import NodeMemory
 from repro.memory.mainmem import MainMemory
 from repro.verify.model import Event, ProtocolSpec, line_base
-from repro.verify.mutations import apply_mutation
+from repro.verify import mutations
 
 
 class _SinkCore:
@@ -124,7 +124,7 @@ class ConcreteReplayer:
         spec: ProtocolSpec,
         n_nodes: int = 3,
         interconnect: InterconnectKind = InterconnectKind.BUS,
-        mutate: str | None = None,
+        mutate: mutations.Descriptor | str | None = None,
         config: MachineConfig | None = None,
     ):
         if config is None:
@@ -161,9 +161,9 @@ class ConcreteReplayer:
                 i, config, self.bus, self.memory, self.stats.scoped(f"ctrl{i}")
             )
             if mutate is not None:
-                # apply_mutation returns a mutated fresh copy — swap it
-                # in; the controller's original logic is never touched.
-                ctrl.protocol = apply_mutation(ctrl.protocol, mutate)
+                # A mutant is a fresh copy — swap it in; the
+                # controller's original logic is never touched.
+                ctrl.protocol = mutations.mutate(ctrl.protocol, mutate)
             policy = _ScriptedPolicy()
             ctrl.policy = policy
             node = NodeMemory(

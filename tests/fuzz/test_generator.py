@@ -1,4 +1,4 @@
-"""Generator, oracle, minimizer, and mutator unit contracts."""
+"""Generator, oracle, minimizer, and mutant-sampling unit contracts."""
 
 from __future__ import annotations
 
@@ -11,16 +11,11 @@ from repro.fuzz.generator import (
     make_schedule,
     retarget,
 )
+from repro.fuzz.campaign import random_descriptor
 from repro.fuzz.minimize import minimize_test
-from repro.fuzz.mutator import (
-    apply_descriptor,
-    descriptor_name,
-    random_descriptor,
-    seeded_plan,
-)
 from repro.fuzz.oracle import derive_allowed, enumerate_outcomes
 from repro.verify.model import ProtocolSpec
-from repro.verify.mutations import BUS_ONLY, MUTATIONS
+from repro.verify.mutations import SEEDED, descriptor_name, mutate, seeded_plan
 
 
 def rng(seed=0, name="test"):
@@ -113,17 +108,23 @@ class TestMinimizer:
 
 class TestMutator:
     def test_seeded_plan_covers_all_verify_mutations(self):
-        names = [d[1] for _proto, d in seeded_plan()]
-        assert names == sorted(MUTATIONS)
+        # Each bug runs on MESI unless it needs a T state (derived from
+        # the descriptor, not listed).
+        assert seeded_plan() == (
+            ("mesi", ("seeded", "fill-exclusive-on-shared-read")),
+            ("mesti", ("seeded", "t-ignores-flush")),
+            ("mesti", ("seeded", "validate-installs-m")),
+        )
+        assert [d[1] for _proto, d in seeded_plan()] == sorted(SEEDED)
 
     def test_directory_plan_leaves_out_bus_only_mutations(self):
         names = [d[1] for _proto, d in seeded_plan(InterconnectKind.DIRECTORY)]
-        assert names == sorted(set(MUTATIONS) - BUS_ONLY)
+        assert names == sorted(set(SEEDED) - {"t-ignores-flush"})
 
     def test_apply_descriptor_leaves_spec_pristine(self):
         spec = ProtocolSpec("mesti")
         before = spec.make_logic()
-        mutated = apply_descriptor(spec, ("post-validate", "M"))
+        mutated = mutate(before, ("post-validate", "M"))
         assert mutated is not before
         # A fresh logic from the same spec is unaffected by the patch.
         fresh = spec.make_logic()

@@ -8,7 +8,7 @@ import repro.lint.table_audit as ta
 from repro.common.errors import ProtocolError
 from repro.coherence.states import LineState
 from repro.lint import run_lint
-from repro.verify.mutations import apply_mutation
+from repro.verify.mutations import mutate
 
 
 @pytest.fixture(autouse=True)
@@ -29,7 +29,7 @@ def patched_logic(monkeypatch):
             logic = orig(name)
             if name == protocol:
                 # Mutators may patch in place (return None) or, like
-                # apply_mutation, return a patched fresh copy.
+                # verify.mutations.mutate, return a patched fresh copy.
                 logic = mutate(logic) or logic
             return logic
 
@@ -128,7 +128,7 @@ def test_sl103_catches_unaccounted_row(monkeypatch):
 
 
 def test_sl104_catches_unallowlisted_asymmetry(patched_logic):
-    patched_logic("emesti", lambda logic: apply_mutation(logic, "validate-installs-m"))
+    patched_logic("emesti", lambda logic: mutate(logic, "validate-installs-m"))
     findings = list(ta.AsymmetryRule().check_tree())
     assert findings
     assert all(f.rule == "SL104" for f in findings)

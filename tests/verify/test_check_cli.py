@@ -60,7 +60,7 @@ def test_check_json_mutated_carries_trace_and_replay(capsys):
 
 def test_check_mutated_json_carries_mutation_record(capsys):
     # The record schema is shared with the fuzz campaign's mutation
-    # iterations (repro.fuzz.report.mutation_record).
+    # iterations (repro.verify.mutations.mutation_record).
     code = main([
         "check", "--protocol", "mesti", "--interconnect", "bus",
         "--mutate", "t-ignores-flush", "--format", "json",
@@ -81,8 +81,9 @@ def test_check_escaped_mutation_exits_one(capsys, monkeypatch):
     # loop itself, not a success.
     from repro.verify import mutations
 
+    # An equivalent mutant: ReadX fills already install M.
     monkeypatch.setitem(
-        mutations.MUTATIONS, "no-op", lambda protocol: None,
+        mutations.SEEDED, "no-op", ("fill-state", "ReadX", "M", "M"),
     )
     code = main([
         "check", "--protocol", "mesi", "--interconnect", "bus",
@@ -115,7 +116,42 @@ def test_check_bus_only_mutation_on_directory_exits_two(capsys):
         "check", "--protocol", "mesti", "--interconnect", "directory",
         "--mutate", "t-ignores-flush",
     ]) == 2
-    assert "needs a bus" in capsys.readouterr().err
+    # The reason is the coverage classifier's text for the dead row.
+    err = capsys.readouterr().err
+    assert "row remote:T:Read+flush is dead on the directory" in err
+    assert "home never contacts T-sharers on reads" in err
+
+
+def test_check_mutation_applying_nowhere_exits_two(capsys):
+    assert main([
+        "check", "--interconnect", "directory", "--mutate",
+        "t-ignores-flush", "--no-litmus", "--format", "json",
+    ]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    for name in ("mesi", "moesi", "mesti", "moesti", "emesti"):
+        assert f"skipping the directory run of {name}:" in captured.err
+    assert "applies to none of the requested runs" in captured.err
+
+
+def test_check_temporal_mutation_runs_every_temporal_protocol(capsys):
+    """The default sweep skips only the protocols without a T state."""
+    code = main([
+        "check", "--mutate", "validate-installs-m", "--no-litmus",
+        "--format", "json",
+    ])
+    assert code == 1  # every run catches the seeded bug
+    captured = capsys.readouterr()
+    runs = json.loads(captured.out)["runs"]
+    assert [(r["protocol"], r["interconnect"]) for r in runs] == [
+        (protocol, interconnect)
+        for protocol in ("MESTI", "MOESTI", "E-MOESTI")
+        for interconnect in ("bus", "directory")
+    ]
+    assert all(r["mutation"]["detected"] for r in runs)
+    assert all(r["replay"]["ok"] is False for r in runs)
+    for name in ("MESI", "MOESI"):
+        assert f"{name} has no T state" in captured.err
 
 
 def test_check_bus_only_mutation_skips_only_the_directory_run(capsys):
@@ -129,6 +165,20 @@ def test_check_bus_only_mutation_skips_only_the_directory_run(capsys):
     assert run["interconnect"] == "bus"
     assert run["mutation"]["detected"] is True
     assert "skipping the directory run" in captured.err
+
+
+@pytest.mark.parametrize("bound", ["0", "-1"])
+@pytest.mark.parametrize("flag", ["--depth", "--max-states"])
+def test_check_rejects_vacuous_bounds(flag, bound, capsys):
+    # A bound below 1 explores at most the initial state and would
+    # report the protocol clean.
+    assert main([
+        "check", "--protocol", "mesi", "--interconnect", "bus",
+        "--no-litmus", flag, bound,
+    ]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{flag} must be >= 1" in captured.err
 
 
 def test_check_bounded_run_flagged(capsys):

@@ -16,23 +16,19 @@ import pytest
 from repro.common.config import InterconnectKind
 from repro.verify.checker import ModelChecker
 from repro.verify.model import AbstractMachine, ProtocolSpec
-from repro.verify.mutations import (
-    BUS_ONLY,
-    MUTATIONS,
-    TEMPORAL_ONLY,
-    apply_mutation,
-)
+from repro.verify.mutations import SEEDED, inapplicable, mutate
 from repro.verify.replay import ConcreteReplayer
 
 
-def checked(name, mutate, **kw):
-    logic = apply_mutation(ProtocolSpec(name).make_logic(), mutate)
-    return ModelChecker(AbstractMachine(logic, n_nodes=3), **kw).run()
+def checked(name, mutant, interconnect=InterconnectKind.BUS, **kw):
+    logic = mutate(ProtocolSpec(name).make_logic(), mutant)
+    machine = AbstractMachine(logic, n_nodes=3, interconnect=interconnect)
+    return ModelChecker(machine, **kw).run()
 
 
-@pytest.mark.parametrize("mutate", sorted(MUTATIONS))
-def test_every_mutation_is_caught(mutate):
-    result = checked("moesti", mutate)
+@pytest.mark.parametrize("mutant", sorted(SEEDED))
+def test_every_mutation_is_caught(mutant):
+    result = checked("moesti", mutant)
     assert not result.ok
     v = result.violations[0]
     assert v.trace, "counterexample must carry a reproducing trace"
@@ -40,15 +36,22 @@ def test_every_mutation_is_caught(mutate):
 
 
 @pytest.mark.parametrize(
-    "mutate", ["validate-installs-m", "fill-exclusive-on-shared-read"]
+    "interconnect",
+    [InterconnectKind.BUS, InterconnectKind.DIRECTORY],
+    ids=("bus", "directory"),
 )
-def test_swmr_counterexample_replays_identically(mutate):
+@pytest.mark.parametrize(
+    "mutant", ["validate-installs-m", "fill-exclusive-on-shared-read"]
+)
+def test_swmr_counterexample_replays_identically(mutant, interconnect):
     """The abstract violation reproduces on the real system, same event."""
     spec = ProtocolSpec("moesti")
-    result = checked("moesti", mutate)
+    result = checked("moesti", mutant, interconnect)
     v = result.violations[0]
     assert v.kind == "swmr"
-    outcome = ConcreteReplayer(spec, mutate=mutate).replay(v.trace)
+    outcome = ConcreteReplayer(
+        spec, interconnect=interconnect, mutate=mutant
+    ).replay(v.trace)
     assert not outcome.ok
     # The concrete CoherenceChecker raises at the very event whose
     # abstract application violated SWMR.
@@ -69,15 +72,18 @@ def test_t_ignores_flush_unreachable_on_directory():
     It patches how a T copy answers a remote read, and a directory's
     home never sends a read to a T copy (a flushing read un-tracks the
     T-sharers instead).  The complete exploration is clean and never
-    exercises the patched rows.
+    exercises the patched rows, which is why the coverage classifier's
+    dead-row text is what rules the mutant out there.
     """
-    assert "t-ignores-flush" in BUS_ONLY
-    logic = apply_mutation(
-        ProtocolSpec("mesti").make_logic(), "t-ignores-flush"
+    pristine = ProtocolSpec("mesti").make_logic()
+    assert inapplicable(pristine, "t-ignores-flush") is None
+    why = inapplicable(
+        pristine, "t-ignores-flush", InterconnectKind.DIRECTORY
     )
-    result = ModelChecker(AbstractMachine(
-        logic, n_nodes=3, interconnect=InterconnectKind.DIRECTORY
-    )).run()
+    assert "home never contacts T-sharers on reads" in why
+    result = checked(
+        "mesti", "t-ignores-flush", InterconnectKind.DIRECTORY
+    )
     assert result.ok and result.complete
     exercised = {tuple(r["row"]) for r in result.coverage["exercised"]}
     unreachable = {
@@ -112,7 +118,7 @@ def test_t_ignores_flush_counterexample_replays_concretely(name):
 def test_apply_mutation_leaves_argument_untouched():
     """Regression: the mutation must not leak into the caller's tables.
 
-    ``apply_mutation`` once patched the passed instance in place; a
+    The mutant builder once patched the passed instance in place; a
     fuzz loop that checked a mutant then reused the 'clean' logic
     inherited the bug.  The argument must keep pristine behavior after
     the call, decision for decision.
@@ -122,7 +128,7 @@ def test_apply_mutation_leaves_argument_untouched():
 
     logic = ProtocolSpec("mesti").make_logic()
     pristine = ProtocolSpec("mesti").make_logic()
-    mutated = apply_mutation(logic, "fill-exclusive-on-shared-read")
+    mutated = mutate(logic, "fill-exclusive-on-shared-read")
     assert mutated is not logic
 
     shared = SnoopResult()
@@ -132,7 +138,7 @@ def test_apply_mutation_leaves_argument_untouched():
             is LineState.S)
     assert mutated.fill_state(TxnKind.READ, shared) is LineState.E
 
-    mutated_v = apply_mutation(logic, "validate-installs-m")
+    mutated_v = mutate(logic, "validate-installs-m")
     assert (logic.revalidated_state()
             is pristine.revalidated_state())
     assert mutated_v.revalidated_state() is LineState.M
@@ -140,13 +146,39 @@ def test_apply_mutation_leaves_argument_untouched():
 
 def test_unknown_mutation_rejected():
     with pytest.raises(ValueError):
-        apply_mutation(ProtocolSpec("mesi").make_logic(), "no-such-bug")
+        mutate(ProtocolSpec("mesi").make_logic(), "no-such-bug")
 
 
-@pytest.mark.parametrize("mutate", sorted(TEMPORAL_ONLY))
-def test_temporal_mutations_rejected_on_plain_protocols(mutate):
+@pytest.mark.parametrize("mutant", ["t-ignores-flush", "validate-installs-m"])
+def test_temporal_mutations_rejected_on_plain_protocols(mutant):
+    logic = ProtocolSpec("moesi").make_logic()
+    assert inapplicable(logic, mutant) == "MOESI has no T state"
     with pytest.raises(ValueError):
-        apply_mutation(ProtocolSpec("moesi").make_logic(), mutate)
+        mutate(logic, mutant)
+
+
+@pytest.mark.parametrize(
+    "descriptor, post",
+    [
+        (("remote-row", "T", "Read+flush", "T"), "T"),
+        (("remote-row", "S", "ReadX", "M"), "M"),
+    ],
+    ids=("T-Read+flush", "S-ReadX"),
+)
+def test_remote_row_mutant_reports_its_forced_post(descriptor, post):
+    """Coverage records the post-state the mutant forces.
+
+    The mutant runs the real row and then overwrites the line's state;
+    the observer must see the overwritten state, or a seeded bug's
+    coverage would disagree with its own table.
+    """
+    result = checked("mesti", descriptor)
+    assert not result.ok
+    key = ["remote", descriptor[1], descriptor[2]]
+    (entry,) = [
+        e for e in result.coverage["exercised"] if e["row"] == key
+    ]
+    assert entry["post"] == [post]
 
 
 @pytest.mark.parametrize(

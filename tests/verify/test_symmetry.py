@@ -119,9 +119,9 @@ class TestBusCanonicalization:
     def test_reduction_agrees_with_plain_search_on_violations(self):
         # A buggy protocol must be caught identically with and without
         # the reduction — same violation kind, both non-ok.
-        from repro.verify.mutations import apply_mutation
+        from repro.verify.mutations import mutate
 
-        logic = apply_mutation(
+        logic = mutate(
             ProtocolSpec("mesti").make_logic(), "t-ignores-flush"
         )
 
