@@ -300,7 +300,7 @@ def cmd_check(args) -> int:
         run = result.to_json()
         if args.mutate:
             run["mutation"] = mutation_record(
-                args.mutate, result.protocol, result
+                args.mutate, spec.name, result
             )
             run["mutation"]["rows"] = sorted(
                 ":".join(entry["row"])
@@ -681,7 +681,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run_p.add_argument(
         "--check-invariants", action="store_true",
-        help="run the coherence invariant checker on every bus grant "
+        help="run the coherence invariant checker on every interconnect grant "
              "plus an end-of-run sweep (fails fast on protocol bugs)",
     )
 

@@ -1,53 +1,89 @@
-"""Runtime coherence-invariant checking.
+"""The coherence invariants, written once, and the runtime checker.
 
-``CoherenceChecker`` attaches to a built system and audits the global
-cache state after every bus/directory grant — the moments at which the
-atomic-grant model promises consistency:
+:func:`line_violation` judges one line and names the first invariant
+it breaks:
 
-* **single-writer**: at most one M/E copy of any line;
-* **writer exclusivity**: an M/E copy excludes every other valid copy;
-* **single-value**: all valid copies of a line agree on its contents;
-* **dirty conservation**: if nobody holds the line dirty, memory holds
-  the same value as any valid copy;
-* **T-copy discipline** (MESTI): every T copy of a line agrees with
-  every other T copy (single saved value), and — on the bus, where
-  every T copy observes every visibility event — the saved value is
-  the line's last *globally visible* value (the dirty owner's
-  published shadow, or memory when nothing is dirty).  The fuzz
-  campaign found the second half missing: a lone rotten T copy has no
-  peer to disagree with, so the mutual-agreement check alone let
-  ``t-ignores-flush`` counterexamples replay clean.
+* **swmr** — at most one M/E copy, and an M/E copy excludes every
+  other valid copy (single-writer / multiple-reader);
+* **single-dirty** — at most one M/O copy;
+* **data-value** — every valid copy holds ``arch``, the contents loads
+  must observe, and when nothing is dirty memory does too;
+* **t-discipline** — every T copy saved ``gvis``, the last globally
+  visible value, which is what a validate re-installs (§2.2).  On the
+  directory only the home's tracked T-sharers are held to it: an
+  untracked copy may rot, since no validate will ever reach it.
 
-The checker costs a full scan per transaction, so it is a *debugging*
-tool: enable it in tests or when chasing a protocol bug, not in
-experiment runs.  PHARMsim's functional validation against SimOS-PPC
-played this role in the paper (§5.2); this is our equivalent,
-per-transaction instead of per-instruction.
+Each caller passes what it knows.  The model checker
+(:mod:`repro.verify.checker`) passes its shadow ``arch`` and ``gvis``
+and, on the directory, the home entry's T-sharers.
+:class:`CoherenceChecker` audits a real run after every interconnect
+grant, for ``repro-sim run --check-invariants`` and the concrete
+replay (:mod:`repro.verify.replay`).  A real run keeps no shadow:
+``arch`` is the dirty owner's data and ``gvis`` its ``visible`` copy
+(what it last published), or memory for both when nothing is dirty,
+and on the directory the tracked set is the home entry's
+``t_sharers``.  Deadlock and the event-scoped validate checks are the
+model's alone (:mod:`repro.verify.checker`, :mod:`repro.verify.model`).
+
+The runtime checker costs a full scan per transaction, so it is a
+*debugging* tool: enable it in tests or when chasing a protocol bug,
+not in experiment runs.  PHARMsim's functional validation against
+SimOS-PPC played this role in the paper (§5.2); this is our
+equivalent, per-transaction instead of per-instruction.
 """
 
 from __future__ import annotations
 
 from repro.common.errors import ProtocolError
+from repro.coherence.directory import DirectoryNetwork
 from repro.coherence.states import LineState
+
+
+def _fmt(copies) -> str:
+    return ", ".join(f"P{n}:{state.value}{list(data)}" for n, state, data in copies)
+
+
+def line_violation(name, copies, memory, arch, gvis, tracked=None):
+    """The first invariant line ``name`` breaks, as ``(kind, detail)``, or None.
+
+    ``copies`` holds one ``(node, state, data)`` per tagged copy, in
+    node order.  ``tracked`` is the set of nodes whose T copies must
+    hold ``gvis``; None holds every T copy, as on the bus.
+    """
+    writers = [c for c in copies if c[1].writable]
+    valid = [c for c in copies if c[1].valid]
+    dirty = [c for c in copies if c[1].dirty]
+    if len(writers) > 1:
+        return "swmr", f"{name}: multiple M/E owners: {_fmt(writers)}"
+    if writers and len(valid) > 1:
+        return "swmr", (f"{name}: M/E owner P{writers[0][0]} coexists with "
+                        f"valid copies: {_fmt(valid)}")
+    if len(dirty) > 1:
+        return "single-dirty", f"{name}: multiple dirty copies: {_fmt(dirty)}"
+    for node, state, data in valid:
+        if data != arch:
+            return "data-value", (f"{name}: P{node} ({state.value}) holds "
+                                  f"{list(data)} but the architectural "
+                                  f"contents are {list(arch)}")
+    if not dirty and memory != arch:
+        return "data-value", (f"{name}: no dirty copy but memory holds "
+                              f"{list(memory)}, architectural contents "
+                              f"{list(arch)}")
+    for node, state, data in copies:
+        if (state is LineState.T and (tracked is None or node in tracked)
+                and data != gvis):
+            return "t-discipline", (f"{name}: P{node} saved {list(data)} in T "
+                                    f"but the last globally visible value "
+                                    f"is {list(gvis)}")
+    return None
 
 
 class CoherenceChecker:
     """Audits every line's global state after each transaction grant."""
 
     def __init__(self, system):
-        from repro.common.config import InterconnectKind
-
         self.system = system
         self.checks = 0
-        # On the snooping bus every T copy observes every visibility
-        # event, so all saved values agree.  A directory stops
-        # *tracking* T copies it will never contact again; those rot
-        # with stale saved values but can never be re-installed (no
-        # validate will reach them), so cross-copy agreement is not an
-        # invariant there.
-        self._t_copies_globally_consistent = (
-            system.config.interconnect is InterconnectKind.BUS
-        )
         self._wrap(system.bus)
 
     def _wrap(self, bus) -> None:
@@ -65,71 +101,26 @@ class CoherenceChecker:
     def check_line(self, base: int) -> None:
         """Raise :class:`ProtocolError` if any invariant fails for ``base``."""
         copies = []
+        owner = None
         for ctrl in self.system.controllers:
             line = ctrl.lookup(base)
             if line is not None and line.has_data:
-                copies.append((ctrl.node_id, line))
-
-        writers = [(n, l) for n, l in copies
-                   if l.state in (LineState.M, LineState.E)]
-        valid = [(n, l) for n, l in copies if l.state.valid]
-        dirty = [(n, l) for n, l in copies if l.state.dirty]
-        t_copies = [(n, l) for n, l in copies if l.state is LineState.T]
-
-        if len(writers) > 1:
-            raise ProtocolError(
-                f"{base:#x}: multiple M/E owners "
-                f"{[(n, l.state.value) for n, l in writers]}"
-            )
-        if writers and len(valid) > 1:
-            raise ProtocolError(
-                f"{base:#x}: M/E owner P{writers[0][0]} coexists with "
-                f"valid copies {[(n, l.state.value) for n, l in valid]}"
-            )
-        if len(dirty) > 1:
-            raise ProtocolError(
-                f"{base:#x}: multiple dirty copies "
-                f"{[(n, l.state.value) for n, l in dirty]}"
-            )
-        values = {tuple(l.data) for _, l in valid}
-        if len(values) > 1:
-            raise ProtocolError(
-                f"{base:#x}: valid copies disagree: "
-                f"{[(n, l.state.value, l.data) for n, l in valid]}"
-            )
-        if valid and not dirty:
-            memory_words = self.system.memory.read_line(base)
-            if tuple(memory_words) not in values:
-                raise ProtocolError(
-                    f"{base:#x}: no dirty copy but memory "
-                    f"{memory_words} != cached {values}"
-                )
-        saved = {tuple(l.data) for _, l in t_copies}
-        if len(saved) > 1 and self._t_copies_globally_consistent:
-            raise ProtocolError(
-                f"{base:#x}: T copies saved different values: "
-                f"{[(n, l.data) for n, l in t_copies]}"
-            )
-        if t_copies and self._t_copies_globally_consistent:
-            # The model's full t-discipline predicate: a T copy saved
-            # the last globally visible value.  At a grant point that
-            # is the dirty owner's ``visible`` shadow (set when it
-            # last published a value) or, with no dirty copy, memory.
-            expected = None
-            if dirty:
-                owner_visible = dirty[0][1].visible
-                if owner_visible is not None:
-                    expected = tuple(owner_visible)
-            else:
-                expected = tuple(self.system.memory.read_line(base))
-            if expected is not None:
-                for n, line in t_copies:
-                    if tuple(line.data) != expected:
-                        raise ProtocolError(
-                            f"{base:#x}: P{n} saved {line.data} in T but "
-                            f"the last globally visible value is "
-                            f"{list(expected)}"
-                        )
+                copies.append((ctrl.node_id, line.state, line.data))
+                if owner is None and line.state.dirty:
+                    owner = line
+        memory = self.system.memory.read_line(base)
+        if owner is None:
+            arch = gvis = memory
+        else:
+            arch, gvis = owner.data, owner.visible
+        bus = self.system.bus
+        tracked = (
+            bus.entry(base).t_sharers if isinstance(bus, DirectoryNetwork)
+            else None
+        )
+        bad = line_violation(f"{base:#x}", copies, memory, arch, gvis, tracked)
+        if bad is not None:
+            raise ProtocolError(bad[1])
 
     def check_all(self) -> None:
         """Audit every line resident anywhere (end-of-run sweep)."""

@@ -59,6 +59,7 @@ from repro.verify.model import AbstractMachine, ProtocolSpec
 from repro.verify.mutations import (
     TEMPORAL_SHAPES,
     Descriptor,
+    inapplicable,
     mutate,
     mutation_record,
     seeded_plan,
@@ -125,14 +126,17 @@ def _witness(spec_name, test, trace, interconnect, mutant=None) -> dict:
 # ----------------------------------------------------------------------
 
 
-def random_descriptor(rng: SplitRng, spec: ProtocolSpec) -> Descriptor:
+def random_descriptor(
+    rng: SplitRng, spec: ProtocolSpec, interconnect: InterconnectKind
+) -> Descriptor:
     """Sample one random mutant descriptor valid for ``spec``.
 
     Samples are steered away from trivially equivalent mutants: the
     pristine table is probed first and the mutated outcome is always a
-    *different* state letter.  Equivalent mutants still exist, so a
-    random mutant the bounded checker does not flag is evidence, not a
-    finding.
+    *different* state letter, and a remote row that is illegal, or dead
+    on ``interconnect`` (:func:`~repro.verify.mutations.inapplicable`),
+    is redrawn.  Equivalent mutants still exist, so a random mutant the
+    bounded checker does not flag is evidence, not a finding.
     """
     logic = spec.make_logic()
     letters = [s.value for s in logic.states()]
@@ -157,7 +161,7 @@ def random_descriptor(rng: SplitRng, spec: ProtocolSpec) -> Descriptor:
                 rng.choice(tuple(x for x in letters if x != current)))
     if shape == "writes-back-flip":
         return ("writes-back-flip",)
-    # remote-row: probe a random legal row, force a different outcome.
+    # remote-row: probe a random live row, force a different outcome.
     labels = logic.remote_event_labels()
     for _ in range(16):
         pre = rng.choice(tuple(letters))
@@ -166,10 +170,13 @@ def random_descriptor(rng: SplitRng, spec: ProtocolSpec) -> Descriptor:
         if post == "illegal":
             continue
         forced = rng.choice(tuple(x for x in letters if x != post))
-        return ("remote-row", pre, label, forced)
-    # Every sampled row was illegal (vanishingly unlikely): fall back
-    # to a known-meaningful row flip.
-    return ("remote-row", "M", TxnKind.READX.value, "M")
+        descriptor = ("remote-row", pre, label, forced)
+        if inapplicable(logic, descriptor, interconnect) is None:
+            return descriptor
+    # Every sampled row was illegal or dead (vanishingly unlikely): fall
+    # back to a row every protocol reaches on both interconnects, a
+    # dirty owner flushing to a remote ReadX.
+    return ("remote-row", "M", "ReadX+flush", "M")
 
 
 def _mutation_iteration(options: FuzzOptions, index: int,
@@ -183,7 +190,7 @@ def _mutation_iteration(options: FuzzOptions, index: int,
     else:
         proto_name = rng.choice(tuple(options.protocols))
         descriptor = random_descriptor(
-            rng.split("descriptor"), ProtocolSpec(proto_name)
+            rng.split("descriptor"), ProtocolSpec(proto_name), interconnect
         )
     logic = mutate(ProtocolSpec(proto_name).make_logic(), descriptor)
     machine = AbstractMachine(logic, n_nodes=3, interconnect=interconnect)

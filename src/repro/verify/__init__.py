@@ -6,8 +6,9 @@ the real :class:`~repro.coherence.protocol.ProtocolLogic` transition
 tables (and the real directory bookkeeping) over a tiny system —
 a handful of nodes, one or two lines, two data values — while
 :mod:`.checker` exhaustively enumerates every reachable global state
-with symmetry reduction and checks the invariants in
-:mod:`.invariants`.  :mod:`.litmus` runs named multi-node programs
+with symmetry reduction and checks each line with
+:func:`~repro.coherence.validation.line_violation`, the invariants the
+runtime checker holds too.  :mod:`.litmus` runs named multi-node programs
 against their allowed-outcome sets, :mod:`.replay` re-executes any
 abstract trace on the concrete memory system under
 :class:`~repro.coherence.validation.CoherenceChecker`, and

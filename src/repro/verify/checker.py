@@ -17,12 +17,14 @@ counterexample trace whose node indices are consistent end-to-end and
 which is shortest-in-steps by BFS construction.  Those traces feed the
 concrete replay bridge (:mod:`repro.verify.replay`) unchanged.
 
-Checked per state: the predicates in :mod:`repro.verify.invariants`
-plus deadlock (no enabled event).  Checked per event: the
-validate-discipline and table-hole (``ProtocolError``) violations the
-machine raises while applying it.  Transition coverage is recorded via
-the :class:`~repro.coherence.protocol.ProtocolLogic` observer hook for
-the whole exploration.
+Checked per state: :func:`check_state`, which judges each line with
+:func:`~repro.coherence.validation.line_violation` (the invariants the
+runtime checker also holds), plus deadlock (no enabled event).
+Checked per event: the validate-discipline and table-hole
+(``ProtocolError``) violations the machine raises while applying it.
+Transition coverage is recorded via the
+:class:`~repro.coherence.protocol.ProtocolLogic` observer hook for the
+whole exploration.
 """
 
 from __future__ import annotations
@@ -31,8 +33,8 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from repro.coherence.protocol import ProtocolLogic
+from repro.coherence.validation import line_violation
 from repro.common.config import InterconnectKind
-from repro.verify.invariants import check_state
 from repro.verify.model import AbstractMachine, Event, ModelViolation
 from repro.verify.table import TransitionCoverage, coverage_report
 
@@ -110,6 +112,23 @@ def format_event(event: Event) -> str:
     if kind == "evict":
         return f"P{event[1]}: evict line {event[2]}"
     return repr(event)
+
+
+def check_state(machine, state) -> tuple[str, str] | None:
+    """The first invariant ``state`` breaks, as ``(kind, detail)``, or None."""
+    nodes, mem, arch, gvis, dirs = state
+    for line in range(machine.n_lines):
+        copies = [
+            (i, row[line][0], row[line][1])
+            for i, row in enumerate(nodes) if row[line] is not None
+        ]
+        bad = line_violation(
+            f"line {line}", copies, mem[line], arch[line], gvis[line],
+            None if dirs is None else dirs[line][2],
+        )
+        if bad is not None:
+            return bad
+    return None
 
 
 def _encode_nl(nl) -> tuple:
@@ -201,7 +220,7 @@ class ModelChecker:
 
         bad = check_state(machine, init)
         if bad is not None:  # pragma: no cover - initial state is trivially fine
-            result.violations.append(Violation(bad.kind, bad.detail, (), 0))
+            result.violations.append(Violation(*bad, (), 0))
             return
 
         while queue:
@@ -237,7 +256,7 @@ class ModelChecker:
                 if bad is not None:
                     trace = self._trace(parent, nkey)
                     result.violations.append(
-                        Violation(bad.kind, bad.detail, trace, depth + 1)
+                        Violation(*bad, trace, depth + 1)
                     )
                     result.states = len(witness)
                     return

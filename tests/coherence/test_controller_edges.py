@@ -43,6 +43,28 @@ class TestUpgradeConversion:
         assert h.load(0, ADDR)[1] == 7
         assert h.load(1, ADDR)[1] == 7
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="lost write: a merged exclusive prefetch's second Upgrade "
+               "finds the line already M, converts to a ReadX and refills "
+               "it from memory; the fix changes perfbench's digests, so it "
+               "waits for ROADMAP's 'Held for the next benchmark change'",
+    )
+    def test_merged_exclusive_prefetches_keep_the_dirty_value(self, tiny_config):
+        """Exclusive prefetches merged behind one miss each re-run when
+        its data arrives.  A remote read in between demotes the line
+        M -> O, so every re-run issues its own Upgrade; the first makes
+        the line M again, and the second must not refill it."""
+        h = MemHarness(tiny_config, n_procs=3)
+        h.store(1, ADDR, 7)
+        for word in range(3):
+            assert h.nodes[0].prefetch_exclusive(ADDR + 8 * word, lambda: None) is None
+        while h.line_state(0, ADDR) is not LineState.M:
+            assert h.scheduler.step()
+        h.load(2, ADDR)
+        h.drain()
+        assert h.load(0, ADDR)[1] == 7
+
 
 class TestEvictionEffects:
     def _force_evict(self, h, proc, addr):

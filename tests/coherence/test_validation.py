@@ -6,10 +6,14 @@ import pytest
 
 from repro.coherence.states import LineState
 from repro.coherence.validation import CoherenceChecker
+from repro.common.config import InterconnectKind, ProtocolKind, ValidatePolicy
 from repro.common.errors import ProtocolError
 from repro.system.system import System
 from repro.system.techniques import configure_technique
 from repro.workloads.registry import get_benchmark
+from tests.harness import MemHarness
+
+ADDR = 0x10000
 
 
 def audited_run(config, benchmark="radiosity", scale=0.03, seed=1):
@@ -29,13 +33,40 @@ def test_benchmark_run_upholds_invariants(technique, tiny4_config):
     assert checker.checks > 50  # the audit actually ran per grant
 
 
-def test_directory_run_upholds_invariants(tiny4_config):
-    from repro.common.config import InterconnectKind
-
-    cfg = configure_technique(tiny4_config, "emesti")
+@pytest.mark.parametrize("technique", ["mesti", "emesti", "emesti+lvp"])
+def test_directory_run_upholds_invariants(technique, tiny4_config):
+    cfg = configure_technique(tiny4_config, technique)
     cfg = dataclasses.replace(cfg, interconnect=InterconnectKind.DIRECTORY)
     checker = audited_run(cfg, benchmark="tpc-b")
     assert checker.checks > 50
+
+
+def test_directory_checker_holds_only_tracked_t_copies(tiny_config):
+    """On the directory a tracked T copy must hold the last globally
+    visible value, as in the model; an untracked one may rot, since no
+    validate will reach it."""
+    cfg = dataclasses.replace(
+        tiny_config.with_protocol(
+            kind=ProtocolKind.MESTI, validate_policy=ValidatePolicy.ALWAYS
+        ),
+        interconnect=InterconnectKind.DIRECTORY,
+    )
+    h = MemHarness(cfg, n_procs=3)
+    checker = CoherenceChecker(h)
+    h.load(1, ADDR)
+    h.store(0, ADDR, 5)
+    t_copy = h.controllers[1].lookup(ADDR)
+    assert t_copy.state is LineState.T
+    assert 1 in h.bus.entry(ADDR).t_sharers
+    t_copy.data[0] ^= 0xDEAD
+    with pytest.raises(ProtocolError, match="globally visible"):
+        checker.check_line(ADDR)
+
+    h.load(2, ADDR)  # P0 flushes; the home stops tracking P1
+    assert t_copy.state is LineState.T
+    assert 1 not in h.bus.entry(ADDR).t_sharers
+    t_copy.data[1] ^= 0xBEEF
+    checker.check_line(ADDR)
 
 
 def test_checker_detects_planted_violation(tiny4_config):

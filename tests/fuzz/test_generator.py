@@ -15,7 +15,13 @@ from repro.fuzz.campaign import random_descriptor
 from repro.fuzz.minimize import minimize_test
 from repro.fuzz.oracle import derive_allowed, enumerate_outcomes
 from repro.verify.model import ProtocolSpec
-from repro.verify.mutations import SEEDED, descriptor_name, mutate, seeded_plan
+from repro.verify.mutations import (
+    SEEDED,
+    descriptor_name,
+    inapplicable,
+    mutate,
+    seeded_plan,
+)
 
 
 def rng(seed=0, name="test"):
@@ -133,8 +139,8 @@ class TestMutator:
 
     def test_random_descriptors_deterministic_and_named(self):
         spec = ProtocolSpec("emesti")
-        a = random_descriptor(rng(11), spec)
-        b = random_descriptor(rng(11), spec)
+        a = random_descriptor(rng(11), spec, InterconnectKind.BUS)
+        b = random_descriptor(rng(11), spec, InterconnectKind.BUS)
         assert a == b
         assert descriptor_name(a)
         # Descriptors must be picklable plain tuples for the worker
@@ -143,8 +149,25 @@ class TestMutator:
 
         pickle.loads(pickle.dumps(a))
 
+    def test_random_descriptors_avoid_dead_rows(self):
+        """A sampled remote row is live on the campaign's interconnect:
+        a dead row's mutant behaves exactly like the real table."""
+        for interconnect in InterconnectKind:
+            for name in ProtocolSpec.NAMES:
+                spec = ProtocolSpec(name)
+                logic = spec.make_logic()
+                for i in range(40):
+                    descriptor = random_descriptor(
+                        rng(i, f"live/{name}"), spec, interconnect
+                    )
+                    assert inapplicable(logic, descriptor, interconnect) is None, (
+                        interconnect, descriptor,
+                    )
+
     def test_temporal_shapes_not_offered_on_plain_protocols(self):
         spec = ProtocolSpec("mesi")
         for i in range(30):
-            descriptor = random_descriptor(rng(i, f"d/{i}"), spec)
+            descriptor = random_descriptor(
+                rng(i, f"d/{i}"), spec, InterconnectKind.BUS
+            )
             assert descriptor[0] not in ("post-validate", "revalidated")

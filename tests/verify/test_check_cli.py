@@ -76,6 +76,21 @@ def test_check_mutated_json_carries_mutation_record(capsys):
     assert record["rows_reached"] == len(record["rows"]) > 0
 
 
+def test_check_mutation_record_names_the_spec_protocol(capsys):
+    # The fuzz campaign records the spec name too, so records from the
+    # two can be joined on ``protocol``; the run keeps the logic's name.
+    code = main([
+        "check", "--protocol", "moesti", "--mutate", "validate-installs-m",
+        "--no-litmus", "--format", "json",
+    ])
+    assert code == 1
+    runs = json.loads(capsys.readouterr().out)["runs"]
+    assert runs
+    for run in runs:
+        assert run["mutation"]["protocol"] == "moesti"
+        assert run["protocol"] == "MOESTI"
+
+
 def test_check_escaped_mutation_exits_one(capsys, monkeypatch):
     # A mutation the checker misses is a failure of the verification
     # loop itself, not a success.

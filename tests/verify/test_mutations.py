@@ -11,13 +11,27 @@ Mutation testing in both directions closes the loop on the abstraction:
 * clean traces replay cleanly with the model-predicted load values.
 """
 
+import re
+
 import pytest
 
 from repro.common.config import InterconnectKind
 from repro.verify.checker import ModelChecker
-from repro.verify.model import AbstractMachine, ProtocolSpec
+from repro.verify.model import AbstractMachine, ProtocolSpec, line_base
 from repro.verify.mutations import SEEDED, inapplicable, mutate
 from repro.verify.replay import ConcreteReplayer
+
+
+def _wording(detail):
+    """``detail`` with its line named by base address and word lists elided.
+
+    The model's lines hold one word and are named ``line N``; the
+    concrete replay's hold eight and are named by their base address.
+    """
+    detail = re.sub(
+        r"\bline (\d+)", lambda m: f"{line_base(int(m[1])):#x}", detail
+    )
+    return re.sub(r"\[[^\]]*\]", "[...]", detail)
 
 
 def checked(name, mutant, interconnect=InterconnectKind.BUS, **kw):
@@ -54,9 +68,10 @@ def test_swmr_counterexample_replays_identically(mutant, interconnect):
     ).replay(v.trace)
     assert not outcome.ok
     # The concrete CoherenceChecker raises at the very event whose
-    # abstract application violated SWMR.
+    # abstract application violated SWMR, in the model's words.
     assert outcome.failed_at == len(v.trace) - 1
     assert "M/E owner" in outcome.error
+    assert _wording(outcome.error) == _wording(v.detail)
 
 
 def test_t_ignores_flush_caught_abstractly():
@@ -113,6 +128,7 @@ def test_t_ignores_flush_counterexample_replays_concretely(name):
     ).replay(v.trace)
     assert not outcome.ok
     assert "globally visible" in outcome.error
+    assert _wording(outcome.error) == _wording(v.detail)
 
 
 def test_apply_mutation_leaves_argument_untouched():
