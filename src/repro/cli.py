@@ -27,6 +27,7 @@ import pstats
 import sys
 from collections import defaultdict
 
+from repro.coherence.protocol import DEFAULT_PROTOCOLS, PROTOCOLS
 from repro.common.config import InterconnectKind, scaled_config
 from repro.common.errors import ConfigError
 from repro.experiments.runner import summarize
@@ -254,9 +255,7 @@ def cmd_check(args) -> int:
         if bound is not None and bound < 1:
             print(f"repro-sim: error: {flag} must be >= 1", file=sys.stderr)
             return 2
-    protocols = (
-        list(ProtocolSpec.NAMES) if args.protocol == "all" else [args.protocol]
-    )
+    protocols = list(PROTOCOLS) if args.protocol == "all" else [args.protocol]
     interconnects = {
         "bus": (InterconnectKind.BUS,),
         "directory": (InterconnectKind.DIRECTORY,),
@@ -316,11 +315,13 @@ def cmd_check(args) -> int:
             print(render_check(result))
         # Coverage gaps only count against a complete clean run;
         # a violation (or a bounded search) stops exploration early.
+        # The table audit is static, so its findings always count.
         gaps = result.ok and result.complete and (
             result.coverage.get("missing")
             or result.coverage.get("unexpected")
         )
-        if result.violations or gaps:
+        audit = result.coverage["audit"]
+        if result.violations or gaps or audit:
             failed = True
         if result.violations and not args.no_replay:
             replayer = ConcreteReplayer(
@@ -332,7 +333,8 @@ def cmd_check(args) -> int:
             run["replay"] = outcome.to_json()
             if text:
                 print(render_replay(outcome, len(trace)))
-        if not args.no_litmus and not args.mutate:
+        crashed = any(finding["kind"] == "crash" for finding in audit)
+        if not args.no_litmus and not args.mutate and not crashed:
             litmus = LitmusRunner(spec, interconnect).run_all()
             run["litmus"] = [r.to_json() for r in litmus]
             if any(not r.ok for r in litmus):
@@ -349,7 +351,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_lint(args) -> int:
-    """Handle ``repro-sim lint`` (static analysis + table audit)."""
+    """Handle ``repro-sim lint`` (static analysis)."""
     from repro.lint import ALL_RULES, Baseline, run_lint
     from repro.lint.report import render_json, render_text
 
@@ -379,7 +381,6 @@ def cmd_lint(args) -> int:
             paths=args.paths or None,
             rules=rules or None,
             baseline=baseline,
-            audit=not args.no_audit,
         )
     except ValueError as exc:  # unknown --rule id
         print(f"repro-sim: error: {exc}", file=sys.stderr)
@@ -405,7 +406,7 @@ def cmd_lint(args) -> int:
         print(f"baseline: {len(result.findings)} entr(y/ies) -> {path}")
         return 0
     if args.format == "json":
-        print(render_json(result, audit=not args.no_audit))
+        print(render_json(result))
     else:
         print(render_text(result, verbose=args.verbose, stats=args.stats))
     return 0 if result.clean else 1
@@ -920,17 +921,20 @@ def build_parser() -> argparse.ArgumentParser:
         "check",
         help="model-check the coherence protocols exhaustively",
         description=(
-            "Explore every reachable state of a small abstract system "
-            "(N nodes, one line, two data values) driven by the real "
-            "protocol tables; check SWMR, the data-value invariant, and "
-            "the temporal-silence discipline; run the litmus suite; "
-            "replay any counterexample on the concrete simulator.  "
-            "Exit 0 when clean, 1 on a violation or coverage gap."
+            "Audit each protocol table statically (every row transitions "
+            "or raises by design, the raising rows are the ones the "
+            "invariants forbid, E-MESTI differs from MOESTI only in its "
+            "Validate_Shared rows); then explore every reachable state "
+            "of a small abstract system (N nodes, one line, two data "
+            "values) driven by the real protocol tables; check SWMR, the "
+            "data-value invariant, and the temporal-silence discipline; "
+            "run the litmus suite; replay any counterexample on the "
+            "concrete simulator.  Exit 0 when clean, 1 on an audit "
+            "finding, a violation or a coverage gap."
         ),
     )
     check_p.add_argument(
-        "--protocol", default="all",
-        choices=("mesi", "moesi", "mesti", "moesti", "emesti", "all"),
+        "--protocol", default="all", choices=(*PROTOCOLS, "all"),
     )
     check_p.add_argument(
         "--interconnect", default="both",
@@ -988,11 +992,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="total iterations (every 4th checks a protocol mutant)",
     )
     fuzz_p.add_argument(
-        "--protocols", nargs="+",
-        default=["mesi", "mesti", "emesti"],
-        choices=("mesi", "moesi", "mesti", "moesti", "emesti"),
-        metavar="P",
-        help="protocols run differentially (default: mesi mesti emesti)",
+        "--protocols", nargs="+", default=list(DEFAULT_PROTOCOLS),
+        choices=tuple(PROTOCOLS), metavar="P",
+        help=f"protocols run differentially (default: "
+             f"{' '.join(DEFAULT_PROTOCOLS)})",
     )
     fuzz_p.add_argument(
         "--interconnect", default="bus", choices=("bus", "directory"),
@@ -1021,14 +1024,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     lint_p = sub.add_parser(
         "lint",
-        help="static determinism/protocol analysis (simlint)",
+        help="static determinism/discipline analysis (simlint)",
         description=(
-            "Run the simlint AST rules (SL001-SL009), the whole-program "
-            "concurrency/contract analysis (SL201-SL205), and the static "
-            "protocol-table audit (SL101-SL104) over the "
-            "MESI/MOESI/MESTI/E-MESTI tables.  Exit 0 when clean (after "
-            "baseline suppression), 1 on new findings, 2 on bad "
-            "arguments."
+            "Run the simlint AST rules (SL001-SL009) and the "
+            "whole-program concurrency/contract analysis (SL201-SL205) "
+            "over the sources; the protocol tables are audited by "
+            "`repro-sim check`.  Exit 0 when clean (after baseline "
+            "suppression), 1 on new findings, 2 on bad arguments."
         ),
     )
     lint_p.add_argument(
@@ -1037,7 +1039,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     lint_p.add_argument(
         "--format", choices=("text", "json"), default="text",
-        help="json emits findings + the full table-audit accounting",
+        help="json emits the findings for CI archiving",
     )
     lint_p.add_argument(
         "--rule", action="append", metavar="ID",
@@ -1068,10 +1070,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--justification", metavar="TEXT", default=None,
         help="one-line justification recorded on every baselined "
              "finding; --update-baseline without it exits non-zero",
-    )
-    lint_p.add_argument(
-        "--no-audit", action="store_true",
-        help="skip the protocol-table audit layer (SL1xx rules)",
     )
     lint_p.add_argument(
         "--list-rules", action="store_true",

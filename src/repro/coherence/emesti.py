@@ -18,7 +18,6 @@ signal.
 
 from __future__ import annotations
 
-from repro.common.config import ProtocolKind
 from repro.coherence.messages import SnoopResult, TxnKind
 from repro.coherence.protocol import ProtocolLogic
 from repro.coherence.states import LineState
@@ -27,8 +26,6 @@ from repro.memory.cache import CacheLine
 
 class EnhancedMestiProtocol(ProtocolLogic):
     """MOESTI + Validate_Shared + useful snoop response."""
-
-    kind = ProtocolKind.MOESTI
 
     @property
     def enhanced(self) -> bool:

@@ -1,4 +1,4 @@
-"""Protocol logic base class and dispatch.
+"""Protocol logic: the five variants, their table, and dispatch.
 
 A :class:`ProtocolLogic` encodes the *state transition rules* of one
 protocol; the :class:`~repro.coherence.controller.CoherenceController`
@@ -12,9 +12,32 @@ decision here.  Snooping is two-phase to match the atomic-bus model:
    T-state line only survives a Read if no dirty owner flushed a new
    value).
 
-The concrete subclasses live in :mod:`repro.coherence.mesi`,
-:mod:`~repro.coherence.moesi`, :mod:`~repro.coherence.mesti`, and
-:mod:`~repro.coherence.emesti`.
+The paper defines its protocols as deltas, and :data:`PROTOCOLS` names
+each variant once by the :class:`~repro.common.config.ProtocolConfig`
+fields that select it.  One class runs the four plain variants: its
+``kind`` comes from the config, and the rules below branch on the
+capabilities it implies.
+
+* **MESI** — the conventional 4-state invalidate protocol.
+* **MOESI** — MESI plus O, the dirty shared owner: a modified line
+  servicing a remote read stays on-chip instead of writing back to
+  memory.  It is the paper's baseline, the Gigaplane-XB protocol of
+  the simulated machine (Table 1).
+* **MESTI** / **MOESTI** — MESI / MOESI plus **T**, *temporally
+  invalid* (Figure 2).  A valid line receiving an invalidation saves
+  its copy, by construction the last globally visible value, instead
+  of discarding it.  When the writer later detects that the line has
+  reverted to that value it broadcasts a **validate**, and T copies
+  return to shared, turning what would have been communication misses
+  into hits.  Only a single previous value is saved: any event that
+  makes a *newer* value globally visible (a dirty flush or a
+  writeback) drops T copies to I, because a future validate can no
+  longer refer to their saved version.  The validating owner retires
+  to O where the protocol has one (MOESTI, as simulated in the paper),
+  keeping the reverted dirty line on-chip as the ordering point for
+  later reads; without O the validate implies a memory writeback.
+* **E-MESTI** — MOESTI plus Validate_Shared and the useful snoop
+  response (Figure 3), in :mod:`repro.coherence.emesti`.
 """
 
 from __future__ import annotations
@@ -22,11 +45,31 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from repro.common.config import ProtocolConfig, ProtocolKind
+from repro.common.config import ProtocolConfig, ProtocolKind, ValidatePolicy
 from repro.common.errors import ProtocolError
 from repro.coherence.messages import SnoopResult, TxnKind
 from repro.coherence.states import LineState
 from repro.memory.cache import CacheLine
+
+#: Every protocol variant, by name, as the ProtocolConfig fields that
+#: select it.  The plain variants validate unconditionally; E-MESTI is
+#: built on MOESTI and trains the useful-validate predictor.
+PROTOCOLS: dict[str, dict] = {
+    "mesi": {"kind": ProtocolKind.MESI, "enhanced": False,
+             "validate_policy": ValidatePolicy.ALWAYS},
+    "moesi": {"kind": ProtocolKind.MOESI, "enhanced": False,
+              "validate_policy": ValidatePolicy.ALWAYS},
+    "mesti": {"kind": ProtocolKind.MESTI, "enhanced": False,
+              "validate_policy": ValidatePolicy.ALWAYS},
+    "moesti": {"kind": ProtocolKind.MOESTI, "enhanced": False,
+               "validate_policy": ValidatePolicy.ALWAYS},
+    "emesti": {"kind": ProtocolKind.MOESTI, "enhanced": True,
+               "validate_policy": ValidatePolicy.PREDICTOR},
+}
+
+#: The variants differential checks compare by default: one per step
+#: of the paper's delta chain (base, +T, +VS and the useful response).
+DEFAULT_PROTOCOLS = ("mesi", "mesti", "emesti")
 
 
 @dataclass
@@ -63,17 +106,18 @@ TransitionObserver = Callable[[TransitionRecord], None]
 
 
 class ProtocolLogic:
-    """Base class for all protocol variants.
+    """The plain protocol variants, and the base of E-MESTI.
 
-    Subclasses override the three capability properties and, where the
-    behavior differs, the transition hooks.  The base implements plain
-    MESI; every extension is expressed as a delta.
+    ``kind`` comes from the config; the O and T rules branch on the
+    capabilities it implies.  E-MESTI overrides the transition hooks
+    where Figure 3 differs.
     """
-
-    kind: ProtocolKind = ProtocolKind.MESI
 
     def __init__(self, config: ProtocolConfig):
         self.config = config
+        # An attribute, not a property: has_owned/has_temporal read it
+        # on every snoop.
+        self.kind: ProtocolKind = config.kind
         # Transition observer (verification hook): when set, every
         # applied snoop transition — and any requester-side transition
         # the caller reports via :meth:`note_transition` — is recorded.
@@ -125,10 +169,9 @@ class ProtocolLogic:
         """Every remote-side row label this protocol's table can see.
 
         Reads/ReadXs split into plain and ``+flush`` variants (see
-        :meth:`snoop_event_label`); the rest appear once.  Static
-        tooling (``repro-sim lint``'s table audit, the verify coverage
-        probe) crosses these with :meth:`states` to enumerate the full
-        table.
+        :meth:`snoop_event_label`); the rest appear once.  The verify
+        table probe (:func:`repro.verify.table.expected_rows`) crosses
+        these with :meth:`states` to enumerate the full table.
         """
         labels: list[str] = []
         for kind in TxnKind:
@@ -145,8 +188,8 @@ class ProtocolLogic:
         ``label`` (a :meth:`remote_event_labels` entry).  Returns the
         post-state letter, or ``"illegal"`` when the implementation
         deliberately raises :class:`ProtocolError`.  Any *other*
-        exception propagates — to a static auditor that is a table
-        hole, not a legal outcome.  The observer is suppressed for the
+        exception propagates — to the table audit that is a hole, not
+        a legal outcome.  The observer is suppressed for the
         duration: probes are not coverage.
         """
         flush = label.endswith("+flush")
@@ -326,16 +369,5 @@ class ProtocolLogic:
 def make_protocol(config: ProtocolConfig) -> ProtocolLogic:
     """Instantiate the protocol logic selected by ``config``."""
     from repro.coherence.emesti import EnhancedMestiProtocol
-    from repro.coherence.mesi import MesiProtocol
-    from repro.coherence.mesti import MestiProtocol, MoestiProtocol
-    from repro.coherence.moesi import MoesiProtocol
 
-    if config.enhanced:
-        return EnhancedMestiProtocol(config)
-    table = {
-        ProtocolKind.MESI: MesiProtocol,
-        ProtocolKind.MOESI: MoesiProtocol,
-        ProtocolKind.MESTI: MestiProtocol,
-        ProtocolKind.MOESTI: MoestiProtocol,
-    }
-    return table[config.kind](config)
+    return (EnhancedMestiProtocol if config.enhanced else ProtocolLogic)(config)

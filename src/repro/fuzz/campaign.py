@@ -41,11 +41,12 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from repro.coherence.messages import SnoopResult, TxnKind
+from repro.coherence.protocol import DEFAULT_PROTOCOLS
 from repro.coherence.states import LineState
 from repro.common.config import InterconnectKind
 from repro.common.rng import SplitRng
 from repro.experiments.runner import exit_with_parent
-from repro.fuzz.differential import DEFAULT_PROTOCOLS, run_differential
+from repro.fuzz.differential import replay_witness, run_differential
 from repro.fuzz.generator import generate_test, make_schedule
 from repro.fuzz.minimize import minimize_test
 from repro.fuzz.oracle import (
@@ -64,7 +65,6 @@ from repro.verify.mutations import (
     mutation_record,
     seeded_plan,
 )
-from repro.verify.replay import ConcreteReplayer
 
 #: Every ``MUTATION_STRIDE``-th iteration checks a protocol mutant.
 MUTATION_STRIDE = 4
@@ -108,17 +108,6 @@ def _rows(protocol: str, keys) -> set[str]:
 
 def _trace_json(trace) -> list:
     return [list(event) for event in trace]
-
-
-def _witness(spec_name, test, trace, interconnect, mutant=None) -> dict:
-    """Concrete-simulator replay of an abstract trace (the witness)."""
-    replayer = ConcreteReplayer(
-        ProtocolSpec(spec_name), n_nodes=test.n_nodes,
-        interconnect=interconnect, mutate=mutant,
-    )
-    doc = replayer.replay(trace).to_json()
-    doc["protocol"] = spec_name
-    return doc
 
 
 # ----------------------------------------------------------------------
@@ -220,9 +209,8 @@ def _mutation_iteration(options: FuzzOptions, index: int,
         # Close the loop: the abstract counterexample must fail on the
         # concrete simulator carrying the same mutation.
         trace = result.violations[0].trace
-        test_shim = _MutantShim(n_nodes=3)
-        witness = _witness(
-            proto_name, test_shim, trace, interconnect, mutant=descriptor,
+        witness = replay_witness(
+            proto_name, machine.n_nodes, trace, interconnect, mutant=descriptor,
         )
         record["witness"] = witness
         if witness["ok"]:
@@ -257,13 +245,6 @@ def _mutation_iteration(options: FuzzOptions, index: int,
         "record": record,
         "entry": entry,
     }
-
-
-@dataclass(frozen=True)
-class _MutantShim:
-    """Just enough of a test for witness replay of mutant traces."""
-
-    n_nodes: int
 
 
 def _oracle_finding(options, spec, test, allowed, result, reference,
@@ -384,8 +365,8 @@ def _generated_iteration(options: FuzzOptions, index: int, rng: SplitRng,
                     if extra:
                         finding["trace"] = refreshed.outcomes[extra[0]]
         if options.replay_witnesses and finding["trace"]:
-            finding["witness"] = _witness(
-                name, shrunk, finding["trace"], interconnect
+            finding["witness"] = replay_witness(
+                name, shrunk.n_nodes, finding["trace"], interconnect
             )
         finding["trace"] = _trace_json(finding["trace"])
         findings.append(finding)

@@ -36,13 +36,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.coherence.protocol import DEFAULT_PROTOCOLS
 from repro.common.config import InterconnectKind
 from repro.verify.litmus import LitmusTest
 from repro.verify.model import AbstractMachine, ModelViolation, ProtocolSpec
+from repro.verify.mutations import Descriptor
 from repro.verify.replay import ConcreteReplayer
-
-#: The default protocol triple: baseline, temporal, enhanced-temporal.
-DEFAULT_PROTOCOLS = ("mesi", "mesti", "emesti")
 
 
 @dataclass
@@ -144,20 +143,20 @@ def concretize(
     return run
 
 
-def _witness(
-    spec_name: str,
-    test: LitmusTest,
+def replay_witness(
+    protocol: str,
+    n_nodes: int,
     trace: tuple,
     interconnect: InterconnectKind,
+    mutant: Descriptor | None = None,
 ) -> dict:
     """Replay a trace on the real simulator for a concrete witness."""
     replayer = ConcreteReplayer(
-        ProtocolSpec(spec_name), n_nodes=test.n_nodes,
-        interconnect=interconnect,
+        ProtocolSpec(protocol), n_nodes=n_nodes,
+        interconnect=interconnect, mutate=mutant,
     )
-    outcome = replayer.replay(trace)
-    doc = outcome.to_json()
-    doc["protocol"] = spec_name
+    doc = replayer.replay(trace).to_json()
+    doc["protocol"] = protocol
     return doc
 
 
@@ -203,7 +202,8 @@ def run_differential(
                 "detail": f"{run.violation['kind']}: {run.violation['detail']}",
                 "trace": run.violation["trace"],
                 "witness": (
-                    _witness(name, test, run.violation["trace"], interconnect)
+                    replay_witness(name, test.n_nodes, run.violation["trace"],
+                                   interconnect)
                     if replay_witnesses else None
                 ),
             })
@@ -224,7 +224,7 @@ def run_differential(
                 ),
                 "trace": run.trace,
                 "witness": (
-                    _witness(name, test, run.trace, interconnect)
+                    replay_witness(name, test.n_nodes, run.trace, interconnect)
                     if replay_witnesses else None
                 ),
             })
@@ -245,8 +245,8 @@ def run_differential(
                     ),
                     "trace": run.trace,
                     "witness": (
-                        _witness(
-                            run.protocol, test, run.trace, interconnect
+                        replay_witness(
+                            run.protocol, test.n_nodes, run.trace, interconnect
                         )
                         if replay_witnesses else None
                     ),

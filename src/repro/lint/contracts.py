@@ -28,28 +28,24 @@ from repro.lint.callgraph import FunctionInfo, Project, walk_executed
 from repro.lint.engine import Finding, LintContext, ModuleSource, Rule
 from repro.lint.flow import expr_tainted, taint
 from repro.lint.rules import (
+    NONDETERMINISTIC_ORIGINS,
     _finding,
     attach_parents,
     import_aliases,
     resolve_origin,
 )
 
-#: Call origins whose results differ run to run (SL204 taint sources).
-TAINT_ORIGINS = frozenset({
-    "time.time", "time.time_ns", "time.monotonic", "time.monotonic_ns",
+#: Call origins whose results differ run to run (SL204 taint sources):
+#: SL001's sources plus the measurement calls SL001 allows, since a
+#: measurement must not reach a deterministic artefact either.
+TAINT_ORIGINS = frozenset(NONDETERMINISTIC_ORIGINS) | {
     "time.perf_counter", "time.perf_counter_ns",
-    "os.getpid", "os.urandom", "os.times",
-    "uuid.uuid1", "uuid.uuid4",
-    "datetime.datetime.now", "datetime.datetime.utcnow",
-    "datetime.date.today",
-})
+    "time.monotonic", "time.monotonic_ns",
+    "os.getpid", "os.times",
+}
 
 #: Origin prefixes that are wholly nondeterministic.
 TAINT_PREFIXES = ("random.", "numpy.random")
-
-#: Fallback for the declared nondeterministic manifest/event fields
-#: when the real runner module is not importable in this process.
-FALLBACK_NONDET_FIELDS = ("wall_seconds", "worker", "retries")
 
 #: Receiver leaf names treated as an EventLog for emit-payload checks.
 EVENT_RECEIVERS = frozenset({"events", "_events", "event_log"})
@@ -59,31 +55,6 @@ METRIC_RECEIVERS = frozenset({"metrics", "_metrics", "registry", "_registry"})
 
 #: MetricsRegistry family-declaring methods -> index of the name arg.
 METRIC_DECLARERS = {"counter": 0, "gauge": 0, "histogram": 0}
-
-
-def _nondet_fields() -> tuple[str, ...]:
-    try:
-        from repro.experiments.runner import NONDETERMINISTIC_FIELDS
-    except Exception:  # pragma: no cover - runner always importable
-        return FALLBACK_NONDET_FIELDS
-    return tuple(NONDETERMINISTIC_FIELDS)
-
-
-def _event_specs() -> dict | None:
-    try:
-        from repro.service.events import EVENT_SPECS
-    except Exception:  # pragma: no cover - registry always importable
-        return None
-    return EVENT_SPECS
-
-
-def _run_metric_families() -> set[str]:
-    """Family names the run export table declares."""
-    try:
-        from repro.obs.metrics import RUN_METRICS
-    except Exception:  # pragma: no cover - table always importable
-        return set()
-    return {spec.name for spec in RUN_METRICS}
 
 
 def _literal_str(node: ast.expr | None) -> str | None:
@@ -128,8 +99,10 @@ class NondeterminismTaintRule(Rule):
 
     def check_project(self, ctx: LintContext) -> Iterator[Finding]:
         """Run per-function taint and audit the three sink kinds."""
+        from repro.experiments.runner import NONDETERMINISTIC_FIELDS
+
         project: Project = ctx.project()
-        nondet = set(_nondet_fields())
+        nondet = set(NONDETERMINISTIC_FIELDS)
         for module in ctx.modules:
             if self.is_exempt(module.rel):
                 continue
@@ -281,8 +254,9 @@ class ContractCrossCheckRule(Rule):
 
     def check_project(self, ctx: LintContext) -> Iterator[Finding]:
         """Audit emit payload keys and metric-name reads."""
+        from repro.service.events import EVENT_SPECS
+
         project: Project = ctx.project()
-        specs = _event_specs()
         for module in ctx.modules:
             attach_parents(module.tree)
         declared_metrics = self._declared_metric_families(ctx)
@@ -292,8 +266,7 @@ class ContractCrossCheckRule(Rule):
             )
             if module is None or self.is_exempt(fn.rel):
                 continue
-            if specs is not None:
-                yield from self._audit_emits(project, fn, module, specs)
+            yield from self._audit_emits(project, fn, module, EVENT_SPECS)
             yield from self._audit_metric_reads(
                 project, fn, module, declared_metrics,
             )
@@ -381,7 +354,9 @@ class ContractCrossCheckRule(Rule):
     # -- metric families -------------------------------------------------
 
     def _declared_metric_families(self, ctx: LintContext) -> set[str]:
-        declared = _run_metric_families()
+        from repro.obs.metrics import RUN_METRICS
+
+        declared = {spec.name for spec in RUN_METRICS}
         for module in ctx.modules:
             for node in ast.walk(module.tree):
                 if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):

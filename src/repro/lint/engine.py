@@ -3,8 +3,8 @@
 The engine parses every target file once, runs a *context pass* that
 collects cross-file facts rules need (which attribute names are
 ``set``-typed anywhere in the tree), then hands each module to every
-enabled :class:`Rule`.  Table-audit rules (no source file) run once per
-invocation.  Findings are plain data; suppression is the
+enabled :class:`Rule`, and the whole parsed tree to its whole-program
+pass.  Findings are plain data; suppression is the
 :mod:`~repro.lint.baseline` layer's job so the engine stays pure.
 """
 
@@ -22,10 +22,9 @@ class Finding:
     """One rule violation at one site.
 
     ``path`` is posix-style and repo-relative when the engine can make
-    it so; table-audit findings use a ``protocol:`` pseudo-path.
-    ``snippet`` is the stripped source line — it, not the line number,
-    feeds the baseline fingerprint so suppressions survive unrelated
-    edits above the site.
+    it so.  ``snippet`` is the stripped source line — it, not the line
+    number, feeds the baseline fingerprint so suppressions survive
+    unrelated edits above the site.
     """
 
     rule: str
@@ -93,9 +92,9 @@ class LintContext:
 class Rule:
     """Base class for simlint rules.
 
-    AST rules override :meth:`check_module`; whole-tree rules (the
-    protocol-table audit) override :meth:`check_tree`.  ``id`` /
-    ``title`` / ``rationale`` feed ``--list-rules`` and the docs.
+    AST rules override :meth:`check_module`; whole-program rules
+    override :meth:`check_project`.  ``id`` / ``title`` /
+    ``rationale`` feed ``--list-rules`` and the docs.
     """
 
     id = "SL000"
@@ -114,10 +113,6 @@ class Rule:
 
     def check_module(self, module: ModuleSource, ctx: LintContext) -> Iterator[Finding]:
         """Yield findings for one parsed module (AST rules)."""
-        return iter(())
-
-    def check_tree(self) -> Iterator[Finding]:
-        """Yield whole-tree findings (table-audit rules)."""
         return iter(())
 
     def check_project(self, ctx: LintContext) -> Iterator[Finding]:
@@ -253,85 +248,19 @@ def default_target() -> Path:
     return Path(repro.__file__).parent
 
 
-def all_rules() -> "list[Rule]":
-    """Fresh instances of every registered rule, audit rules last."""
-    from repro.lint.concurrency import CONCURRENCY_RULES
-    from repro.lint.contracts import CONTRACT_RULES
-    from repro.lint.rules import AST_RULES
-    from repro.lint.table_audit import AUDIT_RULES
-
-    return [
-        cls()
-        for cls in AST_RULES + CONCURRENCY_RULES + CONTRACT_RULES + AUDIT_RULES
-    ]
-
-
-#: Registry of every rule class, in rule-id order.
-def _registry() -> dict:
-    return {rule.id: type(rule) for rule in all_rules()}
-
-
-class _LazyRegistry(dict):
-    """Import-cycle-free view of the rule registry (id -> class)."""
-
-    def _fill(self) -> None:
-        if not super().__len__():
-            super().update(_registry())
-
-    def __getitem__(self, key):  # dict protocol
-        self._fill()
-        return super().__getitem__(key)
-
-    def __iter__(self):  # dict protocol
-        self._fill()
-        return super().__iter__()
-
-    def __len__(self):  # dict protocol
-        self._fill()
-        return super().__len__()
-
-    def __contains__(self, key):  # dict protocol
-        self._fill()
-        return super().__contains__(key)
-
-    def keys(self):
-        """Rule ids (fills the registry on first use)."""
-        self._fill()
-        return super().keys()
-
-    def items(self):
-        """(id, class) pairs (fills the registry on first use)."""
-        self._fill()
-        return super().items()
-
-    def values(self):
-        """Rule classes (fills the registry on first use)."""
-        self._fill()
-        return super().values()
-
-
-ALL_RULES = _LazyRegistry()
-
-
 def run_lint(
     paths: Sequence[Path | str] | None = None,
     rules: Sequence[str] | None = None,
     baseline=None,
-    audit: bool = True,
 ) -> LintResult:
     """Run simlint and return a :class:`LintResult`.
 
     ``paths`` defaults to the installed ``repro`` package; ``rules``
     filters by rule id (unknown ids raise ``ValueError``); ``baseline``
-    is a :class:`~repro.lint.baseline.Baseline` (or None); ``audit``
-    switches the protocol-table audit layer on/off.
+    is a :class:`~repro.lint.baseline.Baseline` (or None).
     """
     roots = [Path(p) for p in paths] if paths else [default_target()]
-    selected = _select_rules(rules, audit)
-    if audit:
-        from repro.lint.table_audit import _AuditRule
-
-        _AuditRule.reset_cache()
+    selected = _select_rules(rules)
 
     modules: list[ModuleSource] = []
     findings: list[Finding] = []
@@ -360,7 +289,6 @@ def run_lint(
             if rule.is_exempt(module.rel):
                 continue
             findings.extend(rule.check_module(module, ctx))
-        findings.extend(rule.check_tree())
         findings.extend(rule.check_project(ctx))
 
     findings.sort(key=lambda f: (f.path, f.line, f.rule))
@@ -394,18 +322,15 @@ def run_lint(
     )
 
 
-def _select_rules(rules: Sequence[str] | None, audit: bool) -> "list[Rule]":
-    instances = all_rules()
-    if not audit:
-        instances = [r for r in instances if not r.id.startswith("SL1")]
-    if rules:
-        known = {r.id for r in instances}
-        unknown = sorted(set(rules) - known)
-        if unknown:
-            raise ValueError(
-                f"unknown rule id(s): {', '.join(unknown)} "
-                f"(choose from {', '.join(sorted(known))})"
-            )
-        wanted = set(rules)
-        instances = [r for r in instances if r.id in wanted]
-    return instances
+def _select_rules(rules: Sequence[str] | None) -> "list[Rule]":
+    """Fresh instances of the selected rules, in registry order."""
+    from repro.lint import ALL_RULES
+
+    unknown = sorted(set(rules or ()) - set(ALL_RULES))
+    if unknown:
+        raise ValueError(
+            f"unknown rule id(s): {', '.join(unknown)} "
+            f"(choose from {', '.join(sorted(ALL_RULES))})"
+        )
+    return [cls() for rule_id, cls in ALL_RULES.items()
+            if not rules or rule_id in rules]

@@ -1,9 +1,7 @@
 """Rendering for simlint results (text for humans, JSON for CI).
 
 The JSON document is the :meth:`~repro.lint.engine.LintResult.to_json`
-form plus, when the audit layer ran, an ``audit`` section with the
-per-protocol row accounting and the MESTI↔E-MESTI diff — CI archives
-it, and ``tests/lint`` pins its schema.
+form — CI archives it, and ``tests/lint`` pins its schema.
 """
 
 from __future__ import annotations
@@ -54,17 +52,6 @@ def render_text(
     return "\n".join(lines)
 
 
-def render_json(result: LintResult, audit: bool = True) -> str:
+def render_json(result: LintResult) -> str:
     """The machine-readable document ``--format json`` prints."""
-    doc = result.to_json()
-    if audit and any(r.startswith("SL1") for r in result.rules):
-        from repro.lint.table_audit import audit_all, diff_mesti_emesti
-
-        doc["audit"] = {
-            "protocols": audit_all(),
-            "mesti_vs_emesti": {
-                "bus": diff_mesti_emesti(directory=False),
-                "directory": diff_mesti_emesti(directory=True),
-            },
-        }
-    return json.dumps(doc, indent=1)
+    return json.dumps(result.to_json(), indent=1)

@@ -148,10 +148,6 @@ class NondeterminismRule(Rule):
                     f"simulation state must be a function of the seed",
                 )
 
-    def check_tree(self) -> Iterator[Finding]:
-        """No whole-tree component."""
-        return iter(())
-
 
 def _outermost_chain(node: ast.AST) -> bool:
     """True unless ``node`` sits inside a larger attribute chain."""
@@ -288,10 +284,6 @@ class UnorderedIterationRule(Rule):
             return parent.func.id in ORDER_INSENSITIVE_CONSUMERS
         return False
 
-    def check_tree(self) -> Iterator[Finding]:
-        """No whole-tree component."""
-        return iter(())
-
 
 # ---------------------------------------------------------------------------
 # SL003 — id()-based hashing/ordering
@@ -322,10 +314,6 @@ class IdOrderingRule(Rule):
                     "id() varies per run; key on a stable field "
                     "(node_id, base address, sequence number) instead",
                 )
-
-    def check_tree(self) -> Iterator[Finding]:
-        """No whole-tree component."""
-        return iter(())
 
 
 # ---------------------------------------------------------------------------
@@ -372,10 +360,6 @@ class FloatEqualityRule(Rule):
         if isinstance(expr, ast.Call) and isinstance(expr.func, ast.Name):
             return expr.func.id == "float"
         return False
-
-    def check_tree(self) -> Iterator[Finding]:
-        """No whole-tree component."""
-        return iter(())
 
 
 # ---------------------------------------------------------------------------
@@ -462,10 +446,6 @@ class HandlerDisciplineRule(Rule):
                 f"(lambda {captured[0]}={captured[0]}: ...) or "
                 f"functools.partial",
             )
-
-    def check_tree(self) -> Iterator[Finding]:
-        """No whole-tree component."""
-        return iter(())
 
 
 # ---------------------------------------------------------------------------
@@ -571,10 +551,6 @@ class TracerGuardRule(Rule):
                     return True
         return False
 
-    def check_tree(self) -> Iterator[Finding]:
-        """No whole-tree component."""
-        return iter(())
-
 
 # ---------------------------------------------------------------------------
 # SL008 — span discipline
@@ -648,10 +624,6 @@ class SpanDisciplineRule(Rule):
             return func.attr
         return None
 
-    def check_tree(self) -> Iterator[Finding]:
-        """No whole-tree component."""
-        return iter(())
-
 
 # ---------------------------------------------------------------------------
 # SL009 — service events come from the registry
@@ -685,7 +657,8 @@ class ServiceEventRegistryRule(Rule):
             return
         if module.rel == SERVICE_EVENTS_MODULE:
             return
-        declared = self._declared_names()
+        from repro.service.events import EVENT_NAMES
+
         for node in ast.walk(module.tree):
             if not isinstance(node, ast.Call):
                 continue
@@ -708,26 +681,13 @@ class ServiceEventRegistryRule(Rule):
                     "a string literal declared in EVENT_SPECS",
                 )
                 continue
-            if declared is not None and arg.value not in declared:
+            if arg.value not in EVENT_NAMES:
                 yield _finding(
                     self, module, node,
                     f"emit({arg.value!r}): not declared in "
                     f"repro.service.events.EVENT_SPECS; declare the "
                     f"event (name + required fields) before emitting it",
                 )
-
-    @staticmethod
-    def _declared_names() -> frozenset[str] | None:
-        """The registry's declared names (None if unimportable)."""
-        try:
-            from repro.service.events import EVENT_NAMES
-        except Exception:  # pragma: no cover - registry always importable
-            return None
-        return EVENT_NAMES
-
-    def check_tree(self) -> Iterator[Finding]:
-        """No whole-tree component."""
-        return iter(())
 
 
 #: AST rule classes in id order (the engine instantiates these).

@@ -79,6 +79,7 @@ import time
 from pathlib import Path
 from typing import Any, Callable, Iterable
 
+from repro.coherence.protocol import DEFAULT_PROTOCOLS, PROTOCOLS
 from repro.common.config import scaled_config
 from repro.common.errors import ConfigError
 from repro.experiments.runner import cell_config, cell_fingerprint
@@ -135,10 +136,6 @@ class JobNotFound(KeyError):
         return str(self.args[0])
 
 
-#: Protocol names a fuzz spec may list (mirrors ProtocolSpec.NAMES;
-#: kept literal so spec validation needs no verify import).
-FUZZ_PROTOCOLS = ("mesi", "moesi", "mesti", "moesti", "emesti")
-
 #: Ceiling on a fuzz cell's iteration budget: a cell is one lease, so
 #: a huge budget would outlive any reasonable heartbeat horizon.
 MAX_FUZZ_BUDGET = 10_000
@@ -186,9 +183,9 @@ def _validate_fuzz_spec(spec: dict) -> dict:
             f"'budget' must be an integer in 1..{MAX_FUZZ_BUDGET}, "
             f"got {budget!r}"
         )
-    protocols = list(spec.get("protocols") or ["mesi", "mesti", "emesti"])
+    protocols = list(spec.get("protocols") or DEFAULT_PROTOCOLS)
     for protocol in protocols:
-        if protocol not in FUZZ_PROTOCOLS:
+        if protocol not in PROTOCOLS:
             raise SpecError(f"unknown protocol {protocol!r}")
     protocols = list(dict.fromkeys(protocols))
     interconnect = spec.get("interconnect", "bus")

@@ -1,7 +1,11 @@
 """Protocol verification subsystem.
 
-An explicit-state (Murphi-style) model checker over the *actual*
-protocol implementation: the abstract machine in :mod:`.model` drives
+:mod:`.table` audits each protocol table statically — every row
+transitions or raises by design, the raising rows are the ones the
+invariants forbid, and E-MESTI differs from the MOESTI it is built on
+only in its Validate_Shared rows.  Then an explicit-state
+(Murphi-style) model checker explores the *actual* protocol
+implementation: the abstract machine in :mod:`.model` drives
 the real :class:`~repro.coherence.protocol.ProtocolLogic` transition
 tables (and the real directory bookkeeping) over a tiny system —
 a handful of nodes, one or two lines, two data values — while
@@ -24,7 +28,12 @@ from repro.verify.litmus import LITMUS_TESTS, LitmusRunner, LitmusTest
 from repro.verify.model import AbstractMachine, ModelViolation, ProtocolSpec
 from repro.verify.mutations import SEEDED, mutate
 from repro.verify.replay import ConcreteReplayer, ReplayOutcome
-from repro.verify.table import TransitionCoverage, coverage_report, expected_rows
+from repro.verify.table import (
+    TransitionCoverage,
+    audit_table,
+    coverage_report,
+    expected_rows,
+)
 
 __all__ = [
     "AbstractMachine",
@@ -40,6 +49,7 @@ __all__ = [
     "SEEDED",
     "TransitionCoverage",
     "Violation",
+    "audit_table",
     "coverage_report",
     "expected_rows",
     "mutate",

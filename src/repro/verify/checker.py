@@ -17,6 +17,10 @@ counterexample trace whose node indices are consistent end-to-end and
 which is shortest-in-steps by BFS construction.  Those traces feed the
 concrete replay bridge (:mod:`repro.verify.replay`) unchanged.
 
+Checked before exploring: :func:`~repro.verify.table.audit_table`, the
+static judgement of the probed table.  Its findings land in the
+result's ``coverage["audit"]``; a probe that crashed stops the run
+there, since exploring would only crash on the same row.
 Checked per state: :func:`check_state`, which judges each line with
 :func:`~repro.coherence.validation.line_violation` (the invariants the
 runtime checker also holds), plus deadlock (no enabled event).
@@ -36,7 +40,7 @@ from repro.coherence.protocol import ProtocolLogic
 from repro.coherence.validation import line_violation
 from repro.common.config import InterconnectKind
 from repro.verify.model import AbstractMachine, Event, ModelViolation
-from repro.verify.table import TransitionCoverage, coverage_report
+from repro.verify.table import TransitionCoverage, audit_table, coverage_report
 
 
 @dataclass(frozen=True)
@@ -182,29 +186,32 @@ class ModelChecker:
     # -- exploration -----------------------------------------------------
 
     def run(self) -> CheckResult:
-        """Explore every reachable state; stop at the first violation."""
+        """Audit the table, then explore every reachable state.
+
+        Exploration stops at the first violation.
+        """
         machine = self.machine
         protocol: ProtocolLogic = machine.protocol
+        directory = machine.interconnect is InterconnectKind.DIRECTORY
+        result = CheckResult(
+            protocol=protocol.name,
+            interconnect="directory" if directory else "bus",
+            n_nodes=machine.n_nodes,
+        )
+        audit = audit_table(protocol, directory)
+        if any(finding["kind"] == "crash" for finding in audit):
+            result.complete = False
+            result.coverage = {"audit": audit}
+            return result
         coverage = TransitionCoverage()
         saved_observer = protocol.observer
         protocol.observer = coverage.record
-        result = CheckResult(
-            protocol=protocol.name,
-            interconnect=(
-                "directory"
-                if machine.interconnect is InterconnectKind.DIRECTORY
-                else "bus"
-            ),
-            n_nodes=machine.n_nodes,
-        )
         try:
             self._explore(result, coverage)
         finally:
             protocol.observer = saved_observer
-        result.coverage = coverage_report(
-            protocol, coverage,
-            directory=machine.interconnect is InterconnectKind.DIRECTORY,
-        )
+        result.coverage = coverage_report(protocol, coverage, directory)
+        result.coverage["audit"] = audit
         return result
 
     def _explore(self, result: CheckResult, coverage: TransitionCoverage):

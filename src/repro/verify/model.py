@@ -40,16 +40,11 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from repro.common.config import (
-    InterconnectKind,
-    ProtocolConfig,
-    ProtocolKind,
-    ValidatePolicy,
-)
+from repro.common.config import InterconnectKind, ProtocolConfig
 from repro.common.errors import ProtocolError
 from repro.coherence.directory import DirectoryEntry, DirectoryNetwork
 from repro.coherence.messages import BusTransaction, TxnKind
-from repro.coherence.protocol import ProtocolLogic, make_protocol
+from repro.coherence.protocol import PROTOCOLS, ProtocolLogic, make_protocol
 from repro.coherence.states import LineState
 from repro.memory.cache import CacheLine
 
@@ -75,36 +70,19 @@ class ModelViolation(Exception):
 
 
 class ProtocolSpec:
-    """A named protocol variant the checker can be pointed at."""
+    """A named protocol variant (a :data:`PROTOCOLS` key) to check."""
 
-    NAMES = ("mesi", "moesi", "mesti", "moesti", "emesti")
+    NAMES = tuple(PROTOCOLS)
 
     def __init__(self, name: str):
         name = name.lower()
-        if name not in self.NAMES:
+        if name not in PROTOCOLS:
             raise ValueError(f"unknown protocol {name!r} (choose from {self.NAMES})")
         self.name = name
-        self.enhanced = name == "emesti"
-        self.kind = {
-            "mesi": ProtocolKind.MESI,
-            "moesi": ProtocolKind.MOESI,
-            "mesti": ProtocolKind.MESTI,
-            "moesti": ProtocolKind.MOESTI,
-            "emesti": ProtocolKind.MOESTI,
-        }[name]
-
-    def protocol_config(self) -> ProtocolConfig:
-        """A ProtocolConfig selecting this variant (always-validate)."""
-        policy = (
-            ValidatePolicy.PREDICTOR if self.enhanced else ValidatePolicy.ALWAYS
-        )
-        return ProtocolConfig(
-            kind=self.kind, enhanced=self.enhanced, validate_policy=policy
-        )
 
     def make_logic(self) -> ProtocolLogic:
         """Instantiate the real protocol logic for this variant."""
-        return make_protocol(self.protocol_config())
+        return make_protocol(ProtocolConfig(**PROTOCOLS[self.name]))
 
 
 def line_base(line: int) -> int:

@@ -39,6 +39,7 @@ from repro.coherence.bus import SnoopBus
 from repro.coherence.controller import CoherenceController
 from repro.coherence.directory import DirectoryNetwork
 from repro.coherence.policies import ValidatePolicyBase
+from repro.coherence.protocol import PROTOCOLS
 from repro.coherence.validation import CoherenceChecker
 from repro.memory.hierarchy import NodeMemory
 from repro.memory.mainmem import MainMemory
@@ -129,10 +130,8 @@ class ConcreteReplayer:
     ):
         if config is None:
             config = scaled_config(n_procs=n_nodes)
-        pc = spec.protocol_config()
         config = config.with_protocol(
-            kind=pc.kind, enhanced=pc.enhanced, validate_policy=pc.validate_policy,
-            squash_silent_stores=False,
+            **PROTOCOLS[spec.name], squash_silent_stores=False,
         )
         config = MachineConfig(
             n_procs=n_nodes, core=config.core, l1=config.l1, l2=config.l2,

@@ -1,10 +1,11 @@
 """Rendering for verification results (``repro-sim check``).
 
 Text output is for humans at a terminal: one compact block per
-protocol/interconnect combination, counterexample traces spelled out
-event by event, coverage reduced to its three numbers unless a row is
-actually missing.  JSON output is the same data unabridged, for CI
-jobs that want to archive or diff it.
+protocol/interconnect combination, table-audit findings one per row,
+counterexample traces spelled out event by event, coverage reduced to
+its three numbers unless a row is actually missing.  JSON output is
+the same data unabridged, for CI jobs that want to archive or diff
+it.
 """
 
 from __future__ import annotations
@@ -24,20 +25,25 @@ def render_check(result: CheckResult) -> str:
         f"{'' if result.complete else ' (bounded — NOT exhaustive)'}"
     )
     lines = [head]
-    if cov:
-        lines.append(
-            f"  coverage: {cov['rows_exercised']}/{cov['rows_reachable']} "
-            f"reachable rows exercised "
-            f"({cov['rows_total'] - cov['rows_reachable']} invariant-unreachable)"
-        )
-        # Missing rows only mean something after a full clean run —
-        # exploration stops at the first violation, and a bounded run
-        # never saw the whole space.
-        if result.ok and result.complete:
-            for row in cov["missing"]:
-                lines.append(f"  MISSING row: {'.'.join(row['row'])}")
-        for row in cov["unexpected"]:
-            lines.append(f"  UNEXPECTED row: {'.'.join(row['row'])}")
+    for finding in cov["audit"]:
+        lines.append(f"  AUDIT {finding['kind']} row "
+                     f"{'.'.join(finding['row'])}: {finding['detail']}")
+    if "rows_total" not in cov:
+        lines.append("  not explored: a table probe crashed")
+        return "\n".join(lines)
+    lines.append(
+        f"  coverage: {cov['rows_exercised']}/{cov['rows_reachable']} "
+        f"reachable rows exercised "
+        f"({cov['rows_total'] - cov['rows_reachable']} invariant-unreachable)"
+    )
+    # Missing rows only mean something after a full clean run —
+    # exploration stops at the first violation, and a bounded run
+    # never saw the whole space.
+    if result.ok and result.complete:
+        for row in cov["missing"]:
+            lines.append(f"  MISSING row: {'.'.join(row['row'])}")
+    for row in cov["unexpected"]:
+        lines.append(f"  UNEXPECTED row: {'.'.join(row['row'])}")
     if result.ok:
         lines.append("  ok: no violations")
     for v in result.violations:

@@ -1,4 +1,4 @@
-"""Transition-table introspection and coverage accounting.
+"""Transition-table introspection, the static table audit, and coverage.
 
 The checker wants to report which rows of each protocol's transition
 table its exploration exercised, and the docs want a table that is
@@ -23,15 +23,21 @@ Some probe-legal rows are unreachable *because the invariants hold*
 (an S copy can never observe a dirty flush: M excludes S).  The
 coverage report separates those out — seeing them stay unexercised in
 an exhaustive run is itself evidence the invariant held.
+
+:func:`audit_table` judges the probed table before any exploration:
+every probe must transition or raise the deliberate ``ProtocolError``,
+the raising rows must be exactly those the invariants forbid
+(:func:`expected_illegal_rows`), and E-MESTI may differ from the
+MOESTI it is built on only in its Validate_Shared rows.
 """
 
 from __future__ import annotations
 
 from repro.coherence.messages import SnoopResult, TxnKind
 from repro.coherence.protocol import ProtocolLogic, TransitionRecord
-from repro.coherence.states import LineState
 
 RowKey = tuple[str, str, str]
+
 
 def _unreachable_reason(
     protocol: ProtocolLogic, pre: str, label: str, directory: bool = False
@@ -109,13 +115,6 @@ class TransitionCoverage:
         return len(self.rows)
 
 
-def _probe_remote(protocol: ProtocolLogic, pre: LineState, kind: TxnKind,
-                  flush: bool) -> str:
-    """Outcome of one remote row: a post-state letter or 'illegal'."""
-    label = f"{kind.value}+flush" if flush else kind.value
-    return protocol.probe_remote(pre, label)
-
-
 def expected_rows(
     protocol: ProtocolLogic, directory: bool = False
 ) -> dict[RowKey, dict]:
@@ -126,67 +125,132 @@ def expected_rows(
     (``ProtocolError`` by design) are excluded — reaching one during
     exploration is reported as a violation, not as coverage.
     """
-    # Hide any installed observer while probing: probes are not coverage.
-    saved, protocol.observer = protocol.observer, None
-    try:
-        rows: dict[RowKey, dict] = {}
-        states = protocol.states()
-        for pre in states:
-            for kind in TxnKind:
-                variants = [False]
-                if kind in (TxnKind.READ, TxnKind.READX):
-                    variants.append(True)
-                for flush in variants:
-                    outcome = _probe_remote(protocol, pre, kind, flush)
-                    if outcome == "illegal":
-                        continue
-                    label = (
-                        f"{kind.value}+flush" if flush else kind.value
-                    )
-                    key = ("remote", pre.value, label)
-                    rows[key] = {
-                        "post": outcome,
-                        "unreachable": _unreachable_reason(
-                            protocol, pre.value, label, directory
-                        ),
-                    }
+    rows: dict[RowKey, dict] = {}
+    states = protocol.states()
+    for pre in states:
+        for label in protocol.remote_event_labels():
+            outcome = protocol.probe_remote(pre, label)
+            if outcome != "illegal":
+                rows[("remote", pre.value, label)] = {
+                    "post": outcome,
+                    "unreachable": _unreachable_reason(
+                        protocol, pre.value, label, directory
+                    ),
+                }
 
-        def local(pre: str, event: str, post: str, unreachable: str | None = None):
-            rows[("local", pre, event)] = {"post": post, "unreachable": unreachable}
+    def local(pre: str, event: str, post: str, unreachable: str | None = None):
+        rows[("local", pre, event)] = {"post": post, "unreachable": unreachable}
 
-        fill_sources = ["-", "I", "T"] if protocol.has_temporal else ["-", "I"]
-        shared = SnoopResult(shared=True)
-        alone = SnoopResult(shared=False)
-        for pre in fill_sources:
-            local(pre, f"fill.Read.{protocol.fill_state(TxnKind.READ, shared).value}",
-                  protocol.fill_state(TxnKind.READ, shared).value)
-            alone_fill = protocol.fill_state(TxnKind.READ, alone).value
-            local(pre, f"fill.Read.{alone_fill}", alone_fill,
-                  unreachable=(
-                      "a load missing from T always finds the live dirty "
-                      "owner asserting sharing, so it fills S"
-                      if pre == "T" and alone_fill == "E" and not directory
-                      else None
-                  ))
-            local(pre, "fill.ReadX",
-                  protocol.fill_state(TxnKind.READX, alone).value)
-        upgrade_sources = ["S"]
-        if protocol.has_owned:
-            upgrade_sources.append("O")
-        if protocol.enhanced:
-            upgrade_sources.append("VS")
-        for pre in upgrade_sources:
-            local(pre, "PrWr.Upgrade", "M")
-        local("E", "PrWr.hit", "M")
-        if protocol.has_temporal:
-            local("M", "PrWr.Validate", protocol.post_validate_state().value)
-        if protocol.enhanced:
-            local("VS", "PrRd.hit", "S")
-        for st in states:
-            local(st.value, "evict", "-")
-        return rows
-    finally:
-        protocol.observer = saved
+    fill_sources = ["-", "I", "T"] if protocol.has_temporal else ["-", "I"]
+    shared = SnoopResult(shared=True)
+    alone = SnoopResult(shared=False)
+    for pre in fill_sources:
+        local(pre, f"fill.Read.{protocol.fill_state(TxnKind.READ, shared).value}",
+              protocol.fill_state(TxnKind.READ, shared).value)
+        alone_fill = protocol.fill_state(TxnKind.READ, alone).value
+        local(pre, f"fill.Read.{alone_fill}", alone_fill,
+              unreachable=(
+                  "a load missing from T always finds the live dirty "
+                  "owner asserting sharing, so it fills S"
+                  if pre == "T" and alone_fill == "E" and not directory
+                  else None
+              ))
+        local(pre, "fill.ReadX",
+              protocol.fill_state(TxnKind.READX, alone).value)
+    upgrade_sources = ["S"]
+    if protocol.has_owned:
+        upgrade_sources.append("O")
+    if protocol.enhanced:
+        upgrade_sources.append("VS")
+    for pre in upgrade_sources:
+        local(pre, "PrWr.Upgrade", "M")
+    local("E", "PrWr.hit", "M")
+    if protocol.has_temporal:
+        local("M", "PrWr.Validate", protocol.post_validate_state().value)
+    if protocol.enhanced:
+        local("VS", "PrRd.hit", "S")
+    for st in states:
+        local(st.value, "evict", "-")
+    return rows
+
+
+def expected_illegal_rows(protocol: ProtocolLogic) -> set[tuple[str, str]]:
+    """The (pre, event) remote rows that must raise ProtocolError.
+
+    Derived from the invariants, not from the implementation:
+
+    * M/E snooping an Upgrade — the upgrader claims it holds a shared
+      copy, which an exclusive holder contradicts (SWMR);
+    * a valid non-T, non-S/VS copy snooping a Validate — the
+      validating owner must have held the only valid copy.
+    """
+    illegal = {("M", "Upgrade"), ("E", "Upgrade"),
+               ("M", "Validate"), ("E", "Validate")}
+    if protocol.has_owned:
+        illegal.add(("O", "Validate"))
+    return illegal
+
+
+def audit_table(protocol: ProtocolLogic, directory: bool = False) -> list[dict]:
+    """Judge the probed table statically; one finding per bad row.
+
+    Each finding is ``{"row": [side, pre, event], "kind": ..., "detail":
+    ...}``, the kind one of:
+
+    * ``crash`` — the probe raised something other than the deliberate
+      ``ProtocolError``: a table hole, not a transition.  A crashing
+      table is judged no further, since every later step would crash
+      on the same row;
+    * ``illegal`` — the row raises ``ProtocolError`` although the
+      invariants allow it (:func:`expected_illegal_rows`);
+    * ``unguarded`` — the invariants forbid the row but it probes legal;
+    * ``asymmetry`` — an E-MESTI row differs from the MOESTI it is
+      built on (:class:`ProtocolLogic` over the same config) outside
+      the Validate_Shared rows.
+    """
+    findings: list[dict] = []
+    illegal: set[tuple[str, str]] = set()
+    for pre in protocol.states():
+        for label in protocol.remote_event_labels():
+            try:
+                if protocol.probe_remote(pre, label) == "illegal":
+                    illegal.add((pre.value, label))
+            except Exception as exc:  # any other exception is the hole
+                findings.append({
+                    "row": ["remote", pre.value, label], "kind": "crash",
+                    "detail": f"{type(exc).__name__}: {exc}",
+                })
+    if findings:
+        return findings
+    expected = expected_illegal_rows(protocol)
+    for pre, label in sorted(illegal - expected):
+        findings.append({
+            "row": ["remote", pre, label], "kind": "illegal",
+            "detail": "raises ProtocolError but the invariants allow it",
+        })
+    for pre, label in sorted(expected - illegal):
+        findings.append({
+            "row": ["remote", pre, label], "kind": "unguarded",
+            "detail": "the invariants forbid it but it probes legal",
+        })
+    if protocol.enhanced:
+        ours = expected_rows(protocol, directory)
+        plain = ProtocolLogic(protocol.config)
+        base = expected_rows(plain, directory)
+        for key in sorted(set(ours) | set(base)):
+            posts = [rows[key]["post"] if key in rows else "no row"
+                     for rows in (base, ours)]
+            # The one allowed difference: Validate_Shared exists only
+            # in E-MESTI (Figure 3), so rows entering, leaving or
+            # snooped in VS have no MOESTI counterpart.
+            if posts[0] == posts[1] or key[1] == "VS" or "VS" in posts:
+                continue
+            findings.append({
+                "row": list(key), "kind": "asymmetry",
+                "detail": (f"{protocol.name} gives {posts[1]} where the "
+                           f"{plain.name} it is built on gives {posts[0]}"),
+            })
+    return findings
 
 
 def coverage_report(

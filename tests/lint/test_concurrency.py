@@ -14,7 +14,7 @@ def _write(tmp_path, rel: str, source: str):
 
 
 def _lint(tmp_path, rule: str):
-    return run_lint(paths=[tmp_path], rules=[rule], audit=False)
+    return run_lint(paths=[tmp_path], rules=[rule])
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ BAD_SOURCE = '"""Fixture."""\nimport random\n\n\ndef roll():\n    return random.
 @pytest.fixture
 def findings(tmp_path):
     (tmp_path / "mod.py").write_text(BAD_SOURCE)
-    return run_lint(paths=[tmp_path], audit=False).findings
+    return run_lint(paths=[tmp_path]).findings
 
 
 def test_fingerprint_survives_line_shifts(tmp_path, findings):
@@ -24,7 +24,7 @@ def test_fingerprint_survives_line_shifts(tmp_path, findings):
         '"""Fixture."""\nimport random\n\nPADDING = 1\nMORE = 2\n\n\ndef roll():\n'
         "    return random.random()\n"
     )
-    shifted = run_lint(paths=[tmp_path], audit=False).findings
+    shifted = run_lint(paths=[tmp_path]).findings
     assert [f.fingerprint for f in shifted] == [f.fingerprint for f in findings]
     assert shifted[0].line != findings[0].line
 
@@ -98,22 +98,21 @@ def test_stale_baseline_entry_reported(tmp_path):
         "rule": "SL001", "path": "gone.py", "snippet": "x",
         "justification": "covered code was deleted",
     }})
-    result = run_lint(paths=[tmp_path], baseline=baseline, audit=False)
+    result = run_lint(paths=[tmp_path], baseline=baseline)
     assert result.clean
     assert result.unused_baseline == ["feedface00000000"]
 
 
 def test_unknown_rule_id_raises():
     with pytest.raises(ValueError, match="SL999"):
-        run_lint(rules=["SL999"], audit=False)
+        run_lint(rules=["SL999"])
 
 
 def test_rule_registry_is_stable():
-    """The documented rule set: AST + whole-program + audit rules."""
-    assert sorted(ALL_RULES) == [
+    """The documented rule set: AST + whole-program rules, in id order."""
+    assert list(ALL_RULES) == [
         "SL001", "SL002", "SL003", "SL004", "SL005", "SL006",
         "SL008", "SL009",
-        "SL101", "SL102", "SL103", "SL104",
         "SL201", "SL202", "SL203", "SL204", "SL205",
     ]
     for rule_id, cls in ALL_RULES.items():
@@ -127,8 +126,8 @@ def test_json_schema(tmp_path):
     from repro.lint.report import render_json
 
     (tmp_path / "mod.py").write_text(BAD_SOURCE)
-    result = run_lint(paths=[tmp_path], audit=False)
-    doc = json.loads(render_json(result, audit=False))
+    result = run_lint(paths=[tmp_path])
+    doc = json.loads(render_json(result))
     assert set(doc) == {
         "version", "clean", "files_scanned", "rules",
         "findings", "suppressed", "unused_baseline", "stats",
@@ -142,24 +141,6 @@ def test_json_schema(tmp_path):
         assert finding["rule"].startswith("SL")
         assert isinstance(finding["line"], int)
         assert len(finding["fingerprint"]) == 16
-
-
-def test_json_schema_with_audit(shipped_tree_lint):
-    """With the audit layer on, the document grows an 'audit' section."""
-    from repro.lint.report import render_json
-
-    doc = json.loads(render_json(shipped_tree_lint, audit=True))
-    audit = doc["audit"]
-    assert {a["protocol"] for a in audit["protocols"]} == {
-        "MESI", "MOESI", "MESTI", "E-MOESTI",
-    }
-    for entry in audit["protocols"]:
-        assert entry["rows_reachable"] > 0
-        assert entry["crashed"] == []
-        assert entry["unaccounted"] == []
-        for dead in entry["dead_rows"]:
-            assert dead["why"]
-    assert set(audit["mesti_vs_emesti"]) == {"bus", "directory"}
 
 
 def test_finding_is_plain_data():

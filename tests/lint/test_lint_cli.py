@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from repro.cli import main
 
 BAD_SOURCE = '"""Fixture."""\nimport random\n\n\ndef roll():\n    return random.random()\n'
@@ -28,7 +30,6 @@ def test_lint_clean_tree_exits_zero(capsys, monkeypatch, shipped_tree_lint):
     assert "simlint: clean" in out
     (kwargs,) = calls
     assert kwargs["paths"] is None and kwargs["rules"] is None
-    assert kwargs["audit"] is True
     assert kwargs["baseline"].entries == Baseline.load(Baseline.default_path()).entries
 
 
@@ -52,8 +53,7 @@ def test_lint_missing_explicit_baseline_exits_two(tmp_path, capsys):
 def test_lint_json_output(tmp_path, capsys):
     (tmp_path / "mod.py").write_text(BAD_SOURCE)
     code = main([
-        "lint", str(tmp_path), "--baseline", "none",
-        "--no-audit", "--format", "json",
+        "lint", str(tmp_path), "--baseline", "none", "--format", "json",
     ])
     assert code == 1
     doc = json.loads(capsys.readouterr().out)
@@ -66,7 +66,7 @@ def test_lint_rule_filter(tmp_path, capsys):
     (tmp_path / "mod.py").write_text(BAD_SOURCE)
     assert main([
         "lint", str(tmp_path), "--baseline", "none",
-        "--rule", "SL003", "--no-audit",
+        "--rule", "SL003",
     ]) == 0
     assert "simlint: clean" in capsys.readouterr().out
 
@@ -77,7 +77,7 @@ def test_lint_update_baseline_round_trip(tmp_path, capsys):
     baseline = tmp_path / "baseline.json"
     assert main([
         "lint", str(tmp_path), "--baseline", str(baseline),
-        "--update-baseline", "--no-audit",
+        "--update-baseline",
         "--justification", "fixture randomness is intentional",
     ]) == 0
     capsys.readouterr()
@@ -86,7 +86,7 @@ def test_lint_update_baseline_round_trip(tmp_path, capsys):
     for entry in doc["entries"].values():
         assert entry["justification"] == "fixture randomness is intentional"
     assert main([
-        "lint", str(tmp_path), "--baseline", str(baseline), "--no-audit",
+        "lint", str(tmp_path), "--baseline", str(baseline),
     ]) == 0
     assert "baselined" in capsys.readouterr().out
 
@@ -98,7 +98,7 @@ def test_lint_update_baseline_without_justification_fails(tmp_path, capsys):
     baseline = tmp_path / "baseline.json"
     assert main([
         "lint", str(tmp_path), "--baseline", str(baseline),
-        "--update-baseline", "--no-audit",
+        "--update-baseline",
     ]) == 1
     err = capsys.readouterr().err
     assert "--justification" in err
@@ -108,7 +108,7 @@ def test_lint_update_baseline_without_justification_fails(tmp_path, capsys):
     )
     # The placeholder file cannot pass a gate: load() refuses it.
     assert main([
-        "lint", str(tmp_path), "--baseline", str(baseline), "--no-audit",
+        "lint", str(tmp_path), "--baseline", str(baseline),
     ]) == 2
     assert "placeholder" in capsys.readouterr().err
 
@@ -119,7 +119,7 @@ def test_lint_update_baseline_no_findings_needs_no_justification(tmp_path, capsy
     baseline = tmp_path / "baseline.json"
     assert main([
         "lint", str(tmp_path), "--baseline", str(baseline),
-        "--update-baseline", "--no-audit",
+        "--update-baseline",
     ]) == 0
     assert json.loads(baseline.read_text())["entries"] == {}
 
@@ -127,8 +127,20 @@ def test_lint_update_baseline_no_findings_needs_no_justification(tmp_path, capsy
 def test_lint_list_rules(capsys):
     assert main(["lint", "--list-rules"]) == 0
     out = capsys.readouterr().out
-    for rule_id in ("SL001", "SL006", "SL101", "SL104"):
-        assert rule_id in out
+    listed = [line.split()[0] for line in out.splitlines()]
+    assert listed == [
+        "SL001", "SL002", "SL003", "SL004", "SL005", "SL006",
+        "SL008", "SL009",
+        "SL201", "SL202", "SL203", "SL204", "SL205",
+    ]
+
+
+def test_lint_no_audit_is_an_unknown_option(capsys):
+    """The table audit left lint for `repro-sim check`; so did its flag."""
+    with pytest.raises(SystemExit) as exc:
+        main(["lint", "--no-audit"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --no-audit" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +168,7 @@ def test_lint_select_runs_only_matching_rules(tmp_path, capsys):
     (tmp_path / "mod.py").write_text(BAD_SOURCE)
     assert main([
         "lint", str(tmp_path), "--baseline", "none",
-        "--select", "SL2", "--no-audit",
+        "--select", "SL2",
     ]) == 1
     out = capsys.readouterr().out
     assert "SL201" in out and "SL001" not in out
@@ -171,7 +183,7 @@ def test_lint_stats_summary(tmp_path, capsys):
     _write_service_fixture(tmp_path)
     assert main([
         "lint", str(tmp_path), "--baseline", "none",
-        "--select", "SL2", "--no-audit", "--stats",
+        "--select", "SL2", "--stats",
     ]) == 1
     out = capsys.readouterr().out
     assert "new findings by rule: SL201=1" in out
@@ -185,14 +197,14 @@ def test_lint_sl2xx_baseline_round_trip(tmp_path, capsys):
     baseline = tmp_path / "baseline.json"
     assert main([
         "lint", str(tmp_path), "--baseline", str(baseline),
-        "--update-baseline", "--no-audit",
+        "--update-baseline",
         "--justification", "demo sleep in a fixture coroutine",
     ]) == 0
     capsys.readouterr()
     doc = json.loads(baseline.read_text())
     assert [e["rule"] for e in doc["entries"].values()] == ["SL201"]
     assert main([
-        "lint", str(tmp_path), "--baseline", str(baseline), "--no-audit",
+        "lint", str(tmp_path), "--baseline", str(baseline),
     ]) == 0
     assert "baselined" in capsys.readouterr().out
 
@@ -215,7 +227,7 @@ def test_lint_upgraded_rule_id_is_not_silently_suppressed(tmp_path, capsys):
     ).save(baseline)
     assert main([
         "lint", str(tmp_path), "--baseline", str(baseline),
-        "--select", "SL2", "--no-audit",
+        "--select", "SL2",
     ]) == 1
     out = capsys.readouterr().out
     assert "SL201" in out

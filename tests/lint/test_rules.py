@@ -100,7 +100,7 @@ def lint_source(tmp_path, source: str, rule: str):
     """Write ``source`` to a module and run one rule over it."""
     path = tmp_path / "fixture.py"
     path.write_text('"""Fixture."""\n' + textwrap.dedent(source))
-    return run_lint(paths=[tmp_path], rules=[rule], audit=False)
+    return run_lint(paths=[tmp_path], rules=[rule])
 
 
 @pytest.mark.parametrize("rule", sorted(FIXTURES))
@@ -128,9 +128,9 @@ def test_sl001_exempts_rng_module(tmp_path):
     rng_dir.mkdir()
     source = '"""RNG."""\nimport random\n\n\ndef make():\n    return random.Random(0)\n'
     (rng_dir / "rng.py").write_text(source)
-    assert run_lint(paths=[tmp_path], rules=["SL001"], audit=False).clean
+    assert run_lint(paths=[tmp_path], rules=["SL001"]).clean
     (rng_dir / "rogue.py").write_text(source)
-    result = run_lint(paths=[tmp_path], rules=["SL001"], audit=False)
+    result = run_lint(paths=[tmp_path], rules=["SL001"])
     assert {f.path for f in result.findings} == {"common/rogue.py"}
 
 
@@ -159,7 +159,7 @@ def test_sl002_cross_file_set_attribute(tmp_path):
             return [w for w in entry.waiters]
         '''
     ))
-    result = run_lint(paths=[tmp_path], rules=["SL002"], audit=False)
+    result = run_lint(paths=[tmp_path], rules=["SL002"])
     assert [f.path for f in result.findings] == ["user.py"]
 
 
@@ -198,7 +198,7 @@ def test_sl008_flags_discarded_span_id(tmp_path):
             self.tracer.span_begin("txn", node=self.node_id)
     """
     _write_module(tmp_path, "coherence/ctrl.py", source)
-    result = run_lint(paths=[tmp_path], rules=["SL008"], audit=False)
+    result = run_lint(paths=[tmp_path], rules=["SL008"])
     assert result.findings, "discarded span id must be flagged"
     assert any("discarded" in f.message for f in result.findings)
 
@@ -210,7 +210,7 @@ def test_sl008_flags_begin_only_module(tmp_path):
             self._span = self.tracer.span_begin("sle.region")
     """
     _write_module(tmp_path, "sle/engine.py", source)
-    result = run_lint(paths=[tmp_path], rules=["SL008"], audit=False)
+    result = run_lint(paths=[tmp_path], rules=["SL008"])
     assert len(result.findings) == 1
     assert "never closes" in result.findings[0].message
 
@@ -236,7 +236,7 @@ def test_sl008_passes_disciplined_shapes(tmp_path):
         def grant(self, txn):
             self.tracer.span_end(txn.span, node=txn.requester)
     """)
-    assert run_lint(paths=[tmp_path], rules=["SL008"], audit=False).clean
+    assert run_lint(paths=[tmp_path], rules=["SL008"]).clean
 
 
 def test_sl008_out_of_scope_passes(tmp_path):
@@ -244,7 +244,7 @@ def test_sl008_out_of_scope_passes(tmp_path):
     def probe(tracer):
         tracer.span_begin("txn")
     """)
-    assert run_lint(paths=[tmp_path], rules=["SL008"], audit=False).clean
+    assert run_lint(paths=[tmp_path], rules=["SL008"]).clean
 
 
 def test_sl009_flags_undeclared_event_name(tmp_path):
@@ -254,7 +254,7 @@ def test_sl009_flags_undeclared_event_name(tmp_path):
             self.events.emit("cell.vibes", fingerprint=fingerprint)
     """
     _write_module(tmp_path, "service/workers.py", source)
-    result = run_lint(paths=[tmp_path], rules=["SL009"], audit=False)
+    result = run_lint(paths=[tmp_path], rules=["SL009"])
     assert [f.path for f in result.findings] == ["service/workers.py"]
     assert "EVENT_SPECS" in result.findings[0].message
 
@@ -266,7 +266,7 @@ def test_sl009_flags_dynamic_event_name(tmp_path):
             self.events.emit(f"cell.{phase}", fingerprint=fingerprint)
     """
     _write_module(tmp_path, "service/workers.py", source)
-    result = run_lint(paths=[tmp_path], rules=["SL009"], audit=False)
+    result = run_lint(paths=[tmp_path], rules=["SL009"])
     assert len(result.findings) == 1
     assert "dynamically-built" in result.findings[0].message
 
@@ -279,7 +279,7 @@ def test_sl009_passes_declared_names(tmp_path):
             self.events.emit("cell.finished", fingerprint=fingerprint)
     """
     _write_module(tmp_path, "service/workers.py", source)
-    assert run_lint(paths=[tmp_path], rules=["SL009"], audit=False).clean
+    assert run_lint(paths=[tmp_path], rules=["SL009"]).clean
 
 
 def test_sl009_exempts_the_registry_module(tmp_path):
@@ -291,7 +291,7 @@ def test_sl009_exempts_the_registry_module(tmp_path):
             self._tracer.emit(name, **fields)
     """
     _write_module(tmp_path, "service/events.py", source)
-    assert run_lint(paths=[tmp_path], rules=["SL009"], audit=False).clean
+    assert run_lint(paths=[tmp_path], rules=["SL009"]).clean
 
 
 def test_sl009_out_of_scope_passes(tmp_path):
@@ -299,7 +299,7 @@ def test_sl009_out_of_scope_passes(tmp_path):
     def snapshot(tracer):
         tracer.emit("made.up.event", detail=1)
     """)
-    assert run_lint(paths=[tmp_path], rules=["SL009"], audit=False).clean
+    assert run_lint(paths=[tmp_path], rules=["SL009"]).clean
 
 
 def test_sl009_service_source_tree_is_clean():
@@ -308,13 +308,13 @@ def test_sl009_service_source_tree_is_clean():
     from pathlib import Path
 
     package_dir = Path(api_mod.__file__).parent.parent
-    result = run_lint(paths=[package_dir], rules=["SL009"], audit=False)
+    result = run_lint(paths=[package_dir], rules=["SL009"])
     assert result.clean, [f.message for f in result.findings]
 
 
 def test_syntax_error_reported_as_sl000(tmp_path):
     (tmp_path / "broken.py").write_text("def oops(:\n")
-    result = run_lint(paths=[tmp_path], audit=False)
+    result = run_lint(paths=[tmp_path])
     assert [f.rule for f in result.findings] == ["SL000"]
 
 
@@ -324,9 +324,7 @@ def test_runner_uses_monotonic_clock():
     summary never depends on (or perturbs with) the wall clock."""
     import repro.experiments.runner as runner_mod
 
-    result = run_lint(
-        paths=[runner_mod.__file__], rules=["SL001"], audit=False
-    )
+    result = run_lint(paths=[runner_mod.__file__], rules=["SL001"])
     assert result.clean, [f.to_json() for f in result.findings]
 
 
