@@ -13,8 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy import stats as scipy_stats
-
 
 @dataclass(frozen=True)
 class ConfidenceInterval:
@@ -53,6 +51,10 @@ def mean_ci(samples: list[float], confidence: float = 0.95) -> ConfidenceInterva
         return ConfidenceInterval(mean=mean, half_width=0.0, n=1, confidence=confidence)
     var = sum((x - mean) ** 2 for x in samples) / (n - 1)
     sem = math.sqrt(var / n)
+    # Imported at its only use: scipy.stats takes most of a second to
+    # import, and every ``import repro`` reaches this module.
+    from scipy import stats as scipy_stats
+
     t = scipy_stats.t.ppf(0.5 + confidence / 2, df=n - 1)
     return ConfidenceInterval(mean=mean, half_width=t * sem, n=n, confidence=confidence)
 

@@ -462,10 +462,6 @@ def cmd_serve(args) -> int:
 
     from repro.service.api import Service
 
-    if args.lease_ttl is not None and not args.lease_ttl > 0:
-        # A TTL <= 0 expires every lease while its cell still runs.
-        print("repro-sim: error: --lease-ttl must be > 0", file=sys.stderr)
-        return 2
     # A server launched as a background job from a non-interactive
     # shell (``nohup repro-sim serve ... &``, as the CI smoke does)
     # inherits SIGINT set to SIG_IGN — the shell ignores it for
@@ -477,8 +473,7 @@ def cmd_serve(args) -> int:
 
     async def _serve() -> int:
         service = Service(
-            args.root, workers=args.workers, lease_ttl=args.lease_ttl,
-            flight_path=args.flight,
+            args.root, workers=args.workers, flight_path=args.flight,
             telemetry_interval=args.telemetry_interval,
         )
         host, port = await service.start(host=args.host, port=args.port)
@@ -807,10 +802,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve_p.add_argument(
         "--root", default="service-state", metavar="DIR",
         help="durable state: queue (queue/) + result store (results/)",
-    )
-    serve_p.add_argument(
-        "--lease-ttl", type=float, default=None, metavar="SECONDS",
-        help="cell lease deadline, > 0 (heartbeats renew it; default 30)",
     )
     serve_p.add_argument(
         "--event-log", default=None, metavar="PATH",

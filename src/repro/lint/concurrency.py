@@ -97,7 +97,7 @@ class AsyncBlockingRule(Rule):
     rationale = (
         "A coroutine that blocks — time.sleep, http.client, synchronous "
         "file I/O, Future.result() — stalls the whole event loop: every "
-        "other request, heartbeat, and stream on the server freezes for "
+        "other request, worker, and stream on the server freezes for "
         "the duration.  Offload with loop.run_in_executor (the callable "
         "is passed, not called, so the call graph sees the hop)."
     )

@@ -138,7 +138,6 @@ class Service:
         self,
         root: str | Path,
         workers: int = 1,
-        lease_ttl: float | None = None,
         executor=None,
         metrics: MetricsRegistry | None = None,
         flight_path: str | Path | None = None,
@@ -152,10 +151,9 @@ class Service:
         self.flight_path = None if flight_path is None else Path(flight_path)
         self._flight_lock = threading.Lock()
         self.events = EventLog(metrics=self.metrics)
-        queue_kwargs = {} if lease_ttl is None else {"lease_ttl": lease_ttl}
         self.queue = JobQueue(
             self.root / "queue", events=self.events,
-            traces=self.traces, metrics=self.metrics, **queue_kwargs,
+            traces=self.traces, metrics=self.metrics,
         )
         self.store = ResultStore(self.root / "results")
         self.shard = WorkerShard(

@@ -75,8 +75,9 @@ EVENT_SPECS: dict[str, EventSpec] = _registry(
     EventSpec("cell.deduped", "a submission matched an in-flight cell and "
               "shares its run", ("job", "fingerprint"),
               optional=("trace",)),
-    EventSpec("cell.leased", "a worker took the cell under a heartbeat "
-              "lease", ("fingerprint", "worker"), optional=("trace",)),
+    EventSpec("cell.leased", "a worker took the cell; it reports the "
+              "cell's outcome", ("fingerprint", "worker"),
+              optional=("trace",)),
     EventSpec("cell.started", "a worker began simulating the cell (it was "
               "not cached)", ("fingerprint", "worker"),
               optional=("trace",)),
@@ -86,7 +87,7 @@ EVENT_SPECS: dict[str, EventSpec] = _registry(
     EventSpec("cell.finished", "the cell's summary is stored and its jobs "
               "were credited", ("fingerprint",), optional=("trace",)),
     EventSpec("cell.retried", "the cell was re-enqueued; reason is "
-              "lease_expired | worker_death | worker_error",
+              "worker_death | worker_error",
               ("fingerprint", "reason"), optional=("trace",)),
     EventSpec("cell.failed", "the cell exhausted its retries; reason as "
               "for cell.retried", ("fingerprint", "reason"),

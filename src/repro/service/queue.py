@@ -16,11 +16,12 @@ below.  Cells, not jobs, are the unit of scheduling:
   result store without simulation (``cell.cache_hit``).
 * **priorities** — higher job priority leases first; FIFO within a
   priority.
-* **leases** — a worker takes a cell under a deadline
-  (``lease_ttl`` seconds on the injected monotonic clock) and renews
-  it by heartbeat; an expired or explicitly failed lease re-enqueues
-  the cell exactly once per retry budget (``cell.retried{reason}``)
-  before it fails for good (``cell.failed{reason}``).
+* **leases** — a worker leases a cell and is the one owner of its
+  outcome: it reports the cell done (:meth:`JobQueue.complete`) or
+  lost (:meth:`JobQueue.fail`).  The workers run in the queue's own
+  process, so a lease has no deadline; a lost cell re-enqueues
+  exactly once per retry budget (``cell.retried{reason}``) before it
+  fails for good (``cell.failed{reason}``).
 * **cancellation** — cancelling a job drops its not-yet-leased cells
   (unless another job shares them) and completes the job with
   ``reason=cancelled``; an in-flight leased cell is left to finish so
@@ -40,11 +41,11 @@ emptied; a crash between the two replays the old journal over the new
 snapshot, which gives the same state because every line carries whole
 records.  On load, cells found *leased* are returned to *queued* — the
 lease holder died with the process, and a re-run of a deterministic
-cell is always safe — so a lease, a heartbeat or a start, which a
-restart would undo, appends nothing.  Load also clears the span ids
-the records hold, which name spans of the old process's trace store.
-The queue directory has one owner, so load also deletes the temp files
-a crash in mid-compaction left behind.
+cell is always safe — so a lease or a start, which a restart would
+undo, appends nothing.  Load also clears the span ids the records
+hold, which name spans of the old process's trace store.  The queue
+directory has one owner, so load also deletes the temp files a crash
+in mid-compaction left behind.
 
 Events: the queue emits every lifecycle event, under its lock, into
 the views its records name: a job event joins its job's view, a cell
@@ -91,9 +92,6 @@ from repro.workloads.registry import BENCHMARKS, EXTRA_BENCHMARKS
 
 from .events import EventLog
 
-#: Lease deadline, in seconds of the queue's monotonic clock.
-DEFAULT_LEASE_TTL = 30.0
-
 #: Client-supplied trace ids: short, grep/filename-safe tokens.
 TRACE_ID = re.compile(r"^[A-Za-z0-9._:-]{1,64}$")
 
@@ -136,8 +134,8 @@ class JobNotFound(KeyError):
         return str(self.args[0])
 
 
-#: Ceiling on a fuzz cell's iteration budget: a cell is one lease, so
-#: a huge budget would outlive any reasonable heartbeat horizon.
+#: Ceiling on a fuzz cell's iteration budget: a cell holds a pool
+#: worker for its whole campaign, and campaign time grows with budget.
 MAX_FUZZ_BUDGET = 10_000
 
 #: Ceiling on a simulation cell's ``scale``: the paper's full size, the
@@ -325,7 +323,6 @@ class JobQueue:
         root: str | Path,
         events: EventLog | None = None,
         clock: Callable[[], float] = time.perf_counter,
-        lease_ttl: float = DEFAULT_LEASE_TTL,
         traces: JobTraceStore | None = None,
         metrics: MetricsRegistry | None = None,
     ):
@@ -333,7 +330,6 @@ class JobQueue:
         self.root.mkdir(parents=True, exist_ok=True)
         self.events = events or EventLog()
         self.clock = clock
-        self.lease_ttl = lease_ttl
         self.traces = traces if traces is not None else JobTraceStore()
         # The one store of lease waits: ``lease_stats`` reads it too.
         self._lease_wait = (metrics or MetricsRegistry()).histogram(
@@ -364,7 +360,10 @@ class JobQueue:
 
     def _load(self) -> None:
         """Recover the snapshot and the journal; leased cells return to
-        queued, and a crashed compaction's temp files are deleted."""
+        queued, and a crashed compaction's temp files are deleted.
+
+        A record from a queue that kept lease deadlines carries a
+        ``lease`` field; nothing reads it, so load drops it."""
         for stale in self.root.glob(self._state_path.name + ".*.tmp"):
             stale.unlink(missing_ok=True)
         if self._state_path.exists():
@@ -384,10 +383,11 @@ class JobQueue:
             job["span"] = None
         for cell in self.cells.values():
             cell.update(job_span=None, lease_span=None)
+            cell.pop("lease", None)
             if cell["state"] == "leased":
                 # The lease holder died with the previous process;
                 # deterministic cells are always safe to re-run.
-                cell.update(state="queued", lease=None)
+                cell["state"] = "queued"
 
     def _replay(self) -> None:
         """Apply every whole journal line and cut what follows the last
@@ -521,7 +521,7 @@ class JobQueue:
         """``(fingerprint, payload)`` for every cell of a valid spec.
 
         The payload is the kind-specific part of the cell record; the
-        queue bookkeeping fields (state, jobs, lease, retries, order)
+        queue bookkeeping fields (state, jobs, retries, order)
         are layered on by :meth:`submit`.  Simulation cells carry no
         ``kind`` key — records persisted by earlier versions must keep
         deserializing as simulation cells.
@@ -607,7 +607,6 @@ class JobQueue:
                     **payload,
                     "state": "queued",
                     "jobs": carried + [job_id],
-                    "lease": None,
                     "retries": 0,
                     "order": self._seq,
                     "trace": trace,
@@ -644,7 +643,8 @@ class JobQueue:
             )
 
     def lease(self, worker: str) -> dict[str, Any] | None:
-        """Take the best queued cell under a heartbeat lease, if any."""
+        """Lease the best queued cell to ``worker``, if any; the worker
+        reports its outcome (:meth:`complete` or :meth:`fail`)."""
         with self._lock:
             queued = [
                 c for c in self.cells.values() if c["state"] == "queued"
@@ -654,10 +654,6 @@ class JobQueue:
             cell = min(queued, key=lambda c: (-self._priority(c), c["order"]))
             cell["state"] = "leased"
             now = self.clock()
-            cell["lease"] = {
-                "worker": worker,
-                "deadline": now + self.lease_ttl,
-            }
             enqueued_at = cell.get("enqueued_at")
             if enqueued_at is not None:
                 self._lease_wait.record(max(now - enqueued_at, 0.0))
@@ -673,68 +669,38 @@ class JobQueue:
             )
             return dict(cell)
 
-    def heartbeat(self, fingerprint: str, worker: str) -> bool:
-        """Renew a live lease; False if the lease is no longer held."""
+    def fail(self, fingerprint: str, reason: str) -> None:
+        """The worker that leased the cell reports it lost (``reason``:
+        ``worker_death`` or ``worker_error``); retry or fail it."""
         with self._lock:
             cell = self.cells.get(fingerprint)
-            if (
-                cell is None or cell["state"] != "leased"
-                or not cell["lease"] or cell["lease"]["worker"] != worker
-            ):
-                return False
-            cell["lease"]["deadline"] = self.clock() + self.lease_ttl
-            return True
-
-    def expire_leases(self) -> list[str]:
-        """Re-enqueue (or fail) every cell whose lease deadline passed."""
-        with self._lock:
-            now = self.clock()
-            expired = [
-                c["fingerprint"] for c in self.cells.values()
-                if c["state"] == "leased" and c["lease"]
-                and c["lease"]["deadline"] < now
-            ]
-            for fingerprint in expired:
-                self._bounce(fingerprint, "lease_expired")
+            if cell is None or cell["state"] != "leased":
+                return
+            self._dirty_cells.add(fingerprint)
+            trace = cell.get("trace")
+            if trace is not None:
+                self.traces.span_end(
+                    trace, cell.get("lease_span"), outcome=reason,
+                )
+                cell["lease_span"] = None
+            waiting = self._waiting(cell)
+            if cell["retries"] < MAX_RETRIES:
+                cell["retries"] += 1
+                cell["state"] = "queued"
+                cell["enqueued_at"] = self.clock()
+                self.events.emit(
+                    "cell.retried", waiting, fingerprint=fingerprint,
+                    reason=reason, trace=trace,
+                )
+            else:
+                cell["state"] = "failed"
+                self.events.emit(
+                    "cell.failed", waiting, fingerprint=fingerprint,
+                    reason=reason, trace=trace,
+                )
+                for job_id in waiting:
+                    self._finish_job(job_id, "failed")
             self._commit()
-            return expired
-
-    def fail(self, fingerprint: str, reason: str) -> None:
-        """A worker reported the cell's run died; retry or fail it."""
-        with self._lock:
-            self._bounce(fingerprint, reason)
-            self._commit()
-
-    def _bounce(self, fingerprint: str, reason: str) -> None:
-        """Shared retry-or-fail transition for lost leases."""
-        cell = self.cells.get(fingerprint)
-        if cell is None or cell["state"] != "leased":
-            return
-        self._dirty_cells.add(fingerprint)
-        cell["lease"] = None
-        trace = cell.get("trace")
-        if trace is not None:
-            self.traces.span_end(
-                trace, cell.get("lease_span"), outcome=reason,
-            )
-            cell["lease_span"] = None
-        waiting = self._waiting(cell)
-        if cell["retries"] < MAX_RETRIES:
-            cell["retries"] += 1
-            cell["state"] = "queued"
-            cell["enqueued_at"] = self.clock()
-            self.events.emit(
-                "cell.retried", waiting, fingerprint=fingerprint,
-                reason=reason, trace=trace,
-            )
-        else:
-            cell["state"] = "failed"
-            self.events.emit(
-                "cell.failed", waiting, fingerprint=fingerprint,
-                reason=reason, trace=trace,
-            )
-            for job_id in waiting:
-                self._finish_job(job_id, "failed")
 
     # ------------------------------------------------------------------
     # Completion
@@ -782,7 +748,6 @@ class JobQueue:
                 )
             self._dirty_cells.add(fingerprint)
             cell["state"] = "done"
-            cell["lease"] = None
             if trace is not None:
                 self.traces.span_end(
                     trace, cell.get("lease_span"), outcome="done",

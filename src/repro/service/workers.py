@@ -2,21 +2,27 @@
 
 The shard is a set of asyncio worker tasks over one process pool (the
 runner's :func:`~repro.experiments.runner.warm_pool`, so pool startup
-is paid once per service lifetime, not per job) plus a lease *reaper*.
-Each worker loops:
+is paid once per service lifetime, not per job).  Each worker loops:
 
 1. lease the best queued cell (``cell.leased``);
 2. probe the :class:`~repro.experiments.store.ResultStore` under the
    cell's fingerprint — a hit is served without simulation
    (``cell.cache_hit``) and completed immediately;
 3. otherwise simulate via the existing
-   :func:`~repro.experiments.runner.run_cell` in the executor,
-   renewing the lease by heartbeat while the future is pending
-   (``cell.started`` ... ``cell.finished``);
-4. on executor death or a raising cell, report the lease lost
-   (``cell.retried{reason}`` / ``cell.failed{reason}`` come from the
-   queue's retry budget) and, for a broken pool, retire it so the
-   next lease gets a fresh one.
+   :func:`~repro.experiments.runner.run_cell` in the executor and store
+   what it returns (``cell.started`` ... ``cell.finished``);
+4. if the pool broke, mid-cell or while idle, retire it so the next
+   lease gets a fresh one and hand the cell back as ``worker_death``;
+   on any other exception while the cell is leased (a raising cell, a
+   failed store write), hand it back as ``worker_error``.  The queue's
+   retry budget turns either into ``cell.retried{reason}`` or
+   ``cell.failed{reason}``.
+
+The worker that leased a cell is the one owner of its outcome.  The
+queue and every lease holder share one process, so a lease has no
+deadline: it ends when its worker reports the cell done or handed
+back, or when a restart re-queues it on load.  A pool worker killed
+mid-cell or while idle is reported through ``BrokenExecutor``.
 
 Each event named above comes from the queue transition the shard
 calls; the shard emits none.
@@ -30,11 +36,6 @@ No worker polls, so a silent shard means an empty queue.  A worker
 notes the wake count before each lease and sleeps only if no wake
 arrived since, so a submit that lands while a lease is in flight is
 never missed, however many workers are idle.
-
-The reaper periodically calls
-:meth:`~repro.service.queue.JobQueue.expire_leases`, which is what
-recovers cells whose worker died *without* reporting (process kill):
-the heartbeat stops, the deadline passes, the cell re-enqueues.
 
 Results go to the same :class:`~repro.experiments.store.ResultStore`
 a :class:`~repro.experiments.runner.MatrixRunner` uses: one file per
@@ -66,9 +67,8 @@ from .queue import JobQueue
 
 log = logging.getLogger("repro.service")
 
-#: Floor (seconds) on the reaper and heartbeat periods, so a tiny
-#: ``lease_ttl`` cannot spin them.
-MIN_PERIOD = 0.05
+#: The shard's name: the prefix of its worker ids (``shard0/w0``).
+SHARD_NAME = "shard0"
 
 #: The events that put a cell in the queue: each wakes idle workers.
 WAKE_EVENTS = ("cell.enqueued", "cell.retried")
@@ -106,7 +106,7 @@ def _close_inherited_inet_sockets() -> None:
 
 
 class WorkerShard:
-    """N async workers + a lease reaper over one executor."""
+    """N async workers over one executor."""
 
     def __init__(
         self,
@@ -115,7 +115,6 @@ class WorkerShard:
         events: EventLog,
         workers: int = 1,
         executor: Executor | None = None,
-        name: str = "shard0",
     ):
         self.queue = queue
         self.store = store
@@ -129,7 +128,6 @@ class WorkerShard:
         # Whether _executor came from warm_pool (ours to retire) or
         # was injected by the caller (theirs to shut down).
         self._owns_pool = False
-        self.name = name
         self._tasks: list[asyncio.Task] = []
         self._stopping = False
         #: Workers currently processing a leased cell (utilization
@@ -152,20 +150,21 @@ class WorkerShard:
         return self._executor
 
     async def start(self) -> None:
-        """Spawn the worker tasks and the lease reaper."""
+        """Spawn the worker tasks."""
         self._stopping = False
         self._loop = asyncio.get_running_loop()
         self._work = asyncio.Event()
         self.events.subscribe(self._on_event)
         for i in range(self.workers):
-            worker_id = f"{self.name}/w{i}"
+            worker_id = f"{SHARD_NAME}/w{i}"
             self._tasks.append(
                 asyncio.create_task(self._worker(worker_id))
             )
-        self._tasks.append(asyncio.create_task(self._reaper()))
 
     async def stop(self) -> None:
-        """Cancel every task (every stored cell is already on disk)."""
+        """Cancel every task (every stored cell is already on disk; a
+        cell leased at the cancel stays leased until a load re-queues
+        it)."""
         self._stopping = True
         self.events.unsubscribe(self._on_event)
         for task in self._tasks:
@@ -188,19 +187,6 @@ class WorkerShard:
         """Count a wake and release every idle worker (loop thread)."""
         self._wakes += 1
         self._work.set()
-
-    async def _reaper(self) -> None:
-        """Periodically expire dead leases (crashed/silent workers)."""
-        period = max(self.queue.lease_ttl / 4, MIN_PERIOD)
-        loop = asyncio.get_running_loop()
-        while not self._stopping:
-            await asyncio.sleep(period)
-            expired = await loop.run_in_executor(
-                None, self.queue.expire_leases,
-            )
-            for fingerprint in expired:
-                log.warning("lease expired on cell %s; re-enqueued",
-                            fingerprint)
 
     async def _worker(self, worker_id: str) -> None:
         """One worker's lease -> serve/run -> complete loop.
@@ -231,31 +217,14 @@ class WorkerShard:
             finally:
                 self.busy -= 1
 
-    async def _await_leased(self, future, fingerprint: str,
-                            worker_id: str):
-        """Await an executor future, renewing the lease by heartbeat."""
-        loop = asyncio.get_running_loop()
-        heartbeat = max(self.queue.lease_ttl / 3, MIN_PERIOD)
-        while True:
-            done, _pending = await asyncio.wait(
-                {future}, timeout=heartbeat,
-            )
-            if done:
-                return future.result()
-            # Still running: renew the lease and keep waiting.
-            await loop.run_in_executor(
-                None, self.queue.heartbeat, fingerprint, worker_id,
-            )
+    def _pool_died(self) -> None:
+        """Retire a pool that broke, mid-cell or while idle.
 
-    async def _pool_died(self, fingerprint: str) -> None:
-        """Handle a worker process dying mid-cell (BrokenExecutor).
-
-        Retire the broken pool — but only when this shard created it
-        via warm_pool, keyed with its own initializer, so an unrelated
-        same-width pool (e.g. a bench sweep's) in this process is
-        never torn down; an injected executor is the caller's to shut
-        down.  Either way the next lease builds a fresh warm pool, and
-        the cell goes back to the queue's retry budget.
+        Retire it only when this shard created it via warm_pool, keyed
+        with its own initializer, so an unrelated same-width pool
+        (e.g. a bench sweep's) in this process is never torn down; an
+        injected executor is the caller's to shut down.  Either way
+        the next lease builds a fresh warm pool.
         """
         if self._owns_pool:
             retire_pool(
@@ -265,121 +234,125 @@ class WorkerShard:
         elif self._executor is not None:
             log.warning(
                 "injected executor for shard %s broke; replacing "
-                "it with a warm pool on the next lease", self.name,
+                "it with a warm pool on the next lease", SHARD_NAME,
             )
         self._executor = None
         self._owns_pool = False
-        loop = asyncio.get_running_loop()
-        await loop.run_in_executor(
-            None, self.queue.fail, fingerprint, "worker_death",
-        )
 
     async def _process(self, worker_id: str, cell: dict[str, Any]) -> None:
-        """Serve one leased cell: from the store when it holds the
-        cell's fingerprint, otherwise by running it."""
-        fingerprint = cell["fingerprint"]
-        trace = cell.get("trace")
-        loop = asyncio.get_running_loop()
-        stored = await loop.run_in_executor(None, self.store.get, fingerprint)
-        if stored is None:
-            await self._run(worker_id, cell)
-            return
-        if trace is not None:
-            hit_span = self.traces.span_begin(
-                trace, "cell.cache_hit", parent=cell.get("lease_span"),
-                fingerprint=fingerprint,
-            )
-            self.traces.span_end(trace, hit_span)
-        cached = True
-        await loop.run_in_executor(
-            None, self.queue.complete, fingerprint, cached,
-        )
+        """Serve one leased cell and report its outcome to the queue.
 
-    async def _run(self, worker_id: str, cell: dict[str, Any]) -> None:
-        """Run one cell in the executor and store what it returns.
+        A cell the store holds is served from it; any other runs in
+        the executor.  Both kinds of run take the same steps:
+        ``cell.started``, the ``cell.run`` span, the executor run, the
+        store write and the completion.  A simulation stores its
+        summary; a fuzz campaign stores its report and surfaces every
+        finding as a ``cell.fuzz_finding`` event.
 
-        Both kinds take the same steps: ``cell.started``, the
-        ``cell.run`` span, a heartbeat-renewed executor run, and on
-        executor death or a raising cell, the span ended and the cell
-        handed back to the queue's retry budget.  A simulation stores
-        its summary; a fuzz campaign stores its report and surfaces
-        every finding as a ``cell.fuzz_finding`` event.
+        The cell stays leased until this reports it.  A broken pool
+        (its future raises, or its ``submit`` does once it broke while
+        idle) is retired and the cell handed back to the queue's retry
+        budget as ``worker_death``; any other exception while the cell
+        is leased hands it back as ``worker_error``.  A ``cell.run``
+        span still open ends with that reason.
         """
         fingerprint = cell["fingerprint"]
         trace = cell.get("trace")
         fuzz = cell.get("kind") == "fuzz"
         loop = asyncio.get_running_loop()
-        await loop.run_in_executor(
-            None, self.queue.start, fingerprint, worker_id,
-        )
-        run_span = (
-            self.traces.span_begin(
-                trace, "cell.run", parent=cell.get("lease_span"),
-                fingerprint=fingerprint, worker=worker_id,
+        run_span = None
+        try:
+            stored = await loop.run_in_executor(
+                None, self.store.get, fingerprint,
             )
-            if trace is not None else None
+            if stored is not None:
+                if trace is not None:
+                    hit_span = self.traces.span_begin(
+                        trace, "cell.cache_hit",
+                        parent=cell.get("lease_span"),
+                        fingerprint=fingerprint,
+                    )
+                    self.traces.span_end(trace, hit_span)
+                cached = True
+                await loop.run_in_executor(
+                    None, self.queue.complete, fingerprint, cached,
+                )
+                return
+            await loop.run_in_executor(
+                None, self.queue.start, fingerprint, worker_id,
+            )
+            if trace is not None:
+                run_span = self.traces.span_begin(
+                    trace, "cell.run", parent=cell.get("lease_span"),
+                    fingerprint=fingerprint, worker=worker_id,
+                )
+            result = await loop.run_in_executor(
+                self.executor(), *self._call(cell, run_span),
+            )
+            if fuzz:
+                doc, trace_doc = result, None
+            else:
+                # The worker's span rows ride back under
+                # summary["trace"]; pop them before storing so the
+                # stored summary stays byte-identical to a serial run's.
+                trace_doc = result.pop("trace", None)
+                doc = {
+                    "benchmark": cell["benchmark"],
+                    "technique": cell["technique"],
+                    "seed": cell["seed"],
+                    "scale": cell["scale"],
+                    "summary": result,
+                }
+            if trace is not None:
+                self.traces.span_end(trace, run_span, outcome="done")
+                run_span = None
+                if trace_doc:
+                    self.traces.ingest(
+                        trace, trace_doc["rows"], trace_doc["dropped"],
+                    )
+            await loop.run_in_executor(
+                None, self.store.store, fingerprint, doc,
+            )
+            cached = False
+            findings = [f["kind"] for f in doc["findings"]] if fuzz else ()
+            await loop.run_in_executor(
+                None, self.queue.complete, fingerprint, cached, findings,
+            )
+            return
+        except BrokenExecutor:
+            reason = "worker_death"
+            self._pool_died()
+        except Exception as exc:  # noqa: BLE001 - any fault while leased retries
+            reason = "worker_error"
+            log.warning("cell %s raised %r", fingerprint, exc)
+        # A run span already ended, or never begun, is None: ignored.
+        self.traces.span_end(trace, run_span, outcome=reason)
+        await loop.run_in_executor(
+            None, self.queue.fail, fingerprint, reason,
         )
-        if fuzz:
+
+    @staticmethod
+    def _call(cell: dict[str, Any], run_span: int | None) -> tuple:
+        """The executor call that runs ``cell``: the function, then its
+        arguments."""
+        if cell.get("kind") == "fuzz":
             # run_fuzz_cell runs its campaign serially: this cell
             # already occupies a pool worker.
-            call = (run_fuzz_cell, cell["seed"], cell["budget"],
+            return (run_fuzz_cell, cell["seed"], cell["budget"],
                     tuple(cell["protocols"]), cell["interconnect"])
-        else:
-            # The trace context crosses the process-pool boundary, so
-            # it is plain data only (simlint SL203) — run_cell traces
-            # its coherence spans under this trace id and run span,
-            # and ships the rows back inside the summary.
-            trace_ctx = (
-                {"trace": trace, "span": run_span}
-                if trace is not None else None
-            )
-            # The *exact* config a serial MatrixRunner would use for
-            # this cell — byte-identical summaries are the service's
-            # contract.  ``run_cell`` is read from the module globals
-            # here, at call time, so a replaced
-            # ``repro.service.workers.run_cell`` is what the pool runs.
-            call = (run_cell, cell_config(scaled_config(), cell["technique"]),
-                    cell["benchmark"], cell["scale"], cell["seed"], False,
-                    trace_ctx)
-        future = loop.run_in_executor(self.executor(), *call)
-        try:
-            result = await self._await_leased(future, fingerprint, worker_id)
-        except BrokenExecutor:
-            if trace is not None:
-                self.traces.span_end(trace, run_span, outcome="worker_death")
-            await self._pool_died(fingerprint)
-            return
-        except asyncio.CancelledError:
-            raise
-        except Exception as exc:  # noqa: BLE001 - any cell error retries
-            log.warning("cell %s raised %s", fingerprint, exc)
-            if trace is not None:
-                self.traces.span_end(trace, run_span, outcome="worker_error")
-            await loop.run_in_executor(
-                None, self.queue.fail, fingerprint, "worker_error",
-            )
-            return
-        if fuzz:
-            doc, trace_doc = result, None
-        else:
-            # The worker's span rows ride back under summary["trace"];
-            # pop them before storing so the stored summary stays
-            # byte-identical to a serial run's.
-            trace_doc = result.pop("trace", None)
-            doc = {
-                "benchmark": cell["benchmark"],
-                "technique": cell["technique"],
-                "seed": cell["seed"],
-                "scale": cell["scale"],
-                "summary": result,
-            }
-        if trace is not None:
-            self.traces.span_end(trace, run_span, outcome="done")
-            if trace_doc:
-                self.traces.ingest(trace, trace_doc["rows"], trace_doc["dropped"])
-        await loop.run_in_executor(None, self.store.store, fingerprint, doc)
-        cached = False
-        findings = [f["kind"] for f in doc["findings"]] if fuzz else ()
-        await loop.run_in_executor(
-            None, self.queue.complete, fingerprint, cached, findings,
+        # The trace context crosses the process-pool boundary, so it
+        # is plain data only (simlint SL203) — run_cell traces its
+        # coherence spans under this trace id and run span, and ships
+        # the rows back inside the summary.
+        trace = cell.get("trace")
+        trace_ctx = (
+            {"trace": trace, "span": run_span} if trace is not None else None
         )
+        # The *exact* config a serial MatrixRunner would use for this
+        # cell — byte-identical summaries are the service's contract.
+        # ``run_cell`` is read from the module globals here, at call
+        # time, so a replaced ``repro.service.workers.run_cell`` is
+        # what the pool runs.
+        return (run_cell, cell_config(scaled_config(), cell["technique"]),
+                cell["benchmark"], cell["scale"], cell["seed"], False,
+                trace_ctx)

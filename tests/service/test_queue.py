@@ -193,26 +193,9 @@ class TestLeasing:
                                "priority": 10})
         assert queue.lease("w0")["fingerprint"] == urgent["cells"][0]
 
-    def test_heartbeat_extends_the_deadline(self, tmp_path):
-        queue, _events, clock = make_queue(tmp_path, lease_ttl=10.0)
-        queue.submit({**SPEC, "techniques": ["base"]})
-        cell = queue.lease("w0")
-        clock.advance(8.0)
-        assert queue.heartbeat(cell["fingerprint"], "w0")
-        clock.advance(8.0)  # past the original deadline, not the renewed
-        assert queue.expire_leases() == []
-
-    def test_heartbeat_from_the_wrong_worker_is_refused(self, tmp_path):
-        queue, _events, _clock = make_queue(tmp_path)
-        queue.submit({**SPEC, "techniques": ["base"]})
-        cell = queue.lease("w0")
-        assert not queue.heartbeat(cell["fingerprint"], "w1")
-
     def test_lease_stats_read_the_lease_latency_histogram(self, tmp_path):
         registry = MetricsRegistry()
-        queue, _events, clock = make_queue(
-            tmp_path, lease_ttl=10.0, metrics=registry,
-        )
+        queue, _events, clock = make_queue(tmp_path, metrics=registry)
         assert queue.lease_stats() == {
             "count": 0, "wait_total": 0.0, "wait_max": 0.0,
         }
@@ -220,7 +203,8 @@ class TestLeasing:
         clock.advance(2.0)
         assert queue.lease("w0")["fingerprint"] == job["cells"][0]  # waits 2
         clock.advance(11.0)
-        queue.expire_leases()  # the cell is retried: queued again at 13
+        # The cell is lost and retried: queued again at 13.
+        queue.fail(job["cells"][0], "worker_death")
         clock.advance(1.0)
         assert queue.lease("w1")["fingerprint"] == job["cells"][0]  # waits 1
         clock.advance(3.0)
@@ -238,19 +222,17 @@ class TestRetryBudget:
     """Worker-death handling: re-enqueue exactly once, then fail."""
 
     def test_expired_lease_reenqueues_exactly_once(self, tmp_path):
-        queue, events, clock = make_queue(tmp_path, lease_ttl=10.0)
+        queue, events, _clock = make_queue(tmp_path)
         job = queue.submit({**SPEC, "techniques": ["base"]})
         fingerprint = job["cells"][0]
         # First loss: retried.
         queue.lease("w0")
-        clock.advance(11.0)
-        assert queue.expire_leases() == [fingerprint]
+        queue.fail(fingerprint, "worker_death")
         assert names(events).count("cell.retried") == 1
         assert queue.cells[fingerprint]["state"] == "queued"
         # Second loss: the budget is spent — failed, job completes.
         queue.lease("w0")
-        clock.advance(11.0)
-        queue.expire_leases()
+        queue.fail(fingerprint, "worker_death")
         assert names(events).count("cell.retried") == 1  # still exactly one
         assert names(events).count("cell.failed") == 1
         assert queue.jobs[job["id"]]["status"] == "failed"
@@ -258,13 +240,12 @@ class TestRetryBudget:
         assert completed[-1]["reason"] == "failed"
 
     def test_retried_event_carries_the_reason(self, tmp_path):
-        queue, events, clock = make_queue(tmp_path, lease_ttl=10.0)
+        queue, events, _clock = make_queue(tmp_path)
         queue.submit({**SPEC, "techniques": ["base"]})
         cell = queue.lease("w0")
-        clock.advance(11.0)
-        queue.expire_leases()
+        queue.fail(cell["fingerprint"], "worker_error")
         (retried,) = events.named("cell.retried")
-        assert retried["reason"] == "lease_expired"
+        assert retried["reason"] == "worker_error"
         assert retried["fingerprint"] == cell["fingerprint"]
 
     def test_reported_worker_death_uses_the_same_budget(self, tmp_path):
@@ -280,11 +261,10 @@ class TestRetryBudget:
         assert names(events).count("cell.failed") == 1
 
     def test_completion_after_reenqueue_still_counts(self, tmp_path):
-        queue, _events, clock = make_queue(tmp_path, lease_ttl=10.0)
+        queue, _events, _clock = make_queue(tmp_path)
         job = queue.submit({**SPEC, "techniques": ["base"]})
         queue.lease("w0")
-        clock.advance(11.0)
-        queue.expire_leases()
+        queue.fail(job["cells"][0], "worker_death")
         queue.lease("w1")
         queue.complete(job["cells"][0])
         assert queue.jobs[job["id"]]["status"] == "done"
@@ -371,16 +351,41 @@ class TestDurability:
         queue.submit(SPEC)
         leased = queue.lease("w0")["fingerprint"]
         # A lease appends nothing; a submit that joins the leased cell
-        # journals its whole record, lease and all.
+        # journals its whole record, leased state and all.
         queue.submit(SPEC)
         assert journal_lines(tmp_path)[-1]["cells"][leased]["state"] == "leased"
         reloaded = JobQueue(tmp_path / "queue", events=EventLog())
         assert reloaded.cells[leased]["state"] == "queued"
-        assert reloaded.cells[leased]["lease"] is None
         states = {c["state"] for c in reloaded.pending()}
         assert states == {"queued"}
 
-    def test_lease_and_heartbeat_do_not_write_state(self, tmp_path, monkeypatch):
+    def test_a_snapshot_with_lease_deadlines_loads_and_requeues(self, tmp_path):
+        # A queue that kept lease deadlines wrote a ``lease`` field on
+        # every cell: its leased cells come back queued, without it.
+        queue, _events, _clock = make_queue(tmp_path)
+        job = queue.submit(SPEC)
+        leased = queue.lease("w0")["fingerprint"]
+        cells = copy.deepcopy(queue.cells)
+        for fingerprint, cell in cells.items():
+            cell["lease"] = (
+                {"worker": "shard0/w0", "deadline": 30.0}
+                if fingerprint == leased else None
+            )
+        root = tmp_path / "queue"
+        (root / "journal.jsonl").unlink()
+        (root / "state.json").write_text(json.dumps({
+            "seq": queue._seq, "jobs": queue.jobs, "cells": cells,
+            "terminal": [],
+        }))
+        reloaded = reload(tmp_path)
+        assert reload_view(reloaded) == reload_view(queue)
+        assert {c["state"] for c in reloaded.pending()} == {"queued"}
+        assert not any("lease" in c for c in reloaded.cells.values())
+        for _ in job["cells"]:
+            reloaded.complete(reloaded.lease("w0")["fingerprint"])
+        assert reloaded.status(job["id"]) == "done"
+
+    def test_a_lease_does_not_write_state(self, tmp_path, monkeypatch):
         snapshots = []
         monkeypatch.setattr(
             queue_module, "atomic_write",
@@ -390,8 +395,7 @@ class TestDurability:
         queue.submit({**SPEC, "techniques": ["base"]})
         assert len(journal_lines(tmp_path)) == 1
         cell = queue.lease("w0")
-        assert queue.heartbeat(cell["fingerprint"], "w0")
-        # A restart would undo a lease or a heartbeat: neither appends.
+        # A restart would undo a lease: it appends nothing.
         assert len(journal_lines(tmp_path)) == 1
         queue.complete(cell["fingerprint"])
         assert len(journal_lines(tmp_path)) == 2
@@ -446,7 +450,7 @@ def reload_view(queue: JobQueue) -> tuple:
     for cell in cells.values():
         cell.update(job_span=None, lease_span=None)
         if cell["state"] == "leased":
-            cell.update(state="queued", lease=None)
+            cell["state"] = "queued"
     return jobs, queue._seq, list(queue._terminal), cells
 
 
@@ -461,22 +465,19 @@ class TestJournal:
     def test_reload_equals_the_live_state_after_every_update(
         self, tmp_path, monkeypatch, seed, floor,
     ):
-        # Random submit/lease/complete/fail/cancel/expire sequences
+        # Random submit/lease/complete/fail/cancel/fail-all sequences
         # with a 3-job retention; a small compaction floor also
         # replays journals over fresh snapshots.
         if floor is not None:
             monkeypatch.setattr(queue_module, "COMPACT_FLOOR", floor)
         monkeypatch.setattr(queue_module, "RETAIN_TERMINAL", 3)
         rng = random.Random(seed)
-        clock = FakeClock()
-        queue = JobQueue(
-            tmp_path / "queue", events=EventLog(), clock=clock, lease_ttl=10.0,
-        )
+        queue = JobQueue(tmp_path / "queue", events=EventLog(), clock=FakeClock())
         leased: list[str] = []
         for step in range(150):
             op = rng.choice(
                 ["submit", "submit", "lease", "lease", "complete",
-                 "fail", "cancel", "expire"],
+                 "fail", "cancel", "fail-all"],
             )
             if op == "submit":
                 queue.submit({
@@ -495,9 +496,9 @@ class TestJournal:
                 queue.fail(leased.pop(rng.randrange(len(leased))), "worker_error")
             elif op == "cancel" and queue.jobs:
                 queue.cancel(rng.choice(sorted(queue.jobs)))
-            elif op == "expire":
-                clock.advance(11.0)
-                queue.expire_leases()
+            elif op == "fail-all":
+                for fingerprint in leased:
+                    queue.fail(fingerprint, "worker_death")
                 leased.clear()
             assert reload_view(reload(tmp_path)) == reload_view(queue), (
                 f"step {step}: {op}"
@@ -681,15 +682,12 @@ class TestRetention:
         self, tmp_path, monkeypatch,
     ):
         monkeypatch.setattr(queue_module, "RETAIN_TERMINAL", 1)
-        clock = FakeClock()
-        queue = JobQueue(
-            tmp_path / "queue", events=EventLog(), clock=clock, lease_ttl=10.0,
-        )
+        queue = JobQueue(tmp_path / "queue", events=EventLog())
         first = queue.submit({**SPEC, "techniques": ["base"]})
-        queue.lease("w0")
+        cell = queue.lease("w0")
         queue.cancel(first["id"])
-        clock.advance(11.0)
-        queue.expire_leases()  # the cell is queued again, for nobody
+        # The cell is lost and queued again, for nobody.
+        queue.fail(cell["fingerprint"], "worker_death")
         late = queue.submit({**SPEC, "techniques": ["base"]})
         self.run_job(queue, 7, techniques=("emesti",))  # expires the first
         assert first["id"] not in queue.jobs

@@ -1,4 +1,5 @@
-"""Worker shard failure paths: crash recovery, store serving.
+"""Worker shard failure paths: crash recovery, owned outcomes, store
+serving.
 
 The shard runs on a real asyncio loop (driven by ``asyncio.run``
 inside each test) with a thread executor — no worker subprocesses, so
@@ -10,12 +11,16 @@ from __future__ import annotations
 import asyncio
 import json
 import threading
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import Executor, Future, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 
+import pytest
+
 from repro.experiments.runner import MatrixRunner, summaries_equal
+from repro.obs.tracer import SPAN_ID_BITS
+from repro.service import workers as workers_module
 from repro.service.events import EventLog
-from repro.service.queue import JobQueue
+from repro.service.queue import JOB_TERMINAL, JobQueue
 from repro.service.workers import ResultStore, WorkerShard
 
 SPEC = {
@@ -44,6 +49,15 @@ class CrashingExecutor(ThreadPoolExecutor):
         return super().submit(fn, *args, **kwargs)
 
 
+class BrokenWhileIdle(Executor):
+    """A process pool whose worker died between tasks: it refuses
+    every submission."""
+
+    def submit(self, fn, /, *args, **kwargs):
+        """Refuse, as a broken ``ProcessPoolExecutor`` does."""
+        raise BrokenProcessPool("a child process terminated abruptly")
+
+
 def build(tmp_path, executor, workers=1, **queue_kwargs):
     """Queue + store + shard wired to one event log."""
     events = EventLog()
@@ -53,22 +67,58 @@ def build(tmp_path, executor, workers=1, **queue_kwargs):
     return events, queue, store, shard
 
 
-async def run_job(queue, shard, spec, timeout: float = 60.0) -> dict:
-    """Submit and drive the shard until the job is terminal."""
-    job = queue.submit(spec)
+async def run_jobs(queue, shard, specs, timeout: float = 60.0) -> list[dict]:
+    """Start the shard once, submit each spec after the one before it
+    is terminal, and return the job records."""
+    loop = asyncio.get_running_loop()
+    jobs = []
     await shard.start()
     try:
-        deadline = asyncio.get_running_loop().time() + timeout
-        while queue.jobs[job["id"]]["status"] not in (
-            "done", "failed", "cancelled",
-        ):
-            assert asyncio.get_running_loop().time() < deadline, (
-                "job did not settle in time"
-            )
-            await asyncio.sleep(0.02)
+        for spec in specs:
+            job = await loop.run_in_executor(None, queue.submit, spec)
+            deadline = loop.time() + timeout
+            while queue.status(job["id"]) not in JOB_TERMINAL:
+                assert loop.time() < deadline, (
+                    f"{job['id']} did not settle in time"
+                )
+                await asyncio.sleep(0.02)
+            jobs.append(queue.jobs[job["id"]])
     finally:
         await shard.stop()
-    return queue.jobs[job["id"]]
+    return jobs
+
+
+async def run_job(queue, shard, spec, timeout: float = 60.0) -> dict:
+    """Submit and drive the shard until the job is terminal."""
+    (job,) = await run_jobs(queue, shard, [spec], timeout)
+    return job
+
+
+def span_outcomes(queue, job_id: str) -> dict[str, list]:
+    """Each service span name's end outcomes, in end order, after
+    checking that every service span of the job's trace begins once and
+    ends once, after its begin."""
+    begun: dict[int, str] = {}
+    ended: dict[int, str | None] = {}
+    for row in queue.traces.events(queue.job_trace(job_id)):
+        if row["span"] >> SPAN_ID_BITS:  # a worker-side span
+            continue
+        if row["kind"] == "span.begin":
+            assert row["span"] not in begun, row
+            begun[row["span"]] = row["name"]
+        else:
+            assert row["span"] in begun and row["span"] not in ended, row
+            ended[row["span"]] = row.get("outcome")
+    assert ended.keys() == begun.keys()
+    outcomes: dict[str, list] = {}
+    for span, outcome in ended.items():
+        outcomes.setdefault(begun[span], []).append(outcome)
+    return outcomes
+
+
+def reasons(events, job_id: str, name: str) -> list[str]:
+    """The ``reason`` of each ``name`` event on the job's stream."""
+    return [r["reason"] for r in events.for_job(job_id) if r["event"] == name]
 
 
 class TestCrashRecovery:
@@ -165,6 +215,90 @@ class TestCrashRecovery:
             (retried,) = events.named("cell.retried")
             assert retried["reason"] == "worker_error"
             assert queue.cells[fingerprint]["state"] == "queued"
+
+        asyncio.run(scenario())
+
+
+class TestOwnedOutcomes:
+    """The worker that leased a cell reports its outcome whatever fails
+    while it holds the cell, and then leases the next one."""
+
+    SECOND = {**SPEC, "seeds": [2]}
+
+    def test_a_pool_broken_while_idle_is_retired_and_the_cell_retried(
+        self, tmp_path, monkeypatch,
+    ):
+        # The shard's own warm pool broke between tasks, so its submit
+        # raises: it is retired, the cell retried once as worker_death
+        # in a fresh pool, and the same worker runs the next job.
+        pools = iter([BrokenWhileIdle(), ThreadPoolExecutor(max_workers=1)])
+        retired: list = []
+        monkeypatch.setattr(workers_module, "warm_pool",
+                            lambda *_a, **_kw: next(pools))
+        monkeypatch.setattr(workers_module, "retire_pool",
+                            lambda *a, **_kw: retired.append(a))
+        monkeypatch.setattr(workers_module, "run_cell",
+                            lambda *_args: {"cycles": 1})
+
+        async def scenario():
+            events, queue, _store, shard = build(tmp_path, None)
+            faulted, second = await run_jobs(
+                queue, shard, [SPEC, self.SECOND], timeout=10,
+            )
+            assert faulted["status"] == second["status"] == "done"
+            assert retired == [(1,)]
+            assert reasons(events, faulted["id"], "cell.retried") == [
+                "worker_death",
+            ]
+            assert reasons(events, faulted["id"], "job.completed") == ["done"]
+            outcomes = span_outcomes(queue, faulted["id"])
+            assert outcomes["cell.run"] == ["worker_death", "done"]
+            assert outcomes["cell.lease"] == ["worker_death", "done"]
+
+        asyncio.run(scenario())
+
+    @pytest.mark.parametrize("faults, status", [(1, "done"), (2, "failed")])
+    def test_a_store_write_that_raises_hands_the_cell_back(
+        self, tmp_path, monkeypatch, faults, status,
+    ):
+        # The run finished and its cell.run span says so; the write
+        # after it failed, so the lease ends worker_error and the
+        # retry budget decides: one fault retries, two fail the job.
+        monkeypatch.setattr(workers_module, "run_cell",
+                            lambda *_args: {"cycles": 1})
+
+        async def scenario():
+            events, queue, store, shard = build(
+                tmp_path, ThreadPoolExecutor(max_workers=1),
+            )
+            write = store.store
+            writes: list[str] = []
+
+            def flaky_store(fingerprint, doc):
+                writes.append(fingerprint)
+                if len(writes) <= faults:
+                    raise OSError(28, "No space left on device")
+                write(fingerprint, doc)
+
+            store.store = flaky_store
+            faulted, second = await run_jobs(
+                queue, shard, [SPEC, self.SECOND], timeout=10,
+            )
+            assert faulted["status"] == status
+            assert second["status"] == "done"
+            assert reasons(events, faulted["id"], "cell.retried") == [
+                "worker_error",
+            ]
+            assert reasons(events, faulted["id"], "cell.failed") == (
+                ["worker_error"] if status == "failed" else []
+            )
+            assert reasons(events, faulted["id"], "job.completed") == [status]
+            outcomes = span_outcomes(queue, faulted["id"])
+            assert outcomes["cell.run"] == ["done", "done"]
+            assert outcomes["cell.lease"] == (
+                ["worker_error", "done"] if status == "done"
+                else ["worker_error", "worker_error"]
+            )
 
         asyncio.run(scenario())
 

@@ -87,3 +87,17 @@ def test_no_circular_import_on_fresh_interpreter():
         capture_output=True,
     )
     assert out.returncode == 0, out.stderr.decode()
+
+
+def test_importing_the_cli_leaves_scipy_unloaded():
+    """scipy.stats takes most of a second to import and only ``mean_ci``
+    needs it, so ``import repro.cli`` must not load it."""
+    import subprocess
+    import sys
+
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, repro.cli; assert 'scipy' not in sys.modules"],
+        capture_output=True,
+    )
+    assert out.returncode == 0, out.stderr.decode()
