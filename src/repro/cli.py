@@ -352,63 +352,22 @@ def cmd_check(args) -> int:
 
 def cmd_lint(args) -> int:
     """Handle ``repro-sim lint`` (static analysis)."""
-    from repro.lint import ALL_RULES, Baseline, run_lint
+    from repro.lint import ALL_RULES, run_lint
     from repro.lint.report import render_json, render_text
 
     if args.list_rules:
         for rule_id, cls in sorted(ALL_RULES.items()):
             print(f"{rule_id}  {cls.title}")
         return 0
-    rules = list(args.rule or [])
-    for prefix in args.select or []:
-        matched = sorted(r for r in ALL_RULES if r.startswith(prefix))
-        if not matched:
-            print(f"repro-sim: error: --select {prefix} matches no rule "
-                  f"(known: {', '.join(sorted(ALL_RULES))})",
-                  file=sys.stderr)
-            return 2
-        rules.extend(m for m in matched if m not in rules)
-    baseline = None
-    if args.baseline != "none" and not args.update_baseline:
-        path = Baseline.default_path() if args.baseline is None else args.baseline
-        try:
-            baseline = Baseline.load(path)
-        except ConfigError:
-            if args.baseline is not None:
-                raise  # an explicit path must exist
     try:
-        result = run_lint(
-            paths=args.paths or None,
-            rules=rules or None,
-            baseline=baseline,
-        )
-    except ValueError as exc:  # unknown --rule id
+        result = run_lint(paths=args.paths or None, rules=args.rule)
+    except ValueError as exc:  # a --rule that matches no rule
         print(f"repro-sim: error: {exc}", file=sys.stderr)
         return 2
-    if args.update_baseline:
-        from repro.lint.baseline import PLACEHOLDER_JUSTIFICATION
-        from repro.lint.baseline import Baseline as _B
-
-        path = _B.default_path() if args.baseline is None else args.baseline
-        justification = args.justification or PLACEHOLDER_JUSTIFICATION
-        _B.from_findings(result.findings, justification=justification).save(path)
-        if result.findings and args.justification is None:
-            # The file is written (so it can be hand-edited), but an
-            # unjustified baseline must not pass a CI gate: the whole
-            # point of the baseline is that every suppression explains
-            # itself, and `Baseline.load` refuses the placeholder.
-            print(f"repro-sim: error: baselined {len(result.findings)} "
-                  f"finding(s) without --justification; {path} contains "
-                  f"{PLACEHOLDER_JUSTIFICATION!r} placeholders and will "
-                  f"not load until each is replaced",
-                  file=sys.stderr)
-            return 1
-        print(f"baseline: {len(result.findings)} entr(y/ies) -> {path}")
-        return 0
     if args.format == "json":
         print(render_json(result))
     else:
-        print(render_text(result, verbose=args.verbose, stats=args.stats))
+        print(render_text(result, stats=args.stats))
     return 0 if result.clean else 1
 
 
@@ -1020,8 +979,9 @@ def build_parser() -> argparse.ArgumentParser:
             "Run the simlint AST rules (SL001-SL009) and the "
             "whole-program concurrency/contract analysis (SL201-SL205) "
             "over the sources; the protocol tables are audited by "
-            "`repro-sim check`.  Exit 0 when clean (after baseline "
-            "suppression), 1 on new findings, 2 on bad arguments."
+            "`repro-sim check`.  Every finding is reported: fix it, or "
+            "excuse it in the source (docs/linting.md).  Exit 0 when "
+            "clean, 1 on findings, 2 on bad arguments."
         ),
     )
     lint_p.add_argument(
@@ -1034,33 +994,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     lint_p.add_argument(
         "--rule", action="append", metavar="ID",
-        help="only run this rule id (repeatable)",
-    )
-    lint_p.add_argument(
-        "--select", action="append", metavar="PREFIX",
-        help="only run rules whose id starts with PREFIX, e.g. "
-             "--select SL2 for the whole-program layer (repeatable, "
-             "combines with --rule)",
+        help="only run the rules whose id is or starts with ID, e.g. "
+             "--rule SL2 for the whole-program layer (repeatable)",
     )
     lint_p.add_argument(
         "--stats", action="store_true",
         help="append an analysis summary (findings per rule, call-graph "
              "size) to the text report",
-    )
-    lint_p.add_argument(
-        "--baseline", default=None, metavar="PATH",
-        help="baseline suppression file ('none' disables; default: the "
-             "committed repro/lint/baseline.json)",
-    )
-    lint_p.add_argument(
-        "--update-baseline", action="store_true",
-        help="write the current findings to the baseline file "
-             "(requires --justification when there are findings)",
-    )
-    lint_p.add_argument(
-        "--justification", metavar="TEXT", default=None,
-        help="one-line justification recorded on every baselined "
-             "finding; --update-baseline without it exits non-zero",
     )
     lint_p.add_argument(
         "--list-rules", action="store_true",

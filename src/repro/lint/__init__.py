@@ -23,7 +23,6 @@ Stable public API: :func:`run_lint`, :class:`Rule`, :class:`Finding`
 ``repro-sim lint`` subcommand is the CLI front end.
 """
 
-from repro.lint.baseline import Baseline
 from repro.lint.concurrency import CONCURRENCY_RULES
 from repro.lint.contracts import CONTRACT_RULES
 from repro.lint.engine import Finding, LintResult, Rule, run_lint
@@ -34,7 +33,6 @@ ALL_RULES = {cls.id: cls for cls in AST_RULES + CONCURRENCY_RULES + CONTRACT_RUL
 
 __all__ = [
     "ALL_RULES",
-    "Baseline",
     "Finding",
     "LintResult",
     "Rule",

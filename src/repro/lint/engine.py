@@ -4,14 +4,15 @@ The engine parses every target file once, runs a *context pass* that
 collects cross-file facts rules need (which attribute names are
 ``set``-typed anywhere in the tree), then hands each module to every
 enabled :class:`Rule`, and the whole parsed tree to its whole-program
-pass.  Findings are plain data; suppression is the
-:mod:`~repro.lint.baseline` layer's job so the engine stays pure.
+pass.  Findings are plain data, and every one is reported: a finding
+is fixed in the source or excused there, by a rule's ``exempt`` paths
+or SL202's ``# sl: guarded-by(<lock>)`` comment, so each excuse is
+reviewed with the code it covers.
 """
 
 from __future__ import annotations
 
 import ast
-import hashlib
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
@@ -22,9 +23,7 @@ class Finding:
     """One rule violation at one site.
 
     ``path`` is posix-style and repo-relative when the engine can make
-    it so.  ``snippet`` is the stripped source line — it, not the line
-    number, feeds the baseline fingerprint so suppressions survive
-    unrelated edits above the site.
+    it so.  ``snippet`` is the stripped source line.
     """
 
     rule: str
@@ -33,21 +32,14 @@ class Finding:
     message: str
     snippet: str = ""
 
-    @property
-    def fingerprint(self) -> str:
-        """Stable identity for baseline matching (line-number free)."""
-        basis = f"{self.rule}|{self.path}|{self.snippet or self.message}"
-        return hashlib.sha256(basis.encode()).hexdigest()[:16]
-
     def to_json(self) -> dict:
-        """Flatten to the JSON wire form (includes the fingerprint)."""
+        """Flatten to the JSON wire form."""
         return {
             "rule": self.rule,
             "path": self.path,
             "line": self.line,
             "message": self.message,
             "snippet": self.snippet,
-            "fingerprint": self.fingerprint,
         }
 
 
@@ -130,28 +122,24 @@ class Rule:
 class LintResult:
     """Outcome of one :func:`run_lint` invocation."""
 
-    findings: list[Finding]          # new findings (not baselined)
-    suppressed: list[Finding]        # matched a baseline entry
-    unused_baseline: list[str]       # fingerprints that matched nothing
+    findings: list[Finding]
     files_scanned: int
     rules: list[str]
     stats: dict = field(default_factory=dict)
 
     @property
     def clean(self) -> bool:
-        """True when no new findings remain after suppression."""
+        """True when the run found nothing."""
         return not self.findings
 
     def to_json(self) -> dict:
         """The JSON document ``repro-sim lint --format json`` emits."""
         return {
-            "version": 1,
+            "version": 2,
             "clean": self.clean,
             "files_scanned": self.files_scanned,
             "rules": self.rules,
             "findings": [f.to_json() for f in self.findings],
-            "suppressed": [f.to_json() for f in self.suppressed],
-            "unused_baseline": sorted(self.unused_baseline),
             "stats": self.stats,
         }
 
@@ -251,13 +239,13 @@ def default_target() -> Path:
 def run_lint(
     paths: Sequence[Path | str] | None = None,
     rules: Sequence[str] | None = None,
-    baseline=None,
 ) -> LintResult:
     """Run simlint and return a :class:`LintResult`.
 
     ``paths`` defaults to the installed ``repro`` package; ``rules``
-    filters by rule id (unknown ids raise ``ValueError``); ``baseline``
-    is a :class:`~repro.lint.baseline.Baseline` (or None).
+    keeps the rules whose id is, or starts with, one of its entries
+    (``"SL2"`` is the whole-program layer); an entry that matches no
+    rule raises ``ValueError``.
     """
     roots = [Path(p) for p in paths] if paths else [default_target()]
     selected = _select_rules(rules)
@@ -292,9 +280,6 @@ def run_lint(
         findings.extend(rule.check_project(ctx))
 
     findings.sort(key=lambda f: (f.path, f.line, f.rule))
-    new, suppressed, unused = findings, [], []
-    if baseline is not None:
-        new, suppressed, unused = baseline.partition(findings)
 
     stats: dict = {
         "files_scanned": len(modules),
@@ -313,9 +298,7 @@ def run_lint(
             "edges": project.edge_count,
         }
     return LintResult(
-        findings=new,
-        suppressed=suppressed,
-        unused_baseline=unused,
+        findings=findings,
         files_scanned=len(modules),
         rules=[r.id for r in selected],
         stats=stats,
@@ -323,14 +306,17 @@ def run_lint(
 
 
 def _select_rules(rules: Sequence[str] | None) -> "list[Rule]":
-    """Fresh instances of the selected rules, in registry order."""
+    """Fresh instances of the selected rules, in registry order: every
+    rule when ``rules`` is empty, else those whose id starts with one
+    of its entries (a whole id is its own prefix)."""
     from repro.lint import ALL_RULES
 
-    unknown = sorted(set(rules or ()) - set(ALL_RULES))
+    prefixes = tuple(rules or ())
+    unknown = [p for p in prefixes if not any(i.startswith(p) for i in ALL_RULES)]
     if unknown:
         raise ValueError(
-            f"unknown rule id(s): {', '.join(unknown)} "
-            f"(choose from {', '.join(sorted(ALL_RULES))})"
+            f"unknown rule id(s) {', '.join(unknown)}: matches no rule "
+            f"(give an id or id prefix of {', '.join(ALL_RULES)})"
         )
     return [cls() for rule_id, cls in ALL_RULES.items()
-            if not rules or rule_id in rules]
+            if not prefixes or rule_id.startswith(prefixes)]

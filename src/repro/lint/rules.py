@@ -2,8 +2,8 @@
 
 Each rule is a small, self-contained AST analysis.  They are
 deliberately *heuristic* — a lint pass earns its keep by being cheap
-and running on every commit, not by being a type checker — and every
-rule has a baseline escape hatch for justified exceptions
+and running on every commit, not by being a type checker.  A justified
+exception is excused in the source, by the rule's ``exempt`` paths
 (docs/linting.md).  Shared helpers (parent links, import-alias maps,
 unordered-expression classification) live at the top.
 """
@@ -575,8 +575,8 @@ class SpanDisciplineRule(Rule):
         "shows open forever in the provenance report and Chrome "
         "export).  A module that only ever opens spans has the same "
         "problem unless its spans are closed elsewhere by design — use "
-        "the tracer.span(...) context-manager helper, keep the id on "
-        "the object that ends it, or baseline with a justification."
+        "the tracer.span(...) context-manager helper, or keep the id "
+        "on the object that ends it."
     )
 
     def check_module(self, module: ModuleSource, ctx: LintContext) -> Iterator[Finding]:

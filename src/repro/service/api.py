@@ -65,7 +65,14 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.ring import Ring
 
 from .events import EventLog
-from .queue import JOB_TERMINAL, JobNotFound, JobQueue, SpecError
+from .queue import (
+    CELL_STATES,
+    JOB_STATUSES,
+    JOB_TERMINAL,
+    JobNotFound,
+    JobQueue,
+    SpecError,
+)
 from .workers import ResultStore, WorkerShard
 
 log = logging.getLogger("repro.service")
@@ -322,10 +329,11 @@ class Service:
             "event_records": ring["records"],
             "event_dropped": ring["dropped"],
         }
-        for state, n in cells.items():
-            self._depth_gauge.labels(state=state).set(n)
-        for status, n in jobs.items():
-            self._jobs_gauge.labels(status=status).set(n)
+        # Every state on every sample, so a state that emptied reads 0.
+        for state in CELL_STATES:
+            self._depth_gauge.labels(state=state).set(cells.get(state, 0))
+        for status in JOB_STATUSES:
+            self._jobs_gauge.labels(status=status).set(jobs.get(status, 0))
         self._util_gauge.labels().set(sample["utilization"])
         self._busy_gauge.labels().set(busy)
         self._ring_gauge.labels().set(ring["records"])

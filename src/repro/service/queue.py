@@ -102,8 +102,15 @@ LEASE_LATENCY_BOUNDS = (0.001, 0.005, 0.02, 0.1, 0.5, 2.0, 10.0, 30.0)
 #: fails for good ("exactly once" is the tested contract).
 MAX_RETRIES = 1
 
+#: Cell states, in lifecycle order.
+CELL_STATES = ("queued", "leased", "done", "failed")
+
 #: Terminal job states.
 JOB_TERMINAL = ("done", "failed", "cancelled")
+
+#: The job statuses :meth:`JobQueue.depth_counts` reports: a held job
+#: is active or terminal; one retention dropped is expired.
+JOB_STATUSES = ("active", *JOB_TERMINAL, "expired")
 
 #: Terminal jobs whose records and event views are kept; older expire.
 RETAIN_TERMINAL = 256

@@ -254,7 +254,8 @@ class WorkerShard:
         idle) is retired and the cell handed back to the queue's retry
         budget as ``worker_death``; any other exception while the cell
         is leased hands it back as ``worker_error``.  A ``cell.run``
-        span still open ends with that reason.
+        span still open ends with that reason.  A hand-back whose
+        journal append raises is logged, and the worker leases on.
         """
         fingerprint = cell["fingerprint"]
         trace = cell.get("trace")
@@ -327,9 +328,16 @@ class WorkerShard:
             log.warning("cell %s raised %r", fingerprint, exc)
         # A run span already ended, or never begun, is None: ignored.
         self.traces.span_end(trace, run_span, outcome=reason)
-        await loop.run_in_executor(
-            None, self.queue.fail, fingerprint, reason,
-        )
+        try:
+            await loop.run_in_executor(
+                None, self.queue.fail, fingerprint, reason,
+            )
+        except Exception:  # noqa: BLE001 - the worker keeps leasing
+            # The queue changed the cell in memory before its journal
+            # append raised, and keeps the unwritten keys for the next
+            # update to journal.
+            log.warning("reporting cell %s lost raised", fingerprint,
+                        exc_info=True)
 
     @staticmethod
     def _call(cell: dict[str, Any], run_span: int | None) -> tuple:

@@ -52,6 +52,27 @@ def test_design_md_module_map_is_real():
             importlib.import_module(f"repro.{package}.{module}")
 
 
+def test_design_md_dotted_names_resolve():
+    """Every backticked ``repro.``-dotted name in DESIGN.md is real:
+    the longest importable prefix imports, and the rest are attributes."""
+    import importlib
+
+    design = (ROOT / "DESIGN.md").read_text()
+    names = set(re.findall(r"`(repro(?:\.\w+)+)`", design))
+    assert names
+    for name in sorted(names):
+        parts = name.split(".")
+        for cut in range(len(parts), 0, -1):
+            try:
+                obj = importlib.import_module(".".join(parts[:cut]))
+            except ModuleNotFoundError:
+                continue
+            break
+        for attr in parts[cut:]:
+            assert hasattr(obj, attr), name
+            obj = getattr(obj, attr)
+
+
 def test_experiments_md_references_real_commands():
     import importlib
 

@@ -19,9 +19,14 @@ from pathlib import Path
 import pytest
 
 from repro.experiments.runner import MatrixRunner, summaries_equal
-from repro.service.api import MAX_BODY
+from repro.service.api import MAX_BODY, Service
 from repro.service.client import ServiceClient, ServiceError
-from repro.service.queue import MAX_SCALE, cell_identity
+from repro.service.queue import (
+    CELL_STATES,
+    JOB_STATUSES,
+    MAX_SCALE,
+    cell_identity,
+)
 
 from .harness import ServiceHarness
 
@@ -232,6 +237,27 @@ class TestFleetTelemetry:
         assert "repro_service_worker_utilization 0" in text
         assert "repro_service_events_dropped_total 0" in text
         assert "repro_service_lease_latency_seconds_count" in text
+
+    def test_a_state_that_emptied_reads_zero(self, tmp_path):
+        # Each sample writes every cell state and job status, so what
+        # a finished job left behind reads 0 on /metrics, as it does
+        # in the same sample's /telemetry row.
+        service = Service(tmp_path, telemetry_interval=0)
+        job = service.queue.submit({**SPEC, "benchmarks": ["radiosity"],
+                                    "techniques": ["base"]})
+        (fingerprint,) = job["cells"]
+        service.queue.lease("w0")
+        service._sample_once()
+        service.queue.complete(fingerprint)
+        service._sample_once()
+        row = service.telemetry_document(0)["latest"]
+        assert row["leased"] == row["jobs_active"] == 0
+        text = service.metrics.to_prometheus()
+        # The done cell left the queue with its job's last reference.
+        for state in CELL_STATES:
+            assert f'repro_service_queue_depth{{state="{state}"}} 0\n' in text
+        for status, n in zip(JOB_STATUSES, (0, 1, 0, 0, 0)):
+            assert f'repro_service_jobs{{status="{status}"}} {n}\n' in text
 
 
 class TestApiErrors:

@@ -302,6 +302,61 @@ class TestOwnedOutcomes:
 
         asyncio.run(scenario())
 
+    def test_a_lost_report_that_raises_keeps_the_worker_leasing(
+        self, tmp_path, monkeypatch,
+    ):
+        # The store write fails, and so does the journal append of the
+        # report that hands the cell back.  The retry is already in
+        # memory, so the worker logs the report and keeps leasing; the
+        # completion's append journals the keys the failed one left.
+        monkeypatch.setattr(workers_module, "run_cell",
+                            lambda *_args: {"cycles": 1})
+
+        async def scenario():
+            events, queue, store, shard = build(
+                tmp_path, ThreadPoolExecutor(max_workers=1),
+            )
+            write, fail, commit = store.store, queue.fail, queue._commit
+            writes: list[str] = []
+            reports: list[str] = []
+
+            def flaky_store(fingerprint, doc):
+                writes.append(fingerprint)
+                if len(writes) == 1:
+                    raise OSError(28, "No space left on device")
+                write(fingerprint, doc)
+
+            def full_disk():
+                raise OSError(28, "No space left on device")
+
+            def flaky_report(fingerprint, reason):
+                reports.append(fingerprint)
+                queue._commit = full_disk if len(reports) == 1 else commit
+                try:
+                    fail(fingerprint, reason)
+                finally:
+                    queue._commit = commit
+
+            store.store = flaky_store
+            queue.fail = flaky_report
+            faulted, second = await run_jobs(
+                queue, shard, [SPEC, self.SECOND], timeout=10,
+            )
+            assert faulted["status"] == second["status"] == "done"
+            assert len(reports) == 1
+            assert reasons(events, faulted["id"], "cell.retried") == [
+                "worker_error",
+            ]
+            assert reasons(events, faulted["id"], "job.completed") == ["done"]
+            outcomes = span_outcomes(queue, faulted["id"])
+            assert outcomes["cell.lease"] == ["worker_error", "done"]
+            # What the journal holds agrees: a restart sees both done.
+            reloaded = JobQueue(tmp_path / "queue", events=EventLog())
+            assert reloaded.status(faulted["id"]) == "done"
+            assert reloaded.status(second["id"]) == "done"
+
+        asyncio.run(scenario())
+
 
 class TestCacheServing:
     def test_second_run_is_served_from_cache(self, tmp_path):

@@ -73,7 +73,7 @@ def test_lint_public_api_is_stable():
     assert callable(lint.run_lint)
     assert inspect.isclass(lint.Rule)
     assert inspect.isclass(lint.Finding)
-    # The Finding wire-contract the baseline and CI JSON depend on.
+    # The Finding wire-contract the CI JSON depends on.
     fields = set(inspect.signature(lint.Finding).parameters)
     assert {"rule", "path", "line", "message", "snippet"} <= fields
 
