@@ -119,10 +119,6 @@ class MissClassifier:
 
     # -- results ---------------------------------------------------------
 
-    def communication_misses(self) -> float:
-        """Total communication misses classified so far."""
-        return self._stats.get("miss.comm")
-
     def total_misses(self) -> float:
         """Total misses classified so far."""
         return self._stats.get("miss.total")

@@ -52,10 +52,6 @@ class SnoopResult:
     dirty_owner: int | None = None
     owner_data: list[int] | None = None
 
-    def merge_shared(self) -> None:
-        """Assert the shared line in the aggregate result."""
-        self.shared = True
-
 
 @dataclass
 class BusTransaction:

@@ -51,11 +51,6 @@ class LineState(enum.Enum):
         return self in _READABLE
 
     @property
-    def holds_stale_data(self) -> bool:
-        """Line data is present but stale (usable for LVP / validates)."""
-        return self is LineState.T
-
-    @property
     def index(self) -> int:
         """Stable small integer for canonical state encodings.
 

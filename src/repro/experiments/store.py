@@ -2,10 +2,9 @@
 
 Every finished cell — a matrix summary from
 :class:`~repro.experiments.runner.MatrixRunner` or the service's worker
-shard, or a fuzz campaign report — lives at ``<root>/<fingerprint>.json``.
-A simulation cell's file holds its coordinates and summary
-(``{"benchmark", "technique", "seed", "scale", "summary"}``); a fuzz
-cell's file holds the campaign report.
+shard — lives at ``<root>/<fingerprint>.json`` and holds its
+coordinates and summary (``{"benchmark", "technique", "seed", "scale",
+"summary"}``).
 
 The key is :func:`~repro.experiments.runner.cell_fingerprint` of the
 complete per-cell machine config, so a result produced under another
@@ -30,10 +29,10 @@ from typing import Any
 
 log = logging.getLogger("repro.store")
 
-#: What a key looks like: a simulation cell's hex digest, or a fuzz
-#: cell's ``fuzz-`` digest.  :meth:`ResultStore.get` takes keys from
-#: request paths; anything else (``..``, a file name) names no cell.
-FINGERPRINT = re.compile(r"(fuzz-)?[0-9a-f]{16}")
+#: What a key looks like: a cell's hex digest.  :meth:`ResultStore.get`
+#: takes keys from request paths; anything else (``..``, a file name)
+#: names no cell.
+FINGERPRINT = re.compile(r"[0-9a-f]{16}")
 
 
 #: Temp-file serials: with the pid, they name every temp file apart.

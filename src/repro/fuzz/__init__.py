@@ -23,11 +23,10 @@ three loops on top of :mod:`repro.verify`:
 * :mod:`repro.fuzz.report` — the text renderings shared with
   ``repro-sim check --mutate``.
 
-Surface: ``repro-sim fuzz`` (see :mod:`repro.cli`) and the service's
-``kind="fuzz"`` job spec (see :mod:`repro.service.queue`).
+Surface: ``repro-sim fuzz`` (see :mod:`repro.cli`).
 """
 
-from repro.fuzz.campaign import FuzzOptions, run_campaign, run_fuzz_cell
+from repro.fuzz.campaign import FuzzOptions, run_campaign
 from repro.fuzz.generator import generate_test, make_schedule
 from repro.fuzz.report import render_fuzz, render_mutation
 from repro.verify.litmus import enumerate_outcomes
@@ -40,5 +39,4 @@ __all__ = [
     "render_fuzz",
     "render_mutation",
     "run_campaign",
-    "run_fuzz_cell",
 ]

@@ -25,14 +25,11 @@ Determinism contract: each iteration derives its own RNG stream from
 ``(campaign seed, iteration index)`` and reads only the corpus
 *snapshot* taken at the start of its round (rounds are
 :data:`ROUND_SIZE` iterations, merged in index order).  A campaign is
-therefore a pure function of ``(seed, budget, options)`` — byte-equal
-reports whether it runs serially or on a worker pool, which the test
-suite asserts.  Nothing here reads the clock.
+therefore a pure function of its options — byte-equal reports
+whether it runs serially or on a worker pool, which the test suite
+asserts.  Nothing here reads the clock.
 
-:func:`run_fuzz_cell` is the service entry point: the module-level,
-picklable function a :class:`~repro.service.workers.WorkerShard` pool
-executes for a ``kind="fuzz"`` job cell.  It always runs serially —
-it already lives inside a pool worker process.
+Campaigns run through ``repro-sim fuzz`` (:func:`run_campaign`).
 """
 
 from __future__ import annotations
@@ -87,10 +84,6 @@ class FuzzOptions:
     protocols: tuple[str, ...] = DEFAULT_PROTOCOLS
     interconnect: str = "bus"
     workers: int = 0
-    oracle_max_states: int = DEFAULT_MAX_STATES
-    mutation_max_states: int = MUTATION_MAX_STATES
-    replay_witnesses: bool = True
-    minimize: bool = True
 
 
 def _interconnect(options: FuzzOptions) -> InterconnectKind:
@@ -183,9 +176,7 @@ def _mutation_iteration(options: FuzzOptions, index: int,
         )
     logic = mutate(ProtocolSpec(proto_name).make_logic(), descriptor)
     machine = AbstractMachine(logic, n_nodes=3, interconnect=interconnect)
-    result = ModelChecker(
-        machine, max_states=options.mutation_max_states
-    ).run()
+    result = ModelChecker(machine, max_states=MUTATION_MAX_STATES).run()
     record = {
         "descriptor": list(descriptor),
         **mutation_record(descriptor, proto_name, result),
@@ -205,7 +196,7 @@ def _mutation_iteration(options: FuzzOptions, index: int,
             "trace": [],
             "witness": None,
         })
-    if record["seeded"] and detected and options.replay_witnesses:
+    if record["seeded"] and detected:
         # Close the loop: the abstract counterexample must fail on the
         # concrete simulator carrying the same mutation.
         trace = result.violations[0].trace
@@ -247,8 +238,7 @@ def _mutation_iteration(options: FuzzOptions, index: int,
     }
 
 
-def _oracle_finding(options, spec, test, allowed, result, reference,
-                    interconnect) -> dict | None:
+def _oracle_finding(spec, test, allowed, result, reference) -> dict | None:
     """Cross-check one protocol's enumeration against the oracle."""
     if result.violation is not None:
         return {
@@ -283,16 +273,14 @@ def _oracle_finding(options, spec, test, allowed, result, reference,
     }
 
 
-def _shrink(options, spec, test, finding, interconnect):
+def _shrink(spec, test, finding, interconnect):
     """Minimize an enumeration finding's test; refresh its trace."""
     kind = finding["kind"]
 
     def reproduces(candidate) -> bool:
-        allowed, reference = derive_allowed(
-            candidate, interconnect, options.oracle_max_states
-        )
+        allowed, reference = derive_allowed(candidate, interconnect)
         res = enumerate_outcomes(
-            spec, candidate, interconnect, options.oracle_max_states
+            spec, candidate, interconnect, DEFAULT_MAX_STATES
         )
         if kind == "invariant-violation":
             return (
@@ -318,9 +306,7 @@ def _generated_iteration(options: FuzzOptions, index: int, rng: SplitRng,
     """Generate, oracle-check, and differentially run one test."""
     interconnect = _interconnect(options)
     test = generate_test(rng.split("test"), index, corpus)
-    allowed, reference = derive_allowed(
-        test, interconnect, options.oracle_max_states
-    )
+    allowed, reference = derive_allowed(test, interconnect)
     rows = _rows(REFERENCE_PROTOCOL, reference.coverage.rows)
     findings: list[dict] = []
     for name in options.protocols:
@@ -328,43 +314,33 @@ def _generated_iteration(options: FuzzOptions, index: int, rng: SplitRng,
         result = (
             reference if name == REFERENCE_PROTOCOL
             else enumerate_outcomes(
-                spec, test, interconnect, options.oracle_max_states
+                spec, test, interconnect, DEFAULT_MAX_STATES
             )
         )
         rows |= _rows(name, result.coverage.rows)
-        finding = _oracle_finding(
-            options, spec, test, allowed, result, reference, interconnect
-        )
+        finding = _oracle_finding(spec, test, allowed, result, reference)
         if finding is None:
             continue
-        shrunk = test
-        if options.minimize:
-            shrunk, stats = _shrink(
-                options, spec, test, finding, interconnect
+        shrunk, stats = _shrink(spec, test, finding, interconnect)
+        finding["minimized"] = dict(
+            stats,
+            programs=[[list(op) for op in p] for p in shrunk.programs],
+        )
+        if shrunk is not test:
+            refreshed = enumerate_outcomes(
+                spec, shrunk, interconnect, DEFAULT_MAX_STATES
             )
-            finding["minimized"] = dict(
-                stats,
-                programs=[
-                    [list(op) for op in p] for p in shrunk.programs
-                ],
-            )
-            if shrunk is not test:
-                refreshed = enumerate_outcomes(
-                    spec, shrunk, interconnect, options.oracle_max_states
+            if finding["kind"] == "invariant-violation":
+                if refreshed.violation is not None:
+                    finding["trace"] = refreshed.violation["trace"]
+            else:
+                shrunk_allowed, _ = derive_allowed(shrunk, interconnect)
+                extra = sorted(
+                    frozenset(refreshed.outcomes) - shrunk_allowed
                 )
-                if finding["kind"] == "invariant-violation":
-                    if refreshed.violation is not None:
-                        finding["trace"] = refreshed.violation["trace"]
-                else:
-                    shrunk_allowed, _ = derive_allowed(
-                        shrunk, interconnect, options.oracle_max_states
-                    )
-                    extra = sorted(
-                        frozenset(refreshed.outcomes) - shrunk_allowed
-                    )
-                    if extra:
-                        finding["trace"] = refreshed.outcomes[extra[0]]
-        if options.replay_witnesses and finding["trace"]:
+                if extra:
+                    finding["trace"] = refreshed.outcomes[extra[0]]
+        if finding["trace"]:
             finding["witness"] = replay_witness(
                 name, shrunk.n_nodes, finding["trace"], interconnect
             )
@@ -373,8 +349,7 @@ def _generated_iteration(options: FuzzOptions, index: int, rng: SplitRng,
 
     schedule, decisions = make_schedule(rng.split("schedule"), test)
     diff = run_differential(
-        test, schedule, decisions, tuple(options.protocols),
-        interconnect, options.replay_witnesses,
+        test, schedule, decisions, tuple(options.protocols), interconnect,
     )
     for finding in diff.findings:
         finding["trace"] = _trace_json(finding["trace"])
@@ -436,7 +411,7 @@ class FuzzReport:
         return not self.findings
 
     def to_json(self) -> dict:
-        """The report document (also the service's result payload)."""
+        """The report document (``repro-sim fuzz --format json``)."""
         seeded = [m for m in self.mutations if m["seeded"]]
         return {
             "fuzz": True,
@@ -513,24 +488,3 @@ def run_campaign(options: FuzzOptions) -> FuzzReport:
         if executor is not None:
             executor.shutdown()
     return report
-
-
-def run_fuzz_cell(
-    seed: int,
-    budget: int,
-    protocols: tuple[str, ...],
-    interconnect: str,
-) -> dict:
-    """Service entry point: one fuzz cell, executed in a pool worker.
-
-    Runs the campaign serially (the caller already provides process
-    parallelism — one cell per seed) and returns the JSON report.
-    """
-    options = FuzzOptions(
-        seed=seed,
-        budget=budget,
-        protocols=tuple(protocols),
-        interconnect=interconnect,
-        workers=0,
-    )
-    return run_campaign(options).to_json()

@@ -179,14 +179,13 @@ def run_differential(
     decisions: tuple,
     protocols: tuple[str, ...] = DEFAULT_PROTOCOLS,
     interconnect: InterconnectKind = InterconnectKind.BUS,
-    replay_witnesses: bool = True,
 ) -> DifferentialResult:
     """Run one schedule on every protocol and cross-check the results.
 
     Findings are dicts with ``kind`` in ``invariant-violation`` /
-    ``data-value`` / ``differential-divergence``; when
-    ``replay_witnesses`` is set each carries a ``witness`` from the
-    concrete simulator (the expensive replay only runs on findings).
+    ``data-value`` / ``differential-divergence``; each carries a
+    ``witness`` from the concrete simulator (the expensive replay only
+    runs on findings).
     """
     result = DifferentialResult()
     for name in protocols:
@@ -201,10 +200,8 @@ def run_differential(
                 "protocol": name,
                 "detail": f"{run.violation['kind']}: {run.violation['detail']}",
                 "trace": run.violation["trace"],
-                "witness": (
-                    replay_witness(name, test.n_nodes, run.violation["trace"],
-                                   interconnect)
-                    if replay_witnesses else None
+                "witness": replay_witness(
+                    name, test.n_nodes, run.violation["trace"], interconnect
                 ),
             })
             continue
@@ -223,9 +220,8 @@ def run_differential(
                     f"values are {expected}"
                 ),
                 "trace": run.trace,
-                "witness": (
-                    replay_witness(name, test.n_nodes, run.trace, interconnect)
-                    if replay_witnesses else None
+                "witness": replay_witness(
+                    name, test.n_nodes, run.trace, interconnect
                 ),
             })
 
@@ -244,11 +240,8 @@ def run_differential(
                         f"{reference.observed} on the same schedule"
                     ),
                     "trace": run.trace,
-                    "witness": (
-                        replay_witness(
-                            run.protocol, test.n_nodes, run.trace, interconnect
-                        )
-                        if replay_witnesses else None
+                    "witness": replay_witness(
+                        run.protocol, test.n_nodes, run.trace, interconnect
                     ),
                 })
     return result

@@ -163,7 +163,6 @@ class Project:
         self._aliases: dict[str, dict[str, str]] = {}
         #: rel -> {top-level function name -> FunctionInfo}
         self._module_funcs: dict[str, dict[str, FunctionInfo]] = {}
-        self._node_index: dict[ast.AST, FunctionInfo] = {}
         self._collect()
         self._link()
 
@@ -203,7 +202,6 @@ class Project:
             return_class=_annotation_name(node.returns),
         )
         self.functions.append(info)
-        self._node_index[node] = info
         return info
 
     def _add_class(self, rel: str, node: ast.ClassDef) -> ClassInfo:
@@ -254,10 +252,6 @@ class Project:
             if len(same) == 1:
                 return same[0]
         return infos[0] if len(infos) == 1 else None
-
-    def function_for_node(self, node: ast.AST) -> FunctionInfo | None:
-        """The FunctionInfo wrapping a def node (or None)."""
-        return self._node_index.get(node)
 
     def _infer_attr_types(self, cls: ClassInfo) -> None:
         aliases = self._aliases.get(cls.rel, {})

@@ -31,8 +31,7 @@ Routes
     until the trace exists.
 ``GET /results/{fingerprint}``
     The stored cell: ``{fingerprint, benchmark, technique, seed, scale,
-    summary}`` for a simulation cell, ``{fingerprint, **report}`` for a
-    fuzz cell; 404 if the store holds no whole file for it.
+    summary}``; 404 if the store holds no whole file for it.
 ``GET /metrics``
     Prometheus text exposition of the service registry (includes
     ``repro_service_events_total{event=...}``, the sampled

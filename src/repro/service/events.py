@@ -92,10 +92,6 @@ EVENT_SPECS: dict[str, EventSpec] = _registry(
     EventSpec("cell.failed", "the cell exhausted its retries; reason as "
               "for cell.retried", ("fingerprint", "reason"),
               optional=("trace",)),
-    EventSpec("cell.fuzz_finding", "a fuzz campaign cell surfaced a "
-              "finding; finding is its kind (e.g. "
-              "differential-divergence)", ("fingerprint", "finding"),
-              optional=("trace",)),
 )
 
 #: Just the declared names (what SL009 checks literals against).

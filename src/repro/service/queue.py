@@ -3,10 +3,9 @@
 A *job* is one submitted experiment spec; the queue explodes it into
 (benchmark × technique × seed) *cells*, each identified by its
 :func:`~repro.experiments.runner.cell_fingerprint` — the stable hash
-of the fully-configured simulation.  A ``{"kind": "fuzz"}`` spec
-instead explodes into one fuzz-campaign cell per seed
-(:func:`fuzz_cell_identity`); both kinds share every queue mechanism
-below.  Cells, not jobs, are the unit of scheduling:
+of the fully-configured simulation.  Every cell is a simulation
+cell: fuzzing campaigns run through ``repro-sim fuzz``, not the
+queue.  Cells, not jobs, are the unit of scheduling:
 
 * **dedupe** — a submission whose cell fingerprint matches a live
   (queued or leased) cell joins that cell instead of enqueuing a
@@ -72,7 +71,6 @@ wall clocks, no randomness.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import re
 import threading
@@ -80,7 +78,6 @@ import time
 from pathlib import Path
 from typing import Any, Callable, Iterable
 
-from repro.coherence.protocol import DEFAULT_PROTOCOLS, PROTOCOLS
 from repro.common.config import scaled_config
 from repro.common.errors import ConfigError
 from repro.experiments.runner import cell_config, cell_fingerprint
@@ -141,10 +138,6 @@ class JobNotFound(KeyError):
         return str(self.args[0])
 
 
-#: Ceiling on a fuzz cell's iteration budget: a cell holds a pool
-#: worker for its whole campaign, and campaign time grows with budget.
-MAX_FUZZ_BUDGET = 10_000
-
 #: Ceiling on a simulation cell's ``scale``: the paper's full size, the
 #: scale of the stored paper matrix.  A cell holds a pool worker for
 #: its whole run, and run time grows with scale.
@@ -168,65 +161,14 @@ def _validate_trace(spec: dict) -> str | None:
     return trace
 
 
-def _validate_fuzz_spec(spec: dict) -> dict:
-    """Validate a ``kind="fuzz"`` spec: one campaign cell per seed."""
-    seeds = list(spec.get("seeds") or ())
-    if not seeds:
-        raise SpecError("fuzz spec needs non-empty 'seeds'")
-    if not all(
-        isinstance(seed, int) and not isinstance(seed, bool)
-        for seed in seeds
-    ):
-        raise SpecError("'seeds' must be integers (booleans rejected)")
-    seeds = list(dict.fromkeys(seeds))
-    budget = spec.get("budget", 50)
-    if (
-        not isinstance(budget, int) or isinstance(budget, bool)
-        or not 1 <= budget <= MAX_FUZZ_BUDGET
-    ):
-        raise SpecError(
-            f"'budget' must be an integer in 1..{MAX_FUZZ_BUDGET}, "
-            f"got {budget!r}"
-        )
-    protocols = list(spec.get("protocols") or DEFAULT_PROTOCOLS)
-    for protocol in protocols:
-        if protocol not in PROTOCOLS:
-            raise SpecError(f"unknown protocol {protocol!r}")
-    protocols = list(dict.fromkeys(protocols))
-    interconnect = spec.get("interconnect", "bus")
-    if interconnect not in ("bus", "directory"):
-        raise SpecError(
-            f"'interconnect' must be 'bus' or 'directory', "
-            f"got {interconnect!r}"
-        )
-    priority = spec.get("priority", 0)
-    if not isinstance(priority, int) or isinstance(priority, bool):
-        raise SpecError(f"'priority' must be an integer, got {priority!r}")
-    out = {
-        "kind": "fuzz",
-        "seeds": seeds,
-        "budget": budget,
-        "protocols": protocols,
-        "interconnect": interconnect,
-        "priority": priority,
-    }
-    trace = _validate_trace(spec)
-    if trace is not None:
-        out["trace"] = trace
-    return out
-
-
 def validate_spec(spec: dict) -> dict:
     """Normalize and validate a job spec; raises :class:`SpecError`.
 
-    Two spec kinds exist.  The default simulation spec requires
-    ``benchmarks`` (known names), ``techniques`` (known names), and
-    ``seeds`` (ints; booleans rejected), with optional ``scale``
-    (a number in (0, :data:`MAX_SCALE`], default 0.1) and ``priority`` (int,
-    default 0; booleans rejected).
-    A ``{"kind": "fuzz"}`` spec instead describes fuzzing campaigns —
-    one cell per entry of ``seeds`` — with optional ``budget``,
-    ``protocols``, ``interconnect``, and ``priority``.  Each axis is
+    A spec requires ``benchmarks`` (known names), ``techniques``
+    (known names), and ``seeds`` (ints; booleans rejected), with
+    optional ``scale`` (a number in (0, :data:`MAX_SCALE`], default
+    0.1) and ``priority`` (int, default 0; booleans rejected).  An
+    optional ``kind`` must be ``sim``, the one job kind.  Each axis is
     deduplicated preserving first-seen order — a repeated value would
     mint the same cell fingerprint twice within one job
     (double-credited cells, duplicate result rows).
@@ -234,10 +176,8 @@ def validate_spec(spec: dict) -> dict:
     if not isinstance(spec, dict):
         raise SpecError(f"job spec must be an object, got {type(spec).__name__}")
     kind = spec.get("kind", "sim")
-    if kind == "fuzz":
-        return _validate_fuzz_spec(spec)
     if kind != "sim":
-        raise SpecError(f"unknown job kind {kind!r} (expected sim or fuzz)")
+        raise SpecError(f"unknown job kind {kind!r} (expected sim)")
     known = set(BENCHMARKS) | set(EXTRA_BENCHMARKS)
     benchmarks = list(spec.get("benchmarks") or ())
     techniques = list(spec.get("techniques") or ())
@@ -298,28 +238,6 @@ def cell_identity(
     return cell_fingerprint(
         cell_config(scaled_config(), technique), benchmark, scale, seed,
     )
-
-
-def fuzz_cell_identity(
-    seed: int, budget: int, protocols: list[str], interconnect: str,
-) -> str:
-    """The fingerprint of one fuzz campaign cell.
-
-    A campaign is a pure function of these four parameters, so the
-    hash of their canonical JSON identifies its result exactly — the
-    same dedupe/cache-hit contract simulation cells get from
-    :func:`cell_identity`.
-    """
-    doc = json.dumps(
-        {
-            "seed": seed,
-            "budget": budget,
-            "protocols": list(protocols),
-            "interconnect": interconnect,
-        },
-        sort_keys=True,
-    )
-    return "fuzz-" + hashlib.sha256(doc.encode()).hexdigest()[:16]
 
 
 class JobQueue:
@@ -527,29 +445,10 @@ class JobQueue:
     def _cell_payloads(self, spec: dict) -> list[tuple[str, dict[str, Any]]]:
         """``(fingerprint, payload)`` for every cell of a valid spec.
 
-        The payload is the kind-specific part of the cell record; the
-        queue bookkeeping fields (state, jobs, retries, order)
-        are layered on by :meth:`submit`.  Simulation cells carry no
-        ``kind`` key — records persisted by earlier versions must keep
-        deserializing as simulation cells.
+        The payload is the cell's coordinates; the queue bookkeeping
+        fields (state, jobs, retries, order) are layered on by
+        :meth:`submit`.
         """
-        if spec.get("kind") == "fuzz":
-            return [
-                (
-                    fuzz_cell_identity(
-                        seed, spec["budget"], spec["protocols"],
-                        spec["interconnect"],
-                    ),
-                    {
-                        "kind": "fuzz",
-                        "seed": seed,
-                        "budget": spec["budget"],
-                        "protocols": spec["protocols"],
-                        "interconnect": spec["interconnect"],
-                    },
-                )
-                for seed in spec["seeds"]
-            ]
         return [
             (
                 cell_identity(benchmark, technique, seed, spec["scale"]),
@@ -727,15 +626,11 @@ class JobQueue:
                 trace=cell.get("trace"),
             )
 
-    def complete(
-        self, fingerprint: str, cached: bool = False,
-        findings: Iterable[str] = (),
-    ) -> None:
+    def complete(self, fingerprint: str, cached: bool = False) -> None:
         """Mark a cell done (its result is in the store) and credit jobs.
 
         A cell served from the store (``cached``) first gets
-        ``cell.cache_hit``, and a fuzz cell one ``cell.fuzz_finding``
-        per finding kind in ``findings``.
+        ``cell.cache_hit``.
         """
         with self._lock:
             cell = self.cells.get(fingerprint)
@@ -747,11 +642,6 @@ class JobQueue:
                 self.events.emit(
                     "cell.cache_hit", waiting, fingerprint=fingerprint,
                     trace=trace,
-                )
-            for finding in findings:
-                self.events.emit(
-                    "cell.fuzz_finding", waiting, fingerprint=fingerprint,
-                    finding=finding, trace=trace,
                 )
             self._dirty_cells.add(fingerprint)
             cell["state"] = "done"

@@ -39,9 +39,8 @@ never missed, however many workers are idle.
 
 Results go to the same :class:`~repro.experiments.store.ResultStore`
 a :class:`~repro.experiments.runner.MatrixRunner` uses: one file per
-cell fingerprint, simulation summaries and fuzz reports alike, so
-``GET /results/{fingerprint}`` is one file read and a cell either of
-them stored is served to both.
+cell fingerprint, so ``GET /results/{fingerprint}`` is one file read
+and a cell either of them stored is served to both.
 """
 
 from __future__ import annotations
@@ -60,7 +59,6 @@ from repro.experiments.runner import (
     warm_pool,
 )
 from repro.experiments.store import ResultStore
-from repro.fuzz.campaign import run_fuzz_cell
 
 from .events import EventLog
 from .queue import JobQueue
@@ -243,11 +241,8 @@ class WorkerShard:
         """Serve one leased cell and report its outcome to the queue.
 
         A cell the store holds is served from it; any other runs in
-        the executor.  Both kinds of run take the same steps:
-        ``cell.started``, the ``cell.run`` span, the executor run, the
-        store write and the completion.  A simulation stores its
-        summary; a fuzz campaign stores its report and surfaces every
-        finding as a ``cell.fuzz_finding`` event.
+        the executor: ``cell.started``, the ``cell.run`` span, the
+        simulation, the store write of its summary and the completion.
 
         The cell stays leased until this reports it.  A broken pool
         (its future raises, or its ``submit`` does once it broke while
@@ -259,7 +254,6 @@ class WorkerShard:
         """
         fingerprint = cell["fingerprint"]
         trace = cell.get("trace")
-        fuzz = cell.get("kind") == "fuzz"
         loop = asyncio.get_running_loop()
         run_span = None
         try:
@@ -287,23 +281,20 @@ class WorkerShard:
                     trace, "cell.run", parent=cell.get("lease_span"),
                     fingerprint=fingerprint, worker=worker_id,
                 )
-            result = await loop.run_in_executor(
+            summary = await loop.run_in_executor(
                 self.executor(), *self._call(cell, run_span),
             )
-            if fuzz:
-                doc, trace_doc = result, None
-            else:
-                # The worker's span rows ride back under
-                # summary["trace"]; pop them before storing so the
-                # stored summary stays byte-identical to a serial run's.
-                trace_doc = result.pop("trace", None)
-                doc = {
-                    "benchmark": cell["benchmark"],
-                    "technique": cell["technique"],
-                    "seed": cell["seed"],
-                    "scale": cell["scale"],
-                    "summary": result,
-                }
+            # The worker's span rows ride back under summary["trace"];
+            # pop them before storing so the stored summary stays
+            # byte-identical to a serial run's.
+            trace_doc = summary.pop("trace", None)
+            doc = {
+                "benchmark": cell["benchmark"],
+                "technique": cell["technique"],
+                "seed": cell["seed"],
+                "scale": cell["scale"],
+                "summary": summary,
+            }
             if trace is not None:
                 self.traces.span_end(trace, run_span, outcome="done")
                 run_span = None
@@ -315,9 +306,8 @@ class WorkerShard:
                 None, self.store.store, fingerprint, doc,
             )
             cached = False
-            findings = [f["kind"] for f in doc["findings"]] if fuzz else ()
             await loop.run_in_executor(
-                None, self.queue.complete, fingerprint, cached, findings,
+                None, self.queue.complete, fingerprint, cached,
             )
             return
         except BrokenExecutor:
@@ -343,11 +333,6 @@ class WorkerShard:
     def _call(cell: dict[str, Any], run_span: int | None) -> tuple:
         """The executor call that runs ``cell``: the function, then its
         arguments."""
-        if cell.get("kind") == "fuzz":
-            # run_fuzz_cell runs its campaign serially: this cell
-            # already occupies a pool worker.
-            return (run_fuzz_cell, cell["seed"], cell["budget"],
-                    tuple(cell["protocols"]), cell["interconnect"])
         # The trace context crosses the process-pool boundary, so it
         # is plain data only (simlint SL203) — run_cell traces its
         # coherence spans under this trace id and run span, and ships

@@ -180,12 +180,15 @@ class System:
         cell passes or fails them the same way everywhere.
         ``heartbeat`` > 0 logs a progress line (cycles, committed ops,
         IPC-so-far, events/sec) every that-many cycles through the
-        ``repro.heartbeat`` logger — observability for long runs.
+        ``repro.heartbeat`` logger — observability for long runs.  Its
+        ticks are scheduler events the simulation did not fire, so
+        ``run.events`` leaves them out.
         """
         for core in self.cores:
             core.start()
+        pulse = None
         if heartbeat:
-            Heartbeat(
+            pulse = Heartbeat(
                 self.scheduler,
                 heartbeat,
                 progress=self._progress,
@@ -219,7 +222,8 @@ class System:
             int(self.stats.get(f"core{i}.finish_time"))
             for i in range(self.config.n_procs)
         )
-        self._record_summary(cycles, committed)
+        events = self.scheduler.events_fired - (pulse.beats if pulse else 0)
+        self._record_summary(cycles, committed, events)
         return RunResult(
             cycles=cycles, committed=committed, stats=self.stats,
             config=self.config,
@@ -234,10 +238,10 @@ class System:
             "finished": f"{self._finished}/{len(self.cores)}",
         }
 
-    def _record_summary(self, cycles: int, committed: int) -> None:
+    def _record_summary(self, cycles: int, committed: int, events: int) -> None:
         self.stats.set("run.cycles", cycles)
         self.stats.set("run.committed", committed)
-        self.stats.set("run.events", self.scheduler.events_fired)
+        self.stats.set("run.events", events)
         if cycles:
             self.stats.set("run.ipc", committed / cycles)
         if self.checker is not None:

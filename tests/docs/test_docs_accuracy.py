@@ -79,3 +79,20 @@ def test_experiments_md_references_real_commands():
     text = (ROOT / "EXPERIMENTS.md").read_text()
     for module in set(re.findall(r"python -m (repro\.experiments\.\w+)", text)):
         assert hasattr(importlib.import_module(module), "run"), module
+
+
+def test_service_md_event_table_matches_the_registry():
+    """docs/service.md's event table lists exactly the declared events
+    and their required fields, in declaration order."""
+    from repro.service.events import EVENT_SPECS
+
+    text = (DOCS / "service.md").read_text()
+    table = text.split("| event | required fields |", 1)[1].split("\n\n", 1)[0]
+    rows = []
+    for line in table.splitlines()[2:]:
+        name, fields = line.split("|")[1:3]
+        rows.append((
+            name.strip().strip("`"),
+            tuple(re.findall(r"`([^`]+)`", fields)),
+        ))
+    assert rows == [(spec.name, spec.fields) for spec in EVENT_SPECS.values()]

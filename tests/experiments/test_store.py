@@ -52,18 +52,14 @@ def test_damaged_file_reads_as_a_miss(tmp_path, caplog, damage):
     assert store.get(FP) == DOC
 
 
-@pytest.mark.parametrize("name", ["..", "../state", "ABCDEF0123456789", "x"])
+@pytest.mark.parametrize(
+    "name", ["..", "../state", "ABCDEF0123456789", "x", f"fuzz-{FP}"],
+)
 def test_names_that_are_not_fingerprints_name_no_file(tmp_path, name):
     (tmp_path / "state.json").write_text("{}")
     (tmp_path / "results").mkdir()
     (tmp_path / "results" / f"{name}.json").write_text("{}")
     assert ResultStore(tmp_path / "results").get(name) is None
-
-
-def test_fuzz_fingerprints_are_keys(tmp_path):
-    store = ResultStore(tmp_path)
-    store.store(f"fuzz-{FP}", {"ok": True})
-    assert store.get(f"fuzz-{FP}") == {"ok": True}
 
 
 def test_concurrent_stores_of_one_cell_leave_one_whole_file(tmp_path):

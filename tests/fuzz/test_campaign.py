@@ -19,7 +19,6 @@ from repro.fuzz.campaign import (
     MUTATION_STRIDE,
     FuzzOptions,
     run_campaign,
-    run_fuzz_cell,
 )
 from repro.verify.mutations import SEEDED
 
@@ -113,13 +112,6 @@ class TestCleanRun:
             assert entry["n_lines"] >= 1 and entry["n_words"] >= 1
             assert entry["schedule"]
             assert len(entry["decisions"]) > 0
-
-
-class TestServiceCell:
-    def test_run_fuzz_cell_matches_serial_campaign(self):
-        doc = run_fuzz_cell(5, 8, ("mesi", "mesti"), "bus")
-        assert doc == report(seed=5, budget=8,
-                             protocols=("mesi", "mesti"))
 
 
 class TestOptions:

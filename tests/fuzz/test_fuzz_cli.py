@@ -55,3 +55,13 @@ def test_duplicate_protocols_deduped(capsys):
                         "--format", "json"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["protocols"] == ["mesi", "mesti"]
+
+
+@pytest.mark.parametrize("flag", ["--no-minimize", "--no-replay"])
+def test_minimize_and_replay_cannot_be_switched_off(flag, capsys):
+    """Every campaign minimizes its findings and replays its
+    witnesses, so the flags that skipped either are gone."""
+    with pytest.raises(SystemExit) as exc:
+        main([*FAST, flag])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err

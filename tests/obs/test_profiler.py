@@ -59,8 +59,16 @@ class TestHeartbeat:
         from repro.system.system import System
         from repro.workloads.registry import get_benchmark
 
-        system = System(scaled_config(), get_benchmark("locks", scale=0.05))
+        def run(**kwargs):
+            workload = get_benchmark("locks", scale=0.05)
+            return System(scaled_config(), workload).run(**kwargs)
+
         with caplog.at_level(logging.INFO, logger="repro.heartbeat"):
-            system.run(heartbeat=500)
+            beating = run(heartbeat=500)
         assert "ipc=" in caplog.text
         assert "finished=" in caplog.text
+        # The ticks are scheduler events, but not the simulation's: the
+        # run reports what it would without a heartbeat.
+        quiet = run()
+        assert beating.cycles == quiet.cycles
+        assert beating.stats.get("run.events") == quiet.stats.get("run.events")

@@ -106,6 +106,19 @@ class TestSpecValidation:
         with pytest.raises(SpecError, match=field):
             validate_spec({**SPEC, field: value})
 
+    @pytest.mark.parametrize("kind", ["frobnicate", "fuzz"])
+    def test_unknown_kind_rejected(self, kind):
+        # Fuzzing campaigns run through `repro-sim fuzz`, not the queue.
+        with pytest.raises(SpecError, match="unknown job kind"):
+            validate_spec({"kind": kind, "seeds": [1]})
+
+    def test_sim_specs_unchanged_by_kind_dispatch(self):
+        spec = validate_spec({
+            "benchmarks": ["radiosity"], "techniques": ["base"],
+            "seeds": [1],
+        })
+        assert "kind" not in spec  # back-compat with persisted state
+
 
 class TestSubmitAndDedupe:
     def test_submit_explodes_matrix_into_cells(self, tmp_path):

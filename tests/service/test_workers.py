@@ -218,6 +218,52 @@ class TestCrashRecovery:
 
         asyncio.run(scenario())
 
+    def test_a_fuzz_cell_an_older_queue_left_fails_its_job(self, tmp_path):
+        # Older queues also took {"kind": "fuzz"} specs.  A campaign
+        # cell one left queued is no simulation cell: its run raises,
+        # and the retry budget ends its job.
+        root = tmp_path / "queue"
+        root.mkdir()
+        fingerprint = "fuzz-0123456789abcdef"
+        (root / "state.json").write_text(json.dumps({
+            "seq": 1,
+            "jobs": {"job-000001": {
+                "id": "job-000001",
+                "spec": {"kind": "fuzz", "seeds": [1], "budget": 8,
+                         "protocols": ["mesi"], "interconnect": "bus",
+                         "priority": 0},
+                "priority": 0, "cells": [fingerprint], "status": "queued",
+                "reason": None, "trace": "job-000001", "span": None,
+            }},
+            "cells": {fingerprint: {
+                "fingerprint": fingerprint, "kind": "fuzz", "seed": 1,
+                "budget": 8, "protocols": ["mesi"], "interconnect": "bus",
+                "state": "queued", "jobs": ["job-000001"], "retries": 0,
+                "order": 1, "trace": "job-000001", "job_span": None,
+                "lease_span": None, "enqueued_at": 0.0,
+            }},
+            "terminal": [],
+        }))
+
+        async def scenario():
+            events, queue, _store, shard = build(
+                tmp_path, ThreadPoolExecutor(max_workers=1),
+            )
+            loop = asyncio.get_running_loop()
+            deadline = loop.time() + 30
+            await shard.start()
+            try:
+                while queue.status("job-000001") not in JOB_TERMINAL:
+                    assert loop.time() < deadline, "job did not settle"
+                    await asyncio.sleep(0.02)
+            finally:
+                await shard.stop()
+            assert queue.status("job-000001") == "failed"
+            for name in ("cell.retried", "cell.failed"):
+                assert reasons(events, "job-000001", name) == ["worker_error"]
+
+        asyncio.run(scenario())
+
 
 class TestOwnedOutcomes:
     """The worker that leased a cell reports its outcome whatever fails

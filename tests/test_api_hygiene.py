@@ -89,15 +89,30 @@ def test_no_circular_import_on_fresh_interpreter():
     assert out.returncode == 0, out.stderr.decode()
 
 
-def test_importing_the_cli_leaves_scipy_unloaded():
-    """scipy.stats takes most of a second to import and only ``mean_ci``
-    needs it, so ``import repro.cli`` must not load it."""
+@pytest.mark.parametrize(
+    "module, forbidden",
+    [
+        # scipy.stats takes most of a second to import and only
+        # ``mean_ci`` needs it.
+        pytest.param("repro.cli", ("scipy",), id="repro.cli"),
+        # The service runs simulation cells only: campaigns run through
+        # ``repro-sim fuzz``, so ``serve`` and the pool workers it forks
+        # load neither the fuzzer nor the model checker.
+        pytest.param("repro.service.api", ("repro.fuzz", "repro.verify"),
+                     id="repro.service.api"),
+    ],
+)
+def test_importing_leaves_heavy_modules_unloaded(module, forbidden):
+    """A fresh ``import module`` loads no module under a ``forbidden``
+    prefix."""
     import subprocess
     import sys
 
     out = subprocess.run(
         [sys.executable, "-c",
-         "import sys, repro.cli; assert 'scipy' not in sys.modules"],
+         f"import sys, {module}; "
+         f"loaded = [m for m in sys.modules if m.startswith({forbidden!r})]; "
+         "assert not loaded, loaded"],
         capture_output=True,
     )
     assert out.returncode == 0, out.stderr.decode()
