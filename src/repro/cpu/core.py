@@ -10,6 +10,11 @@ enough for whole-benchmark simulation in Python:
   arithmetic over dependence times and slot cursors; only *memory
   operations* and program-control handoffs create scheduler events, so
   event count scales with memory ops, not instructions.
+* **ALU ops without window entries** — while the window is empty and
+  no elision runs, fetch commits a run of ALU ops straight from the
+  current block (``_commit_alu_run``): the same slot-cursor calls and
+  register reads as the window path, with no ``WinOp``, dispatch or
+  retire (docs/core_model.md, "ALU ops that skip the window").
 * **Timing-only speculation** — LVP verification failures and SLE
   aborts squash and replay the younger window contents (charging the
   paper's squash/refetch penalties) but never corrupt architectural
@@ -168,6 +173,10 @@ class Core:
         self._fetch_gate = False  # engine-imposed fetch stall
         self._last_commit_time = 0
         self._seq = 0
+        # Ops ``_commit_alu_run`` took that the window path would still
+        # hold at the window head: they fill window capacity until the
+        # next ``_try_commit``.
+        self._held = 0
         self.program_done = False
         self.finished = False
         self.committed = 0
@@ -176,6 +185,7 @@ class Core:
         self._commit_counters = {
             kind._value_: stats.counter(f"commit.{kind.value}") for kind in OpKind
         }
+        self._alu_commits = self._commit_counters[_ALU._value_]
         node.core = self
 
     # ------------------------------------------------------------------
@@ -208,37 +218,96 @@ class Core:
     # ------------------------------------------------------------------
 
     def _fetch(self) -> None:
+        engine = self.sle_engine
         while (
             not self.finished
             and not self._fetch_gate
             and self._await_control is None
             and self._fetch_block is None
-            and len(self.window) < self.cc.rob_size
+            and len(self.window) + self._held < self.cc.rob_size
         ):
-            op = self._next_op()
-            if op is None:
-                return
+            if self._replay:
+                self._admit(self._replay.popleft())
+                continue
+            block = self._block
+            pos = self._block_pos
+            if block is None or pos == len(block):
+                if not self._next_block():
+                    return
+                continue
+            op = block[pos]
+            if (
+                op.kind is _ALU
+                and not op.control
+                and not self.window
+                and (engine is None or not engine.active)
+            ):
+                taken = self._commit_alu_run(block, pos)
+                if taken:
+                    self._block_pos = pos + taken
+                    continue
+            self._block_pos = pos + 1
             self._admit(op)
 
-    def _next_op(self) -> MicroOp | None:
-        if self._replay:
-            return self._replay.popleft()
-        while True:
-            if self._block is not None and self._block_pos < len(self._block):
-                op = self._block[self._block_pos]
-                self._block_pos += 1
-                return op
-            if self._block is not None and self._block[-1].control:
-                # The control result arrives at commit; fetch stalls.
-                return None
-            if self.program_done:
-                return None
-            block = self.program.next_block(None)
-            if block is None:
-                self.program_done = True
-                return None
-            self._block = block
-            self._block_pos = 0
+    def _next_block(self) -> bool:
+        """Move fetch to the program's next block; False if it must wait."""
+        if self._block is not None and self._block[-1].control:
+            # The control result arrives at commit; fetch stalls.
+            return False
+        if self.program_done:
+            return False
+        block = self.program.next_block(None)
+        if block is None:
+            self.program_done = True
+            return False
+        self._block = block
+        self._block_pos = 0
+        return True
+
+    def _commit_alu_run(self, block: list[MicroOp], pos: int) -> int:
+        """Commit the run of ALU ops at ``block[pos:]``; return its length.
+
+        Called with the window empty and the SLE engine absent or idle,
+        so each op's producers have all retired and nothing older waits
+        to commit.  The window path would complete the op at ``ready +
+        latency`` and commit it first at its next ``_try_commit``; this
+        makes the same slot-cursor calls and register reads in the same
+        order without building a ``WinOp``.  The ops count against the
+        window's capacity until that commit pass (``_held``), so fetch
+        stops at the op it would have stopped at.
+        """
+        end = min(len(block), pos + self.cc.rob_size - self._held)
+        fetch_at = self._fetch_slots.next_at
+        commit_at = self._commit_slots.next_at
+        floor = self._fetch_floor
+        reg_map = self.reg_map
+        retired_regs = self._retired_regs
+        last = self._last_commit_time
+        i = pos
+        while i < end:
+            op = block[i]
+            if op.kind is not _ALU or op.control:
+                break
+            ready = fetch_at(floor) + 1
+            for sreg in op.sregs:
+                # Every producer has retired: the map holds its time.
+                t = reg_map.get(sreg)
+                if t is not None and t > ready:
+                    ready = t
+            done = ready + op.latency
+            if op.dreg is not None:
+                reg_map[op.dreg] = retired_regs[op.dreg] = done
+            ct = commit_at(done)
+            if ct > last:
+                last = ct
+            i += 1
+        n = i - pos
+        self._last_commit_time = last
+        self._seq += n
+        self.committed += n
+        self._held += n
+        self._alu_commits.inc(n)
+        return n
 
     def _admit(self, op: MicroOp) -> None:
         w = WinOp(op, self._seq)
@@ -504,6 +573,8 @@ class Core:
     # ------------------------------------------------------------------
 
     def _try_commit(self) -> None:
+        # The window path commits the held ops first, here.
+        self._held = 0
         window = self.window
         while window:
             w = window[0]

@@ -32,27 +32,16 @@ class OpKind(enum.Enum):
     SYNC = "sync"
     END = "end"
 
-    @property
-    def is_memory(self) -> bool:
-        """True for ops that access the memory system."""
-        return self in (OpKind.LOAD, OpKind.STORE, OpKind.LARX, OpKind.STCX)
-
-    @property
-    def is_load_like(self) -> bool:
-        """True for load/larx."""
-        return self in (OpKind.LOAD, OpKind.LARX)
-
-    @property
-    def is_store_like(self) -> bool:
-        """True for store/stcx."""
-        return self in (OpKind.STORE, OpKind.STCX)
-
 
 @dataclass(slots=True)
 class MicroOp:
     """One micro-operation as emitted by a thread program.
 
     Slotted: the core reads these fields several times per op.
+    Instances are shared between blocks and threads (the register-free
+    ALU op of each latency, the serial ALU chains), so nothing writes a
+    field after construction; per-execution state lives in the core's
+    ``WinOp``.
     """
 
     kind: OpKind

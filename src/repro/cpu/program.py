@@ -18,6 +18,12 @@ from repro.cpu.isa import MicroOp, OpKind
 
 ProgramGen = Generator[list, "int | None", None]
 
+#: The register-free ALU op of each latency, shared by every block.
+_FREE_ALU: dict[int, MicroOp] = {}
+#: :meth:`BlockBuilder.alu_chain`'s serial chain of each latency, grown
+#: on demand.
+_CHAINS: dict[int, list[MicroOp]] = {}
+
 
 class ThreadProgram:
     """Wraps a program generator with validation and end-of-stream handling."""
@@ -65,7 +71,8 @@ class BlockBuilder:
     """Convenience builder for basic blocks.
 
     Registers are per-thread virtual tags; ``fresh()`` hands out unique
-    ones.  The builder is reusable: ``take()`` returns the accumulated
+    positive ones (the shared chains of :meth:`alu_chain` use negative
+    ones).  The builder is reusable: ``take()`` returns the accumulated
     block and resets.
     """
 
@@ -89,11 +96,38 @@ class BlockBuilder:
         self, dreg: int | None = None, sregs: Iterable[int] = (), latency: int = 1,
         pc: int = 0,
     ) -> int | None:
-        """Append an ALU op; returns its destination register."""
+        """Append an ALU op; returns its destination register.
+
+        A register-free op at pc 0 (filler work: lock backoff, flag
+        pulses) is one shared instance per latency, built on first use.
+        """
+        if dreg is None and sregs == () and not pc:
+            op = _FREE_ALU.get(latency)
+            if op is None:
+                op = _FREE_ALU[latency] = MicroOp(OpKind.ALU, latency=latency)
+            self._ops.append(op)
+            return None
         self._ops.append(
             MicroOp(OpKind.ALU, dreg=dreg, sregs=tuple(sregs), latency=latency, pc=pc)
         )
         return dreg
+
+    def alu_chain(self, n_ops: int, latency: int) -> None:
+        """Append a serial chain of ``n_ops`` ALU ops (at least one).
+
+        The ops are a prefix of one shared chain per latency.  Op ``k``
+        writes tag ``-(k + 1)`` and reads ``-k``, the tag its
+        predecessor wrote just before it; ``fresh()`` never hands out a
+        negative tag, so no other op reads or writes one.
+        """
+        n_ops = max(n_ops, 1)
+        chain = _CHAINS.setdefault(latency, [])
+        while len(chain) < n_ops:
+            k = len(chain)
+            chain.append(MicroOp(
+                OpKind.ALU, dreg=-(k + 1), sregs=(-k,) if k else (), latency=latency,
+            ))
+        self._ops.extend(chain[:n_ops])
 
     def load(
         self, addr: int, dreg: int | None = None, pc: int = 0,

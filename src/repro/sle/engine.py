@@ -169,8 +169,12 @@ class SLEEngine:
             and op.value == self.free_value
         ):
             # The release: the temporally silent store completing the
-            # atomic pair.  It is elided along with the acquire.
-            w.sle_blocked = not checkpoint
+            # atomic pair.  It is elided along with the acquire, and
+            # held until the region commits in both modes: a release
+            # retired early is lost to a later conflict abort, and the
+            # younger ops behind it (the next acquire) would commit
+            # while the region is still speculative.
+            w.sle_blocked = True
             w.sle_buffered = True
             self.region_ops.append(w)
             self.release_w = w

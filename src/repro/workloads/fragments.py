@@ -100,13 +100,11 @@ def compute_chain(b: BlockBuilder, n_ops: int, latency: int = 3):
     Unlike :func:`private_work`, this cannot be hidden by width — it
     models the ray-intersection / per-tuple computation that keeps a
     thread busy between synchronization episodes.
+
+    The block (at least one op) is a prefix of one shared chain per
+    latency, built once (:meth:`~repro.cpu.program.BlockBuilder.alu_chain`).
     """
-    prev = b.fresh()
-    b.alu(prev, latency=latency)
-    for _ in range(n_ops - 1):
-        cur = b.fresh()
-        b.alu(cur, (prev,), latency=latency)
-        prev = cur
+    b.alu_chain(n_ops, latency)
     yield b.take()
 
 

@@ -48,7 +48,7 @@ class TestUpgradeConversion:
         reason="lost write: a merged exclusive prefetch's second Upgrade "
                "finds the line already M, converts to a ReadX and refills "
                "it from memory; the fix changes perfbench's digests, so it "
-               "waits for ROADMAP's 'Held for the next benchmark change'",
+               "waits for ROADMAP item 1, the model-fix benchmark change",
     )
     def test_merged_exclusive_prefetches_keep_the_dirty_value(self, tiny_config):
         """Exclusive prefetches merged behind one miss each re-run when

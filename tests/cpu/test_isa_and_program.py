@@ -7,15 +7,6 @@ from repro.cpu.isa import MicroOp, OpKind
 from repro.cpu.program import BlockBuilder, ThreadProgram
 
 
-class TestOpKind:
-    def test_memory_classification(self):
-        assert OpKind.LOAD.is_memory and OpKind.STCX.is_memory
-        assert not OpKind.ALU.is_memory
-        assert OpKind.LARX.is_load_like
-        assert OpKind.STORE.is_store_like
-        assert not OpKind.SYNC.is_memory
-
-
 class TestBlockBuilder:
     def test_fresh_registers_unique(self):
         b = BlockBuilder()
@@ -33,6 +24,21 @@ class TestBlockBuilder:
         assert block[1].sregs == (r,)
         assert block[1].latency == 3
         assert b.pending == 0
+
+    def test_register_free_alu_op_is_shared_per_latency(self):
+        b = BlockBuilder()
+        b.alu(latency=4)
+        b.alu(latency=4)
+        b.alu(latency=2)
+        b.alu(b.fresh(), latency=4)
+        b.alu(latency=4, pc=9)
+        ops = b.take()
+        assert ops[0] is ops[1]
+        assert ops[2] is not ops[0] and ops[2].latency == 2
+        assert all(op is not ops[0] for op in ops[3:])
+        assert (ops[3].dreg, ops[4].pc) == (1, 9)
+        b.alu(latency=4)
+        assert b.take()[0] is ops[0]
 
     def test_take_empty_rejected(self):
         with pytest.raises(SimulationError):

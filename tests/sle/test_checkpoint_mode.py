@@ -149,3 +149,40 @@ def test_checkpoint_restore_penalty_charged(tiny_config):
         checkpoint_restore_penalty=2000,
     )
     assert slow.cycles >= fast.cycles + 1500
+
+
+@pytest.mark.parametrize("cs_alu_ops", [0, 4])
+def test_checkpoint_release_without_fence_is_held(tiny_config, cs_alu_ops):
+    """Two threads elide one lock whose release store follows no lwsync.
+
+    The release must wait for the region to commit, as in in-core
+    mode.  Retired early, a conflict abort dropped it, and the
+    thread's next acquire committed while the region was still
+    speculative: the fallback CAS never succeeded, so core 1 spun
+    until `max_cycles` with the lock word 1 in both caches.
+    """
+    cfg = tiny_config.with_sle(enabled=True, checkpoint_mode=True)
+
+    def prog(tid, config, rng):
+        b = BlockBuilder()
+        while True:
+            b.larx(LOCK, pc=0x900)
+            if (yield b.take()) != 0:
+                continue
+            b.stcx(LOCK, tid + 1, pc=0x900, meta={"sle_fallback": ("cas",)})
+            if (yield b.take()):
+                break
+        for _ in range(cs_alu_ops):
+            b.alu(latency=1)
+        b.store(DATA, tid + 1)
+        b.store(LOCK, 0)
+        b.end()
+        yield b.take()
+
+    sys_ = System(cfg, ScriptWorkload(prog, prog), seed=0)
+    sys_.run(max_cycles=200_000, max_events=400_000)
+    assert all(core.finished for core in sys_.cores)
+    assert sys_.stats["sle0.failure.conflict"] + sys_.stats["sle1.failure.conflict"] > 0
+    for ctrl in sys_.controllers:
+        line = ctrl.lookup(LOCK)
+        assert line is None or not line.has_data or line.data[0] == 0

@@ -108,6 +108,20 @@ def test_compute_chain_is_serial(b):
         assert cur.latency == 4
 
 
+def test_compute_chain_is_a_prefix_of_one_shared_chain(b):
+    """Chains of one latency share their ops; the tags are negative, so
+    the builder's fresh registers are untouched."""
+    short = drain(compute_chain(b, 3, latency=5))
+    long = drain(compute_chain(BlockBuilder(), 8, latency=5))
+    assert all(x is y for x, y in zip(short, long))
+    assert [op.dreg for op in long] == [-k for k in range(1, 9)]
+    assert long[0].sregs == ()
+    other = drain(compute_chain(b, 3, latency=6))
+    assert not any(x is y for x, y in zip(short, other))
+    assert len(drain(compute_chain(b, 0, latency=7))) == 1
+    assert b.fresh() == 1
+
+
 def test_migratory_update_is_locked_rmw(b, rng):
     lock = 0x9000
     ops = drain(
