@@ -30,11 +30,11 @@ from collections import defaultdict
 from repro.coherence.protocol import DEFAULT_PROTOCOLS, PROTOCOLS
 from repro.common.config import InterconnectKind, scaled_config
 from repro.common.errors import ConfigError
-from repro.experiments.runner import summarize
+from repro.experiments.runner import cell_config, summarize
 from repro.obs.report import load_trace, render_report, summarize_trace
 from repro.obs.tracer import TraceFilter, Tracer, chrome_document
 from repro.system.system import System
-from repro.system.techniques import ALL_TECHNIQUES, configure_technique
+from repro.system.techniques import ALL_TECHNIQUES
 from repro.workloads.registry import BENCHMARKS, EXTRA_BENCHMARKS, get_benchmark
 
 EXPERIMENTS = (
@@ -93,8 +93,8 @@ def _profile_report(profile, top: int = 20) -> str:
 
 
 def cmd_run(args) -> int:
-    """Handle ``repro-sim run``."""
-    config = configure_technique(scaled_config(n_procs=args.procs), args.technique)
+    """Handle ``repro-sim run``: simulate the stored cell's machine."""
+    config = cell_config(scaled_config(n_procs=args.procs), args.technique)
     workload = get_benchmark(args.benchmark, scale=args.scale)
     tracer = _make_tracer(args)
     if args.metrics:
@@ -160,9 +160,10 @@ def cmd_report(args) -> int:
 def cmd_explain(args) -> int:
     """Handle ``repro-sim explain`` (miss provenance analysis).
 
-    Live mode runs the cell with tracing + metrics and *gates*: exit 1
-    when the trace/metrics reconciliation mismatches or fewer than 95%
-    of communication misses get a provenance class.  Offline mode
+    Live mode runs the cell on the stored cell's machine, as ``run``
+    does, with tracing + metrics and *gates*: exit 1 when the
+    trace/metrics reconciliation mismatches or fewer than 95% of
+    communication misses get a provenance class.  Offline mode
     (``--trace``) analyzes a saved trace; with no metrics registry to
     check against, it reports without gating.
     """
@@ -188,9 +189,7 @@ def cmd_explain(args) -> int:
             print("repro-sim: error: explain needs a benchmark to run "
                   "(or --trace PATH to analyze offline)", file=sys.stderr)
             return 2
-        config = configure_technique(
-            scaled_config(n_procs=args.procs), args.technique
-        )
+        config = cell_config(scaled_config(n_procs=args.procs), args.technique)
         workload = get_benchmark(args.benchmark, scale=args.scale)
         tracer = Tracer(ring=args.trace_ring)
         if args.save_trace:
@@ -580,7 +579,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("list", help="list benchmarks, techniques, experiments")
 
-    run_p = sub.add_parser("run", help="run one benchmark/technique cell")
+    run_p = sub.add_parser(
+        "run", help="run one benchmark/technique cell",
+        description=(
+            "Simulate one cell on the machine the experiments and the "
+            "result store use, so the summary printed is the stored "
+            "cell's."
+        ),
+    )
     run_p.add_argument(
         "benchmark", choices=sorted(BENCHMARKS) + sorted(EXTRA_BENCHMARKS)
     )
@@ -642,9 +648,10 @@ def build_parser() -> argparse.ArgumentParser:
         "explain",
         help="attribute every communication miss to a provenance class",
         description=(
-            "Run one cell with spans + metrics (or analyze a saved "
-            "trace with --trace), reconstruct per-line coherence "
-            "lifetimes, attribute every communication miss to a "
+            "Run one cell with spans + metrics on the stored cell's "
+            "machine (or analyze a saved trace with --trace), "
+            "reconstruct per-line coherence lifetimes, attribute "
+            "every communication miss to a "
             "temporal-silence provenance class, account every "
             "validate's fate, and reconcile the trace totals exactly "
             "against the metrics registry.  Live runs exit 1 on a "
@@ -719,8 +726,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench_p.add_argument(
         "--results-dir", default=None, metavar="DIR",
-        help="keep the serial pass's cells and run manifest in DIR "
-             "(default: a throwaway tempdir)",
+        help="keep the serial pass's cells (one <fingerprint>.json "
+             "each) in DIR (default: a throwaway tempdir)",
     )
 
     serve_p = sub.add_parser(

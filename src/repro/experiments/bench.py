@@ -67,11 +67,11 @@ def run(output: str | Path = "BENCH_matrix.json",
         results_dir: str | Path | None = None) -> dict:
     """Run both passes of :data:`MINI_MATRIX` and write the report.
 
-    The serial pass keeps its cells and run manifest in
-    ``results_dir`` (default: a temporary directory, removed before
-    returning).  Returns the report; ``report["determinism"]["ok"]``
-    says whether the passes agree.  A pooled cell that ran in this
-    process fails the check too, named ``<key>.worker``.
+    The serial pass keeps its cells in ``results_dir`` (default: a
+    temporary directory, removed before returning).  Returns the
+    report; ``report["determinism"]["ok"]`` says whether the passes
+    agree.  A pooled cell that ran in this process fails the check
+    too, named ``<key>.worker``.
     """
     spec = MINI_MATRIX
     cells = [

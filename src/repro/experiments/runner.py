@@ -44,7 +44,6 @@ from repro.common.config import MachineConfig, scaled_config
 from repro.experiments.store import ResultStore
 from repro.obs.metrics import run_series
 from repro.obs.progress import RunManifest
-from repro.obs.provenance import analyze_events
 from repro.obs.spans import CELL_TRACE_ROWS
 from repro.obs.tracer import TraceFilter, Tracer
 from repro.system.system import RunResult, System
@@ -178,7 +177,6 @@ def run_cell(
     benchmark: str,
     scale: float,
     seed: int,
-    provenance: bool = False,
     trace: dict | None = None,
 ) -> RunSummary:
     """Run one fully-configured cell and summarize it.
@@ -186,12 +184,6 @@ def run_cell(
     Module-level so a :class:`ProcessPoolExecutor` can pickle it; the
     serial path uses the same function, which is what makes the
     serial-vs-worker determinism contract enforceable by test.
-
-    ``provenance`` traces the run in memory and attaches the miss-
-    provenance cell summary (attribution classes, validate fate, span
-    health) under ``summary["provenance"]``.  Spans add no scheduler
-    events, so every other summary field is identical to an untraced
-    run — cached and traced results stay comparable.
 
     ``trace`` is the service's distributed-trace context — a plain
     ``{"trace": id, "span": cell_run_span}`` dict (plain data only: it
@@ -202,20 +194,17 @@ def run_cell(
     :data:`~repro.obs.spans.CELL_TRACE_ROWS` rows, and how many rows the
     tracer's ring overwrote.  The worker shard pops that key before
     storing, so stored summaries stay byte-identical to serial runs.
+    A cell's miss provenance is ``repro-sim explain``'s business.
     """
     workload = get_benchmark(benchmark, scale=scale)
     start = time.perf_counter()
-    if provenance:
-        tracer = Tracer()
-    elif trace is not None:
-        # Spans only: the full point-event firehose is provenance's
-        # business; trace propagation needs just the causal tree.
+    tracer = None
+    if trace is not None:
+        # Spans only: trace propagation needs just the causal tree.
         tracer = Tracer(
             filter=TraceFilter(kinds=("span",)), ring=CELL_TRACE_ROWS,
             context=trace,
         )
-    else:
-        tracer = None
     # The simulator allocates heavily but creates almost no cyclic
     # garbage a run needs collected mid-flight; cyclic-GC passes over
     # the live System graph only add wall time that *grows* with the
@@ -232,9 +221,7 @@ def run_cell(
         if gc_was_enabled:
             gc.enable()
     summary = summarize(result, time.perf_counter() - start)
-    if provenance:
-        summary["provenance"] = analyze_events(tracer.events).cell_summary()
-    elif trace is not None:
+    if trace is not None:
         summary["trace"] = {"rows": tracer.rows(), "dropped": tracer.overwritten}
     # Provenance over the result pipe: which process produced this
     # summary.  Host-dependent, hence in NONDETERMINISTIC_FIELDS.
@@ -400,7 +387,6 @@ class MatrixRunner:
         results_dir: str | Path = "results",
         verbose: bool = True,
         workers: int | None = None,
-        provenance: bool = False,
     ):
         self.base_config = config or scaled_config()
         self.fingerprint = (
@@ -412,10 +398,6 @@ class MatrixRunner:
         self.store = ResultStore(self.results_dir)
         self.verbose = verbose
         self.workers = workers
-        # Trace every executed cell and attach its miss-provenance
-        # summary (stored cells keep whatever they were stored with).
-        self.provenance = provenance
-        self.manifest_path = self.results_dir / f"matrix_scale{scale}.manifest.json"
         self.manifest: RunManifest | None = None  # last run_matrix sweep
         #: Summaries this runner has read from or written to the store.
         self._cells: dict[str, RunSummary] = {}
@@ -447,18 +429,12 @@ class MatrixRunner:
             self._cells[key] = doc["summary"]
         return self._cells[key]
 
-    def run_one(
-        self, benchmark: str, technique: str, seed: int, force: bool = False
-    ) -> RunSummary:
+    def run_one(self, benchmark: str, technique: str, seed: int) -> RunSummary:
         """Run (or fetch from the store) one cell of the matrix."""
-        if not force:
-            summary = self._lookup(benchmark, technique, seed)
-            if summary is not None:
-                return summary
-        summary = run_cell(
-            self.cell_config(technique), benchmark, self.scale, seed,
-            self.provenance,
-        )
+        summary = self._lookup(benchmark, technique, seed)
+        if summary is not None:
+            return summary
+        summary = run_cell(self.cell_config(technique), benchmark, self.scale, seed)
         self.flush(benchmark, technique, seed, summary)
         return summary
 
@@ -502,11 +478,10 @@ class MatrixRunner:
         docs/performance.md).
 
         Every sweep records a :class:`RunManifest` in ``self.manifest``:
-        per cell, stored-vs-ran status (``cached``/``ran``), the
-        producing worker pid, the retry count, and the wall time.  A
-        sweep that ran at least one cell also writes it to
-        ``matrix_scale<scale>.manifest.json`` in the results directory;
-        a sweep served wholly from the store leaves that file alone.
+        per cell, whether the store served it (``cached``) or it ran
+        (``ran``).  The cell's worker pid, retries and wall time are
+        fields of its summary, so the stored ``<fingerprint>.json`` is
+        the cell's one record.
         """
         cells = [
             (benchmark, technique, seed)
@@ -522,44 +497,24 @@ class MatrixRunner:
             cell for cell in cells if self.key(*cell) not in stored
         ))
         jobs = [
-            (self.cell_config(technique), benchmark, self.scale, seed,
-             self.provenance)
+            (self.cell_config(technique), benchmark, self.scale, seed)
             for benchmark, technique, seed in pending
         ]
         for cell, summary in zip(pending, map_cells(jobs, self.workers)):
             self.flush(*cell, summary)
         out = {self.key(*cell): self._cells[self.key(*cell)] for cell in cells}
         self.manifest = self._build_manifest(out, stored)
-        if self.manifest.ran:
-            self._save_manifest(self.manifest)
         return out
 
+    @staticmethod
     def _build_manifest(
-        self, out: dict[str, RunSummary], stored: set[str],
+        out: dict[str, RunSummary], stored: set[str],
     ) -> RunManifest:
-        """Per-cell provenance for one finished sweep."""
-        manifest = RunManifest(
-            label="matrix", scale=self.scale,
-            fingerprint=self.fingerprint, workers=self.workers,
-        )
-        for key, summary in out.items():
-            manifest.record(
-                key,
-                status="cached" if key in stored else "ran",
-                worker=summary.get("worker"),
-                retries=int(summary.get("retries", 0)),
-                wall_seconds=summary.get("wall_seconds"),
-                provenance=summary.get("provenance"),
-            )
+        """Which cells of one finished sweep the store served."""
+        manifest = RunManifest()
+        for key in out:
+            manifest.record(key, "cached" if key in stored else "ran")
         return manifest
-
-    def _save_manifest(self, manifest: RunManifest) -> None:
-        """Persist the sweep manifest in the results directory."""
-        try:
-            self.results_dir.mkdir(parents=True, exist_ok=True)
-            manifest.save(self.manifest_path)
-        except OSError as exc:  # manifest is telemetry, never fatal
-            log.warning("could not write manifest %s: %s", self.manifest_path, exc)
 
     def cells(self, benchmark: str, technique: str, seeds: Iterable[int]) -> list[RunSummary]:
         """Fetch (running if needed) all seeds of one cell."""

@@ -14,9 +14,9 @@
   finished run's statistics through the declared
   :data:`~repro.obs.metrics.RUN_METRICS` table (``RunResult.metrics``).
 * :class:`~repro.obs.progress.Heartbeat` — periodic progress logging
-  of a run; :class:`~repro.obs.progress.RunManifest` — sweep
-  telemetry: the persisted per-cell provenance record of a matrix
-  sweep.  ``repro-sim run --profile`` is stdlib :mod:`cProfile`.
+  of a run; :class:`~repro.obs.progress.RunManifest` — which cells of
+  a matrix sweep the store served and which ran (in memory only).
+  ``repro-sim run --profile`` is stdlib :mod:`cProfile`.
 * :func:`~repro.obs.report.load_trace` /
   :func:`~repro.obs.report.summarize_trace` — load (tolerantly) and
   summarize a trace file (the ``repro-sim report`` command).

@@ -43,7 +43,6 @@ noise.
 from __future__ import annotations
 
 import bisect
-import json
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -138,18 +137,6 @@ class ProvenanceReport:
             self.lines.values(), key=lambda lp: (-lp.comm, -lp.misses, lp.base)
         )
         return ranked[:n]
-
-    def cell_summary(self) -> dict:
-        """Compact per-cell summary for matrix manifests and CI."""
-        return {
-            "comm_misses": self.comm_misses,
-            "attributed": self.attributed,
-            "attribution_rate": round(self.attribution_rate, 4),
-            "classes": {c: self.comm_classes.get(c, 0) for c in MISS_CLASSES
-                        if self.comm_classes.get(c, 0)},
-            "validates": dict(self.validates),
-            "spans": dict(self.spans),
-        }
 
     def to_json(self) -> dict:
         """Full JSON document (``repro-sim explain --format json``)."""

@@ -347,5 +347,4 @@ class WorkerShard:
         # time, so a replaced ``repro.service.workers.run_cell`` is
         # what the pool runs.
         return (run_cell, cell_config(scaled_config(), cell["technique"]),
-                cell["benchmark"], cell["scale"], cell["seed"], False,
-                trace_ctx)
+                cell["benchmark"], cell["scale"], cell["seed"], trace_ctx)

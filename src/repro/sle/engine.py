@@ -106,6 +106,10 @@ class SLEEngine:
         self.fallback: tuple | None = None
         self.restarts = 0
         self.region_ops: list[WinOp] = []
+        # Stores and loads/larxes in ``region_ops``, dead ones included
+        # until ``on_squash`` filters them: checkpoint mode's bounds.
+        self.region_stores = 0
+        self.region_loads = 0
         self.read_set: set[int] = set()
         self.write_set: set[int] = set()
         self.release_w: WinOp | None = None
@@ -177,6 +181,7 @@ class SLEEngine:
             w.sle_blocked = True
             w.sle_buffered = True
             self.region_ops.append(w)
+            self.region_stores += 1
             self.release_w = w
             self._try_commit_region()
             return
@@ -187,19 +192,16 @@ class SLEEngine:
         self.region_ops.append(w)
         if kind is OpKind.STORE:
             w.sle_buffered = True
+            self.region_stores += 1
             self.write_set.add(line_address(op.addr, self.config.line_size))
             self._prefetch(op.addr)
         elif kind in (OpKind.LOAD, OpKind.LARX):
+            self.region_loads += 1
             self.read_set.add(line_address(op.addr, self.config.line_size))
         if checkpoint:
-            stores = sum(1 for r in self.region_ops if r.op.kind is OpKind.STORE)
-            loads = sum(
-                1 for r in self.region_ops
-                if r.op.kind in (OpKind.LOAD, OpKind.LARX)
-            )
             if (
-                stores > self.config.core.store_buffer
-                or loads > self.config.l1.num_lines
+                self.region_stores > self.config.core.store_buffer
+                or self.region_loads > self.config.l1.num_lines
             ):
                 self._abort("no_release", trigger=w)
         elif len(self.region_ops) > self.max_region:
@@ -248,6 +250,8 @@ class SLEEngine:
 
     def _reset_region(self) -> None:
         self.region_ops = []
+        self.region_stores = 0
+        self.region_loads = 0
         self.read_set = {self.lock_base}
         self.write_set = set()
         self.release_w = None
@@ -354,6 +358,12 @@ class SLEEngine:
             # replayed ops will be re-tracked, so rebuild region state.
             survivors = [r for r in self.region_ops if not r.dead]
             self.region_ops = survivors
+            self.region_stores = sum(
+                1 for r in survivors if r.op.kind is OpKind.STORE
+            )
+            self.region_loads = sum(
+                1 for r in survivors if r.op.kind in (OpKind.LOAD, OpKind.LARX)
+            )
             self.read_set = {self.lock_base} | {
                 line_address(r.op.addr, self.config.line_size)
                 for r in survivors

@@ -190,7 +190,6 @@ def test_tree_matches_the_committed_baseline(tmp_path, capsys):
     ])
     assert rc == 0, capsys.readouterr().out
     assert json.loads(output.read_text()) == baseline
-    assert (tmp_path / "results" / "matrix_scale0.1.manifest.json").is_file()
 
 
 @pytest.fixture(scope="module")

@@ -86,12 +86,6 @@ class TestMatrixRunner:
         again = runner2.run_one("radiosity", "base", 1)
         assert first == again
 
-    def test_force_rerun(self, tmp_path):
-        runner = MatrixRunner(scale=0.02, results_dir=tmp_path, verbose=False)
-        a = runner.run_one("radiosity", "base", 1)
-        b = runner.run_one("radiosity", "base", 1, force=True)
-        assert a["cycles"] == b["cycles"]  # deterministic per seed
-
     def test_construction_touches_no_file(self, tmp_path):
         runner = MatrixRunner(
             scale=0.02, results_dir=tmp_path / "results", verbose=False,

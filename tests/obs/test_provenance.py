@@ -6,6 +6,12 @@ import json
 import pytest
 
 from repro.common.config import InterconnectKind, scaled_config
+from repro.experiments.runner import (
+    cell_config,
+    run_cell,
+    summaries_equal,
+    summarize,
+)
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.provenance import (
     MISS_CLASSES,
@@ -151,14 +157,6 @@ class TestReporting:
         assert "metrics reconciliation" in text
         assert "MISMATCH" not in text
 
-    def test_cell_summary_is_compact(self, locks_run):
-        tracer, _ = locks_run
-        summary = analyze_events(tracer.events).cell_summary()
-        assert set(summary) == {
-            "comm_misses", "attributed", "attribution_rate",
-            "classes", "validates", "spans",
-        }
-
 
 class TestReconcileFailureDetection:
     def test_mismatch_is_detected(self, locks_run):
@@ -170,73 +168,19 @@ class TestReconcileFailureDetection:
         assert not reconciliation_ok(rows)
 
 
-class TestRunnerProvenance:
-    def test_run_cell_attaches_cell_summary(self):
-        from repro.experiments.runner import run_cell
-        from repro.system.techniques import configure_technique as ct
-
-        config = configure_technique(scaled_config(n_procs=4), "emesti")
-        summary = run_cell(config, "locks", 0.05, 1, True)
-        prov = summary["provenance"]
-        assert prov["comm_misses"] >= 0
-        assert prov["spans"]["open"] == 0
-
-    def test_untraced_summary_identical(self):
-        from repro.experiments.runner import run_cell
-
-        config = configure_technique(scaled_config(n_procs=4), "emesti")
-        traced = run_cell(config, "locks", 0.05, 1, True)
-        plain = run_cell(config, "locks", 0.05, 1)
-        assert "provenance" not in plain
-        strip = ("provenance", "wall_seconds", "worker", "retries")
-        assert {k: v for k, v in traced.items() if k not in strip} == \
-               {k: v for k, v in plain.items() if k not in strip}
-
-    def test_manifest_records_provenance(self, tmp_path):
-        from repro.experiments.runner import MatrixRunner
-
-        runner = MatrixRunner(
-            scaled_config(n_procs=4), scale=0.05, results_dir=tmp_path,
-            verbose=False, provenance=True,
+class TestTracedCell:
+    @pytest.mark.parametrize(
+        "technique", ["emesti", "emesti+lvp", "emesti+lvp+sle"]
+    )
+    def test_tracing_does_not_bend_the_cell(self, technique):
+        """The full tracer ``explain`` runs a cell under leaves the
+        cell's summary as the result store holds it."""
+        config = cell_config(scaled_config(n_procs=4), technique)
+        tracer = Tracer()
+        result = System(
+            config, get_benchmark("locks", scale=0.05), seed=1, tracer=tracer,
+        ).run()
+        assert tracer.events
+        assert summaries_equal(
+            summarize(result), run_cell(config, "locks", 0.05, 1)
         )
-        runner.run_matrix(
-            benchmarks=["locks"], techniques=["emesti"], seeds=(1,)
-        )
-        cell = runner.manifest.cells["locks|emesti|1"]
-        assert "provenance" in cell
-        assert cell["provenance"]["attribution_rate"] >= 0.95
-
-    def test_pooled_sweep_records_the_serial_provenance(self, tmp_path):
-        import os
-
-        from repro.experiments.runner import MatrixRunner
-
-        def sweep(workers):
-            runner = MatrixRunner(
-                scaled_config(n_procs=4), scale=0.05,
-                results_dir=tmp_path / f"workers{workers}", verbose=False,
-                workers=workers, provenance=True,
-            )
-            runner.run_matrix(
-                benchmarks=["locks"], techniques=["emesti", "emesti+lvp"],
-                seeds=(1,),
-            )
-            return runner.manifest.cells
-
-        serial, pooled = sweep(None), sweep(2)
-        assert list(pooled) == list(serial)
-        for key, cell in pooled.items():
-            assert cell["worker"] != os.getpid(), key
-            assert cell["provenance"] == serial[key]["provenance"], key
-
-    def test_untraced_manifest_has_no_provenance_key(self, tmp_path):
-        from repro.experiments.runner import MatrixRunner
-
-        runner = MatrixRunner(
-            scaled_config(n_procs=4), scale=0.05, results_dir=tmp_path,
-            verbose=False,
-        )
-        runner.run_matrix(
-            benchmarks=["locks"], techniques=["emesti"], seeds=(1,)
-        )
-        assert "provenance" not in runner.manifest.cells["locks|emesti|1"]

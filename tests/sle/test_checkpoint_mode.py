@@ -72,6 +72,52 @@ def test_checkpoint_bounded_by_store_buffer(tiny_config):
     assert line.data == [1, 2, 3, 4, 5, 6, 7, 8]
 
 
+@pytest.mark.parametrize("n_loads, elided", [(16, True), (17, False)])
+def test_checkpoint_bounded_by_l1_lines(tiny_config, n_loads, elided):
+    """Speculative loads are bounded by the L1's line count (16 on the
+    tiny machine): one more load than that aborts the region."""
+    assert tiny_config.l1.num_lines == 16
+
+    def prog(tid, config, rng):
+        b = BlockBuilder()
+        b.larx(LOCK, pc=0x900)
+        v = yield b.take()
+        b.stcx(LOCK, 1, pc=0x900, meta={"sle_fallback": ("cas",)})
+        ok = yield b.take()
+        assert ok
+        for _ in range(n_loads):
+            b.load(DATA)
+        b.store(LOCK, 0)
+        b.end()
+        yield b.take()
+
+    res, sys_ = run_single(tiny_config, prog, checkpoint=True)
+    assert sys_.stats["sle0.successes"] == int(elided)
+    assert sys_.stats["sle0.failure.no_release"] == int(not elided)
+
+
+def test_checkpoint_bounds_count_each_region_afresh(tiny_config):
+    """Two back-to-back regions of 6 stores each fit an 8-entry store
+    buffer: the second region's count starts at zero."""
+
+    def prog(tid, config, rng):
+        b = BlockBuilder()
+        for _ in range(2):
+            b.larx(LOCK, pc=0x900)
+            v = yield b.take()
+            b.stcx(LOCK, 1, pc=0x900, meta={"sle_fallback": ("cas",)})
+            ok = yield b.take()
+            assert ok
+            for s in range(6):
+                b.store(DATA + s * 8, s + 1)
+            b.store(LOCK, 0)
+        b.end()
+        yield b.take()
+
+    res, sys_ = run_single(tiny_config, prog, checkpoint=True)
+    assert sys_.stats["sle0.successes"] == 2
+
+
 def test_checkpoint_success_applies_stores_once(tiny_config):
     res, sys_ = run_single(tiny_config, long_region(60), checkpoint=True)
     assert sys_.stats["sle0.successes"] == 1

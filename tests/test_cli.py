@@ -25,6 +25,24 @@ def test_run_cell(capsys):
     assert "cycles" in out and "ipc" in out
 
 
+def test_run_prints_the_stored_cell(tmp_path, capsys):
+    """``run`` simulates the machine the matrix stores its cells for."""
+    from repro.experiments.runner import MatrixRunner
+
+    assert main(["run", "tpc-b", "--technique", "emesti",
+                 "--scale", "0.05", "--seed", "1"]) == 0
+    printed = dict(re.findall(
+        r"^(cycles|committed)\s*:\s*(\d+)$", capsys.readouterr().out, re.M,
+    ))
+    cell = MatrixRunner(
+        scale=0.05, results_dir=tmp_path, verbose=False,
+    ).run_one("tpc-b", "emesti", 1)
+    assert (cell["cycles"], cell["committed"]) == (13791, 4457)
+    assert printed == {
+        "cycles": str(cell["cycles"]), "committed": str(cell["committed"]),
+    }
+
+
 def test_unknown_benchmark_rejected():
     with pytest.raises(SystemExit):
         build_parser().parse_args(["run", "linpack"])
