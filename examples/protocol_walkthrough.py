@@ -60,8 +60,7 @@ class Walkthrough:
 
     def step(self, label, action):
         action()
-        while self.scheduler.step():
-            pass
+        self.scheduler.run()
         p0, p1 = self.states()
         print(f"  {label:<44s} P0={p0:<3s} P1={p1}")
 

@@ -157,6 +157,9 @@ class Core:
         # reads the youngest older entry instead of scanning the window.
         # Updated wherever the window changes (admit, commit, squash).
         self._stores: dict[int, list[WinOp]] = {}
+        # Larx ops waiting for an older same-address store to leave the
+        # window and the store buffer, each with its parked retry chain.
+        self._drain_waits: list[tuple[WinOp, list]] = []
         self.reg_map: dict[int, "WinOp | int"] = {}
         self._retired_regs: dict[int, int] = {}
         self._replay: deque[MicroOp] = deque()
@@ -409,9 +412,11 @@ class Core:
             # larx cannot take a forwarded value (the reservation must
             # be established at the coherence point), so it waits for
             # its own older same-address store to drain — uniprocessor
-            # read-after-write ordering.
+            # read-after-write ordering.  It retries every 2 cycles, on
+            # a parked chain: ``_wake_drain_waits`` ends the chain once
+            # the store is gone or the larx is squashed.
             self.stats.add("larx.drain_waits")
-            self.scheduler.after(2, lambda: None if w.dead else self._issue_load(w))
+            self._drain_waits.append((w, self.scheduler.park(2)))
             return
         status, latency, value = self.node.load(
             addr, w, reserve=not is_load, allow_spec=is_load and not w.op.control
@@ -428,6 +433,24 @@ class Core:
             self._try_commit()
         else:
             w.phase = _ISSUED
+
+    def _wake_drain_waits(self) -> None:
+        """Wake each parked larx that can issue now or was squashed.
+
+        Called wherever ``_forward`` can stop finding a larx's store
+        (commit, drain, squash).  A woken larx issues at its next retry,
+        the first one that would have found the store gone; every retry
+        before that one counts as a drain wait.
+        """
+        waits = self._drain_waits
+        for entry in list(waits):
+            w, chain = entry
+            if w.dead or self._forward(w.op.addr, w) is None:
+                waits.remove(entry)
+                retries = self.scheduler.wake(
+                    chain, lambda w=w: None if w.dead else self._issue_load(w)
+                )
+                self.stats.add("larx.drain_waits", retries)
 
     def _forward(self, addr: int, w: WinOp) -> int | None:
         """Store-to-load forwarding from window stores and the SB."""
@@ -537,6 +560,8 @@ class Core:
             kind = r.op.kind
             if kind is _STORE or kind is _STCX:
                 self._unindex_store(r, -1)
+        if self._drain_waits:
+            self._wake_drain_waits()
         self._replay.extendleft(r.op for r in reversed(removed))
         self._rebuild_reg_map()
         if self._await_control is not None and self._await_control.dead:
@@ -590,7 +615,13 @@ class Core:
             window.popleft()
             if kind is _STORE or kind is _STCX:
                 self._unindex_store(w, 0)
-            self._retire(w, ct)
+                self._retire(w, ct)
+                # Checked after the retire, which moves a plain store
+                # into the store buffer, where ``_forward`` still finds it.
+                if self._drain_waits:
+                    self._wake_drain_waits()
+            else:
+                self._retire(w, ct)
 
     def _retire(self, w: WinOp, ct: int) -> None:
         op = w.op
@@ -673,6 +704,8 @@ class Core:
         self.sb.pop()
         self._sb_ready.popleft()
         self._draining = False
+        if self._drain_waits:
+            self._wake_drain_waits()
         self.stats.add("sb.drained")
         self._schedule_drain()
         self.pump()

@@ -524,7 +524,11 @@ RUN_METRICS: tuple[MetricSpec, ...] = (
     MetricSpec("repro_run_cycles", GAUGE, "Simulated cycles", (({}, "run.cycles", None),)),
     MetricSpec("repro_run_committed", GAUGE, "Committed micro-ops", (({}, "run.committed", None),)),
     MetricSpec("repro_run_ipc", GAUGE, "Committed micro-ops per cycle", (({}, "run.ipc", None),)),
-    MetricSpec("repro_run_events", GAUGE, "Scheduler events fired", (({}, "run.events", None),)),
+    MetricSpec(
+        "repro_run_events", GAUGE,
+        "Scheduler events fired (parked retries fire none)",
+        (({}, "run.events", None),),
+    ),
 )
 
 

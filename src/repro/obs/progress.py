@@ -30,7 +30,9 @@ class Heartbeat:
     metrics supplied by ``progress`` (a callable returning a dict, e.g.
     committed ops and IPC-so-far), plus the wall-clock event rate.
     The heartbeat stops rescheduling itself once ``stop`` returns True,
-    so it never keeps the event queue alive after the run finishes.
+    so it never keeps the event queue alive after the run finishes, or
+    once no other event is queued, so it never keeps a stalled run
+    alive until its cycle limit either.
     """
 
     def __init__(
@@ -66,7 +68,7 @@ class Heartbeat:
             "cycle=%d events=%d events/s=%.0f%s",
             self.scheduler.now, events, rate, extra,
         )
-        if self.stop is None or not self.stop():
+        if (self.stop is None or not self.stop()) and self.scheduler.pending():
             self.scheduler.after(self.interval, self._tick)
 
 

@@ -182,7 +182,10 @@ class System:
         IPC-so-far, events/sec) every that-many cycles through the
         ``repro.heartbeat`` logger — observability for long runs.  Its
         ticks are scheduler events the simulation did not fire, so
-        ``run.events`` leaves them out.
+        ``run.events`` leaves them out.  ``run.events`` counts events
+        that fired: a larx's parked retries (``Scheduler.park``) are
+        none.  If only they are left, the run stops with a
+        ``DeadlockError`` naming the stuck core.
         """
         for core in self.cores:
             core.start()
@@ -208,6 +211,7 @@ class System:
                 detail.append(
                     f"P{cid}: window={len(core.window)} head={head!r} "
                     f"sb={len(core.sb)} await_ctl={core._await_control is not None} "
+                    f"parked_larx={len(core._drain_waits)} "
                     f"program_done={core.program_done}"
                 )
             raise DeadlockError(

@@ -2,12 +2,7 @@
 
 import pathlib
 
-from repro.analysis.claims import (
-    PAPER_CLAIMS,
-    Claim,
-    evaluate_claims,
-    matrix_from_speedups,
-)
+from repro.analysis.claims import PAPER_CLAIMS, Claim, evaluate_claims
 
 BENCHES = ("ocean", "radiosity", "raytrace", "specjbb", "specweb", "tpc-b", "tpc-h")
 TECHS = ("mesti", "emesti", "lvp", "sle", "emesti+lvp")

@@ -1,7 +1,5 @@
 """Trace recording and the trace-driven limit analyzer."""
 
-import pytest
-
 from repro.analysis.trace import TraceRecord, TraceRecorder
 from repro.analysis.tracedriven import TraceDrivenAnalyzer
 

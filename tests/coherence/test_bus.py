@@ -1,7 +1,5 @@
 """Bus arbitration, occupancy, and timing."""
 
-import pytest
-
 from repro.common.config import BusConfig, scaled_config
 from repro.common.events import Scheduler
 from repro.common.stats import StatsRegistry

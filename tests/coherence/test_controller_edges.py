@@ -1,10 +1,7 @@
 """Controller edge cases: transaction races, eviction side effects."""
 
-import dataclasses
-
 import pytest
 
-from repro.coherence.messages import TxnKind
 from repro.coherence.states import LineState
 from tests.harness import MemHarness
 
@@ -59,8 +56,8 @@ class TestUpgradeConversion:
         h.store(1, ADDR, 7)
         for word in range(3):
             assert h.nodes[0].prefetch_exclusive(ADDR + 8 * word, lambda: None) is None
-        while h.line_state(0, ADDR) is not LineState.M:
-            assert h.scheduler.step()
+        h.scheduler.run(until=lambda: h.line_state(0, ADDR) is LineState.M)
+        assert h.line_state(0, ADDR) is LineState.M
         h.load(2, ADDR)
         h.drain()
         assert h.load(0, ADDR)[1] == 7

@@ -2,10 +2,7 @@
 
 import dataclasses
 
-import pytest
-
 from repro.common.config import InterconnectKind, ProtocolKind, ValidatePolicy
-from repro.coherence.states import LineState
 from tests.harness import MemHarness
 
 ADDR = 0x10000

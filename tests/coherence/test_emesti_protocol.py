@@ -1,7 +1,5 @@
 """Enhanced MESTI: Validate_Shared, useful snoop response, predictor (§2.3–2.4)."""
 
-import dataclasses
-
 import pytest
 
 from repro.coherence.states import LineState

@@ -1,7 +1,5 @@
 """Validate-policy objects in isolation."""
 
-import pytest
-
 from repro.common.config import PredictorConfig, ValidatePolicy
 from repro.common.stats import StatsRegistry
 from repro.coherence.messages import SnoopResult

@@ -88,10 +88,6 @@ def test_events_fired_counts():
     assert sched.events_fired == 5
 
 
-def test_step_returns_false_when_empty():
-    assert Scheduler().step() is False
-
-
 # -- stop-condition boundary semantics ------------------------------------
 
 

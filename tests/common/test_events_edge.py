@@ -40,10 +40,11 @@ def test_now_advances_monotonically():
 
 def test_pending_counts():
     sched = Scheduler()
-    sched.at(1, lambda: None)
-    sched.at(2, lambda: None)
+    fired = []
+    sched.at(1, lambda: fired.append(1))
+    sched.at(2, lambda: fired.append(2))
     assert sched.pending() == 2
-    sched.step()
+    sched.run(until=lambda: fired)
     assert sched.pending() == 1
 
 

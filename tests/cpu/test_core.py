@@ -2,8 +2,6 @@
 
 import dataclasses
 
-import pytest
-
 from repro.cpu.core import SlotCursor
 from repro.cpu.program import BlockBuilder
 from repro.system.system import System

@@ -2,8 +2,6 @@
 
 import dataclasses
 
-import pytest
-
 from repro.cpu.program import BlockBuilder
 from repro.system.system import System
 from tests.harness import ScriptWorkload

@@ -1,7 +1,5 @@
 """LVP through the core: speculation, verification, squash/replay."""
 
-import dataclasses
-
 import pytest
 
 from repro.cpu.program import BlockBuilder

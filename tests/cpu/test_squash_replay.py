@@ -1,10 +1,7 @@
 """Core squash/replay mechanics in isolation."""
 
-import dataclasses
-
 import pytest
 
-from repro.cpu.core import Phase
 from repro.cpu.program import BlockBuilder
 from repro.system.system import System
 from tests.harness import ScriptWorkload

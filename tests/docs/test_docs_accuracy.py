@@ -3,8 +3,6 @@
 import pathlib
 import re
 
-import pytest
-
 DOCS = pathlib.Path(__file__).resolve().parents[2] / "docs"
 ROOT = DOCS.parent
 

@@ -115,11 +115,8 @@ class MemHarness:
     # -- event helpers ---------------------------------------------------
 
     def drain(self, max_events: int = 100_000) -> None:
-        """Run all pending events."""
-        count = 0
-        while self.scheduler.step():
-            count += 1
-            assert count < max_events, "harness event storm"
+        """Run all pending events (``SimulationError`` on an event storm)."""
+        self.scheduler.run(max_events=max_events)
 
     def new_op(self) -> FakeOp:
         self._seq += 1

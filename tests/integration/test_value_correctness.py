@@ -5,8 +5,6 @@ architectural outcome must be exact: lock-protected counters reach
 their precise totals, and producer/consumer data arrives intact.
 """
 
-import dataclasses
-
 import pytest
 
 from repro.cpu.program import BlockBuilder

@@ -1,10 +1,6 @@
 """Load value prediction with tag-match invalid lines (paper §3)."""
 
-import dataclasses
-
-import pytest
-
-from repro.common.config import LVPConfig, ProtocolKind, ValidatePolicy
+from repro.common.config import LVPConfig
 from repro.common.stats import StatsRegistry
 from repro.coherence.states import LineState
 from repro.lvp.unit import LVPUnit

@@ -1,6 +1,6 @@
 """Property tests on standalone data structures."""
 
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.cpu.core import SlotCursor

@@ -68,6 +68,28 @@ class TestSystem:
         with pytest.raises(Exception):
             sys_.run(max_cycles=20_000)
 
+    @pytest.mark.parametrize("heartbeat", [0, 100])
+    def test_larx_behind_a_store_that_never_drains_deadlocks(
+        self, tiny_config, heartbeat
+    ):
+        # The larx's 2-cycle retries are parked, not events: once the
+        # other core finishes the queue is empty, and the run stops at
+        # once instead of retrying until max_cycles.  A heartbeat does
+        # not keep the queue alive either.
+        def store_then_larx(tid, config, rng):
+            b = BlockBuilder()
+            b.store(0x4000, 1)
+            b.larx(0x4000)
+            yield b.take()
+            b.end()
+            yield b.take()
+
+        sys_ = System(tiny_config, ScriptWorkload(store_then_larx, trivial), seed=0)
+        sys_.nodes[0].store = lambda addr, value, pc, on_done: None
+        with pytest.raises(DeadlockError, match=r"P0: .* parked_larx=1"):
+            sys_.run(heartbeat=heartbeat)
+        assert sys_.scheduler.events_fired < 100
+
 
 class TestDeterminism:
     def test_same_seed_same_result(self, tiny4_config):

@@ -1,7 +1,5 @@
 """The seven benchmark models: construction, execution, and shape."""
 
-import dataclasses
-
 import pytest
 
 from repro.common.rng import SplitRng
